@@ -17,6 +17,7 @@ from .errors import (
     FacetCountTooLarge,
     HypothesisUnmet,
     InsufficientPrimes,
+    ModulusTooLarge,
     PadicSumsError,
     PolyParseError,
     WorkBudgetExceeded,

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     DegenerateSampling,
     HypothesisUnmet,
@@ -24,9 +26,11 @@ from .errors import (
 )
 from .newton import (
     DEFAULT_POINT_CAP,
+    INT64_SAFE,
+    N_bound,
     build_polyhedron,
     enumerate_faces,
-    enumerate_lattice_points,
+    lattice_blocks,
     sigma_data,
 )
 from .poly import ExponentVector, Polynomial, homogeneity
@@ -70,36 +74,55 @@ def check_nu_inequality(
 ) -> NuCheckFindings:
     """Evaluate both lattice lower bounds for every k with nu(k) <= T.
 
-    Exact rational arithmetic throughout; the per-face data (sigma(f_tau),
-    dim tau) comes from the enumerated face lattice.
+    Exact throughout: both inequalities are scaled by D, the lcm of 2 and the
+    denominators of sigma and of every sigma(f_tau), and compared in integers
+    (int64 when every scaled side provably stays below 2^62, Python integers
+    otherwise).  Fraction records are built only for violating points, in
+    point order.  The per-face data (sigma(f_tau), dim tau) comes from the
+    enumerated face lattice.
     """
     P = build_polyhedron(f)
     faces = enumerate_faces(P)
     sigma = sigma_data(P).sigma
-    rhs_tau: Dict[int, Tuple[Fraction, Fraction]] = {
-        face.id: (face.sigma_tau, Fraction(face.dim + 1, 2)) for face in faces
-    }
+    D = math.lcm(2, sigma.denominator, *(face.sigma_tau.denominator for face in faces))
+    sigma_D = int(sigma * D)
+    main_D = [int(face.sigma_tau * D) for face in faces]
+    half_D = [(face.dim + 1) * D // 2 for face in faces]
+    # nu D <= T D and 0 <= sigma D (N + 1) <= sigma D (N_bound + 1) on every
+    # point; the offsets subtracted from the right side are nonnegative.
+    bound = T * D + sigma_D * (N_bound(P, T) + 1) + max(main_D + half_D)
+    dtype = np.int64 if bound < INT64_SAFE else object
+    main_off = np.array(main_D, dtype=dtype)
+    half_off = np.array(half_D, dtype=dtype)
+
+    rhs_memo: Dict[Tuple[int, int], Tuple[Fraction, Fraction]] = {}
     main_bad: List[NuCheckRecord] = []
     half_bad: List[NuCheckRecord] = []
     count = 0
-    for pt in enumerate_lattice_points(P, T, point_cap=point_cap):
-        count += 1
-        sig_tau, half = rhs_tau[pt.face_id]
-        rhs_main = sigma * (pt.N + 1) - sig_tau
-        rhs_half = sigma * (pt.N + 1) - half
-        main_ok = pt.nu >= rhs_main
-        half_ok = pt.nu >= rhs_half
-        if main_ok and half_ok:
-            continue
-        rec = NuCheckRecord(
-            k=pt.k, face_id=pt.face_id, nu=pt.nu, N=pt.N,
-            rhs_main=rhs_main, rhs_halfdim=rhs_half,
-            main_ok=main_ok, halfdim_ok=half_ok,
-        )
-        if not main_ok:
-            main_bad.append(rec)
-        if not half_ok:
-            half_bad.append(rec)
+    for blk in lattice_blocks(P, T, point_cap=point_cap):
+        count += len(blk.nu)
+        lhs = blk.nu.astype(dtype) * D
+        base = (blk.N.astype(dtype) + 1) * sigma_D
+        main_ok = lhs >= base - main_off[blk.face_id]
+        half_ok = lhs >= base - half_off[blk.face_id]
+        for i in np.flatnonzero(~(main_ok & half_ok)).tolist():
+            face_id, N = int(blk.face_id[i]), int(blk.N[i])
+            if (face_id, N) not in rhs_memo:
+                face = faces[face_id]
+                rhs_memo[face_id, N] = (
+                    sigma * (N + 1) - face.sigma_tau,
+                    sigma * (N + 1) - Fraction(face.dim + 1, 2),
+                )
+            rhs_main, rhs_half = rhs_memo[face_id, N]
+            rec = NuCheckRecord(
+                k=tuple(blk.k[i].tolist()), face_id=face_id, nu=int(blk.nu[i]), N=N,
+                rhs_main=rhs_main, rhs_halfdim=rhs_half,
+                main_ok=bool(main_ok[i]), halfdim_ok=bool(half_ok[i]),
+            )
+            if not rec.main_ok:
+                main_bad.append(rec)
+            if not rec.halfdim_ok:
+                half_bad.append(rec)
     return NuCheckFindings(
         T=T,
         points_checked=count,

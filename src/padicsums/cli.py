@@ -44,7 +44,6 @@ class RunConfig:
     workers: int
     out_format: str  # human | json | csv
     out_file: Optional[str]
-    seed: int
     face_id: Optional[int] = None
     d: Optional[int] = None
     ratio_ceiling: Optional[float] = None
@@ -73,7 +72,6 @@ class RunConfig:
             workers=args.workers,
             out_format=fmt,
             out_file=args.out,
-            seed=args.seed,
             face_id=getattr(args, "face", None),
             d=getattr(args, "d", None),
             ratio_ceiling=getattr(args, "ceiling", None),
@@ -410,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
                         help="work budget in grid evaluations")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true", help="machine-readable JSON report")
         sp.add_argument("--csv", action="store_true", help="CSV where a table exists")
         sp.add_argument("--out", metavar="FILE", help="write the report to FILE")

@@ -47,6 +47,12 @@ class WorkBudgetExceeded(PadicSumsError):
         self.budget = budget
 
 
+class ModulusTooLarge(PadicSumsError):
+    """The modulus is too large for exact int64 residue arithmetic in the
+    grid kernels: a product of two residues could wrap.  Raised before any
+    computation starts."""
+
+
 class DegenerateSampling(PadicSumsError):
     """Too few hypothesis-satisfying samples were found by the convexity sampler."""
 

@@ -23,15 +23,18 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import BudgetExceeded, WorkBudgetExceeded
 from .newton import (
     DEFAULT_POINT_CAP,
+    INT64_SAFE,
     Face,
     NewtonPolyhedron,
     build_polyhedron,
     enumerate_faces,
-    enumerate_lattice_points,
     frac_str,
+    lattice_blocks,
     sigma_data,
 )
 from .poly import ExponentVector, Polynomial
@@ -120,20 +123,30 @@ def cone_sums_multi(
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> Tuple[Dict[int, List[ConeSumResult]], int, Fraction]:
     """A(p,m,tau) and B(p,m,tau) for every face and every requested m in one
-    shared lattice-enumeration pass (classification dominates, so sharing it
-    across m values is nearly free)."""
+    shared lattice-enumeration pass.
+
+    Each block of points is folded into counts per (face, N, nu) with one
+    np.unique over a scalar key, so the exact-rational work that follows is
+    proportional to that profile, not to the point count.  N is clamped at
+    max(ms): every larger N falls in the same A and B cells.
+    """
     for m in ms:
         if m < 0:
             raise ValueError("m must be >= 0")
     T, tail = truncation_level(p, P.n, eps)
     faces = enumerate_faces(P)
-    # (face, N, nu) -> count; collapsing equal-weight points first keeps the
-    # exact-rational work proportional to the profile, not the point count.
+    m_top = max(ms, default=0)
+    # one scalar key (face * (m_top + 1) + min(N, m_top)) * (T + 1) + nu per point
+    dtype = np.int64 if len(faces) * (m_top + 1) * (T + 1) < INT64_SAFE else object
     counts: Dict[int, Dict[Tuple[int, int], int]] = {f.id: {} for f in faces}
-    for pt in enumerate_lattice_points(P, T, point_cap=point_cap):
-        cell = counts[pt.face_id]
-        key = (pt.N, pt.nu)
-        cell[key] = cell.get(key, 0) + 1
+    for blk in lattice_blocks(P, T, point_cap=point_cap):
+        N = np.minimum(blk.N, m_top).astype(dtype)
+        key = (blk.face_id.astype(dtype) * (m_top + 1) + N) * (T + 1) + blk.nu
+        for k, cnt in zip(*(a.tolist() for a in np.unique(key, return_counts=True))):
+            rest, nu = divmod(k, T + 1)
+            face_id, N_clamped = divmod(rest, m_top + 1)
+            cell = counts[face_id]
+            cell[N_clamped, nu] = cell.get((N_clamped, nu), 0) + cnt
     scale = p ** T
     out: Dict[int, List[ConeSumResult]] = {}
     for m in ms:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceeded, DimensionTooLarge, FacetCountTooLarge
 from .poly import ExponentVector, Polynomial, face_restriction, render
 
@@ -430,10 +432,60 @@ def f0_face(P: NewtonPolyhedron) -> Face:
 def enumerate_lattice_points(
     P: NewtonPolyhedron, T: int, *, point_cap: int = DEFAULT_POINT_CAP
 ) -> Iterator[LatticePoint]:
-    """Every k in N^n with nu(k) <= T, exactly once, tagged (nu, N, face id).
+    """Every k in N^n with nu(k) <= T, exactly once, tagged (nu, N, face id),
+    in lexicographic order of k.
 
     The total count is C(T+n, n); BudgetExceeded fires before any point is
-    produced if that exceeds the cap.
+    produced if that exceeds the cap.  This is a flattening of
+    ``lattice_blocks``, which classifies LATTICE_BLOCK (2^12) points at a
+    time, in int64 while T * max|v|_1 stays below 2^62 and with Python
+    integers (dtype=object) otherwise, so no product k . v can wrap.
+    """
+    blocks = lattice_blocks(P, T, point_cap=point_cap)
+    return (
+        LatticePoint(tuple(k), nu, N, face_id)
+        for blk in blocks
+        for k, nu, N, face_id in zip(
+            blk.k.tolist(), blk.nu.tolist(), blk.N.tolist(), blk.face_id.tolist()
+        )
+    )
+
+
+#: Rows per block of ``lattice_blocks``; bounds the per-block temporaries.
+LATTICE_BLOCK = 1 << 12
+
+#: The lattice layer computes in int64 only when it has proven every value
+#: below this bound, so one more addition of two such values cannot wrap;
+#: otherwise the same code runs with dtype=object (Python integers).
+INT64_SAFE = 1 << 62
+
+
+class LatticeBlock(NamedTuple):
+    """Consecutive lattice points as parallel arrays: k (rows x n), nu, N and
+    face id.  N has dtype object when ``N_bound`` reaches INT64_SAFE."""
+
+    k: np.ndarray
+    nu: np.ndarray
+    N: np.ndarray
+    face_id: np.ndarray
+
+
+def N_bound(P: NewtonPolyhedron, T: int) -> int:
+    """T * max|v|_1 over the vertices: an upper bound on N(k) when nu(k) <= T."""
+    return T * max(sum(v) for v in P.vertices)
+
+
+def lattice_blocks(
+    P: NewtonPolyhedron, T: int, *, point_cap: int = DEFAULT_POINT_CAP
+) -> Iterator[LatticeBlock]:
+    """The points of ``enumerate_lattice_points`` in the same order, as blocks
+    of at most LATTICE_BLOCK rows.
+
+    Each block is classified at once: N is the row minimum of k . v over the
+    vertices, and the face is looked up from the pattern (vertices attaining
+    the minimum, zero coordinates of k), once per distinct pattern.  A
+    pattern that matches no face raises KeyError.  The products k . v are
+    int64 when ``N_bound`` is below INT64_SAFE and Python integers otherwise.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -442,31 +494,71 @@ def enumerate_lattice_points(
         raise BudgetExceeded(f"{count} lattice points exceed cap {point_cap}")
     enumerate_faces(P)
     assert P._face_index is not None
-    return _lattice_gen(P, T, P._face_index)
+    return _classified_blocks(P, T, P._face_index)
 
 
-def _lattice_gen(
+def _compositions(n: int, T: int) -> np.ndarray:
+    """Every k in N^n with |k| <= T, in lexicographic order, one row each."""
+    K = np.arange(T + 1, dtype=np.int64).reshape(-1, 1)
+    for _ in range(n - 1):
+        # row-major nonzero: for each new first entry v, the rows with |k| <= T - v
+        first, rest = np.nonzero(K.sum(axis=1) <= T - np.arange(T + 1)[:, None])
+        K = np.column_stack((first, K[rest]))
+    return K
+
+
+def _composition_chunks(
+    n: int, T: int, prefix: Tuple[int, ...]
+) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """``prefix`` followed by every k in N^n with |k| <= T, in lexicographic
+    order, as (prefix, tails) chunks of at most LATTICE_BLOCK rows."""
+    if comb(T + n, n) <= LATTICE_BLOCK:
+        yield prefix, _compositions(n, T)
+    elif n == 1:
+        for lo in range(0, T + 1, LATTICE_BLOCK):
+            yield prefix, np.arange(lo, min(T + 1, lo + LATTICE_BLOCK), dtype=np.int64).reshape(-1, 1)
+    else:
+        for v in range(T + 1):
+            yield from _composition_chunks(n - 1, T - v, prefix + (v,))
+
+
+def _classified_blocks(
     P: NewtonPolyhedron, T: int, index: Dict[FaceKey, int]
-) -> Iterator[LatticePoint]:
-    n = P.n
-    vertices = P.vertices
-    k = [0] * n
+) -> Iterator[LatticeBlock]:
+    n, nv = P.n, len(P.vertices)
+    dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
+    V = np.array(P.vertices, dtype=dtype)
+    # A pattern key has bit i set for tight vertex i and bit nv + j for k_j = 0.
+    key_dtype = np.int64 if 1 << (nv + n) <= INT64_SAFE else object
+    byte_weights = np.array([1 << (8 * j) for j in range(-(-(nv + n) // 8))], dtype=key_dtype)
+    face_of: Dict[int, int] = {}  # pattern key -> face id, across blocks
 
-    def rec(j: int, remaining: int) -> Iterator[LatticePoint]:
-        if j == n:
-            kt = tuple(k)
-            dots = [_dot(kt, v) for v in vertices]
-            N = min(dots)
-            vids = tuple(i for i, d in enumerate(dots) if d == N)
-            axes = tuple(i for i, x in enumerate(kt) if x == 0)
-            yield LatticePoint(kt, sum(kt), N, index[(vids, axes)])
-            return
-        for val in range(remaining + 1):
-            k[j] = val
-            yield from rec(j + 1, remaining - val)
-        k[j] = 0
+    def classify(K: np.ndarray) -> LatticeBlock:
+        dots = K.astype(dtype, copy=False) @ V.T
+        N = dots.min(axis=1)
+        pattern = np.packbits(
+            np.concatenate([dots == N[:, None], K == 0], axis=1), axis=1, bitorder="little"
+        )
+        keys, inverse = np.unique(pattern.astype(key_dtype) @ byte_weights, return_inverse=True)
+        for key in keys.tolist():
+            if key not in face_of:
+                vids = tuple(i for i in range(nv) if key >> i & 1)
+                axes = tuple(j for j in range(n) if key >> (nv + j) & 1)
+                face_of[key] = index[(vids, axes)]
+        ids = np.array([face_of[key] for key in keys.tolist()], dtype=np.int64)
+        return LatticeBlock(K, K.sum(axis=1), N, ids[inverse.reshape(-1)])
 
-    yield from rec(0, T)
+    K = np.empty((LATTICE_BLOCK, n), dtype=np.int64)
+    rows = 0
+    for prefix, tails in _composition_chunks(n, T, ()):
+        if rows + len(tails) > LATTICE_BLOCK:
+            yield classify(K[:rows])
+            K = np.empty((LATTICE_BLOCK, n), dtype=np.int64)
+            rows = 0
+        K[rows:rows + len(tails), :len(prefix)] = prefix
+        K[rows:rows + len(tails), len(prefix):] = tails
+        rows += len(tails)
+    yield classify(K[:rows])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ counts . roots-of-unity.  When the modulus is too large to histogram, blocks
 are reduced with complex exponentials and merged by compensated (Kahan)
 summation in fixed ascending block order, so results are reproducible for any
 worker count.  Every value carries a certified absolute error budget of
-KERNEL_EPS per accumulated term.
+KERNEL_EPS per accumulated term.  Moduli whose residue products could wrap
+int64 are refused with ModulusTooLarge before any work starts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import WorkBudgetExceeded
+from .errors import ModulusTooLarge, WorkBudgetExceeded
 from .newton import Face
 from .poly import ExponentVector, Polynomial, gradient
 
@@ -50,6 +51,16 @@ def _require_prime(p: int) -> None:
 # ---------------------------------------------------------------------------
 # blocked grid kernel
 # ---------------------------------------------------------------------------
+
+def _require_int64_residues(modulus: int) -> None:
+    """Residues r, s < modulus combine as r + s * t in int64 without wrapping
+    exactly when modulus * (modulus - 1) < 2^63."""
+    if modulus * (modulus - 1) >= 1 << 63:
+        raise ModulusTooLarge(
+            f"modulus {modulus} is too large for int64 residue arithmetic"
+            " (products of residues would exceed 2^63)"
+        )
+
 
 def _pow_mod_array(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
     out = np.full_like(values, 1 % modulus)
@@ -174,6 +185,7 @@ def _exp_sum_over_grid(
     workers: int,
 ) -> complex:
     """Unnormalized sum of exp(2 pi i f(x)/modulus) over the product grid."""
+    _require_int64_residues(modulus)
     terms = tuple((coef % modulus, exps) for exps, coef in sorted(f.terms.items()))
     n = f.n
     sizes = [stop - start for start, stop in domains]
@@ -332,6 +344,7 @@ def check_nondegenerate_mod_p(
     lexicographically first critical torus point.
     """
     _require_prime(p)
+    _require_int64_residues(p)
     torus = (p - 1) ** f.n
     estimated = torus * max(len(faces), 1)
     if estimated > work_budget:

@@ -186,6 +186,11 @@ def test_budget_error_exits_2(capsys):
     assert main(["sum", "x*y+z*u", "--prime", "13", "--power", "3"]) == 2
 
 
+def test_modulus_too_large_exits_2(capsys):
+    assert main(["sum", "x^2", "--prime", "5", "--power", "14", "--budget", str(10 ** 10)]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
 # -- output plumbing -----------------------------------------------------------------
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -8,11 +8,15 @@ from itertools import product
 
 import pytest
 
-from padicsums.errors import WorkBudgetExceeded
+import numpy as np
+
+from padicsums.errors import ModulusTooLarge, WorkBudgetExceeded
 from padicsums.newton import build_polyhedron, enumerate_faces
 from padicsums.poly import Polynomial, parse_polynomial, render
 from padicsums.sums import (
     KERNEL_EPS,
+    _exp_sum_over_grid,
+    _pow_mod_array,
     brute_force_S,
     check_nondegenerate_mod_p,
     torus_E,
@@ -96,6 +100,28 @@ def test_budget_checked_before_work():
 def test_rejects_composite_modulus_base():
     with pytest.raises(ValueError):
         brute_force_S(parse_polynomial("x*y"), 6, 1)
+
+
+def test_modulus_too_large_for_int64_residues_is_refused():
+    # (5^14 - 1)^2 > 2^63: int64 residue products would wrap silently.
+    f = parse_polynomial("x^2")
+    with pytest.raises(ModulusTooLarge):
+        _exp_sum_over_grid(f, 5 ** 14, [(5 ** 14 - 2000, 5 ** 14)], 1)
+    with pytest.raises(ModulusTooLarge):
+        brute_force_S(f, 5, 14, work_budget=10 ** 10)
+    big_prime = 3037000507  # smallest prime p with p (p - 1) >= 2^63
+    faces = enumerate_faces(build_polyhedron(f))
+    with pytest.raises(ModulusTooLarge):
+        check_nondegenerate_mod_p(f, faces, big_prime)
+
+
+def test_largest_prime_power_modulus_below_int64_limit_is_exact():
+    M = 3 ** 19  # 3^20 (3^20 - 1) exceeds 2^63, 3^19 (3^19 - 1) does not
+    assert _pow_mod_array(np.array([M - 1, M - 2], dtype=np.int64), 2, M).tolist() == [1, 4]
+    f = parse_polynomial("x^2")
+    got = _exp_sum_over_grid(f, M, [(M - 2000, M)], 1)
+    want = sum(cmath.exp(2j * cmath.pi * (x * x % M) / M) for x in range(M - 2000, M))
+    assert abs(got - want) <= 1e-9  # one wrapped residue would move a term by O(1)
 
 
 def test_value_is_bounded_by_one_plus_budget():
