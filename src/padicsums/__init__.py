@@ -14,7 +14,6 @@ from .errors import (
     ConstantTermNonzero,
     DegenerateSampling,
     DimensionTooLarge,
-    FacetCountTooLarge,
     HypothesisUnmet,
     InsufficientPrimes,
     ModulusTooLarge,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .poly import (
     ExponentVector,
-    ModEvaluator,
     Polynomial,
     eval_mod,
     face_restriction,

@@ -287,8 +287,7 @@ def bound_ratio_table(
     exceeds ratio_ceiling are findings, never failures: the bounding constant
     is existential.
     """
-    P = build_polyhedron(f)
-    sig = sigma_data(P)
+    sig = build_polyhedron(f).diagonal
     table = RatioTable(
         sigma=sig.sigma,
         kappa=sig.kappa,
@@ -408,5 +407,5 @@ def check_sigma_dim_bound(f: Polynomial, d: int) -> bool:
     deg = homogeneity(f)
     if deg is None or deg < 2:
         raise HypothesisUnmet("f must be homogeneous of degree >= 2")
-    sigma = sigma_data(build_polyhedron(f)).sigma
+    sigma = build_polyhedron(f).diagonal.sigma
     return sigma <= Fraction(f.n - d, 2)

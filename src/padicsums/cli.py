@@ -345,7 +345,7 @@ def cmd_edecay(cfg: RunConfig) -> int:
 def cmd_sigma_bound(cfg: RunConfig) -> int:
     f = _poly(cfg)
     holds = bounds.check_sigma_dim_bound(f, cfg.d)
-    sigma = sigma_data(build_polyhedron(f)).sigma
+    sigma = build_polyhedron(f).diagonal.sigma
     bound = Fraction(f.n - cfg.d, 2)
     obj = {
         "polynomial": render(f), "d": cfg.d,

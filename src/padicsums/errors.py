@@ -27,10 +27,6 @@ class DimensionTooLarge(PadicSumsError):
     """Ambient dimension exceeds the configured cap for exact polyhedral work."""
 
 
-class FacetCountTooLarge(PadicSumsError):
-    """2^#facets exceeds the face-enumeration cap."""
-
-
 class BudgetExceeded(PadicSumsError):
     """A lattice enumeration would visit more points than the configured cap."""
 

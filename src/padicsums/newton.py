@@ -7,23 +7,24 @@ cone spanned by the lifted support points and the orthant rays, in exact
 integer arithmetic; every derived quantity is an int or a Fraction.  Faces
 are canonically keyed by (vertex index set, recession axis set), which
 determines a face of this class of polyhedra (pointed, recession cone equal
-to the orthant).
+to the orthant).  A polyhedron is immutable: its faces and its diagonal data
+are derived once, on first use, and never change what it compares equal to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from math import comb, gcd, lcm
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionTooLarge, FacetCountTooLarge
+from .errors import BudgetExceeded, DimensionTooLarge
 from .poly import ExponentVector, Polynomial, face_restriction, render
 
 DEFAULT_DIMENSION_CAP = 8
-DEFAULT_FACET_SUBSET_CAP = 1 << 20
 DEFAULT_POINT_CAP = 5_000_000
 
 FaceKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertex ids, 0-based recession axes)
@@ -46,54 +47,43 @@ def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q of an integer matrix."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """Exact fraction-free Gauss-Jordan elimination of an integer matrix,
+    augmented by the identity when it is square; pivots only in the columns
+    of ``rows``.
+
+    Returns the rank of ``rows`` and, when ``rows`` is square with full rank,
+    the columns of its inverse as primitive integer vectors (empty
+    otherwise).  Column c solves rows . x = lambda e_c with lambda > 0, so
+    each column is a ray with the identity tightness pattern.
+    """
+    h, w = len(rows), len(rows[0]) if rows else 0
+    eye = [[int(i == j) for j in range(h)] if h == w else [] for i in range(h)]
+    mat = [list(row) + eye[i] for i, row in enumerate(rows)]
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+    for c in range(w):
+        piv = next((i for i in range(r, h) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c] / mat[r][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        top = mat[r]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                a, b = top[c], row[c]
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*row) or 1
+                mat[i] = [x // g for x in row]
         r += 1
-        if r == len(mat):
+        if r == h:
             break
-    return r
-
-
-def _inverse_columns(rows: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """Columns of the inverse of a square integer matrix, as primitive
-    integer vectors.  Column c solves rows . x = e_c, so each returned ray
-    satisfies the row system with the identity tightness pattern."""
-    d = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-           for i, row in enumerate(rows)]
-    for c in range(d):
-        piv = next((i for i in range(c, d) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(d):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    cols = []
-    for c in range(d):
-        col = [aug[i][d + c] for i in range(d)]
-        denom = 1
-        for x in col:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        cols.append(_primitive([int(x * denom) for x in col]))
-    return cols
+    if r < h or h != w:
+        return r, []
+    # now row i is p_i (e_i | row i of the inverse): divide by each pivot p_i
+    scale = lcm(*(row[i] for i, row in enumerate(mat)))
+    return r, [
+        _primitive([row[w + c] * (scale // row[i]) for i, row in enumerate(mat)])
+        for c in range(w)
+    ]
 
 
 def _extreme_rays(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
@@ -106,14 +96,14 @@ def _extreme_rays(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     d = len(rows[0])
     base: List[int] = []
     for i in range(len(rows)):
-        if _rank([rows[j] for j in base] + [rows[i]]) > len(base):
+        if _gauss_jordan([rows[j] for j in base] + [rows[i]])[0] > len(base):
             base.append(i)
             if len(base) == d:
                 break
     if len(base) < d:
         raise ValueError("inequality system is rank deficient")
 
-    rays = _inverse_columns([rows[i] for i in base])
+    rays = _gauss_jordan([rows[i] for i in base])[1]
     active = list(base)
     for idx in (i for i in range(len(rows)) if i not in set(base)):
         a = rows[idx]
@@ -176,6 +166,17 @@ class Face:
         return (self.vertex_ids, self.recession_axes)
 
 
+class Diagonal(NamedTuple):
+    """What the facets alone say about the diagonal: sigma, t* = 1/sigma,
+    kappa = n - dim F0 and the key of the face F0 where the diagonal first
+    meets the polyhedron."""
+
+    sigma: Fraction
+    t_star: Fraction
+    kappa: int
+    f0_key: FaceKey
+
+
 @dataclass(frozen=True)
 class SigmaData:
     """Diagonal invariants: sigma, t* = 1/sigma, the face F0 where the
@@ -185,7 +186,7 @@ class SigmaData:
     t_star: Fraction
     kappa: int
     f0_key: FaceKey
-    f0_face_id: Optional[int] = None
+    f0_face_id: int
 
 
 class KEval(NamedTuple):
@@ -202,17 +203,29 @@ class LatticePoint:
     face_id: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonPolyhedron:
+    """The polyhedron; faces and diagonal data are derived once, on first use."""
+
     n: int
     vertices: Tuple[ExponentVector, ...]
     facets: Tuple[Facet, ...]
     source: Polynomial
-    _faces: Optional[Tuple[Face, ...]] = field(default=None, repr=False)
-    _face_index: Optional[Dict[FaceKey, int]] = field(default=None, repr=False)
-    _sigma_core: Optional[Tuple[Fraction, Fraction, int, FaceKey]] = field(
-        default=None, repr=False
-    )
+
+    @cached_property
+    def faces(self) -> Tuple[Face, ...]:
+        """Every face, sorted by (dim, key), so a face's id is its position."""
+        return _face_lattice(self)
+
+    @cached_property
+    def face_index(self) -> Dict[FaceKey, int]:
+        """Face key -> face id."""
+        return {face.key: face.id for face in self.faces}
+
+    @cached_property
+    def diagonal(self) -> Diagonal:
+        """sigma, t*, kappa and the F0 key, read from the facets alone."""
+        return _diagonal(self)
 
     def classify(self, k: Sequence[int]) -> Tuple[int, int, FaceKey]:
         """(nu, N, face key) for a nonnegative integer functional k."""
@@ -223,9 +236,7 @@ class NewtonPolyhedron:
         return sum(k), N, (vids, axes)
 
     def face_by_key(self, key: FaceKey) -> Face:
-        faces = enumerate_faces(self)
-        assert self._face_index is not None
-        return faces[self._face_index[key]]
+        return self.faces[self.face_index[key]]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +276,7 @@ def build_polyhedron(
     verts = []
     for v in support:
         tight = [F.normal for F in facets if _dot(F.normal, v) == F.offset]
-        if _rank(tight) == f.n:
+        if _gauss_jordan(tight)[0] == f.n:
             verts.append(v)
 
     P = NewtonPolyhedron(n=f.n, vertices=tuple(verts), facets=tuple(facets), source=f)
@@ -295,40 +306,50 @@ def _face_dim(P: NewtonPolyhedron, key: FaceKey) -> int:
         tuple(a - b for a, b in zip(P.vertices[i], v0)) for i in vids[1:]
     ]
     rows += [tuple(int(i == a) for i in range(P.n)) for a in axes]
-    return _rank(rows)
+    return _gauss_jordan(rows)[0]
 
 
-def enumerate_faces(
-    P: NewtonPolyhedron, *, facet_subset_cap: int = DEFAULT_FACET_SUBSET_CAP
-) -> List[Face]:
-    """The complete face lattice, including the polyhedron itself (witness 0).
+def _face_keys(P: NewtonPolyhedron) -> List[FaceKey]:
+    """Every face key: the whole polyhedron, closed under intersection with
+    each facet's incidence pair (tight vertices, axes where its normal is 0).
 
-    Every subset of facets contributes the face minimized by the sum of its
-    normals; deduplication by (vertex ids, recession axes) leaves each face
-    exactly once.  This is exhaustive because a face's normal cone is spanned
-    by the normals of the facets containing it, and the sum of spanning
-    normals lies in the cone's relative interior.
+    A nonempty intersection of facets is the face their summed normal
+    minimizes, and its key is the intersection of their incidence pairs, so
+    the closure meets every face once.  Sets are bitmasks; the cost is about
+    faces x facets mask operations.
     """
-    if P._faces is not None:
-        return list(P._faces)
-    nf = len(P.facets)
-    if 2 ** nf > facet_subset_cap:
-        raise FacetCountTooLarge(f"2^{nf} facet subsets exceed cap {facet_subset_cap}")
+    incidences = [
+        (
+            sum(1 << i for i, v in enumerate(P.vertices) if _dot(F.normal, v) == F.offset),
+            sum(1 << a for a, x in enumerate(F.normal) if x == 0),
+        )
+        for F in P.facets
+    ]
+    whole = ((1 << len(P.vertices)) - 1, (1 << P.n) - 1)
+    seen = {whole}
+    todo = [whole]
+    while todo:
+        vmask, amask = todo.pop()
+        for fv, fa in incidences:
+            meet = (vmask & fv, amask & fa)
+            if meet[0] and meet not in seen:
+                seen.add(meet)
+                todo.append(meet)
+    return [
+        (
+            tuple(i for i in range(len(P.vertices)) if vmask >> i & 1),
+            tuple(a for a in range(P.n) if amask >> a & 1),
+        )
+        for vmask, amask in seen
+    ]
 
-    keys: Dict[FaceKey, None] = {}
-    for mask in range(2 ** nf):
-        k = [0] * P.n
-        for j in range(nf):
-            if mask >> j & 1:
-                for i, x in enumerate(P.facets[j].normal):
-                    k[i] += x
-        _, _, key = P.classify(k)
-        keys.setdefault(key)
 
+def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
     support = P.source.support
-    sigma_memo: Dict[Tuple[ExponentVector, ...], Fraction] = {}
-    records = []
-    for vids, axes in keys:
+    # the whole polyhedron restricts to f itself, whose sigma is P's own
+    sigma_memo: Dict[Tuple[ExponentVector, ...], Fraction] = {support: P.diagonal.sigma}
+    faces = []
+    for dim, (vids, axes) in sorted((_face_dim(P, key), key) for key in _face_keys(P)):
         active = tuple(
             j
             for j, F in enumerate(P.facets)
@@ -351,35 +372,25 @@ def enumerate_faces(
 
         skey = restr.support
         if skey not in sigma_memo:
-            sigma_memo[skey] = sigma_data(build_polyhedron(restr)).sigma
-        records.append(
-            {
-                "key": (vids, axes),
-                "dim": _face_dim(P, (vids, axes)),
-                "active": active,
-                "witness": witness,
-                "restriction": restr,
-                "sigma_tau": sigma_memo[skey],
-            }
+            # the restriction's diagonal only, never its faces: no recursion;
+            # f_tau has P's dimension, which P's own build already admitted
+            sigma_memo[skey] = build_polyhedron(restr, dimension_cap=P.n).diagonal.sigma
+        faces.append(
+            Face(len(faces), vids, axes, dim, active, witness, sigma_memo[skey], restr)
         )
+    return tuple(faces)
 
-    records.sort(key=lambda r: (r["dim"], r["key"]))
-    faces = tuple(
-        Face(
-            id=i,
-            vertex_ids=r["key"][0],
-            recession_axes=r["key"][1],
-            dim=r["dim"],
-            active_facet_ids=r["active"],
-            witness_k=r["witness"],
-            sigma_tau=r["sigma_tau"],
-            restriction=r["restriction"],
-        )
-        for i, r in enumerate(records)
-    )
-    P._faces = faces
-    P._face_index = {face.key: face.id for face in faces}
-    return list(faces)
+
+def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
+    """The complete face lattice, including the polyhedron itself (witness 0),
+    sorted by (dim, key); computed on first use and kept on P.
+
+    Faces come from closing the whole polyhedron under intersection with the
+    facets' incidence pairs.  Each face carries its active facets, the sum of
+    their normals as witness (minimizing over P at the witness recovers the
+    face), its restriction f_tau and sigma_tau = sigma(f_tau).
+    """
+    return list(P.faces)
 
 
 def eval_k(P: NewtonPolyhedron, k: Sequence[int]) -> KEval:
@@ -391,42 +402,29 @@ def eval_k(P: NewtonPolyhedron, k: Sequence[int]) -> KEval:
     return KEval(nu, N, P.face_by_key(key))
 
 
+def _diagonal(P: NewtonPolyhedron) -> Diagonal:
+    t_star = max(Fraction(F.offset, sum(F.normal)) for F in P.facets if F.offset > 0)
+    active = [j for j, F in enumerate(P.facets) if t_star * sum(F.normal) == F.offset]
+    witness = tuple(sum(P.facets[j].normal[i] for j in active) for i in range(P.n))
+    _, _, key = P.classify(witness)
+    return Diagonal(1 / t_star, t_star, P.n - _face_dim(P, key), key)
+
+
 def sigma_data(P: NewtonPolyhedron) -> SigmaData:
-    """sigma, t*, F0 and kappa from the facet description.
+    """sigma, t*, F0 and kappa, with the id of F0 in the face lattice.
 
     t* is the exact maximum of offset/nu(normal) over positive-offset facets;
     the diagonal point (t*, ..., t*) lies on exactly the facets active at F0.
+    Everything but the face id comes from the facets alone (``P.diagonal``);
+    the id enumerates the faces on first use.
     """
-    if P._sigma_core is None:
-        t_star = max(
-            Fraction(F.offset, sum(F.normal)) for F in P.facets if F.offset > 0
-        )
-        sigma = 1 / t_star
-        active = [
-            j
-            for j, F in enumerate(P.facets)
-            if t_star * sum(F.normal) == F.offset
-        ]
-        witness = tuple(
-            sum(P.facets[j].normal[i] for j in active) for i in range(P.n)
-        )
-        _, _, key = P.classify(witness)
-        kappa = P.n - _face_dim(P, key)
-        P._sigma_core = (sigma, t_star, kappa, key)
-    sigma, t_star, kappa, key = P._sigma_core
-    face_id = P._face_index.get(key) if P._face_index is not None else None
-    return SigmaData(sigma=sigma, t_star=t_star, kappa=kappa, f0_key=key, f0_face_id=face_id)
+    sigma, t_star, kappa, key = P.diagonal
+    return SigmaData(sigma, t_star, kappa, key, P.face_index[key])
 
 
 def f0_face(P: NewtonPolyhedron) -> Face:
-    """The face where the diagonal first meets the polyhedron.
-
-    Enumerates the face lattice on first use; sigma_data alone never does
-    (it is also run on face-restriction polyhedra, where building the whole
-    sub-lattice would recurse), so its f0_face_id stays None until then.
-    """
-    enumerate_faces(P)
-    return P.face_by_key(sigma_data(P).f0_key)
+    """The face where the diagonal first meets the polyhedron."""
+    return P.face_by_key(P.diagonal.f0_key)
 
 
 def enumerate_lattice_points(
@@ -492,9 +490,7 @@ def lattice_blocks(
     count = comb(T + P.n, P.n)
     if count > point_cap:
         raise BudgetExceeded(f"{count} lattice points exceed cap {point_cap}")
-    enumerate_faces(P)
-    assert P._face_index is not None
-    return _classified_blocks(P, T, P._face_index)
+    return _classified_blocks(P, T, P.face_index)
 
 
 def _compositions(n: int, T: int) -> np.ndarray:

@@ -271,7 +271,7 @@ def gradient(f: Polynomial) -> List[Optional[Polynomial]]:
 
 def eval_mod(f: Polynomial, point: Sequence[int], modulus: int) -> int:
     """f(point) reduced mod ``modulus``.  One-shot convenience; grid loops
-    should use ModEvaluator or the numpy kernels instead."""
+    should use the numpy kernels instead."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     total = 0
@@ -282,40 +282,6 @@ def eval_mod(f: Polynomial, point: Sequence[int], modulus: int) -> int:
                 t = (t * pow(int(xj), ej, modulus)) % modulus
         total += t
     return total % modulus
-
-
-class ModEvaluator:
-    """Repeated evaluation of one polynomial at many points mod one modulus.
-
-    Setup builds one power table per (variable, exponent) pair actually used,
-    O(modulus * maxdeg) per variable; each later call costs O(#terms) table
-    lookups with no bignum pow.
-    """
-
-    def __init__(self, f: Polynomial, modulus: int):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        self.modulus = modulus
-        self._tables: Dict[Tuple[int, int], List[int]] = {}
-        rows: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
-        for exp, coef in f.terms.items():
-            used = tuple((j, e) for j, e in enumerate(exp) if e)
-            for j, e in used:
-                if (j, e) not in self._tables:
-                    self._tables[(j, e)] = [pow(r, e, modulus) for r in range(modulus)]
-            rows.append((coef % modulus, used))
-        self._rows = rows
-
-    def __call__(self, point: Sequence[int]) -> int:
-        m = self.modulus
-        tables = self._tables
-        total = 0
-        for coef, used in self._rows:
-            t = coef
-            for j, e in used:
-                t = (t * tables[(j, e)][point[j]]) % m
-            total += t
-        return total % m
 
 
 def homogeneity(f: Polynomial) -> Optional[int]:

@@ -350,27 +350,31 @@ def check_nondegenerate_mod_p(
     if estimated > work_budget:
         raise WorkBudgetExceeded(estimated, work_budget)
 
-    domains = [(1, p)] * f.n
-    verdicts: Dict[Tuple[ExponentVector, ...], Tuple[bool, Optional[Tuple[int, ...]]]] = {}
+    # Slabs of whole rows along the first axis, in lexicographic order, keep
+    # each pass near _INNER_CAP points; the first slab holding a critical
+    # point yields the lexicographically first witness.
+    rest = [(1, p)] * (f.n - 1)
+    step = max(1, _INNER_CAP // (p - 1) ** (f.n - 1))
+    verdicts: Dict[Tuple[ExponentVector, ...], Optional[Tuple[int, ...]]] = {}
     entries = []
     for face in faces:
         skey = face.restriction.support
         if skey not in verdicts:
-            mask = np.ones((p - 1,) * f.n, dtype=bool)
-            for comp in gradient(face.restriction):
-                if comp is None:
-                    continue  # identically-zero derivative never cuts the locus
-                vals = _eval_terms_full(comp, p, domains)
-                mask &= vals == 0
-                if not mask.any():
+            # an identically-zero derivative never cuts the critical locus
+            comps = [c for c in gradient(face.restriction) if c is not None]
+            verdicts[skey] = None
+            for lo in range(1, p, step):
+                domains = [(lo, min(p, lo + step))] + rest
+                mask = np.ones(tuple(b - a for a, b in domains), dtype=bool)
+                for comp in comps:
+                    mask &= _eval_terms_full(comp, p, domains) == 0
+                    if not mask.any():
+                        break
+                if mask.any():
+                    coords = np.unravel_index(int(np.argmax(mask)), mask.shape)
+                    verdicts[skey] = tuple(int(c) + a for c, (a, _) in zip(coords, domains))
                     break
-            if mask.any():
-                flat = int(np.argmax(mask))
-                coords = np.unravel_index(flat, mask.shape)
-                verdicts[skey] = (False, tuple(int(c) + 1 for c in coords))
-            else:
-                verdicts[skey] = (True, None)
-        ok, witness = verdicts[skey]
-        entries.append(FaceNondeg(face_id=face.id, passed=ok, witness=witness))
+        witness = verdicts[skey]
+        entries.append(FaceNondeg(face_id=face.id, passed=witness is None, witness=witness))
     entries.sort(key=lambda e: e.face_id)
     return NondegReport(prime=p, entries=tuple(entries))

@@ -1,4 +1,5 @@
-"""Shared fixtures: the verification corpus and a seeded random-polynomial source."""
+"""Shared fixtures: the verification corpus and a seeded random-polynomial
+source.  Hypothesis runs derandomized, so every run tries the same examples."""
 
 from __future__ import annotations
 
@@ -6,8 +7,12 @@ import random
 from typing import Optional
 
 import pytest
+from hypothesis import settings
 
 from padicsums.poly import Polynomial, parse_polynomial
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 CORPUS_TEXTS = [
     "x*y",

@@ -1,0 +1,169 @@
+"""The face lattice against the 2^#facets subset sweep it replaced, plus the
+invariants every face lattice must satisfy.
+
+``oracle_faces`` is the original enumerator: the sum of the normals of every
+facet subset is classified, and deduplicating the resulting (vertex ids,
+recession axes) keys leaves each face once.  Its dimensions come from numpy's
+float rank, independent of the library's exact elimination.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from padicsums.newton import (
+    Face,
+    NewtonPolyhedron,
+    _gauss_jordan,
+    build_polyhedron,
+    enumerate_faces,
+    f0_face,
+    sigma_data,
+)
+from padicsums.poly import Polynomial, face_restriction, parse_polynomial
+from conftest import random_polynomial
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def oracle_faces(P: NewtonPolyhedron):
+    nf = len(P.facets)
+    keys = {}
+    for mask in range(2 ** nf):
+        k = [0] * P.n
+        for j in range(nf):
+            if mask >> j & 1:
+                for i, x in enumerate(P.facets[j].normal):
+                    k[i] += x
+        keys.setdefault(P.classify(k)[2])
+
+    records = []
+    for vids, axes in keys:
+        active = tuple(
+            j
+            for j, F in enumerate(P.facets)
+            if all(_dot(F.normal, P.vertices[i]) == F.offset for i in vids)
+            and all(F.normal[a] == 0 for a in axes)
+        )
+        witness = tuple(sum(P.facets[j].normal[i] for j in active) for i in range(P.n))
+        members = [
+            s
+            for s in P.source.support
+            if all(_dot(P.facets[j].normal, s) == P.facets[j].offset for j in active)
+        ]
+        restr = face_restriction(P.source, members)
+        v0 = np.array(P.vertices[vids[0]])
+        spans = [np.array(P.vertices[i]) - v0 for i in vids[1:]]
+        spans += [np.eye(P.n, dtype=int)[a] for a in axes]
+        dim = int(np.linalg.matrix_rank(np.array(spans))) if spans else 0
+        sigma_tau = sigma_data(build_polyhedron(restr)).sigma
+        records.append(((dim, (vids, axes)), active, witness, sigma_tau, restr))
+    records.sort(key=lambda r: r[0])
+    return [
+        Face(i, vids, axes, dim, active, witness, sigma_tau, restr)
+        for i, ((dim, (vids, axes)), active, witness, sigma_tau, restr) in enumerate(records)
+    ]
+
+
+def staircase(vertices: int) -> Polynomial:
+    """A plane curve whose support (i, (vertices - i)^2) is strictly convex,
+    so every point is a vertex and the polyhedron has vertices + 1 facets."""
+    return Polynomial(2, {(i, (vertices - i) ** 2): 1 + i % 3 for i in range(vertices)})
+
+
+@st.composite
+def polynomials(draw) -> Polynomial:
+    n = draw(st.integers(1, 4))
+    exps = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 5)] * n).filter(any), min_size=1, max_size=7, unique=True
+        )
+    )
+    coefs = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(exps), max_size=len(exps)))
+    return Polynomial(n, dict(zip(exps, coefs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=polynomials())
+def test_faces_match_subset_sweep(f):
+    P = build_polyhedron(f)
+    assume(len(P.facets) <= 12)
+    assert enumerate_faces(P) == oracle_faces(P)
+
+
+@pytest.mark.parametrize("facets", [14, 16])
+def test_staircase_faces_match_subset_sweep(facets):
+    P = build_polyhedron(staircase(facets - 1))
+    assert len(P.facets) == facets
+    faces = enumerate_faces(P)
+    assert len(faces) == 2 * facets  # vertices, edges and the polyhedron
+    assert faces == oracle_faces(P)
+
+
+def _euler(faces) -> int:
+    return sum((-1) ** face.dim for face in faces)
+
+
+def test_euler_characteristic_on_corpus(corpus):
+    for f in corpus:
+        assert _euler(enumerate_faces(build_polyhedron(f))) == 0
+
+
+def test_euler_characteristic_random():
+    rng = random.Random(1729)
+    for n in range(1, 6):
+        for _ in range(12 if n < 5 else 4):
+            f = random_polynomial(rng, n=n, max_terms=8, max_exp=4)
+            assert _euler(enumerate_faces(build_polyhedron(f))) == 0
+
+
+def test_f0_face_id_on_fresh_polyhedra(corpus):
+    for f in corpus:
+        f0_id = sigma_data(build_polyhedron(f)).f0_face_id
+        assert isinstance(f0_id, int)
+        assert f0_id == f0_face(build_polyhedron(f)).id
+
+
+def test_equality_ignores_what_was_derived():
+    f = parse_polynomial("x*y+z*u")
+    P, Q = build_polyhedron(f), build_polyhedron(f)
+    enumerate_faces(P)
+    assert P == Q and repr(P) == repr(Q)
+
+
+@st.composite
+def matrices(draw):
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        w = h  # square matrices exercise the inverse columns
+    row = st.lists(st.integers(-3, 3), min_size=w, max_size=w)
+    return draw(st.lists(row, min_size=h, max_size=h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=matrices())
+def test_gauss_jordan_rank_and_inverse_columns(rows):
+    rank, cols = _gauss_jordan(rows)
+    assert rank == np.linalg.matrix_rank(np.array(rows))
+    d = len(rows)
+    if d != len(rows[0]) or rank < d:
+        assert cols == []
+        return
+    assert len(cols) == d
+    for c, col in enumerate(cols):
+        image = [_dot(row, col) for row in rows]
+        assert image[c] > 0 and all(x == 0 for i, x in enumerate(image) if i != c)
+        assert all(isinstance(x, int) for x in col)
+
+
+def test_gauss_jordan_pivot_already_in_place():
+    # the pivot of every column is on the diagonal, so no row swap happens
+    rank, cols = _gauss_jordan([[2, 1], [0, 3]])
+    assert rank == 2 and cols == [(1, 0), (-1, 2)]
+    assert _gauss_jordan([]) == (0, [])

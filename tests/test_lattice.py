@@ -38,8 +38,7 @@ def _dot(a, b) -> int:
 
 def oracle_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoint]:
     """Every k with |k| <= T in lexicographic order, classified one at a time."""
-    enumerate_faces(P)
-    index: Dict[FaceKey, int] = P._face_index
+    index: Dict[FaceKey, int] = P.face_index
     n = P.n
     k = [0] * n
 

@@ -16,7 +16,7 @@ from math import comb, gcd
 
 import pytest
 
-from padicsums.errors import BudgetExceeded, DimensionTooLarge, FacetCountTooLarge
+from padicsums.errors import BudgetExceeded, DimensionTooLarge
 from padicsums.newton import (
     build_polyhedron,
     enumerate_faces,
@@ -151,10 +151,12 @@ def test_dominated_support_point_excluded():
 
 
 def test_dimension_cap():
-    f = parse_polynomial("x1*x2*x3*x4*x5*x6*x7*x8*x9")
+    f = parse_polynomial("x1*x2*x3*x4*x5*x6*x7*x8*x9 + x1^2")
     with pytest.raises(DimensionTooLarge):
         build_polyhedron(f)
-    assert build_polyhedron(f, dimension_cap=9).n == 9
+    P = build_polyhedron(f, dimension_cap=9)
+    assert P.n == 9
+    assert enumerate_faces(P)  # face restrictions inherit the admitted dimension
 
 
 def test_constant_term_rejected_by_build():
@@ -217,12 +219,6 @@ def test_witness_soundness(corpus):
         P = build_polyhedron(f)
         for face in enumerate_faces(P):
             assert P.classify(face.witness_k)[2] == face.key
-
-
-def test_facet_subset_cap():
-    P = build_polyhedron(parse_polynomial("x*y+z*u"))
-    with pytest.raises(FacetCountTooLarge):
-        enumerate_faces(P, facet_subset_cap=4)
 
 
 # -- eval_k -----------------------------------------------------------------

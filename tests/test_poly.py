@@ -14,7 +14,6 @@ import pytest
 
 from padicsums.errors import ConstantTermNonzero, PolyParseError, ZeroPolynomial
 from padicsums.poly import (
-    ModEvaluator,
     Polynomial,
     eval_mod,
     face_restriction,
@@ -223,17 +222,6 @@ def test_eval_mod_matches_bigint_oracle():
         modulus = rng.choice([2, 3, 7, 9, 25, 1009])
         point = [rng.randrange(modulus) for _ in range(f.n)]
         assert eval_mod(f, point, modulus) == oracle_eval(f, point) % modulus
-
-
-def test_mod_evaluator_matches_eval_mod():
-    rng = random.Random(5)
-    for _ in range(20):
-        f = random_polynomial(rng)
-        modulus = rng.choice([3, 8, 49])
-        ev = ModEvaluator(f, modulus)
-        for _ in range(10):
-            point = [rng.randrange(modulus) for _ in range(f.n)]
-            assert ev(point) == eval_mod(f, point, modulus)
 
 
 def test_homogeneity():

@@ -10,6 +10,7 @@ import pytest
 
 import numpy as np
 
+from padicsums import sums
 from padicsums.errors import ModulusTooLarge, WorkBudgetExceeded
 from padicsums.newton import build_polyhedron, enumerate_faces
 from padicsums.poly import Polynomial, parse_polynomial, render
@@ -226,3 +227,21 @@ def test_nondeg_budget():
     faces = enumerate_faces(build_polyhedron(f))
     with pytest.raises(WorkBudgetExceeded):
         check_nondegenerate_mod_p(f, faces, 13, work_budget=1000)
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_nondeg_slabs_agree_with_one_pass(cap, corpus, monkeypatch):
+    # The default cap scans these small tori in one slab; caps of 1 and 7
+    # split them into slabs of whole rows, which must keep every verdict and
+    # the lexicographically first witness.
+    rng = random.Random(404)
+    polys = list(corpus) + [random_polynomial(rng, max_terms=5, max_exp=4) for _ in range(12)]
+    cases = []
+    for f in polys:
+        faces = enumerate_faces(build_polyhedron(f))
+        for p in (3, 5, 7, 11):
+            cases.append((f, faces, p, check_nondegenerate_mod_p(f, faces, p)))
+    assert any(not rep.passed for *_, rep in cases)  # witnesses are exercised
+    monkeypatch.setattr(sums, "_INNER_CAP", cap)
+    for f, faces, p, want in cases:
+        assert check_nondegenerate_mod_p(f, faces, p) == want
