@@ -1,18 +1,27 @@
 """Exponential sum kernels and mod-p nondegeneracy scans.
 
-The grid kernels are exact integers until the last step: f is evaluated
+S and E are computed as products over variable-disjoint blocks: when no
+term links two sets of variables, the normalized sum is the product of the
+blocks' sums (a variable in no term contributes 1, the constant term
+e(c/p^m)), so the work is the sum of the block grids, not their product.
+
+Each block grid is exact integers until the last step: f is evaluated
 modulo p^m on int64 blocks (per-variable power tables, innermost axes
-vectorized), the residues are histogrammed, and the sum is assembled once as
+vectorized), with the terms grouped by their monomial in the outer axes so
+each outer point costs one multiply-add per distinct outer monomial; the
+residues are histogrammed, and the sum is assembled once as
 counts . roots-of-unity.  When the modulus is too large to histogram, blocks
 are reduced with complex exponentials and merged by compensated (Kahan)
 summation in fixed ascending block order, so results are reproducible for any
 worker count.  Every value carries a certified absolute error budget of
-KERNEL_EPS per accumulated term.  Moduli whose residue products could wrap
-int64 are refused with ModulusTooLarge before any work starts.
+KERNEL_EPS per point of the whole grid, which also covers the block product
+(see _block_product).  Moduli whose residue products could wrap int64 are
+refused with ModulusTooLarge before any work starts.
 """
 
 from __future__ import annotations
 
+import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt, prod
@@ -101,7 +110,14 @@ def _kahan_add(s: complex, c: complex, x: complex) -> Tuple[complex, complex]:
 
 def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
     """Process a contiguous span of tasks; one task is one outer-coordinate
-    assignment (times one segment of the last axis when segmented)."""
+    assignment (times one segment of the last axis when segmented).
+
+    Terms are grouped by their outer exponent exps[:inner_start], and each
+    group becomes one residue array over the inner block, built once per
+    block plan; the outer-free terms (constants included) form one base
+    group.  A task then does one multiply-add per distinct outer monomial,
+    not one per term.
+    """
     (terms, n, modulus, domains, inner_start, segments, seg_size, lo, hi, mode) = args
     sizes = [stop - start for start, stop in domains]
     outer_sizes = sizes[:inner_start]
@@ -114,14 +130,16 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
             stop = min(stop, start + seg_size)
         return np.arange(start, stop, dtype=np.int64)
 
-    def build_inner(seg: int):
-        """Per-term arrays over the inner block, broadcast-shaped; None means
-        the term is constant on the block."""
+    def build_plan(seg: int):
+        """(shape, [(outer exponent, (scalar, residues))]) for one inner block.
+        The group's value is scalar * residues; residues is a broadcast-shaped
+        array, or an int when the group is constant on the block.  A lone
+        term keeps its coefficient as the scalar, a merged group has scalar 1."""
         shape = tuple(len(inner_domain(a, seg)) for a in inner_axes)
         pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        arrays = []
-        for _, exps in terms:
-            arr = None
+        groups: Dict[ExponentVector, Tuple[int, object]] = {}
+        for coef, exps in terms:
+            mono = None
             for pos, axis in enumerate(inner_axes):
                 e = exps[axis]
                 if not e:
@@ -133,16 +151,24 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
                         tuple(len(p) if q == pos else 1 for q in range(len(inner_axes)))
                     )
                 pw = pow_cache[key]
-                arr = pw if arr is None else (arr * pw) % modulus
-            arrays.append(arr)
-        return shape, arrays
-
-    # Overflow policy: accumulate raw products and reduce once if safe.
-    safe_raw = len(terms) * (modulus - 1) ** 2 < 2 ** 62
+                mono = pw if mono is None else (mono * pw) % modulus
+            mono = 1 if mono is None else mono
+            outer = exps[:inner_start]
+            if outer in groups:
+                c, g = groups[outer]
+                groups[outer] = (1, ((c * g) % modulus + (coef * mono) % modulus) % modulus)
+            else:
+                groups[outer] = (coef, mono)
+        return shape, list(groups.items())
 
     counts = np.zeros(modulus, dtype=np.int64) if mode == "hist" else None
     exp_parts: List[Tuple[int, complex]] = []
-    cached = build_inner(0) if segments == 1 else None
+    cached = build_plan(0) if segments == 1 else None
+    # Overflow policy: a task adds one product of two residues, at most
+    # (modulus - 1)^2, per distinct outer monomial and then a constant below
+    # modulus; accumulate raw products and reduce once if that stays < 2^63.
+    outer_count = len({exps[:inner_start] for _, exps in terms})
+    safe_raw = (outer_count + 1) * (modulus - 1) ** 2 < 1 << 63
 
     for task in range(lo, hi):
         outer_flat, seg = divmod(task, segments)
@@ -154,21 +180,22 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
         coords.reverse()
         point = [domains[j][0] + coords[j] for j in range(inner_start)]
 
-        shape, inner_arrays = cached if cached is not None else build_inner(seg)
+        shape, groups = cached if cached is not None else build_plan(seg)
         acc = np.zeros(shape, dtype=np.int64)
         const = 0
-        for (coef, exps), arr in zip(terms, inner_arrays):
-            scalar = coef
+        for outer, (scalar, residues) in groups:
             for j in range(inner_start):
-                if exps[j]:
-                    scalar = (scalar * pow(point[j], exps[j], modulus)) % modulus
-            if arr is None:
-                const = (const + scalar) % modulus
+                if outer[j]:
+                    scalar = (scalar * pow(point[j], outer[j], modulus)) % modulus
+            if isinstance(residues, int):
+                const = (const + scalar * residues) % modulus
             elif safe_raw:
-                acc += scalar * arr
+                acc += residues if scalar == 1 else scalar * residues
             else:
-                acc = (acc + scalar * arr) % modulus
-        acc = (acc + const) % modulus
+                acc = (acc + scalar * residues) % modulus
+        if const:
+            acc += const
+        acc %= modulus
 
         if mode == "hist":
             counts += np.bincount(acc.ravel(), minlength=modulus)
@@ -230,6 +257,62 @@ def _split_range(total: int, pieces: int) -> List[Tuple[int, int]]:
     return spans
 
 
+def _block_product(
+    f: Polynomial, modulus: int, domain: Tuple[int, int], workers: int
+) -> complex:
+    """Normalized sum of e(f(x)/modulus) over domain^n, as a product of sums
+    over variable-disjoint blocks.
+
+    Coefficients are reduced mod modulus and vanishing terms dropped; the
+    constant term c contributes the factor e(c/modulus), a variable in no
+    term the factor 1, and each block of variables linked by shared terms
+    one grid sum over its own n_i axes, so the work is sum_i N^{n_i} points
+    with N = |domain| instead of N^n.  Block values are multiplied in
+    ascending (real, imag) order, so any variable order gives the same value.
+
+    Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
+    point, so its normalized value is within KERNEL_EPS + u of the truth
+    (u = 2^-53).  e(c/modulus), with c taken in (-modulus/2, modulus/2] so
+    the phase is at most pi, is within 9u.  With k blocks, every factor of
+    modulus at most 1 + O(KERNEL_EPS) and at most k complex multiplications
+    (each within sqrt(5) u; Brent, Percival and Zimmermann 2007), the
+    product is within k (KERNEL_EPS + u) + k sqrt(5) u + 9u
+    <= (1.4k + 1) KERNEL_EPS of the true value.  Each block has an axis, so
+    n >= k, and (1.4k + 1) <= N^n whenever N^n >= 3: the error stays under
+    KERNEL_EPS * N^n, the budget callers report for the whole grid.  Grids
+    of at most two points (the torus at p = 2, or a single axis of two
+    points) are evaluated whole, where that inequality can fail.
+    """
+    _require_int64_residues(modulus)
+    size = domain[1] - domain[0]
+    if size ** f.n <= 2:
+        return _exp_sum_over_grid(f, modulus, [domain] * f.n, workers) / size ** f.n
+    terms = {e: c % modulus for e, c in f.terms.items() if c % modulus}
+    const = terms.pop((0,) * f.n, 0)
+    blocks: List[frozenset] = []
+    for exps in terms:
+        axes = frozenset(i for i, e in enumerate(exps) if e)
+        linked = [b for b in blocks if b & axes]
+        blocks = [b for b in blocks if not b & axes] + [axes.union(*linked)]
+    values = []
+    for block in blocks:
+        axes = sorted(block)
+        g = Polynomial(len(axes), {
+            tuple(exps[a] for a in axes): c
+            for exps, c in terms.items() if any(exps[a] for a in axes)
+        })
+        values.append(_exp_sum_over_grid(g, modulus, [domain] * len(axes), workers)
+                      / size ** len(axes))
+    factors = sorted(values, key=lambda z: (z.real, z.imag))
+    if const:
+        const -= modulus if 2 * const > modulus else 0
+        factors.append(cmath.exp(2j * cmath.pi * const / modulus))
+    value = factors[0] if factors else 1 + 0j
+    for v in factors[1:]:
+        value *= v
+    return value
+
+
 # ---------------------------------------------------------------------------
 # public kernels
 # ---------------------------------------------------------------------------
@@ -242,7 +325,13 @@ def brute_force_S(
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> SumValue:
-    """Normalized complete sum p^{-mn} * sum over [0, p^m)^n of e(f(x)/p^m)."""
+    """Normalized complete sum p^{-mn} * sum over [0, p^m)^n of e(f(x)/p^m).
+
+    Computed as a product of sums over the variable-disjoint blocks of f mod
+    p^m, each on its own grid.  ``term_count``, the work budget check and
+    ``abs_error_budget`` = KERNEL_EPS * term_count still count the whole grid
+    p^{mn}; the product's error stays under that budget (see _block_product).
+    """
     _require_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -250,8 +339,8 @@ def brute_force_S(
     if total > work_budget:
         raise WorkBudgetExceeded(total, work_budget)
     modulus = p ** m
-    s = _exp_sum_over_grid(f, modulus, [(0, modulus)] * f.n, workers)
-    return SumValue(s / total, KERNEL_EPS * total, total)
+    value = _block_product(f, modulus, (0, modulus), workers)
+    return SumValue(value, KERNEL_EPS * total, total)
 
 
 def torus_E(
@@ -261,13 +350,19 @@ def torus_E(
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> SumValue:
-    """Normalized sum over the torus {1..p-1}^n of e(f_tau(x)/p)."""
+    """Normalized sum over the torus {1..p-1}^n of e(f_tau(x)/p).
+
+    Factored over variable-disjoint blocks like brute_force_S; a variable
+    the restriction does not contain contributes exactly 1.  ``term_count``,
+    the work budget check and ``abs_error_budget`` count the whole torus
+    (p-1)^n.
+    """
     _require_prime(p)
     total = (p - 1) ** f_tau.n
     if total > work_budget:
         raise WorkBudgetExceeded(total, work_budget)
-    s = _exp_sum_over_grid(f_tau, p, [(1, p)] * f_tau.n, workers)
-    return SumValue(s / total, KERNEL_EPS * total, total)
+    value = _block_product(f_tau, p, (1, p), workers)
+    return SumValue(value, KERNEL_EPS * total, total)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,8 @@ def test_criterion_7_ratio_stability():
 
 def test_criterion_8_performance():
     """1e8-point kernel within 120 s at >= 4 workers, matching serial."""
-    f = parse_polynomial("x*y+z*u")
+    # connected, so the kernel covers the whole grid (x*y+z*u would factor)
+    f = parse_polynomial("x*y+z*u+x*z+2*y*u")
     p, m = 101, 1  # 101^4 = 104_060_401 grid points
     t0 = time.monotonic()
     parallel = brute_force_S(f, p, m, workers=4)

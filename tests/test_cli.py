@@ -7,6 +7,8 @@ import math
 import os
 
 from padicsums.cli import main
+from padicsums.poly import parse_polynomial
+from padicsums.sums import KERNEL_EPS, _exp_sum_over_grid
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -81,6 +83,29 @@ def test_esum_face_restriction(capsys):
     assert code == 0
     got = json.loads(out)
     assert abs(got["value"]["re"] - 1 / 16) < 1e-12
+
+
+def test_factored_sums_report_the_whole_grid(capsys):
+    # x^2+y^3 splits into two 2^13-point blocks, and the x*y face of x*y+z*u
+    # leaves z and u free; both reports still count every covered point.
+    code, out = run(capsys, "sum", "x^2+y^3", "--prime", "2", "--power", "13", "--json")
+    assert code == 0
+    got = json.loads(out)
+    M = 2 ** 13
+    assert got["term_count"] == M ** 2
+    assert got["abs_error_budget"] == KERNEL_EPS * got["term_count"]
+    plain = _exp_sum_over_grid(parse_polynomial("x^2+y^3"), M, [(0, M)] * 2, 1) / M ** 2
+    assert abs(complex(got["value"]["re"], got["value"]["im"]) - plain) <= 2 * got["abs_error_budget"]
+
+    code, out = run(capsys, "esum", "x*y+z*u", "--prime", "31", "--face", "1", "--json")
+    assert code == 0
+    got = json.loads(out)
+    assert got["restriction"] == "x*y"
+    assert got["term_count"] == 30 ** 4
+    assert got["abs_error_budget"] == KERNEL_EPS * got["term_count"]
+    plain = _exp_sum_over_grid(parse_polynomial("x*y", dimension_hint=4), 31, [(1, 31)] * 4, 1) / 30 ** 4
+    assert abs(complex(got["value"]["re"], got["value"]["im"]) - plain) <= 2 * got["abs_error_budget"]
+    assert abs(got["value"]["re"] + 1 / 30) < 1e-12
 
 
 # -- verify-formula -----------------------------------------------------------------

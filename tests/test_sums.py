@@ -7,6 +7,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -123,6 +124,27 @@ def test_largest_prime_power_modulus_below_int64_limit_is_exact():
     got = _exp_sum_over_grid(f, M, [(M - 2000, M)], 1)
     want = sum(cmath.exp(2j * cmath.pi * (x * x % M) / M) for x in range(M - 2000, M))
     assert abs(got - want) <= 1e-9  # one wrapped residue would move a term by O(1)
+
+
+@pytest.mark.parametrize("M", [3 ** 19, 11 ** 9])
+def test_multi_term_residues_at_large_moduli_are_exact(M, monkeypatch):
+    # With only the y axis inner, each distinct x exponent is one outer
+    # monomial.  At 3^19 three keep (3 + 1)(M - 1)^2 below 2^63, so products
+    # are accumulated raw, while thirty exceed it, so each product is reduced
+    # at once.  At 11^9 > 2^31 + 1 two residue products already sum past
+    # 2^63, so the two x^0 terms must be reduced before they are merged.
+    assert (3 + 1) * (3 ** 19 - 1) ** 2 < 1 << 63 <= (30 + 1) * (3 ** 19 - 1) ** 2
+    assert 2 * (11 ** 9 - 1) ** 2 >= 1 << 63 > 11 ** 9 * (11 ** 9 - 1)
+    monkeypatch.setattr(sums, "_INNER_CAP", 40)
+    domains = [(M - 25, M), (M - 40, M)]
+    for outer in (3, 30):
+        f = Polynomial(2, {(k, 1 + k % 3): M - 1 - 7 * k for k in range(outer)} | {(0, 3): M - 5})
+        got = _exp_sum_over_grid(f, M, domains, 1)
+        want = sum(
+            cmath.exp(2j * cmath.pi * (sum(c * x ** a * y ** b for (a, b), c in f.terms.items()) % M) / M)
+            for x in range(*domains[0]) for y in range(*domains[1])
+        )
+        assert abs(got - want) <= 1e-9  # one wrapped residue would move a term by O(1)
 
 
 def test_value_is_bounded_by_one_plus_budget():
@@ -245,3 +267,100 @@ def test_nondeg_slabs_agree_with_one_pass(cap, corpus, monkeypatch):
     monkeypatch.setattr(sums, "_INNER_CAP", cap)
     for f, faces, p, want in cases:
         assert check_nondegenerate_mod_p(f, faces, p) == want
+
+
+# -- block product and grouped worker ------------------------------------------
+
+@st.composite
+def split_polynomials(draw):
+    """(f, p, m): random blocks on disjoint variables, free variables, terms
+    with coefficients divisible by p^m (which would link blocks if they were
+    not dropped) and an optional constant, with the variables shuffled."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 2))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    free = draw(st.integers(0, 1))
+    n = sum(sizes) + free
+    if p ** (m * n) > 5 ** 5:
+        m = 1
+    perm = draw(st.permutations(range(n)))
+    exponent = st.integers(0, 3)
+    coef = st.integers(-20, 20).filter(bool)
+    terms = {}
+
+    def add(exps, c):
+        key = tuple(exps[perm[i]] for i in range(n))
+        terms[key] = terms.get(key, 0) + c
+
+    first = 0
+    for size in sizes:
+        for _ in range(draw(st.integers(1, 3))):
+            exps = [0] * n
+            for a in range(first, first + size):
+                exps[a] = draw(exponent)
+            if any(exps):
+                add(exps, draw(coef))
+        first += size
+    for _ in range(draw(st.integers(0, 2))):
+        add([draw(exponent) for _ in range(n)], p ** m * draw(coef))
+    if draw(st.booleans()):
+        add([0] * n, draw(coef))
+    terms = {e: c for e, c in terms.items() if c}
+    return Polynomial(n, terms or {(1,) + (0,) * (n - 1): 1}), p, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_polynomials())
+def test_block_product_matches_plain_grid(case):
+    f, p, m = case
+    M = p ** m
+    s = brute_force_S(f, p, m)
+    plain = _exp_sum_over_grid(f, M, [(0, M)] * f.n, 1) / M ** f.n
+    assert abs(s.value - plain) <= 2 * s.abs_error_budget
+    e = torus_E(f, p)
+    plain = _exp_sum_over_grid(f, p, [(1, p)] * f.n, 1) / (p - 1) ** f.n
+    assert abs(e.value - plain) <= 2 * e.abs_error_budget
+    if M ** f.n <= 600:
+        assert abs(s.value - oracle_S(f, p, m)) <= s.abs_error_budget + 1e-12
+        assert abs(e.value - oracle_E(f, p)) <= e.abs_error_budget + 1e-12
+    # reversing the variables and the terms reorders the blocks; the product
+    # must not move
+    reversed_f = Polynomial(f.n, {exps[::-1]: c for exps, c in reversed(f.terms.items())})
+    assert brute_force_S(reversed_f, p, m).value == s.value
+    assert torus_E(reversed_f, p).value == e.value
+
+
+def test_one_point_torus_is_not_split():
+    # At p = 2 the torus is the single point (1, ..., 1).  Ten one-variable
+    # blocks would multiply ten roots -1 + 1.2e-16i and drift past the
+    # one-point budget of 1e-15; the single evaluation stays within it.
+    f = Polynomial(10, {tuple(int(i == j) for j in range(10)): 1 for i in range(10)})
+    e = torus_E(f, 2)
+    assert e.term_count == 1
+    assert abs(e.value - 1) <= e.abs_error_budget
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+def test_grouped_worker_is_independent_of_block_plan(cap, monkeypatch):
+    # The cap moves the outer/inner split (1 and 7 also segment the last axis
+    # of n = 1 grids); histogram counts are exact, so those values must not
+    # change at all, while exp-path sums regroup within their budget.
+    rng = random.Random(500 + cap)
+    M_exp = 5 ** 10  # above the histogram cap
+    cases = []
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        f = random_polynomial(rng, n=n, max_terms=6, max_exp=4)
+        p = rng.choice([3, 5])
+        m = 1 if n > 1 else rng.randint(1, 3)
+        exp_domains = [(M_exp - 12, M_exp)] * n
+        cases.append((f, p, m, exp_domains, brute_force_S(f, p, m).value, torus_E(f, p).value,
+                      _exp_sum_over_grid(f, p ** m, [(0, p ** m)] * n, 1),
+                      _exp_sum_over_grid(f, M_exp, exp_domains, 1)))
+    monkeypatch.setattr(sums, "_INNER_CAP", cap)
+    for f, p, m, exp_domains, s, e, grid, grid_exp in cases:
+        assert brute_force_S(f, p, m).value == s
+        assert torus_E(f, p).value == e
+        assert _exp_sum_over_grid(f, p ** m, [(0, p ** m)] * f.n, 1) == grid
+        got = _exp_sum_over_grid(f, M_exp, exp_domains, 1)
+        assert abs(got - grid_exp) <= 2 * KERNEL_EPS * 12 ** f.n
