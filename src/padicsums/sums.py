@@ -5,6 +5,21 @@ term links two sets of variables, the normalized sum is the product of the
 blocks' sums (a variable in no term contributes 1, the constant term
 e(c/p^m)), so the work is the sum of the block grids, not their product.
 
+In a complete sum the linear variables of a block are summed out first.  If
+y_1..y_k each have exponent exactly 1 in every term that contains them and
+no term contains two of them, the block is h(x) + sum_j y_j g_j(x), and
+orthogonality of additive characters over the complete residue system,
+sum_{y mod M} e(y g/M) = M [g = 0 mod M], gives the y sum exactly: at x, the
+values h(x) + sum_j y_j g_j(x) run over h(x) + d(x) Z/M, each hit
+M^(k-1) d(x) times, d(x) = gcd(g_1(x), ..., g_k(x), M).  So the residue
+histogram of the whole block grid is rebuilt from the M^(n-k) points x
+alone.  Three hypotheses are checked first: the domain is the complete
+residue system [0, M), M is small enough to histogram, and the degree
+condition above holds after reducing the coefficients mod M.  Because the
+histogram is exactly the one the whole grid would give and it is summed the
+same way, the value is bit-identical to the plain grid's.  The torus sums
+(domain [1, p)) and moduli too large to histogram keep the plain grid.
+
 Each block grid is exact integers until the last step: f is evaluated
 modulo p^m on int64 blocks (per-variable power tables, innermost axes
 vectorized), with the terms grouped by their monomial in the outer axes so
@@ -25,7 +40,7 @@ import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,12 +87,20 @@ def _require_int64_residues(modulus: int) -> None:
 
 
 def _pow_mod_array(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
-    out = np.full_like(values, 1 % modulus)
+    """values^e mod modulus elementwise, by squaring from the lowest set bit
+    of e: e = 1 is one reduction, and no square follows the top bit."""
+    if not e:
+        return np.full_like(values, 1 % modulus)
     b = values % modulus
+    while not e & 1:
+        b = (b * b) % modulus
+        e >>= 1
+    out = b
+    e >>= 1
     while e:
+        b = (b * b) % modulus
         if e & 1:
             out = (out * b) % modulus
-        b = (b * b) % modulus
         e >>= 1
     return out
 
@@ -87,9 +110,11 @@ def _split_axes(sizes: Sequence[int]) -> Tuple[int, int, int]:
 
     Inner axes are the longest suffix whose grid fits _INNER_CAP; when even
     the last axis alone is too large (only reachable for n = 1 moduli), that
-    axis is processed in segments instead.
+    axis is processed in segments instead.  A grid with no axes is one task.
     """
     n = len(sizes)
+    if not n:
+        return 0, 1, 1
     start = n
     elems = 1
     while start > 0 and elems * sizes[start - 1] <= _INNER_CAP:
@@ -108,9 +133,38 @@ def _kahan_add(s: complex, c: complex, x: complex) -> Tuple[complex, complex]:
     return t, (t - s) - y
 
 
-def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
-    """Process a contiguous span of tasks; one task is one outer-coordinate
-    assignment (times one segment of the last axis when segmented).
+#: One polynomial for the kernel: (coefficient mod modulus, exponents) pairs
+#: in ascending exponent order; possibly empty (the zero polynomial).
+Terms = Tuple[Tuple[int, ExponentVector], ...]
+
+
+def _reduced_terms(terms: Dict[ExponentVector, int], modulus: int) -> Terms:
+    return tuple((coef % modulus, exps) for exps, coef in sorted(terms.items()))
+
+
+def _divisor_offsets(modulus: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The divisors d of modulus in ascending order, and the offset of each
+    d's table of residues mod d in one concatenated histogram (one more
+    offset at the end: the histogram's length)."""
+    small = [d for d in range(1, isqrt(modulus) + 1) if modulus % d == 0]
+    divisors = np.array(sorted(set(small + [modulus // d for d in small])), dtype=np.int64)
+    return divisors, np.concatenate(([0], np.cumsum(divisors)))
+
+
+def _grid_residues(
+    polys: Sequence[Terms],
+    modulus: int,
+    domains: Sequence[Tuple[int, int]],
+    inner_start: int,
+    segments: int,
+    seg_size: int,
+    lo: int,
+    hi: int,
+) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """Yield (task, [residues of each polynomial mod modulus]) for the tasks
+    lo..hi-1; one task is one outer-coordinate assignment (times one segment
+    of the last axis when segmented), and each residue array spans the task's
+    inner block.
 
     Terms are grouped by their outer exponent exps[:inner_start], and each
     group becomes one residue array over the inner block, built once per
@@ -118,7 +172,7 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
     group.  A task then does one multiply-add per distinct outer monomial,
     not one per term.
     """
-    (terms, n, modulus, domains, inner_start, segments, seg_size, lo, hi, mode) = args
+    n = len(domains)
     sizes = [stop - start for start, stop in domains]
     outer_sizes = sizes[:inner_start]
     inner_axes = list(range(inner_start, n))
@@ -130,13 +184,12 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
             stop = min(stop, start + seg_size)
         return np.arange(start, stop, dtype=np.int64)
 
-    def build_plan(seg: int):
+    def build_plan(terms: Terms, seg: int, pow_cache: Dict[Tuple[int, int], np.ndarray]):
         """(shape, [(outer exponent, (scalar, residues))]) for one inner block.
         The group's value is scalar * residues; residues is a broadcast-shaped
         array, or an int when the group is constant on the block.  A lone
         term keeps its coefficient as the scalar, a merged group has scalar 1."""
         shape = tuple(len(inner_domain(a, seg)) for a in inner_axes)
-        pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
         groups: Dict[ExponentVector, Tuple[int, object]] = {}
         for coef, exps in terms:
             mono = None
@@ -161,14 +214,35 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
                 groups[outer] = (coef, mono)
         return shape, list(groups.items())
 
-    counts = np.zeros(modulus, dtype=np.int64) if mode == "hist" else None
-    exp_parts: List[Tuple[int, complex]] = []
-    cached = build_plan(0) if segments == 1 else None
+    def build_plans(seg: int):
+        pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        return [build_plan(terms, seg, pow_cache) for terms in polys]
+
     # Overflow policy: a task adds one product of two residues, at most
     # (modulus - 1)^2, per distinct outer monomial and then a constant below
     # modulus; accumulate raw products and reduce once if that stays < 2^63.
-    outer_count = len({exps[:inner_start] for _, exps in terms})
-    safe_raw = (outer_count + 1) * (modulus - 1) ** 2 < 1 << 63
+    safe_raw = [(len({exps[:inner_start] for _, exps in terms}) + 1) * (modulus - 1) ** 2 < 1 << 63
+                for terms in polys]
+    cached = build_plans(0) if segments == 1 else None
+
+    def residues(plan, raw: bool, point: List[int]) -> np.ndarray:
+        shape, groups = plan
+        acc = np.zeros(shape, dtype=np.int64)
+        const = 0
+        for outer, (scalar, values) in groups:
+            for j in range(inner_start):
+                if outer[j]:
+                    scalar = (scalar * pow(point[j], outer[j], modulus)) % modulus
+            if isinstance(values, int):
+                const = (const + scalar * values) % modulus
+            elif raw:
+                acc += values if scalar == 1 else scalar * values
+            else:
+                acc = (acc + scalar * values) % modulus
+        if const:
+            acc += const
+        acc %= modulus
+        return acc
 
     for task in range(lo, hi):
         outer_flat, seg = divmod(task, segments)
@@ -179,29 +253,34 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
             coords.append(c)
         coords.reverse()
         point = [domains[j][0] + coords[j] for j in range(inner_start)]
+        plans = cached if cached is not None else build_plans(seg)
+        yield task, [residues(plan, raw, point) for plan, raw in zip(plans, safe_raw)]
 
-        shape, groups = cached if cached is not None else build_plan(seg)
-        acc = np.zeros(shape, dtype=np.int64)
-        const = 0
-        for outer, (scalar, residues) in groups:
-            for j in range(inner_start):
-                if outer[j]:
-                    scalar = (scalar * pow(point[j], outer[j], modulus)) % modulus
-            if isinstance(residues, int):
-                const = (const + scalar * residues) % modulus
-            elif safe_raw:
-                acc += residues if scalar == 1 else scalar * residues
-            else:
-                acc = (acc + scalar * residues) % modulus
-        if const:
-            acc += const
-        acc %= modulus
 
-        if mode == "hist":
-            counts += np.bincount(acc.ravel(), minlength=modulus)
-        else:
-            phases = acc * (2.0 * np.pi / modulus)
+def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
+    """Reduce a contiguous span of tasks of _grid_residues.
+
+    The first polynomial is h, the rest are g_1..g_k.  With k = 0 the
+    histogram is indexed by the residue of h.  With k >= 1 it is the
+    concatenation of one table per divisor d of the modulus, indexed by
+    h mod d at the points where gcd(g_1, ..., g_k, modulus) = d.
+    """
+    (polys, modulus, domains, inner_start, segments, seg_size, lo, hi, mode) = args
+    divisors, offsets = _divisor_offsets(modulus) if len(polys) > 1 else (None, [modulus])
+    counts = np.zeros(int(offsets[-1]), dtype=np.int64) if mode == "hist" else None
+    exp_parts: List[Tuple[int, complex]] = []
+    for task, (h, *gs) in _grid_residues(polys, modulus, domains, inner_start,
+                                          segments, seg_size, lo, hi):
+        if mode == "exp":
+            phases = h * (2.0 * np.pi / modulus)
             exp_parts.append((task, complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))))
+            continue
+        if gs:
+            d = np.gcd(gs[0], modulus)
+            for g in gs[1:]:
+                d = np.gcd(d, g)
+            h = offsets[np.searchsorted(divisors, d)] + h % d
+        counts += np.bincount(np.ravel(h), minlength=len(counts))
     return counts, exp_parts
 
 
@@ -211,18 +290,42 @@ def _exp_sum_over_grid(
     domains: Sequence[Tuple[int, int]],
     workers: int,
 ) -> complex:
-    """Unnormalized sum of exp(2 pi i f(x)/modulus) over the product grid."""
+    """Unnormalized sum of exp(2 pi i f(x)/modulus) over every point of the
+    product grid: the oracle of every reduction in _block_product."""
+    return _grid_sum(_reduced_terms(f.terms, modulus), (), modulus, domains, workers)
+
+
+def _grid_sum(
+    h: Terms,
+    gs: Sequence[Terms],
+    modulus: int,
+    domains: Sequence[Tuple[int, int]],
+    workers: int,
+) -> complex:
+    """Unnormalized sum of e((h(x) + y_1 g_1(x) + ... + y_k g_k(x))/modulus)
+    over x in the product grid and y in (Z/modulus)^k.
+
+    With k = 0 this is the plain grid sum.  With k >= 1 (histogram mode
+    only) the y sum is done exactly: at a point x with
+    d = gcd(g_1(x), ..., g_k(x), modulus), y -> sum y_j g_j(x) covers
+    d Z/modulus and hits each element modulus^(k-1) d times, so the residue
+    histogram of the whole grid is
+    counts[r] = sum_x modulus^(k-1) d(x) [r = h(x) mod d(x)].
+    That is rebuilt from one table per divisor and then summed like the
+    plain grid's, so the value is bit-identical to the plain grid's.
+    """
     _require_int64_residues(modulus)
-    terms = tuple((coef % modulus, exps) for exps, coef in sorted(f.terms.items()))
-    n = f.n
     sizes = [stop - start for start, stop in domains]
     inner_start, segments, seg_size = _split_axes(sizes)
     task_count = prod(sizes[:inner_start], start=1) * segments
     mode = "hist" if modulus <= _HIST_CAP else "exp"
+    if gs and mode != "hist":
+        raise ValueError("linear variables are summed out only in histogram mode")
 
+    polys = (h, *gs)
     spans = _split_range(task_count, max(1, workers))
     args = [
-        (terms, n, modulus, tuple(domains), inner_start, segments, seg_size, lo, hi, mode)
+        (polys, modulus, tuple(domains), inner_start, segments, seg_size, lo, hi, mode)
         for lo, hi in spans
     ]
     if len(args) == 1:
@@ -235,6 +338,15 @@ def _exp_sum_over_grid(
         counts = results[0][0]
         for extra, _ in results[1:]:
             counts = counts + extra
+        if gs:
+            divisors, offsets = _divisor_offsets(modulus)
+            table, counts = counts, np.zeros(modulus, dtype=np.int64)
+            weight = modulus ** (len(gs) - 1)
+            for d, off in zip(divisors.tolist(), offsets.tolist()):
+                part = table[off:off + d]
+                if part.any():
+                    view = counts.reshape(-1, d)
+                    view += weight * d * part
         roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
         return complex(np.sum(counts * roots))
     parts = sorted((part for _, batch in results for part in batch), key=lambda t: t[0])
@@ -257,6 +369,22 @@ def _split_range(total: int, pieces: int) -> List[Tuple[int, int]]:
     return spans
 
 
+def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:
+    """Axes to sum out: each has exponent 1 in every term that contains it,
+    and no term contains two of them.  Among the axes of degree 1, those with
+    the fewest degree-1 partners in a shared term are taken first."""
+    linear = [i for i in range(n) if all(exps[i] <= 1 for exps in exponents)]
+    partners = {
+        i: {j for exps in exponents if exps[i] for j in linear if j != i and exps[j]}
+        for i in linear
+    }
+    chosen: List[int] = []
+    for i in sorted(linear, key=lambda i: (len(partners[i]), i)):
+        if not partners[i].intersection(chosen):
+            chosen.append(i)
+    return sorted(chosen)
+
+
 def _block_product(
     f: Polynomial, modulus: int, domain: Tuple[int, int], workers: int
 ) -> complex:
@@ -269,6 +397,18 @@ def _block_product(
     one grid sum over its own n_i axes, so the work is sum_i N^{n_i} points
     with N = |domain| instead of N^n.  Block values are multiplied in
     ascending (real, imag) order, so any variable order gives the same value.
+
+    Linear variables are summed out of a block when three hypotheses hold:
+    the domain is the complete residue system [0, modulus), the modulus is
+    histogrammed (at most _HIST_CAP), and each summed-out variable y_j has
+    exponent exactly 1 in every term that contains it, no term containing
+    two of them.  Then the block is h(x) + sum_j y_j g_j(x), and by
+    orthogonality of additive characters the y sum is exact, so only the
+    remaining N^{n_i - k} points are visited (see _grid_sum).  The rebuilt
+    residue histogram equals the one of the whole block grid, so the block
+    value is bit-identical to the plain grid's, whatever variable order or
+    choice of summed-out variables.  The torus (domain [1, p)) and moduli
+    above _HIST_CAP keep the plain grid.
 
     Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
     point, so its normalized value is within KERNEL_EPS + u of the truth
@@ -294,15 +434,27 @@ def _block_product(
         axes = frozenset(i for i, e in enumerate(exps) if e)
         linked = [b for b in blocks if b & axes]
         blocks = [b for b in blocks if not b & axes] + [axes.union(*linked)]
+    complete = domain == (0, modulus) and modulus <= _HIST_CAP
     values = []
     for block in blocks:
         axes = sorted(block)
-        g = Polynomial(len(axes), {
+        block_terms = {
             tuple(exps[a] for a in axes): c
             for exps, c in terms.items() if any(exps[a] for a in axes)
-        })
-        values.append(_exp_sum_over_grid(g, modulus, [domain] * len(axes), workers)
-                      / size ** len(axes))
+        }
+        # counts of the whole block grid must fit int64
+        ys = (_linear_axes(list(block_terms), len(axes))
+              if complete and size ** len(axes) < 1 << 63 else [])
+        rest = [i for i in range(len(axes)) if i not in ys]
+        h: Dict[ExponentVector, int] = {}
+        gs: List[Dict[ExponentVector, int]] = [{} for _ in ys]
+        for exps, c in block_terms.items():
+            hit = [j for j, y in enumerate(ys) if exps[y]]
+            (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
+        total = _grid_sum(_reduced_terms(h, modulus),
+                          [_reduced_terms(g, modulus) for g in gs],
+                          modulus, [domain] * len(rest), workers)
+        values.append(total / size ** len(axes))
     factors = sorted(values, key=lambda z: (z.real, z.imag))
     if const:
         const -= modulus if 2 * const > modulus else 0
@@ -328,7 +480,12 @@ def brute_force_S(
     """Normalized complete sum p^{-mn} * sum over [0, p^m)^n of e(f(x)/p^m).
 
     Computed as a product of sums over the variable-disjoint blocks of f mod
-    p^m, each on its own grid.  ``term_count``, the work budget check and
+    p^m, each on its own grid.  When p^m is small enough to histogram, the
+    variables of degree 1 in a block (exponent exactly 1 in every term that
+    contains them, no two in one term) are summed out exactly by
+    orthogonality of characters, and the block's residue histogram is rebuilt
+    from the remaining axes, so the value is bit-identical to the whole
+    block grid's (see _block_product).  ``term_count``, the work budget check and
     ``abs_error_budget`` = KERNEL_EPS * term_count still count the whole grid
     p^{mn}; the product's error stays under that budget (see _block_product).
     """

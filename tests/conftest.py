@@ -9,6 +9,7 @@ from typing import Optional
 import pytest
 from hypothesis import settings
 
+from padicsums import sums
 from padicsums.poly import Polynomial, parse_polynomial
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -26,6 +27,19 @@ CORPUS_TEXTS = [
 @pytest.fixture(scope="session")
 def corpus():
     return [parse_polynomial(text) for text in CORPUS_TEXTS]
+
+
+@pytest.fixture
+def task_plans(monkeypatch):
+    """(task count, spans) of every grid the kernel plans, in call order."""
+    split_range, plans = sums._split_range, []
+
+    def spy(total, pieces):
+        plans.append((total, len(split_range(total, pieces))))
+        return split_range(total, pieces)
+
+    monkeypatch.setattr(sums, "_split_range", spy)
+    return plans
 
 
 def random_polynomial(

@@ -121,7 +121,7 @@ def test_criterion_4_torus_decay():
     )
 
 
-def test_criterion_5_invariant_suites(corpus):
+def test_criterion_5_invariant_suites(corpus, task_plans):
     """Mass identity, fiber partition, sigma monotonicity, parallel agreement."""
     rng = random.Random(20260808)
     for _ in range(20):
@@ -145,6 +145,13 @@ def test_criterion_5_invariant_suites(corpus):
     f = parse_polynomial("x*y")
     serial, parallel = brute_force_S(f, 2, 10, workers=1), brute_force_S(f, 2, 10, workers=3)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
+    # x*y sums out x and runs as one task; no variable of x^2*y+x*y^2 is
+    # linear, so its 2^22 points run as 2048 tasks split across the pool
+    task_plans.clear()
+    h = parse_polynomial("x^2*y+x*y^2")
+    serial, parallel = brute_force_S(h, 2, 11, workers=1), brute_force_S(h, 2, 11, workers=3)
+    assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
+    assert task_plans == [(2048, 1), (2048, 3)]  # tasks, then spans handed to the pool
     g = parse_polynomial("x")
     serial, parallel = brute_force_S(g, 5, 10, workers=1), brute_force_S(g, 5, 10, workers=4)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
@@ -199,8 +206,9 @@ def test_criterion_7_ratio_stability():
 
 def test_criterion_8_performance():
     """1e8-point kernel within 120 s at >= 4 workers, matching serial."""
-    # connected, so the kernel covers the whole grid (x*y+z*u would factor)
-    f = parse_polynomial("x*y+z*u+x*z+2*y*u")
+    # connected, so the kernel covers the whole grid (x*y+z*u would factor),
+    # and no variable is linear, so none is summed out
+    f = parse_polynomial("x^2*y+y^2*z+z^2*u+u^2*x")
     p, m = 101, 1  # 101^4 = 104_060_401 grid points
     t0 = time.monotonic()
     parallel = brute_force_S(f, p, m, workers=4)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,18 @@ def test_modulus_too_large_for_int64_residues_is_refused():
         check_nondegenerate_mod_p(f, faces, big_prime)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 9, 101, 2 ** 22, 3 ** 19, 11 ** 9]),
+    st.integers(0, 70),
+    st.lists(st.integers(-(2 ** 62), 2 ** 62), min_size=1, max_size=12),
+)
+def test_pow_mod_array_matches_python_pow(modulus, e, values):
+    got = _pow_mod_array(np.array(values, dtype=np.int64), e, modulus)
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(v, e, modulus) for v in values]
+
+
 def test_largest_prime_power_modulus_below_int64_limit_is_exact():
     M = 3 ** 19  # 3^20 (3^20 - 1) exceeds 2^63, 3^19 (3^19 - 1) does not
     assert _pow_mod_array(np.array([M - 1, M - 2], dtype=np.int64), 2, M).tolist() == [1, 4]
@@ -187,13 +200,21 @@ def test_variable_permutation_invariance():
         assert a == b
 
 
-def test_parallel_matches_serial_histogram_path():
-    # 2^20 grid points split across several tasks
+def test_parallel_matches_serial_histogram_path(task_plans):
+    # x*y sums out x and runs its 2^10 remaining points as one task; no
+    # variable of x^2*y+x*y^2 is linear, so its 2^22 points run as 2048 tasks
+    # that three workers split
     f = parse_polynomial("x*y")
     serial = brute_force_S(f, 2, 10, workers=1)
     parallel = brute_force_S(f, 2, 10, workers=3)
     assert serial.value == parallel.value
     assert abs(serial.value - 2 ** -10) < 1e-12
+    task_plans.clear()
+    g = parse_polynomial("x^2*y+x*y^2")
+    serial = brute_force_S(g, 2, 11, workers=1)
+    parallel = brute_force_S(g, 2, 11, workers=3)
+    assert task_plans == [(2048, 1), (2048, 3)]
+    assert serial.value == parallel.value
 
 
 def test_parallel_matches_serial_exp_path():
@@ -364,3 +385,153 @@ def test_grouped_worker_is_independent_of_block_plan(cap, monkeypatch):
         assert _exp_sum_over_grid(f, p ** m, [(0, p ** m)] * f.n, 1) == grid
         got = _exp_sum_over_grid(f, M_exp, exp_domains, 1)
         assert abs(got - grid_exp) <= 2 * KERNEL_EPS * 12 ** f.n
+
+
+# -- linear variables summed out ------------------------------------------------
+
+def plain_value(f, p, m):
+    """What the block product must return for f that is one block mod p^m:
+    the plain grid of its non-constant terms over p^{mn}, times e(c/p^m) for a
+    constant c taken in (-p^m/2, p^m/2]."""
+    M = p ** m
+    const = f.terms.get((0,) * f.n, 0) % M
+    body = Polynomial(f.n, {e: c for e, c in f.terms.items() if any(e)})
+    value = _exp_sum_over_grid(body, M, [(0, M)] * f.n, 1) / M ** f.n
+    if const:
+        value *= cmath.exp(2j * cmath.pi * (const - M if 2 * const > M else const) / M)
+    return value
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """(remaining axes, summed-out variables) of every grid sum, in call order."""
+    grid_sum, calls = sums._grid_sum, []
+
+    def spy(h, gs, modulus, domains, workers):
+        calls.append((len(domains), len(gs)))
+        return grid_sum(h, gs, modulus, domains, workers)
+
+    monkeypatch.setattr(sums, "_grid_sum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("f, p, m, plan", [
+    (parse_polynomial("x*y"), 3, 2, (1, 1)),  # x and y conflict: one is summed out
+    (parse_polynomial("x*y+z*u+x*z+2*y*u"), 3, 2, (2, 2)),  # x and u summed out
+    (parse_polynomial("3*x*y+y^2"), 3, 2, (1, 1)),  # g = 3y, so d(y) is 3 or 9
+    (parse_polynomial("x*y+9*y^2"), 3, 2, (1, 1)),  # y^2 vanishes mod 9
+    (parse_polynomial("6*x"), 3, 2, (0, 1)),  # every variable summed out
+    (Polynomial(2, {(1, 1): 1, (0, 0): 2}), 5, 2, (1, 1)),  # constant term
+    (parse_polynomial("x^2*y+x*y^2"), 3, 2, (2, 0)),  # no linear variable
+])
+def test_linear_variables_are_summed_out(f, p, m, plan, grid_calls):
+    got = brute_force_S(f, p, m)
+    assert grid_calls == [plan]
+    assert got.term_count == p ** (m * f.n)  # budgets still count the whole grid
+    grid_calls.clear()
+    assert got.value == plain_value(f, p, m)
+    assert abs(got.value - oracle_S(f, p, m)) <= got.abs_error_budget
+
+
+@st.composite
+def single_block_polynomials(draw):
+    """(f, p, m): one block mod p^m, with some variables kept at degree 1,
+    coefficients with p-power factors below p^m, optional terms of degree 2
+    in a linear variable with coefficients divisible by p^m, and an optional
+    constant."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    while m > 1 and p ** (m * n) > 3 ** 7:
+        m -= 1
+    if p ** (m * n) <= 2:  # one-axis grids of two points are evaluated whole
+        m = 2
+    M = p ** m
+    linear = draw(st.sets(st.integers(0, n - 1)))
+    unit = st.integers(-12, 12).filter(lambda c: c % p)
+    coef = st.builds(lambda u, k: u * p ** k, unit, st.integers(0, m - 1))
+
+    def exponent(axis, least):
+        if axis in linear:
+            return 1 if least else draw(st.integers(0, 1))
+        return draw(st.integers(least, 3))
+
+    terms = {}
+    links = [(0,)] if n == 1 else [(a, a + 1) for a in range(n - 1)]
+    for link in links:  # a chain of terms keeps the variables in one block
+        exps = tuple(exponent(a, 1) if a in link else 0 for a in range(n))
+        terms[exps] = draw(coef)
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(exponent(a, 0) for a in range(n))
+        if any(exps) and exps not in terms:
+            terms[exps] = draw(coef)
+    for y in sorted(linear)[:draw(st.integers(0, 1))]:
+        exps = tuple(2 if a == y else draw(st.integers(0, 1)) for a in range(n))
+        terms[exps] = terms.get(exps, 0) + M * draw(unit)
+    if draw(st.booleans()):
+        terms[(0,) * n] = draw(unit)
+    return Polynomial(n, {e: c for e, c in terms.items() if c}), p, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(single_block_polynomials(), st.sampled_from([None, 1, 7, 64]), st.sampled_from([1, 2]))
+def test_summed_out_values_are_bit_identical_to_the_plain_grid(case, cap, workers):
+    f, p, m = case
+    want = plain_value(f, p, m)
+    reversed_f = Polynomial(f.n, {exps[::-1]: c for exps, c in f.terms.items()})
+    with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
+        got = brute_force_S(f, p, m, workers=workers)
+        assert got.value == want
+        assert brute_force_S(reversed_f, p, m, workers=workers).value == want
+    if not f.has_constant_term:
+        M = p ** m
+        assert got.value == _exp_sum_over_grid(f, M, [(0, M)] * f.n, 1) / M ** f.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(single_block_polynomials())
+def test_torus_and_exp_path_keep_the_plain_grid(case):
+    # Neither the torus (domain [1, p)) nor a modulus above the histogram cap
+    # satisfies the hypotheses, so every grid they run is a plain one.
+    f, p, m = case
+    calls = []
+    grid_sum = sums._grid_sum
+
+    def spy(h, gs, modulus, domains, workers):
+        calls.append(len(gs))
+        return grid_sum(h, gs, modulus, domains, workers)
+
+    with mock.patch.object(sums, "_grid_sum", spy):
+        e = torus_E(f, p)
+        with mock.patch.object(sums, "_HIST_CAP", 1):
+            s = brute_force_S(f, p, m)
+            want = plain_value(f, p, m)
+    assert calls and not any(calls)
+    assert s.value == want
+    assert abs(e.value - oracle_E(f, p)) <= e.abs_error_budget + 1e-12
+
+
+def test_linear_coefficient_residues_at_3_19_are_exact(monkeypatch):
+    # The coefficients g_j of the summed-out variables run through the same
+    # grouped plans as h, each under its own overflow policy.  With only the y
+    # axis inner, h has three distinct outer monomials, so its products are
+    # accumulated raw, and g has thirty, past (30 + 1)(M - 1)^2 >= 2^63, so
+    # each of its products is reduced at once.
+    M = 3 ** 19
+    assert (3 + 1) * (M - 1) ** 2 < 1 << 63 <= (30 + 1) * (M - 1) ** 2
+    monkeypatch.setattr(sums, "_INNER_CAP", 40)
+    domains = [(M - 25, M), (M - 40, M)]
+    plan = sums._split_axes([25, 40])
+    assert plan == (1, 1, 40)
+    h = {(k, 1 + k % 3): M - 1 - 7 * k for k in range(3)}
+    g = {(k, 1 + k % 3): M - 1 - 7 * k for k in range(30)} | {(0, 3): M - 5}
+    polys = [sums._reduced_terms(t, M) for t in (h, g)]
+    tasks = 0
+    for task, arrays in sums._grid_residues(polys, M, domains, *plan, 0, 25):
+        x = domains[0][0] + task
+        for terms, got in zip((h, g), arrays):
+            want = [sum(c * x ** a * y ** b for (a, b), c in terms.items()) % M
+                    for y in range(*domains[1])]
+            assert got.tolist() == want  # one wrapped residue would differ
+        tasks += 1
+    assert tasks == 25
