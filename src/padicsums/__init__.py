@@ -1,7 +1,7 @@
 """Newton-polyhedron invariants and p-adic exponential sums.
 
 Library layout:
-  poly        sparse integer polynomials (parser, gradients, modular evaluation)
+  poly        sparse integer polynomials (parser, gradients, face restrictions)
   newton      exact polyhedron, face lattice, sigma / kappa invariants
   sums        brute-force sum kernels and mod-p nondegeneracy scans
   faceformula certified cone sums and the face-decomposition verification
@@ -25,7 +25,6 @@ from .errors import (
 from .poly import (
     ExponentVector,
     Polynomial,
-    eval_mod,
     face_restriction,
     gradient,
     homogeneity,

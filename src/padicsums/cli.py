@@ -38,10 +38,10 @@ class RunConfig:
     polynomial: str
     primes: List[int]
     m_range: List[int]
-    eps: Fraction
+    eps: Optional[Fraction]
     T: Optional[int]
-    work_budget: int
-    workers: int
+    work_budget: Optional[int]
+    workers: Optional[int]
     out_format: str  # human | json | csv
     out_file: Optional[str]
     face_id: Optional[int] = None
@@ -66,10 +66,10 @@ class RunConfig:
             polynomial=args.polynomial,
             primes=sorted(set(primes)),
             m_range=sorted(set(m_range)),
-            eps=_parse_eps(args.eps),
+            eps=_parse_eps(args.eps) if hasattr(args, "eps") else None,
             T=getattr(args, "T", None),
-            work_budget=args.budget,
-            workers=args.workers,
+            work_budget=getattr(args, "budget", None),
+            workers=getattr(args, "workers", None),
             out_format=fmt,
             out_file=args.out,
             face_id=getattr(args, "face", None),
@@ -384,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp: argparse.ArgumentParser, primes=False, prime=False, powers=False,
-               power=False, face=False, need_d=False, ceiling=False, lattice_T=False):
+               power=False, face=False, need_d=False, ceiling=False, lattice_T=False,
+               eps=False, budget=False, workers=False):
         sp.add_argument("polynomial", help="polynomial text, e.g. 'x*y + z*u'")
         if prime:
             sp.add_argument("--prime", "-p", type=int, required=not primes)
@@ -404,26 +405,32 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="flag ratio cells above this value as findings")
         if lattice_T:
             sp.add_argument("--T", type=int, default=None, help="lattice bound (default 30)")
-        sp.add_argument("--eps", default="1e-8", help="truncation certificate target")
-        sp.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
-                        help="work budget in grid evaluations")
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        if eps:
+            sp.add_argument("--eps", default="1e-8", help="truncation certificate target")
+        if budget:
+            sp.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
+                            help="work budget in grid evaluations")
+        if workers:
+            sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         sp.add_argument("--json", action="store_true", help="machine-readable JSON report")
         sp.add_argument("--csv", action="store_true", help="CSV where a table exists")
         sp.add_argument("--out", metavar="FILE", help="write the report to FILE")
 
     common(sub.add_parser("analyze", help="polyhedron, faces, sigma/kappa table"))
-    common(sub.add_parser("nondeg", help="per-face mod-p nondegeneracy"), prime=True, primes=True)
-    common(sub.add_parser("sum", help="brute-force complete sum"), prime=True, power=True)
+    common(sub.add_parser("nondeg", help="per-face mod-p nondegeneracy"),
+           prime=True, primes=True, budget=True)
+    common(sub.add_parser("sum", help="brute-force complete sum"),
+           prime=True, power=True, budget=True, workers=True)
     common(sub.add_parser("esum", help="torus sum, optionally of a face restriction"),
-           prime=True, face=True)
+           prime=True, face=True, budget=True, workers=True)
     common(sub.add_parser("verify-formula", help="face decomposition vs brute force"),
-           prime=True, power=True, powers=True)
+           prime=True, power=True, powers=True, eps=True, budget=True, workers=True)
     common(sub.add_parser("verify-nu", help="lattice inequality scan"), lattice_T=True)
     common(sub.add_parser("ratios", help="decay-normalized sum table"),
-           prime=True, primes=True, power=True, powers=True, ceiling=True)
+           prime=True, primes=True, power=True, powers=True, ceiling=True,
+           budget=True, workers=True)
     common(sub.add_parser("edecay", help="torus-sum decay exponent fit"),
-           prime=True, primes=True, face=True)
+           prime=True, primes=True, face=True, budget=True, workers=True)
     common(sub.add_parser("sigma-bound", help="sigma <= (n-d)/2 consistency gate"), need_d=True)
     return parser
 

@@ -1,5 +1,4 @@
-"""Sparse integer polynomials: parser, renderer, gradients, face restrictions,
-and modular evaluation.
+"""Sparse integer polynomials: parser, renderer, gradients and face restrictions.
 
 A polynomial is a finite map from exponent vectors to nonzero arbitrary-precision
 integer coefficients in a fixed ambient dimension ``n``.  Instances are immutable
@@ -267,21 +266,6 @@ def gradient(f: Polynomial) -> List[Optional[Polynomial]]:
         acc = {e: c for e, c in acc.items() if c}
         comps.append(Polynomial(f.n, acc) if acc else None)
     return comps
-
-
-def eval_mod(f: Polynomial, point: Sequence[int], modulus: int) -> int:
-    """f(point) reduced mod ``modulus``.  One-shot convenience; grid loops
-    should use the numpy kernels instead."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    total = 0
-    for exp, coef in f.terms.items():
-        t = coef % modulus
-        for xj, ej in zip(point, exp):
-            if ej:
-                t = (t * pow(int(xj), ej, modulus)) % modulus
-        total += t
-    return total % modulus
 
 
 def homogeneity(f: Polynomial) -> Optional[int]:

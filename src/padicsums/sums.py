@@ -32,6 +32,11 @@ worker count.  Every value carries a certified absolute error budget of
 KERNEL_EPS per point of the whole grid, which also covers the block product
 (see _block_product).  Moduli whose residue products could wrap int64 are
 refused with ModulusTooLarge before any work starts.
+
+_grid_residues is the package's one evaluator of polynomials mod M: the sum
+kernels and the mod-p nondegeneracy scan both run on it.  The scan walks the
+torus (F_p^x)^n in its task order, which is lexicographic, and stops at the
+first task holding a critical point of a face restriction.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -160,11 +166,12 @@ def _grid_residues(
     seg_size: int,
     lo: int,
     hi: int,
-) -> Iterator[Tuple[int, List[np.ndarray]]]:
-    """Yield (task, [residues of each polynomial mod modulus]) for the tasks
-    lo..hi-1; one task is one outer-coordinate assignment (times one segment
-    of the last axis when segmented), and each residue array spans the task's
-    inner block.
+) -> Iterator[Tuple[int, Iterator[np.ndarray]]]:
+    """Yield (task, residues of each polynomial mod modulus) for the tasks
+    lo..hi-1, in order; one task is one outer-coordinate assignment (times one
+    segment of the last axis when segmented), and each residue array spans
+    the task's inner block.  A task's residues are computed one polynomial at
+    a time as they are consumed, so a caller may stop early.
 
     Terms are grouped by their outer exponent exps[:inner_start], and each
     group becomes one residue array over the inner block, built once per
@@ -223,7 +230,9 @@ def _grid_residues(
     # modulus; accumulate raw products and reduce once if that stays < 2^63.
     safe_raw = [(len({exps[:inner_start] for _, exps in terms}) + 1) * (modulus - 1) ** 2 < 1 << 63
                 for terms in polys]
-    cached = build_plans(0) if segments == 1 else None
+    # Plans per segment of the last axis.  With no outer axes each segment is
+    # one task, so only the current segment's plans are kept.
+    plan_cache: Dict[int, list] = {}
 
     def residues(plan, raw: bool, point: List[int]) -> np.ndarray:
         shape, groups = plan
@@ -253,8 +262,12 @@ def _grid_residues(
             coords.append(c)
         coords.reverse()
         point = [domains[j][0] + coords[j] for j in range(inner_start)]
-        plans = cached if cached is not None else build_plans(seg)
-        yield task, [residues(plan, raw, point) for plan, raw in zip(plans, safe_raw)]
+        if seg not in plan_cache:
+            plans = build_plans(seg)
+            if not inner_start:
+                plan_cache.clear()
+            plan_cache[seg] = plans
+        yield task, map(residues, plan_cache[seg], safe_raw, repeat(point))
 
 
 def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
@@ -561,25 +574,35 @@ class NondegReport:
         }
 
 
-def _eval_terms_full(f: Polynomial, modulus: int, domains: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """f mod modulus on the whole product grid via one broadcast pass."""
-    shape = tuple(stop - start for start, stop in domains)
-    acc = np.zeros(shape, dtype=np.int64)
-    for exps, coef in sorted(f.terms.items()):
-        arr = None
-        for axis, e in enumerate(exps):
-            if not e:
-                continue
-            start, stop = domains[axis]
-            pw = _pow_mod_array(np.arange(start, stop, dtype=np.int64), e, modulus)
-            pw = pw.reshape(tuple(len(pw) if q == axis else 1 for q in range(f.n)))
-            arr = pw if arr is None else (arr * pw) % modulus
-        scalar = coef % modulus
-        if arr is None:
-            acc = (acc + scalar) % modulus
-        else:
-            acc = (acc + scalar * arr) % modulus
-    return acc
+def _first_critical_point(f_tau: Polynomial, p: int) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first point of (F_p^x)^n at which every partial
+    derivative of f_tau vanishes mod p, or None.
+
+    The components run through _grid_residues on the torus plan of
+    _split_axes, one task at a time in task order, which is lexicographic,
+    so the first task holding a critical point holds the witness.  Within a
+    task, a component is evaluated only while some point is still critical.
+    """
+    sizes = [p - 1] * f_tau.n
+    inner_start, segments, seg_size = _split_axes(sizes)
+    task_count = prod(sizes[:inner_start], start=1) * segments
+    # an identically-zero derivative never cuts the critical locus
+    comps = [_reduced_terms(c.terms, p) for c in gradient(f_tau) if c is not None]
+    for task, residues in _grid_residues(comps, p, [(1, p)] * f_tau.n, inner_start,
+                                          segments, seg_size, 0, task_count):
+        mask = True  # f_tau has no constant term, so comps is not empty
+        for r in residues:
+            mask = mask & (r == 0)
+            if not mask.any():
+                break
+        if mask.any():
+            outer, seg = divmod(task, segments)
+            coords = [*np.unravel_index(outer, sizes[:inner_start]),
+                      *np.unravel_index(int(np.argmax(mask)), mask.shape)]
+            coords[-1] += seg * seg_size
+            return tuple(int(c) + 1 for c in coords)
+        del residues, r, mask  # free this task's arrays before the next plan is built
+    return None
 
 
 def check_nondegenerate_mod_p(
@@ -594,39 +617,22 @@ def check_nondegenerate_mod_p(
     A pass for every face is the per-prime certificate under which the face
     decomposition identity is asserted; the witness of a failure is the
     lexicographically first critical torus point.
+
+    Faces with the same restriction share one scan (_first_critical_point,
+    on _grid_residues in task order), and the work budget counts one torus
+    per distinct restriction.
     """
     _require_prime(p)
     _require_int64_residues(p)
-    torus = (p - 1) ** f.n
-    estimated = torus * max(len(faces), 1)
+    restrictions = {face.restriction.support: face.restriction for face in faces}
+    estimated = (p - 1) ** f.n * len(restrictions)
     if estimated > work_budget:
         raise WorkBudgetExceeded(estimated, work_budget)
 
-    # Slabs of whole rows along the first axis, in lexicographic order, keep
-    # each pass near _INNER_CAP points; the first slab holding a critical
-    # point yields the lexicographically first witness.
-    rest = [(1, p)] * (f.n - 1)
-    step = max(1, _INNER_CAP // (p - 1) ** (f.n - 1))
-    verdicts: Dict[Tuple[ExponentVector, ...], Optional[Tuple[int, ...]]] = {}
+    witnesses = {key: _first_critical_point(g, p) for key, g in restrictions.items()}
     entries = []
     for face in faces:
-        skey = face.restriction.support
-        if skey not in verdicts:
-            # an identically-zero derivative never cuts the critical locus
-            comps = [c for c in gradient(face.restriction) if c is not None]
-            verdicts[skey] = None
-            for lo in range(1, p, step):
-                domains = [(lo, min(p, lo + step))] + rest
-                mask = np.ones(tuple(b - a for a, b in domains), dtype=bool)
-                for comp in comps:
-                    mask &= _eval_terms_full(comp, p, domains) == 0
-                    if not mask.any():
-                        break
-                if mask.any():
-                    coords = np.unravel_index(int(np.argmax(mask)), mask.shape)
-                    verdicts[skey] = tuple(int(c) + a for c, (a, _) in zip(coords, domains))
-                    break
-        witness = verdicts[skey]
+        witness = witnesses[face.restriction.support]
         entries.append(FaceNondeg(face_id=face.id, passed=witness is None, witness=witness))
     entries.sort(key=lambda e: e.face_id)
     return NondegReport(prime=p, entries=tuple(entries))

@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import shlex
 
-from padicsums.cli import main
+import pytest
+
+from padicsums.cli import _build_parser, main
 from padicsums.poly import parse_polynomial
 from padicsums.sums import KERNEL_EPS, _exp_sum_over_grid
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -67,6 +71,16 @@ def test_json_output_is_deterministic(capsys):
     _, first = run(capsys, "analyze", "x*y+z*u+x*z+2*y*u", "--json")
     _, second = run(capsys, "analyze", "x*y+z*u+x*z+2*y*u", "--json")
     assert first == second
+
+
+# -- nondeg ------------------------------------------------------------------------
+
+def test_nondeg_budget_counts_distinct_restrictions(capsys):
+    # 34 faces but 3 distinct restrictions: the scan covers 3 * 52^4 points,
+    # inside the default budget.
+    code, out = run(capsys, "nondeg", "x*y+z*u", "-p", "53")
+    assert code == 0
+    assert "p = 53: pass" in out
 
 
 # -- sums -------------------------------------------------------------------------
@@ -214,6 +228,50 @@ def test_budget_error_exits_2(capsys):
 def test_modulus_too_large_exits_2(capsys):
     assert main(["sum", "x^2", "--prime", "5", "--power", "14", "--budget", str(10 ** 10)]) == 2
     assert "int64" in capsys.readouterr().err
+
+
+# Each of --eps, --budget and --workers is registered only where it is read.
+FLAG_USERS = {
+    "--eps": {"verify-formula"},
+    "--budget": {"nondeg", "sum", "esum", "verify-formula", "ratios", "edecay"},
+    "--workers": {"sum", "esum", "verify-formula", "ratios", "edecay"},
+}
+SUBCOMMAND_ARGS = {
+    "analyze": [],
+    "nondeg": ["-p", "3"],
+    "sum": ["-p", "3", "-m", "1"],
+    "esum": ["-p", "3"],
+    "verify-formula": ["-p", "3", "-m", "1"],
+    "verify-nu": [],
+    "ratios": ["-p", "3", "-m", "1"],
+    "edecay": ["-p", "3", "--face", "0"],
+    "sigma-bound": ["--d", "0"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_USERS))
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_flags_are_registered_where_they_are_read(flag, command):
+    value = "1e-9" if flag == "--eps" else "2"
+    argv = [command, "x*y", *SUBCOMMAND_ARGS[command], flag, value]
+    try:
+        _build_parser().parse_args(argv)
+        accepted = True
+    except SystemExit:
+        accepted = False
+    assert accepted == (command in FLAG_USERS[flag])
+
+
+def test_analyze_rejects_eps(capsys):
+    assert main(["analyze", "x*y", "--eps", "1e-9"]) == 2
+
+
+def test_readme_examples_parse():
+    with open(README) as fh:
+        examples = [line.split(None, 1)[1] for line in fh if line.startswith("    padicsums ")]
+    assert len(examples) == len(SUBCOMMAND_ARGS)
+    for example in examples:
+        _build_parser().parse_args(shlex.split(example))
 
 
 # -- output plumbing -----------------------------------------------------------------

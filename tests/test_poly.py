@@ -1,8 +1,8 @@
 """Parser, gradient, restriction and modular-evaluation tests.
 
 Expected values come from independent oracles written here: big-integer
-direct evaluation for eval_mod and a from-scratch term-shift differentiator
-for gradients.
+direct evaluation for the kernel's modular evaluator ``sums._grid_residues``
+and a from-scratch term-shift differentiator for gradients.
 """
 
 from __future__ import annotations
@@ -10,18 +10,19 @@ from __future__ import annotations
 import random
 from math import prod
 
+import numpy as np
 import pytest
 
 from padicsums.errors import ConstantTermNonzero, PolyParseError, ZeroPolynomial
 from padicsums.poly import (
     Polynomial,
-    eval_mod,
     face_restriction,
     gradient,
     homogeneity,
     parse_polynomial,
     render,
 )
+from padicsums.sums import _grid_residues, _reduced_terms
 from conftest import random_polynomial
 
 
@@ -209,19 +210,36 @@ def test_gradient_commutes_with_restriction():
 
 # -- evaluation -------------------------------------------------------------
 
-def test_eval_mod_examples():
-    assert eval_mod(parse_polynomial("x*y"), (2, 3), 9) == 6
-    assert eval_mod(parse_polynomial("x^2+y^3"), (2, 2), 5) == 2
-    assert eval_mod(parse_polynomial("x*y+z*u"), (1, 1, 1, 1), 3) == 2
+def grid_values(f: Polynomial, modulus: int, domains, inner_start: int) -> np.ndarray:
+    """f mod modulus on the product grid, from _grid_residues with the
+    first inner_start axes outer: one task per outer point, in order."""
+    sizes = [stop - start for start, stop in domains]
+    tasks = prod(sizes[:inner_start])
+    blocks = [next(residues) for _, residues in _grid_residues(
+        [_reduced_terms(f.terms, modulus)], modulus, domains, inner_start, 1, sizes[-1], 0, tasks)]
+    return np.array(blocks).reshape(sizes)
 
 
-def test_eval_mod_matches_bigint_oracle():
+def test_grid_residues_examples():
+    def at(text, point, modulus):
+        f = parse_polynomial(text)
+        return grid_values(f, modulus, [(x, x + 1) for x in point], 0).item()
+
+    assert at("x*y", (2, 3), 9) == 6
+    assert at("x^2+y^3", (2, 2), 5) == 2
+    assert at("x*y+z*u", (1, 1, 1, 1), 3) == 2
+
+
+def test_grid_residues_match_bigint_oracle():
     rng = random.Random(123)
-    for _ in range(50):
+    for modulus in (2, 3, 7, 9, 25, 1009) * 10:
         f = random_polynomial(rng)
-        modulus = rng.choice([2, 3, 7, 9, 25, 1009])
-        point = [rng.randrange(modulus) for _ in range(f.n)]
-        assert eval_mod(f, point, modulus) == oracle_eval(f, point) % modulus
+        domains = [(a, a + rng.randint(1, 4)) for a in (rng.randrange(modulus) for _ in range(f.n))]
+        for inner_start in range(f.n + 1):
+            got = grid_values(f, modulus, domains, inner_start)
+            for idx in np.ndindex(got.shape):
+                point = [a + i for (a, _), i in zip(domains, idx)]
+                assert got[idx] == oracle_eval(f, point) % modulus
 
 
 def test_homogeneity():

@@ -274,9 +274,9 @@ def test_nondeg_budget():
 
 @pytest.mark.parametrize("cap", [1, 7])
 def test_nondeg_slabs_agree_with_one_pass(cap, corpus, monkeypatch):
-    # The default cap scans these small tori in one slab; caps of 1 and 7
-    # split them into slabs of whole rows, which must keep every verdict and
-    # the lexicographically first witness.
+    # The default cap scans these small tori as one task; caps of 1 and 7
+    # split them into one task per point or per segment of the last axis,
+    # which must keep every verdict and the lexicographically first witness.
     rng = random.Random(404)
     polys = list(corpus) + [random_polynomial(rng, max_terms=5, max_exp=4) for _ in range(12)]
     cases = []
@@ -288,6 +288,62 @@ def test_nondeg_slabs_agree_with_one_pass(cap, corpus, monkeypatch):
     monkeypatch.setattr(sums, "_INNER_CAP", cap)
     for f, faces, p, want in cases:
         assert check_nondegenerate_mod_p(f, faces, p) == want
+
+
+def oracle_nondeg(f, faces, p):
+    """NondegReport.to_dict() from a pure-Python scan: the partials of each
+    f_tau by term shift, evaluated with Python integers at every point of
+    range(1, p)^n in lexicographic order; no code shared with the scan."""
+    rows = []
+    for face in faces:
+        terms = face.restriction.terms
+        partials = [
+            [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:]) for e, c in terms.items() if e[j]]
+            for j in range(f.n)
+        ]
+        witness = next(
+            (point for point in product(range(1, p), repeat=f.n)
+             if all(sum(c * prod_pow(point, e) for c, e in d) % p == 0 for d in partials)),
+            None,
+        )
+        rows.append({"face_id": face.id, "passed": witness is None,
+                     "witness": list(witness) if witness else None})
+    rows.sort(key=lambda row: row["face_id"])
+    return {"prime": p, "passed": all(row["passed"] for row in rows), "faces": rows}
+
+
+@st.composite
+def scan_polynomials(draw):
+    """(f, p): n <= 3, f(0) = 0, some coefficients divisible by p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(any)
+    coef = st.one_of(st.integers(-9, 9).filter(bool), st.integers(-3, 3).filter(bool).map(lambda c: c * p))
+    terms = draw(st.dictionaries(exps, coef, min_size=1, max_size=5))
+    return Polynomial(n, terms), p
+
+
+@settings(max_examples=120, deadline=None)
+@given(scan_polynomials(), st.sampled_from([None, 1, 7]))
+def test_nondeg_matches_pure_python_scan(case, cap):
+    f, p = case
+    faces = enumerate_faces(build_polyhedron(f))
+    with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
+        got = check_nondegenerate_mod_p(f, faces, p).to_dict()
+    assert got == oracle_nondeg(f, faces, p)
+
+
+def test_nondeg_witness_in_a_later_segment(monkeypatch):
+    # At cap 7 the 12-point torus of p = 13 is planned as two segments of the
+    # one axis; 2x + 6 vanishes at x = 10, in the second.
+    f = parse_polynomial("x^2+6*x")
+    faces = enumerate_faces(build_polyhedron(f))
+    monkeypatch.setattr(sums, "_INNER_CAP", 7)
+    assert sums._split_axes([12]) == (0, 2, 7)
+    whole = next(face for face in faces if face.restriction == f)
+    rep = check_nondegenerate_mod_p(f, faces, 13)
+    assert {e.face_id: e.witness for e in rep.entries}[whole.id] == (10,)
+    assert rep.to_dict() == oracle_nondeg(f, faces, 13)
 
 
 # -- block product and grouped worker ------------------------------------------
