@@ -3,7 +3,8 @@
 One subcommand per analysis: ``analyze`` (polyhedron, faces, sigma/kappa
 table), ``nondeg``, ``sum``, ``esum``, ``verify-formula``, ``verify-nu``,
 ``ratios``, ``edecay``, ``sigma-bound``.  Reports go to stdout (or --out) as
-human text, --json, or --csv where a table exists; exact rational quantities
+human text, --json, or --csv on the subcommands whose report is a table
+(verify-formula, verify-nu, ratios, edecay); exact rational quantities
 are serialized as "numerator/denominator" strings, never floats.
 
 Exit codes: 0 = all asserted checks pass, 1 = a hard assertion failed
@@ -385,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser, primes=False, prime=False, powers=False,
                power=False, face=False, need_d=False, ceiling=False, lattice_T=False,
-               eps=False, budget=False, workers=False):
+               eps=False, budget=False, workers=False, csv=False):
         sp.add_argument("polynomial", help="polynomial text, e.g. 'x*y + z*u'")
         if prime:
             sp.add_argument("--prime", "-p", type=int, required=not primes)
@@ -413,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if workers:
             sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         sp.add_argument("--json", action="store_true", help="machine-readable JSON report")
-        sp.add_argument("--csv", action="store_true", help="CSV where a table exists")
+        if csv:
+            sp.add_argument("--csv", action="store_true", help="the report's table as CSV")
         sp.add_argument("--out", metavar="FILE", help="write the report to FILE")
 
     common(sub.add_parser("analyze", help="polyhedron, faces, sigma/kappa table"))
@@ -424,13 +426,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("esum", help="torus sum, optionally of a face restriction"),
            prime=True, face=True, budget=True, workers=True)
     common(sub.add_parser("verify-formula", help="face decomposition vs brute force"),
-           prime=True, power=True, powers=True, eps=True, budget=True, workers=True)
-    common(sub.add_parser("verify-nu", help="lattice inequality scan"), lattice_T=True)
+           prime=True, power=True, powers=True, eps=True, budget=True, workers=True, csv=True)
+    common(sub.add_parser("verify-nu", help="lattice inequality scan"), lattice_T=True, csv=True)
     common(sub.add_parser("ratios", help="decay-normalized sum table"),
            prime=True, primes=True, power=True, powers=True, ceiling=True,
-           budget=True, workers=True)
+           budget=True, workers=True, csv=True)
     common(sub.add_parser("edecay", help="torus-sum decay exponent fit"),
-           prime=True, primes=True, face=True, budget=True, workers=True)
+           prime=True, primes=True, face=True, budget=True, workers=True, csv=True)
     common(sub.add_parser("sigma-bound", help="sigma <= (n-d)/2 consistency gate"), need_d=True)
     return parser
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,6 +33,7 @@ from .newton import (
     INT64_SAFE,
     Face,
     NewtonPolyhedron,
+    N_bound,
     build_polyhedron,
     enumerate_faces,
     frac_str,
@@ -98,20 +101,24 @@ def truncation_level(p: int, n: int, eps: EpsLike) -> Tuple[int, Fraction]:
     """Smallest T with tail(T) <= eps, and that exact tail.
 
     The full mass sum_{k in N^n} p^{-nu(k)} equals (1-1/p)^{-n}; levels
-    nu = s carry C(s+n-1, n-1) points of weight p^{-s} each.
+    nu = s carry C(s+n-1, n-1) points of weight p^{-s} each.  With
+    q = p - 1 and partial(T) = num / p^T, tail(T) = gap / (q^n p^T) where
+    gap = p^(n+T) - q^n num, so each level costs integer operations only.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    total = (1 - Fraction(1, p)) ** (-n)
-    partial = Fraction(0)
+    qn = (p - 1) ** n
+    num = 0
+    pT = 1  # p^T
     T = 0
     while True:
-        partial += comb(T + n - 1, n - 1) * Fraction(1, p) ** T
-        tail = total - partial
-        if tail <= eps:
-            return T, tail
+        num = num * p + comb(T + n - 1, n - 1)
+        gap = p ** n * pT - qn * num
+        if gap * eps.denominator <= eps.numerator * qn * pT:
+            return T, Fraction(gap, qn * pT)
         T += 1
+        pT *= p
 
 
 def cone_sums_multi(
@@ -125,50 +132,50 @@ def cone_sums_multi(
     """A(p,m,tau) and B(p,m,tau) for every face and every requested m in one
     shared lattice-enumeration pass.
 
-    Each block of points is folded into counts per (face, N, nu) with one
-    np.unique over a scalar key, so the exact-rational work that follows is
-    proportional to that profile, not to the point count.  N is clamped at
-    max(ms): every larger N falls in the same A and B cells.
+    N is bucketed against the sorted breakpoints {m - 1, m : m in ms}: bucket
+    j >= 1 holds cuts[j-1] <= N < cuts[j] (the last one is unbounded above)
+    and bucket 0 holds N below every cut.  Each block is folded with one
+    np.bincount into int64 counts of shape (face, bucket, nu), so memory
+    grows with len(ms), not with max(ms).  Then W[face][bucket] =
+    sum_nu count * p^(T - nu) is formed once in Python integers: A(m) is the
+    suffix sum of a face's W from m's bucket on, and B(m) the single entry
+    of m - 1's bucket, which holds N = m - 1 alone.
     """
     for m in ms:
         if m < 0:
             raise ValueError("m must be >= 0")
     T, tail = truncation_level(p, P.n, eps)
     faces = enumerate_faces(P)
-    m_top = max(ms, default=0)
-    # one scalar key (face * (m_top + 1) + min(N, m_top)) * (T + 1) + nu per point
-    dtype = np.int64 if len(faces) * (m_top + 1) * (T + 1) < INT64_SAFE else object
-    counts: Dict[int, Dict[Tuple[int, int], int]] = {f.id: {} for f in faces}
+    # no point has N above N_bound, so larger cuts bound empty buckets
+    bound = N_bound(P, T)
+    cuts = sorted({c for m in ms for c in (m - 1, m) if c <= bound})
+    edges = np.array(cuts, dtype=np.int64 if bound < INT64_SAFE else object)
+    width = len(cuts) + 1
+    counts = np.zeros(len(faces) * width * (T + 1), dtype=np.int64)
     for blk in lattice_blocks(P, T, point_cap=point_cap):
-        N = np.minimum(blk.N, m_top).astype(dtype)
-        key = (blk.face_id.astype(dtype) * (m_top + 1) + N) * (T + 1) + blk.nu
-        for k, cnt in zip(*(a.tolist() for a in np.unique(key, return_counts=True))):
-            rest, nu = divmod(k, T + 1)
-            face_id, N_clamped = divmod(rest, m_top + 1)
-            cell = counts[face_id]
-            cell[N_clamped, nu] = cell.get((N_clamped, nu), 0) + cnt
+        bucket = np.searchsorted(edges, blk.N, side="right")
+        counts += np.bincount(
+            (blk.face_id * width + bucket) * (T + 1) + blk.nu, minlength=counts.size
+        )
+    weights = [p ** (T - nu) for nu in range(T + 1)]
+    flat = [sum(map(mul, row, weights)) for row in counts.reshape(-1, T + 1).tolist()]
+    W = [flat[i:i + width] for i in range(0, len(flat), width)]
+    suffix = [list(accumulate(reversed(row)))[::-1] + [0] for row in W]  # sums of W[f][j:]
+    bucket_of = {c: j + 1 for j, c in enumerate(cuts)}
     scale = p ** T
     out: Dict[int, List[ConeSumResult]] = {}
     for m in ms:
-        rows = []
-        for face in faces:
-            a_num = 0
-            b_num = 0
-            for (N, nu), cnt in counts[face.id].items():
-                if N >= m:
-                    a_num += cnt * p ** (T - nu)
-                elif N == m - 1:
-                    b_num += cnt * p ** (T - nu)
-            rows.append(
-                ConeSumResult(
-                    face_id=face.id,
-                    A_partial=Fraction(a_num, scale),
-                    B_partial=Fraction(b_num, scale),
-                    truncation_T=T,
-                    tail=tail,
-                )
+        a_at, b_at = bucket_of.get(m, width), bucket_of.get(m - 1)
+        out[m] = [
+            ConeSumResult(
+                face_id=face.id,
+                A_partial=Fraction(suffix[face.id][a_at], scale),
+                B_partial=Fraction(0 if b_at is None else W[face.id][b_at], scale),
+                truncation_T=T,
+                tail=tail,
             )
-        out[m] = rows
+            for face in faces
+        ]
     return out, T, tail
 
 

@@ -7,17 +7,18 @@ cone spanned by the lifted support points and the orthant rays, in exact
 integer arithmetic; every derived quantity is an int or a Fraction.  Faces
 are canonically keyed by (vertex index set, recession axis set), which
 determines a face of this class of polyhedra (pointed, recession cone equal
-to the orthant).  A polyhedron is immutable: its faces and its diagonal data
-are derived once, on first use, and never change what it compares equal to.
+to the orthant).  A polyhedron is immutable: its faces, its diagonal data and
+the sigma of each face restriction are derived once, on first use, and never
+change what it compares equal to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -149,7 +150,8 @@ class Face:
 
     ``witness_k`` is the sum of the active facet normals; re-evaluating the
     minimization at witness_k recovers exactly this face.  ``recession_axes``
-    are 0-based internally (serialization emits them 1-based).
+    are 0-based internally (serialization emits them 1-based).  ``polyhedron``
+    is the owner; it takes no part in equality, hashing or repr.
     """
 
     id: int
@@ -158,12 +160,17 @@ class Face:
     dim: int
     active_facet_ids: Tuple[int, ...]
     witness_k: ExponentVector
-    sigma_tau: Fraction
     restriction: Polynomial
+    polyhedron: "NewtonPolyhedron" = field(compare=False, repr=False)
 
     @property
     def key(self) -> FaceKey:
         return (self.vertex_ids, self.recession_axes)
+
+    @property
+    def sigma_tau(self) -> Fraction:
+        """sigma(f_tau), computed on first read and kept on the polyhedron."""
+        return self.polyhedron.restriction_sigma(self.restriction)
 
 
 class Diagonal(NamedTuple):
@@ -238,6 +245,22 @@ class NewtonPolyhedron:
     def face_by_key(self, key: FaceKey) -> Face:
         return self.faces[self.face_index[key]]
 
+    @cached_property
+    def _restriction_sigmas(self) -> Dict[Tuple[ExponentVector, ...], Fraction]:
+        # the whole polyhedron restricts to f itself, whose sigma is P's own
+        return {self.source.support: self.diagonal.sigma}
+
+    def restriction_sigma(self, restr: Polynomial) -> Fraction:
+        """sigma of a face restriction of f, built on first request and
+        memoized by its support (sigma depends on nothing else)."""
+        memo = self._restriction_sigmas
+        skey = restr.support
+        if skey not in memo:
+            # the restriction's diagonal only, never its faces: no recursion;
+            # f_tau has P's dimension, which P's own build already admitted
+            memo[skey] = build_polyhedron(restr, dimension_cap=self.n).diagonal.sigma
+        return memo[skey]
+
 
 # ---------------------------------------------------------------------------
 # construction
@@ -301,6 +324,8 @@ def _check_duality(P: NewtonPolyhedron, support: Sequence[ExponentVector]) -> No
 
 def _face_dim(P: NewtonPolyhedron, key: FaceKey) -> int:
     vids, axes = key
+    if len(vids) == 1:  # a vertex plus its recession rays, which are independent
+        return len(axes)
     v0 = P.vertices[vids[0]]
     rows: List[Tuple[int, ...]] = [
         tuple(a - b for a, b in zip(P.vertices[i], v0)) for i in vids[1:]
@@ -309,22 +334,35 @@ def _face_dim(P: NewtonPolyhedron, key: FaceKey) -> int:
     return _gauss_jordan(rows)[0]
 
 
-def _face_keys(P: NewtonPolyhedron) -> List[FaceKey]:
-    """Every face key: the whole polyhedron, closed under intersection with
-    each facet's incidence pair (tight vertices, axes where its normal is 0).
+def _mask(flags: Iterable[bool]) -> int:
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
 
-    A nonempty intersection of facets is the face their summed normal
-    minimizes, and its key is the intersection of their incidence pairs, so
-    the closure meets every face once.  Sets are bitmasks; the cost is about
-    faces x facets mask operations.
-    """
-    incidences = [
+
+def _bits(mask: int, width: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(width) if mask >> i & 1)
+
+
+def _incidences(P: NewtonPolyhedron) -> List[Tuple[int, int]]:
+    """Per facet, its incidence pair as bitmasks: (tight vertices, axes where
+    its normal is 0)."""
+    return [
         (
-            sum(1 << i for i, v in enumerate(P.vertices) if _dot(F.normal, v) == F.offset),
-            sum(1 << a for a, x in enumerate(F.normal) if x == 0),
+            _mask(_dot(F.normal, v) == F.offset for v in P.vertices),
+            _mask(x == 0 for x in F.normal),
         )
         for F in P.facets
     ]
+
+
+def _face_masks(P: NewtonPolyhedron, incidences: Sequence[Tuple[int, int]]) -> Set[Tuple[int, int]]:
+    """Every face as a (vertex mask, axis mask) pair: the whole polyhedron,
+    closed under intersection with each facet's incidence pair.
+
+    A nonempty intersection of facets is the face their summed normal
+    minimizes, and its key is the intersection of their incidence pairs, so
+    the closure meets every face once.  The cost is about faces x facets mask
+    operations.
+    """
     whole = ((1 << len(P.vertices)) - 1, (1 << P.n) - 1)
     seen = {whole}
     todo = [whole]
@@ -335,26 +373,26 @@ def _face_keys(P: NewtonPolyhedron) -> List[FaceKey]:
             if meet[0] and meet not in seen:
                 seen.add(meet)
                 todo.append(meet)
-    return [
-        (
-            tuple(i for i in range(len(P.vertices)) if vmask >> i & 1),
-            tuple(a for a in range(P.n) if amask >> a & 1),
-        )
-        for vmask, amask in seen
-    ]
+    return seen
 
 
 def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
     support = P.source.support
-    # the whole polyhedron restricts to f itself, whose sigma is P's own
-    sigma_memo: Dict[Tuple[ExponentVector, ...], Fraction] = {support: P.diagonal.sigma}
+    incidences = _incidences(P)
+    # bit s of on_facet[j]: support point s lies on facet j
+    on_facet = [
+        _mask(_dot(F.normal, s) == F.offset for s in support) for F in P.facets
+    ]
+    keyed = []
+    for vmask, amask in _face_masks(P, incidences):
+        key = (_bits(vmask, len(P.vertices)), _bits(amask, P.n))
+        keyed.append((_face_dim(P, key), key, vmask, amask))
     faces = []
-    for dim, (vids, axes) in sorted((_face_dim(P, key), key) for key in _face_keys(P)):
+    for dim, (vids, axes), vmask, amask in sorted(keyed):
+        # the facets containing the face: its vertices tight, its axes free
         active = tuple(
-            j
-            for j, F in enumerate(P.facets)
-            if all(_dot(F.normal, P.vertices[i]) == F.offset for i in vids)
-            and all(F.normal[a] == 0 for a in axes)
+            j for j, (fv, fa) in enumerate(incidences)
+            if vmask & fv == vmask and amask & fa == amask
         )
         witness = tuple(
             sum(P.facets[j].normal[i] for j in active) for i in range(P.n)
@@ -362,22 +400,12 @@ def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
         _, _, recheck = P.classify(witness)
         assert recheck == (vids, axes), "witness does not recover its face"
 
-        members = [
-            s
-            for s in support
-            if all(_dot(P.facets[j].normal, s) == P.facets[j].offset for j in active)
-        ]
-        restr = face_restriction(P.source, members)
+        members = (1 << len(support)) - 1
+        for j in active:
+            members &= on_facet[j]
+        restr = face_restriction(P.source, [support[i] for i in _bits(members, len(support))])
         assert restr is not None, "every face of the Newton polyhedron meets Supp(f)"
-
-        skey = restr.support
-        if skey not in sigma_memo:
-            # the restriction's diagonal only, never its faces: no recursion;
-            # f_tau has P's dimension, which P's own build already admitted
-            sigma_memo[skey] = build_polyhedron(restr, dimension_cap=P.n).diagonal.sigma
-        faces.append(
-            Face(len(faces), vids, axes, dim, active, witness, sigma_memo[skey], restr)
-        )
+        faces.append(Face(len(faces), vids, axes, dim, active, witness, restr, P))
     return tuple(faces)
 
 
@@ -386,9 +414,12 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
     sorted by (dim, key); computed on first use and kept on P.
 
     Faces come from closing the whole polyhedron under intersection with the
-    facets' incidence pairs.  Each face carries its active facets, the sum of
-    their normals as witness (minimizing over P at the witness recovers the
-    face), its restriction f_tau and sigma_tau = sigma(f_tau).
+    facets' incidence pairs; the same bitmasks give each face its active
+    facets and the support points of its restriction f_tau.  Each face
+    carries its active facets, the sum of their normals as witness
+    (minimizing over P at the witness recovers the face) and f_tau.  Its
+    sigma_tau = sigma(f_tau) is built only when first read, once per
+    distinct restriction support of P.
     """
     return list(P.faces)
 
@@ -479,82 +510,97 @@ def lattice_blocks(
     """The points of ``enumerate_lattice_points`` in the same order, as blocks
     of at most LATTICE_BLOCK rows.
 
-    Each block is classified at once: N is the row minimum of k . v over the
-    vertices, and the face is looked up from the pattern (vertices attaining
-    the minimum, zero coordinates of k), once per distinct pattern.  A
-    pattern that matches no face raises KeyError.  The products k . v are
-    int64 when ``N_bound`` is below INT64_SAFE and Python integers otherwise.
+    Each block is classified at once: N is each point's minimum of k . v over
+    the vertices, and the pattern (vertices attaining the minimum, zero
+    coordinates of k) is looked up by one ``np.searchsorted`` in the sorted
+    pattern keys of the faces.  A pattern that matches no face raises
+    KeyError.  The products k . v are int64 when ``N_bound`` is below
+    INT64_SAFE and Python integers otherwise.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     count = comb(T + P.n, P.n)
     if count > point_cap:
         raise BudgetExceeded(f"{count} lattice points exceed cap {point_cap}")
-    return _classified_blocks(P, T, P.face_index)
+    return _classified_blocks(P, T)
 
 
 def _compositions(n: int, T: int) -> np.ndarray:
-    """Every k in N^n with |k| <= T, in lexicographic order, one row each."""
-    K = np.arange(T + 1, dtype=np.int64).reshape(-1, 1)
+    """Every k in N^n with |k| <= T, in lexicographic order, one column each."""
+    K = np.arange(T + 1, dtype=np.int64).reshape(1, -1)
     for _ in range(n - 1):
-        # row-major nonzero: for each new first entry v, the rows with |k| <= T - v
-        first, rest = np.nonzero(K.sum(axis=1) <= T - np.arange(T + 1)[:, None])
-        K = np.column_stack((first, K[rest]))
+        # row-major nonzero: for each new first entry v, the columns with |k| <= T - v
+        first, rest = np.nonzero(K.sum(axis=0) <= T - np.arange(T + 1)[:, None])
+        K = np.vstack((first, K[:, rest]))
     return K
 
 
 def _composition_chunks(
-    n: int, T: int, prefix: Tuple[int, ...]
+    n: int, T: int, prefix: Tuple[int, ...], memo: Dict[Tuple[int, int], np.ndarray]
 ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
     """``prefix`` followed by every k in N^n with |k| <= T, in lexicographic
-    order, as (prefix, tails) chunks of at most LATTICE_BLOCK rows."""
+    order, as (prefix, tails) chunks of at most LATTICE_BLOCK columns.
+
+    Below a prefix of two or more entries the same tails recur for many
+    prefixes, so those ``_compositions(n, T)`` are built once per ``memo``;
+    a shorter prefix fixes T, and its tails are built once anyway.
+    """
     if comb(T + n, n) <= LATTICE_BLOCK:
-        yield prefix, _compositions(n, T)
+        if len(prefix) < 2:
+            yield prefix, _compositions(n, T)
+            return
+        if (n, T) not in memo:
+            memo[n, T] = _compositions(n, T)
+        yield prefix, memo[n, T]
     elif n == 1:
         for lo in range(0, T + 1, LATTICE_BLOCK):
-            yield prefix, np.arange(lo, min(T + 1, lo + LATTICE_BLOCK), dtype=np.int64).reshape(-1, 1)
+            yield prefix, np.arange(lo, min(T + 1, lo + LATTICE_BLOCK), dtype=np.int64).reshape(1, -1)
     else:
         for v in range(T + 1):
-            yield from _composition_chunks(n - 1, T - v, prefix + (v,))
+            yield from _composition_chunks(n - 1, T - v, prefix + (v,), memo)
 
 
-def _classified_blocks(
-    P: NewtonPolyhedron, T: int, index: Dict[FaceKey, int]
-) -> Iterator[LatticeBlock]:
+def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
     n, nv = P.n, len(P.vertices)
     dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
     V = np.array(P.vertices, dtype=dtype)
     # A pattern key has bit i set for tight vertex i and bit nv + j for k_j = 0.
     key_dtype = np.int64 if 1 << (nv + n) <= INT64_SAFE else object
-    byte_weights = np.array([1 << (8 * j) for j in range(-(-(nv + n) // 8))], dtype=key_dtype)
-    face_of: Dict[int, int] = {}  # pattern key -> face id, across blocks
+    vertex_bits = np.array([1 << i for i in range(nv)], dtype=key_dtype)
+    axis_bits = np.array([1 << (nv + j) for j in range(n)], dtype=key_dtype)
+    keyed = sorted(
+        (sum(1 << i for i in face.vertex_ids) + sum(1 << (nv + j) for j in face.recession_axes), face.id)
+        for face in P.faces
+    )
+    face_keys = np.array([key for key, _ in keyed], dtype=key_dtype)
+    face_ids = np.array([face_id for _, face_id in keyed], dtype=np.int64)
 
     def classify(K: np.ndarray) -> LatticeBlock:
-        dots = K.astype(dtype, copy=False) @ V.T
-        N = dots.min(axis=1)
-        pattern = np.packbits(
-            np.concatenate([dots == N[:, None], K == 0], axis=1), axis=1, bitorder="little"
-        )
-        keys, inverse = np.unique(pattern.astype(key_dtype) @ byte_weights, return_inverse=True)
-        for key in keys.tolist():
-            if key not in face_of:
-                vids = tuple(i for i in range(nv) if key >> i & 1)
-                axes = tuple(j for j in range(n) if key >> (nv + j) & 1)
-                face_of[key] = index[(vids, axes)]
-        ids = np.array([face_of[key] for key in keys.tolist()], dtype=np.int64)
-        return LatticeBlock(K, K.sum(axis=1), N, ids[inverse.reshape(-1)])
+        # K holds one point per column, so every reduction runs along long rows
+        dots = V @ K.astype(dtype, copy=False)
+        N = np.minimum.reduce(dots, axis=0)
+        keys = vertex_bits @ (dots == N) + axis_bits @ (K == 0)
+        at = np.minimum(np.searchsorted(face_keys, keys), len(face_keys) - 1)
+        found = face_keys[at] == keys
+        if not found.all():
+            key = int(keys[np.argmin(found)])
+            raise KeyError((_bits(key, nv), _bits(key >> nv, n)))
+        return LatticeBlock(K.T, np.add.reduce(K, axis=0), N, face_ids[at])
 
-    K = np.empty((LATTICE_BLOCK, n), dtype=np.int64)
-    rows = 0
-    for prefix, tails in _composition_chunks(n, T, ()):
-        if rows + len(tails) > LATTICE_BLOCK:
-            yield classify(K[:rows])
-            K = np.empty((LATTICE_BLOCK, n), dtype=np.int64)
-            rows = 0
-        K[rows:rows + len(tails), :len(prefix)] = prefix
-        K[rows:rows + len(tails), len(prefix):] = tails
-        rows += len(tails)
-    yield classify(K[:rows])
+    memo: Dict[Tuple[int, int], np.ndarray] = {}
+    K = np.empty((n, LATTICE_BLOCK), dtype=np.int64)
+    cols = 0
+    for prefix, tails in _composition_chunks(n, T, (), memo):
+        width = tails.shape[1]
+        if cols + width > LATTICE_BLOCK:
+            yield classify(K[:, :cols])
+            K = np.empty((n, LATTICE_BLOCK), dtype=np.int64)
+            cols = 0
+        for j, v in enumerate(prefix):
+            K[j, cols:cols + width] = v
+        K[len(prefix):, cols:cols + width] = tails
+        cols += width
+    yield classify(K[:, :cols])
 
 
 # ---------------------------------------------------------------------------

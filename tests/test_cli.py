@@ -230,8 +230,9 @@ def test_modulus_too_large_exits_2(capsys):
     assert "int64" in capsys.readouterr().err
 
 
-# Each of --eps, --budget and --workers is registered only where it is read.
+# Each of --eps, --budget, --workers and --csv is registered only where it is read.
 FLAG_USERS = {
+    "--csv": {"verify-formula", "verify-nu", "ratios", "edecay"},
     "--eps": {"verify-formula"},
     "--budget": {"nondeg", "sum", "esum", "verify-formula", "ratios", "edecay"},
     "--workers": {"sum", "esum", "verify-formula", "ratios", "edecay"},
@@ -252,8 +253,8 @@ SUBCOMMAND_ARGS = {
 @pytest.mark.parametrize("flag", sorted(FLAG_USERS))
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
 def test_flags_are_registered_where_they_are_read(flag, command):
-    value = "1e-9" if flag == "--eps" else "2"
-    argv = [command, "x*y", *SUBCOMMAND_ARGS[command], flag, value]
+    value = {"--eps": ["1e-9"], "--csv": []}.get(flag, ["2"])
+    argv = [command, "x*y", *SUBCOMMAND_ARGS[command], flag, *value]
     try:
         _build_parser().parse_args(argv)
         accepted = True
@@ -264,6 +265,11 @@ def test_flags_are_registered_where_they_are_read(flag, command):
 
 def test_analyze_rejects_eps(capsys):
     assert main(["analyze", "x*y", "--eps", "1e-9"]) == 2
+
+
+def test_analyze_rejects_csv(capsys):
+    # analyze's report is no table, so --csv would print the human report
+    assert main(["analyze", "x*y", "--csv"]) == 2
 
 
 def test_readme_examples_parse():

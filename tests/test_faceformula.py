@@ -12,7 +12,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from padicsums import faceformula, newton
 from padicsums.faceformula import (
     ab_ratio_monitor,
     cone_sums,
@@ -26,8 +28,9 @@ from padicsums.newton import (
     enumerate_faces,
     enumerate_lattice_points,
     eval_k,
+    sigma_data,
 )
-from padicsums.poly import parse_polynomial
+from padicsums.poly import Polynomial, parse_polynomial
 from padicsums.sums import brute_force_S
 from conftest import random_polynomial
 
@@ -233,3 +236,67 @@ def test_ab_ratio_monitor_is_bounded():
     rows = ab_ratio_monitor(P, 3, 6, EPS)
     assert all(r["sup_A_ratio"] < 100 and r["sup_B_ratio"] < 100 for r in rows)
     assert len(rows) == len(enumerate_faces(P))
+
+
+# -- face sigmas are built on first read ----------------------------------------
+
+def spy_builds(monkeypatch) -> list:
+    """Every polyhedron built through ``build_polyhedron`` from now on, in
+    call order."""
+    real, built = newton.build_polyhedron, []
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    for module in (newton, faceformula):
+        monkeypatch.setattr(module, "build_polyhedron", spy)
+    return built
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    return spy_builds(monkeypatch)
+
+
+def test_verify_formula_and_rhs_assembly_build_one_polyhedron(corpus, builds):
+    for f in corpus:
+        builds.clear()
+        verify_formula(f, 3, [1, 2], Fraction(1, 10 ** 4))
+        assert len(builds) == 1
+        builds.clear()
+        rhs_assembly(f, 3, 2, Fraction(1, 10 ** 4))
+        assert len(builds) == 1
+
+
+def _assert_sigmas_fresh_after_verify(f, p, builds):
+    builds.clear()
+    verify_formula(f, p, [1], Fraction(1, 10), report_when_degenerate=True)
+    P = builds[0]
+    assert len(builds) == 1  # no face sigma was read yet
+    for face in P.faces:
+        assert face.sigma_tau == sigma_data(newton.build_polyhedron(face.restriction)).sigma
+
+
+def test_face_sigmas_after_verify_match_fresh_builds(corpus, builds):
+    for f in corpus:
+        _assert_sigmas_fresh_after_verify(f, 3, builds)
+
+
+@st.composite
+def small_polynomials(draw) -> Polynomial:
+    n = draw(st.integers(1, 4))
+    exps = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=6, unique=True
+        )
+    )
+    coefs = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(exps), max_size=len(exps)))
+    return Polynomial(n, dict(zip(exps, coefs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=small_polynomials(), p=st.sampled_from([2, 3]))
+def test_face_sigmas_after_verify_match_fresh_builds_random(f, p):
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_sigmas_fresh_after_verify(f, p, spy_builds(mp))

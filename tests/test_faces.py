@@ -33,6 +33,8 @@ def _dot(a, b) -> int:
 
 
 def oracle_faces(P: NewtonPolyhedron):
+    """The faces of P by the subset sweep, each paired with sigma_tau from a
+    fresh build of its restriction."""
     nf = len(P.facets)
     keys = {}
     for mask in range(2 ** nf):
@@ -63,12 +65,19 @@ def oracle_faces(P: NewtonPolyhedron):
         spans += [np.eye(P.n, dtype=int)[a] for a in axes]
         dim = int(np.linalg.matrix_rank(np.array(spans))) if spans else 0
         sigma_tau = sigma_data(build_polyhedron(restr)).sigma
-        records.append(((dim, (vids, axes)), active, witness, sigma_tau, restr))
+        records.append(((dim, (vids, axes)), active, witness, restr, sigma_tau))
     records.sort(key=lambda r: r[0])
     return [
-        Face(i, vids, axes, dim, active, witness, sigma_tau, restr)
-        for i, ((dim, (vids, axes)), active, witness, sigma_tau, restr) in enumerate(records)
+        (Face(i, vids, axes, dim, active, witness, restr, P), sigma_tau)
+        for i, ((dim, (vids, axes)), active, witness, restr, sigma_tau) in enumerate(records)
     ]
+
+
+def assert_faces_match_oracle(P: NewtonPolyhedron) -> None:
+    want = oracle_faces(P)
+    faces = enumerate_faces(P)
+    assert faces == [face for face, _ in want]
+    assert [face.sigma_tau for face in faces] == [sigma for _, sigma in want]
 
 
 def staircase(vertices: int) -> Polynomial:
@@ -94,7 +103,7 @@ def polynomials(draw) -> Polynomial:
 def test_faces_match_subset_sweep(f):
     P = build_polyhedron(f)
     assume(len(P.facets) <= 12)
-    assert enumerate_faces(P) == oracle_faces(P)
+    assert_faces_match_oracle(P)
 
 
 @pytest.mark.parametrize("facets", [14, 16])
@@ -103,7 +112,7 @@ def test_staircase_faces_match_subset_sweep(facets):
     assert len(P.facets) == facets
     faces = enumerate_faces(P)
     assert len(faces) == 2 * facets  # vertices, edges and the polyhedron
-    assert faces == oracle_faces(P)
+    assert_faces_match_oracle(P)
 
 
 def _euler(faces) -> int:
@@ -135,6 +144,14 @@ def test_equality_ignores_what_was_derived():
     P, Q = build_polyhedron(f), build_polyhedron(f)
     enumerate_faces(P)
     assert P == Q and repr(P) == repr(Q)
+
+
+def test_face_equality_ignores_whether_sigma_was_read(corpus):
+    for f in corpus:
+        read, unread = enumerate_faces(build_polyhedron(f)), enumerate_faces(build_polyhedron(f))
+        sigmas = [face.sigma_tau for face in read]
+        assert read == unread and repr(read) == repr(unread)
+        assert [face.sigma_tau for face in unread] == sigmas
 
 
 @st.composite

@@ -2,9 +2,10 @@
 
 ``oracle_points`` is the original one-point-at-a-time generator; the Fraction
 references below are the original per-point nu-inequality check and cone-sum
-fold.  The blocked enumerator, the integer-scaled nu check and the np.unique
-fold must reproduce them exactly, in order, for any block size and on both
-the int64 and the Python-integer (dtype=object) paths.
+fold.  The blocked enumerator with its sorted-key face lookup, the
+integer-scaled nu check and the bucketed np.bincount fold must reproduce them
+exactly, in order, for any block size and on both the int64 and the
+Python-integer (dtype=object) paths.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from padicsums.newton import (
     INT64_SAFE,
     FaceKey,
     LatticePoint,
+    N_bound,
     NewtonPolyhedron,
     build_polyhedron,
     enumerate_faces,
@@ -29,7 +31,7 @@ from padicsums.newton import (
     lattice_blocks,
     sigma_data,
 )
-from padicsums.poly import Polynomial
+from padicsums.poly import Polynomial, parse_polynomial
 
 
 def _dot(a, b) -> int:
@@ -132,11 +134,13 @@ def test_blocked_layer_matches_oracle(f, T, block, p, python_ints):
 
 
 def test_block_boundaries_on_corpus(corpus, monkeypatch):
-    monkeypatch.setattr(newton, "LATTICE_BLOCK", 97)
-    for f in corpus:
-        P = build_polyhedron(f)
-        assert list(enumerate_lattice_points(P, 9)) == list(oracle_points(P, 9))
-        assert check_nu_inequality(f, 9) == nu_reference(f, 9)
+    # at 3 rows, tails of one, two and three entries are all reused
+    for block in (97, 3):
+        monkeypatch.setattr(newton, "LATTICE_BLOCK", block)
+        for f in corpus:
+            P = build_polyhedron(f)
+            assert list(enumerate_lattice_points(P, 9)) == list(oracle_points(P, 9))
+            assert check_nu_inequality(f, 9) == nu_reference(f, 9)
 
 
 @pytest.mark.parametrize("e", [2 ** 61, 2 ** 40])
@@ -153,3 +157,36 @@ def test_huge_exponents_take_exact_object_path(e):
     assert check_nu_inequality(f, T) == nu_reference(f, T)
     ms, eps = [0, 1, 2], Fraction(1, 10)
     assert cone_sums_multi(P, 3, ms, eps) == cone_reference(P, 3, ms, eps)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_fold_buckets_match_reference(corpus, block, python_ints, monkeypatch):
+    # m values with gaps and duplicates, m = 0 (B is empty), m = N_bound + 1
+    # (its own cut is dropped, m - 1's is kept) and one m far above every N
+    if block is not None:
+        monkeypatch.setattr(newton, "LATTICE_BLOCK", block)
+    if python_ints:
+        for module in (newton, bounds, faceformula):
+            monkeypatch.setattr(module, "INT64_SAFE", 1)
+    p, eps = 3, Fraction(1, 10)
+    for f in corpus:
+        P = build_polyhedron(f)
+        T, _ = truncation_level(p, P.n, eps)
+        ms = [5, 0, 2, 2, 9, 1, N_bound(P, T) + 1, 10 ** 30, 5]
+        assert cone_sums_multi(P, p, ms, eps) == cone_reference(P, p, ms, eps)
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_pattern_of_no_face_raises_key_error(python_ints, monkeypatch):
+    if python_ints:  # object pattern keys and products
+        monkeypatch.setattr(newton, "INT64_SAFE", 1)
+    f = parse_polynomial("x^2+y^3")
+    whole = build_polyhedron(f).faces
+    T = max(sum(face.witness_k) for face in whole)  # every witness is enumerated
+    for dropped in whole:
+        P = build_polyhedron(f)
+        P.__dict__["faces"] = tuple(face for face in whole if face != dropped)
+        with pytest.raises(KeyError) as err:
+            list(lattice_blocks(P, T))
+        assert err.value.args[0] == dropped.key
