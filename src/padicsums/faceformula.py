@@ -40,7 +40,7 @@ from .newton import (
     lattice_blocks,
     sigma_data,
 )
-from .poly import ExponentVector, Polynomial
+from .poly import Polynomial
 from .sums import (
     DEFAULT_WORK_BUDGET,
     KERNEL_EPS,
@@ -206,15 +206,15 @@ def _torus_values(
 ) -> Dict[int, SumValue]:
     """E(p, f_tau) per face id, memoized across faces sharing a restriction."""
     wanted = set(needed) if needed is not None else {f.id for f in faces}
-    memo: Dict[Tuple[Tuple[ExponentVector, int], ...], SumValue] = {}
+    memo: Dict[Polynomial, SumValue] = {}
     out: Dict[int, SumValue] = {}
     for face in faces:
         if face.id not in wanted:
             continue
-        key = tuple(sorted(face.restriction.terms.items()))
-        if key not in memo:
-            memo[key] = torus_E(face.restriction, p, workers=workers, work_budget=work_budget)
-        out[face.id] = memo[key]
+        restr = face.restriction
+        if restr not in memo:
+            memo[restr] = torus_E(restr, p, workers=workers, work_budget=work_budget)
+        out[face.id] = memo[restr]
     return out
 
 

@@ -4,12 +4,16 @@ face lattice, and the diagonal invariants sigma, F0 and kappa.
 The polyhedron of f is conv(Supp(f)) + R_+^n.  Its H-representation is
 computed by an incremental double description pass over the homogenization
 cone spanned by the lifted support points and the orthant rays, in exact
-integer arithmetic; every derived quantity is an int or a Fraction.  Faces
-are canonically keyed by (vertex index set, recession axis set), which
-determines a face of this class of polyhedra (pointed, recession cone equal
-to the orthant).  A polyhedron is immutable: its faces, its diagonal data and
-the sigma of each face restriction are derived once, on first use, and never
-change what it compares equal to.
+integer arithmetic; every derived quantity is an int or a Fraction.  The
+vertices are the support points whose tight facets no other support point
+shares in full.  Faces are canonically keyed by (vertex index set, recession
+axis set), which determines a face of this class of polyhedra (pointed,
+recession cone equal to the orthant).  The Newton polyhedron of a face
+restriction f_tau is conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the
+face's vertex set: one vertex or a segment is solved in closed form, and only
+three or more vertices need a polyhedron of their own.  A polyhedron is
+immutable: its faces, its diagonal data and the sigma of each vertex set are
+derived once, on first use, and never change what it compares equal to.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
@@ -36,7 +42,7 @@ FaceKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertex ids, 0-based recess
 # ---------------------------------------------------------------------------
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
@@ -87,48 +93,76 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, .
     ]
 
 
+def _independent_rows(rows: Sequence[Sequence[int]], d: int) -> List[int]:
+    """Indices of the first ``d`` rows that are linearly independent, taken
+    greedily in order, by one incremental fraction-free elimination.
+
+    Each accepted row is kept reduced against the rows accepted before it,
+    so it vanishes at their pivot columns and a candidate is independent
+    exactly when its reduction leaves a nonzero row.
+    """
+    echelon: List[Tuple[int, List[int]]] = []  # (pivot column, reduced row)
+    base: List[int] = []
+    for i, row in enumerate(rows):
+        r = list(row)
+        for c, e in echelon:
+            if r[c]:
+                a, b = e[c], r[c]
+                r = [a * x - b * y for x, y in zip(r, e)]
+        pivot = next((c for c, x in enumerate(r) if x), None)
+        if pivot is None:
+            continue
+        g = gcd(*r)
+        echelon.append((pivot, [x // g for x in r]))
+        base.append(i)
+        if len(base) == d:
+            return base
+    raise ValueError("inequality system is rank deficient")
+
+
 def _extreme_rays(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     """Extreme rays of the pointed cone {a : row . a >= 0 for every row}.
 
-    Incremental double description with the combinatorial adjacency test.
-    The caller guarantees the row system has full column rank and a pointed
-    solution cone; both hold for the homogenization systems built here.
+    Incremental double description (Fukuda & Prodon, "Double Description
+    Method Revisited", 1996) with the combinatorial adjacency test.  The
+    first d independent rows give the initial simplicial cone; each ray then
+    carries its zero set (the rows seen so far that it is tight on) as a
+    bitmask, updated as rows are added: a kept ray gains the new row when it
+    is tight on it, and a new ray, a positive combination of an adjacent
+    (+, -) pair, is tight on the new row and on the rows both parents are
+    tight on.  The caller guarantees the row system has full column rank
+    and a pointed solution cone; both hold for the homogenization systems
+    built here.
     """
-    d = len(rows[0])
-    base: List[int] = []
-    for i in range(len(rows)):
-        if _gauss_jordan([rows[j] for j in base] + [rows[i]])[0] > len(base):
-            base.append(i)
-            if len(base) == d:
-                break
-    if len(base) < d:
-        raise ValueError("inequality system is rank deficient")
-
+    base = _independent_rows(rows, len(rows[0]))
+    # column c of the inverse is tight on every base row except base[c]
     rays = _gauss_jordan([rows[i] for i in base])[1]
-    active = list(base)
-    for idx in (i for i in range(len(rows)) if i not in set(base)):
-        a = rows[idx]
-        vals = [_dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            active.append(idx)
+    base_mask = sum(1 << i for i in base)
+    zeros = [base_mask ^ (1 << i) for i in base]
+    for idx, a in enumerate(rows):
+        bit = 1 << idx
+        if base_mask & bit:
             continue
-        zsets = [frozenset(j for j in active if _dot(rows[j], r) == 0) for r in rays]
-        keep = [r for r, v in zip(rays, vals) if v >= 0]
-        new: List[Tuple[int, ...]] = []
+        vals = [_dot(a, r) for r in rays]
+        if min(vals) >= 0:
+            zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
+            continue
+        merged: Dict[Tuple[int, ...], int] = {
+            r: z | bit if v == 0 else z for r, z, v in zip(rays, zeros, vals) if v >= 0
+        }
         plus = [i for i, v in enumerate(vals) if v > 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
         for ip in plus:
             for im in minus:
-                z = zsets[ip] & zsets[im]
-                if any(k != ip and k != im and z <= zsets[k] for k in range(len(rays))):
+                z = zeros[ip] & zeros[im]
+                if any(k != ip and k != im and z & zk == z for k, zk in enumerate(zeros)):
                     continue
                 combo = tuple(
                     vals[ip] * rm - vals[im] * rp
                     for rp, rm in zip(rays[ip], rays[im])
                 )
-                new.append(_primitive(combo))
-        rays = list(dict.fromkeys(keep + new))
-        active.append(idx)
+                merged[_primitive(combo)] = z | bit
+        rays, zeros = list(merged), list(merged.values())
     return rays
 
 
@@ -169,8 +203,9 @@ class Face:
 
     @property
     def sigma_tau(self) -> Fraction:
-        """sigma(f_tau), computed on first read and kept on the polyhedron."""
-        return self.polyhedron.restriction_sigma(self.restriction)
+        """sigma(f_tau), which depends only on the face's vertex set;
+        computed on first read and kept on the polyhedron."""
+        return self.polyhedron.vertex_sigma(self.vertex_ids)
 
 
 class Diagonal(NamedTuple):
@@ -246,20 +281,64 @@ class NewtonPolyhedron:
         return self.faces[self.face_index[key]]
 
     @cached_property
-    def _restriction_sigmas(self) -> Dict[Tuple[ExponentVector, ...], Fraction]:
-        # the whole polyhedron restricts to f itself, whose sigma is P's own
-        return {self.source.support: self.diagonal.sigma}
+    def _vertex_sigmas(self) -> Dict[Tuple[int, ...], Fraction]:
+        # the whole vertex set spans P itself, whose sigma is P's own
+        return {tuple(range(len(self.vertices))): self.diagonal.sigma}
 
-    def restriction_sigma(self, restr: Polynomial) -> Fraction:
-        """sigma of a face restriction of f, built on first request and
-        memoized by its support (sigma depends on nothing else)."""
-        memo = self._restriction_sigmas
-        skey = restr.support
-        if skey not in memo:
-            # the restriction's diagonal only, never its faces: no recursion;
-            # f_tau has P's dimension, which P's own build already admitted
-            memo[skey] = build_polyhedron(restr, dimension_cap=self.n).diagonal.sigma
-        return memo[skey]
+    def vertex_sigma(self, vertex_ids: Tuple[int, ...]) -> Fraction:
+        """sigma of conv(V) + R_+^n for the vertices V with these ids,
+        computed on first request and memoized by the id tuple.
+
+        This is sigma(f_tau) for every face tau with exactly these vertices:
+        Supp(f_tau) lies in tau, inside conv(V_tau) + R_+^n, and holds
+        V_tau, so Newton(f_tau) = conv(V_tau) + R_+^n.
+        """
+        memo = self._vertex_sigmas
+        if vertex_ids not in memo:
+            memo[vertex_ids] = 1 / _hull_t_star([self.vertices[i] for i in vertex_ids], self.n)
+        return memo[vertex_ids]
+
+
+def _hull_t_star(points: Sequence[ExponentVector], n: int) -> Fraction:
+    """t* = min over x in conv(points) of max_j x_j, where the diagonal first
+    meets conv(points) + R_+^n.
+
+    One point: its largest entry.  Two points: the segment's minimum, in
+    closed form (``_segment_t_star``).  Three or more: the diagonal of the
+    polyhedron of the polynomial with exactly these points as support, built
+    under P's dimension, which P's own build already admitted.  That build
+    reads only facets, never faces, so it does not recurse.
+    """
+    if len(points) == 1:
+        return Fraction(max(points[0]))
+    if len(points) == 2:
+        return _segment_t_star(*points)
+    return build_polyhedron(Polynomial(n, dict.fromkeys(points, 1)), dimension_cap=n).diagonal.t_star
+
+
+def _segment_t_star(a: ExponentVector, b: ExponentVector) -> Fraction:
+    """min over lam in [0, 1] of max_j (a_j + lam * (b_j - a_j)), exactly.
+
+    The upper envelope of the n lines is convex and piecewise linear, so its
+    minimum is attained at lam = 0, at lam = 1 or where two lines cross.
+    Every candidate lam = num/den (den > 0) is scored in integers, starting
+    from lam = 0:
+    max_j (a_j * den + num * slope_j) / den, compared by cross-multiplying.
+    """
+    slopes = [y - x for x, y in zip(a, b)]
+    candidates = [(1, 1)]
+    for i, j in combinations(range(len(a)), 2):
+        num, den = a[j] - a[i], slopes[i] - slopes[j]
+        if den < 0:
+            num, den = -num, -den
+        if 0 < num < den:
+            candidates.append((num, den))
+    best_val, best_den = max(a), 1
+    for num, den in candidates:
+        val = max(x * den + num * d for x, d in zip(a, slopes))
+        if val * best_den < best_val * den:
+            best_val, best_den = val, den
+    return Fraction(best_val, best_den)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +350,15 @@ def build_polyhedron(
 ) -> NewtonPolyhedron:
     """Exact V- and H-representation of conv(Supp(f)) + R_+^n.
 
-    Requires f nonconstant with f(0) = 0.  Facet normals come out primitive
-    with nonnegative entries; offsets are the exact minima over the support.
+    Requires f nonconstant with f(0) = 0.  Facets are the extreme rays of the
+    homogenization cone (``_extreme_rays``); normals come out primitive with
+    nonnegative entries and offsets are the exact minima over the support.
+    Each facet's dots over the support are computed once: they check the
+    offset and give every support point its tight facets as a bitmask.  A
+    support point is a vertex iff no other support point is tight on every
+    facet it is tight on: the facets tight at s cut out the smallest face
+    containing s, which is {s} for a vertex and otherwise holds a vertex of
+    this pointed polyhedron, and every vertex is a support point.
     """
     if f.n > dimension_cap:
         raise DimensionTooLarge(f"dimension {f.n} exceeds cap {dimension_cap}")
@@ -289,18 +375,22 @@ def build_polyhedron(
     facets: List[Facet] = []
     for ray in _extreme_rays(rows):
         k, c = ray[:-1], ray[-1]
-        if all(x == 0 for x in k):
-            continue  # homogenization facet t >= 0
-        offset = -c
-        assert offset == min(_dot(k, v) for v in support)
-        facets.append(Facet(tuple(k), offset))
+        if any(k):  # else the homogenization facet t >= 0
+            facets.append(Facet(tuple(k), -c))
     facets.sort(key=lambda F: F.normal)
 
-    verts = []
-    for v in support:
-        tight = [F.normal for F in facets if _dot(F.normal, v) == F.offset]
-        if _gauss_jordan(tight)[0] == f.n:
-            verts.append(v)
+    # bit j of tight[s]: support point s lies on facet j
+    tight = [0] * len(support)
+    for j, F in enumerate(facets):
+        dots = [_dot(F.normal, v) for v in support]
+        assert F.offset == min(dots)
+        for s, x in enumerate(dots):
+            if x == F.offset:
+                tight[s] |= 1 << j
+    verts = [
+        v for s, (v, ts) in enumerate(zip(support, tight))
+        if not any(t != s and ts & tt == ts for t, tt in enumerate(tight))
+    ]
 
     P = NewtonPolyhedron(n=f.n, vertices=tuple(verts), facets=tuple(facets), source=f)
     _check_duality(P, support)
@@ -418,8 +508,8 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
     facets and the support points of its restriction f_tau.  Each face
     carries its active facets, the sum of their normals as witness
     (minimizing over P at the witness recovers the face) and f_tau.  Its
-    sigma_tau = sigma(f_tau) is built only when first read, once per
-    distinct restriction support of P.
+    sigma_tau = sigma(f_tau) is computed only when first read, once per
+    distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
     """
     return list(P.faces)
 

@@ -50,6 +50,10 @@ class Polynomial:
             raise ValueError("empty term map; zero polynomials are signalled with None")
         object.__setattr__(self, "terms", clean)
 
+    def __hash__(self) -> int:
+        # consistent with ==, which compares the term maps regardless of order
+        return hash((self.n, frozenset(self.terms.items())))
+
     @property
     def support(self) -> Tuple[ExponentVector, ...]:
         """Exponent vectors with nonzero coefficient, in sorted order."""

@@ -624,15 +624,15 @@ def check_nondegenerate_mod_p(
     """
     _require_prime(p)
     _require_int64_residues(p)
-    restrictions = {face.restriction.support: face.restriction for face in faces}
+    restrictions = dict.fromkeys(face.restriction for face in faces)
     estimated = (p - 1) ** f.n * len(restrictions)
     if estimated > work_budget:
         raise WorkBudgetExceeded(estimated, work_budget)
 
-    witnesses = {key: _first_critical_point(g, p) for key, g in restrictions.items()}
+    witnesses = {g: _first_critical_point(g, p) for g in restrictions}
     entries = []
     for face in faces:
-        witness = witnesses[face.restriction.support]
+        witness = witnesses[face.restriction]
         entries.append(FaceNondeg(face_id=face.id, passed=witness is None, witness=witness))
     entries.sort(key=lambda e: e.face_id)
     return NondegReport(prime=p, entries=tuple(entries))

@@ -1,5 +1,6 @@
-"""Shared fixtures: the verification corpus and a seeded random-polynomial
-source.  Hypothesis runs derandomized, so every run tries the same examples."""
+"""Shared fixtures: the verification corpus, a seeded random-polynomial
+source and spies that count kernel tasks and polyhedron builds.  Hypothesis
+runs derandomized, so every run tries the same examples."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import Optional
 import pytest
 from hypothesis import settings
 
-from padicsums import sums
+from padicsums import bounds, cli, faceformula, newton, sums
 from padicsums.poly import Polynomial, parse_polynomial
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -40,6 +41,25 @@ def task_plans(monkeypatch):
 
     monkeypatch.setattr(sums, "_split_range", spy)
     return plans
+
+
+def spy_builds(monkeypatch) -> list:
+    """Every polyhedron built through ``build_polyhedron`` from now on, in
+    call order, whichever padicsums module made the call."""
+    real, built = newton.build_polyhedron, []
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    for module in (newton, faceformula, bounds, cli):
+        monkeypatch.setattr(module, "build_polyhedron", spy)
+    return built
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    return spy_builds(monkeypatch)
 
 
 def random_polynomial(

@@ -1,0 +1,238 @@
+"""The polyhedron build against the rank-based procedures it replaced, and
+face sigmas by vertex set against fresh builds of each face restriction.
+
+``oracle_extreme_rays`` is the earlier double description pass: base rows
+picked by one Gauss-Jordan rank per candidate, zero sets recomputed from the
+rows for every added row.  ``oracle_vertices`` is the earlier vertex test: a
+support point is a vertex iff the normals of its tight facets have rank n.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from padicsums.newton import (
+    _extreme_rays,
+    _gauss_jordan,
+    _independent_rows,
+    _primitive,
+    _segment_t_star,
+    build_polyhedron,
+    sigma_data,
+)
+from padicsums.poly import Polynomial, parse_polynomial
+from conftest import random_polynomial
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+# -- oracles: the rank-based procedures the build used before ------------------
+
+def oracle_extreme_rays(rows):
+    d = len(rows[0])
+    base = []
+    for i in range(len(rows)):
+        if _gauss_jordan([rows[j] for j in base] + [rows[i]])[0] > len(base):
+            base.append(i)
+            if len(base) == d:
+                break
+    assert len(base) == d, "inequality system is rank deficient"
+
+    rays = _gauss_jordan([rows[i] for i in base])[1]
+    active = list(base)
+    for idx in (i for i in range(len(rows)) if i not in set(base)):
+        a = rows[idx]
+        vals = [_dot(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            active.append(idx)
+            continue
+        zsets = [frozenset(j for j in active if _dot(rows[j], r) == 0) for r in rays]
+        keep = [r for r, v in zip(rays, vals) if v >= 0]
+        new = []
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        for ip in plus:
+            for im in minus:
+                z = zsets[ip] & zsets[im]
+                if any(k != ip and k != im and z <= zsets[k] for k in range(len(rays))):
+                    continue
+                combo = tuple(vals[ip] * rm - vals[im] * rp for rp, rm in zip(rays[ip], rays[im]))
+                new.append(_primitive(combo))
+        rays = list(dict.fromkeys(keep + new))
+        active.append(idx)
+    return rays
+
+
+def oracle_vertices(P, support):
+    verts = []
+    for v in support:
+        tight = [F.normal for F in P.facets if _dot(F.normal, v) == F.offset]
+        if _gauss_jordan(tight)[0] == P.n:
+            verts.append(v)
+    return tuple(verts)
+
+
+def homogenization_rows(support, n):
+    rows = [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
+    return rows + [tuple(v) + (1,) for v in sorted(support)]
+
+
+def random_support(rng: random.Random, n: int):
+    """A few random points plus points that are no vertices: the centroid of
+    three points, a point between two, and a point dominated by one."""
+    base = {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))}
+    base = sorted(v for v in base if any(v))
+    support = set(base)
+    if len(base) >= 3:
+        a, b, c = rng.sample(base, 3)
+        support |= {tuple(3 * x for x in v) for v in (a, b, c)}
+        support.add(tuple(x + y + z for x, y, z in zip(a, b, c)))  # interior
+    if len(base) >= 2:
+        a, b = rng.sample(base, 2)
+        support |= {tuple(2 * x for x in a), tuple(2 * x for x in b)}
+        support.add(tuple(x + y for x, y in zip(a, b)))  # collinear, between
+    if base:
+        v = list(rng.choice(base))
+        v[rng.randrange(n)] += rng.randint(1, 3)
+        support.add(tuple(v))  # axis-dominated
+    return sorted(support) or [(1,) * n]
+
+
+# -- the leaner build agrees with the oracles -----------------------------------
+
+def test_independent_rows_takes_the_first_rank_increasing_rows():
+    rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4), (5, 0, 0), (9, 9, 9)]
+    assert _independent_rows(rows, 3) == [0, 2, 4]
+    with pytest.raises(ValueError):
+        _independent_rows(rows[:4], 3)
+
+
+def test_extreme_rays_and_vertices_match_rank_oracles_random():
+    rng = random.Random(8080)
+    for trial in range(150):
+        n = 1 + trial % 5
+        support = random_support(rng, n)
+        rows = homogenization_rows(support, n)
+        assert set(_extreme_rays(rows)) == set(oracle_extreme_rays(rows))
+        P = build_polyhedron(Polynomial(n, dict.fromkeys(support, 1)))
+        assert P.vertices == oracle_vertices(P, support)
+
+
+def test_non_vertices_of_every_kind_are_excluded():
+    # (2,2,2) is the centroid, (3,3,0) lies between two points and (3,0,1)
+    # is dominated by (3,0,0)
+    support = [(3, 0, 0), (0, 3, 0), (3, 3, 6), (2, 2, 2), (3, 0, 1), (6, 0, 0), (0, 6, 0), (3, 3, 0)]
+    P = build_polyhedron(Polynomial(3, dict.fromkeys(support, 1)))
+    assert P.vertices == oracle_vertices(P, sorted(support)) == ((0, 3, 0), (3, 0, 0))
+
+
+# -- face sigmas from the vertex set --------------------------------------------
+
+def test_segment_minimum_at_an_interior_crossing():
+    # x^3 + y^2: 3 lam = 2 - 2 lam at lam = 2/5, so t* = 6/5 and sigma = 5/6
+    assert _segment_t_star((0, 2), (3, 0)) == Fraction(6, 5)
+    assert _segment_t_star((3, 0), (0, 2)) == Fraction(6, 5)
+
+
+def test_segment_minimum_at_an_endpoint():
+    # x^2*y + x^3: max_j is 2 + lam on the whole segment, least at (2, 1)
+    assert _segment_t_star((2, 1), (3, 0)) == 2
+    assert _segment_t_star((3, 0), (2, 1)) == 2
+
+
+def test_segment_minimum_among_many_lines():
+    # lines 4 - 4 lam, 1 + 2 lam, 3 lam, 2: the envelope is least at lam = 1/2
+    assert _segment_t_star((4, 1, 0, 2), (0, 3, 3, 2)) == 2
+    # lines 5 - 5 lam, 4 lam, 1 + 3 lam: 5 - 5 lam meets 1 + 3 lam at lam = 1/2
+    assert _segment_t_star((5, 0, 1), (0, 4, 4)) == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("text, edge, sigma", [
+    ("x^3+y^2+z", ((0, 2, 0), (3, 0, 0)), Fraction(5, 6)),
+    ("x^2*y+x^3+z^5", ((2, 1, 0), (3, 0, 0)), Fraction(1, 2)),
+])
+def test_two_vertex_faces_need_no_build(text, edge, sigma, builds):
+    P = build_polyhedron(parse_polynomial(text))
+    builds.clear()
+    ids = tuple(sorted(P.vertices.index(v) for v in edge))
+    faces = [face for face in P.faces if face.vertex_ids == ids]
+    assert faces and all(face.sigma_tau == sigma for face in faces)
+    assert builds == []
+    assert all(sigma_data(build_polyhedron(face.restriction)).sigma == sigma for face in faces)
+
+
+@st.composite
+def polynomials_up_to_five(draw) -> Polynomial:
+    n = draw(st.integers(1, 5))
+    exps = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=7, unique=True
+        )
+    )
+    coefs = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(exps), max_size=len(exps)))
+    return Polynomial(n, dict(zip(exps, coefs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=polynomials_up_to_five())
+@example(f=parse_polynomial("x*y+z*u"))
+@example(f=parse_polynomial("x^2*y+y^2*z+z^2*u+u^2*v+v^2*x"))
+@example(f=parse_polynomial("x^4+x^2*y*z+y^4+z^4+x*y*z*u"))
+def test_face_sigmas_match_fresh_builds_of_their_restrictions(f):
+    P = build_polyhedron(f)
+    assert any(face.recession_axes for face in P.faces)
+    for face in P.faces:
+        assert face.sigma_tau == sigma_data(build_polyhedron(face.restriction)).sigma
+
+
+def _sigma_builds(P):
+    """Vertex sets whose sigma needs a build: at least 3 vertices, and not
+    P's own, whose sigma P's diagonal already holds."""
+    whole = tuple(range(len(P.vertices)))
+    return {face.vertex_ids for face in P.faces if len(face.vertex_ids) >= 3} - {whole}
+
+
+def test_sigmas_build_once_per_vertex_set_of_three_or_more(corpus, builds):
+    rng = random.Random(55)
+    polys = list(corpus) + [random_polynomial(rng, n=rng.randint(2, 5), max_terms=8, max_exp=4) for _ in range(20)]
+    for f in polys:
+        P = build_polyhedron(f)
+        builds.clear()
+        sigmas = [face.sigma_tau for face in P.faces]
+        wanted = _sigma_builds(P)
+        assert len(builds) == len(wanted)
+        assert {Q.source.support for Q in builds} == {
+            tuple(P.vertices[i] for i in ids) for ids in wanted
+        }
+        assert [face.sigma_tau for face in P.faces] == sigmas and len(builds) == len(wanted)
+
+
+def test_two_vertex_polyhedron_reads_every_sigma_without_a_build(builds):
+    P = build_polyhedron(parse_polynomial("x*y+z*u"))
+    builds.clear()
+    assert len(P.faces) == 34
+    assert {face.sigma_tau for face in P.faces} == {Fraction(1), Fraction(2)}
+    assert builds == []
+
+
+def test_faces_of_two_builds_form_one_set(corpus):
+    for f in corpus:
+        first, second = build_polyhedron(f), build_polyhedron(f)
+        assert first == second and hash(first) == hash(second)
+        assert set(first.faces) == set(second.faces)
+        assert len(set(first.faces) | set(second.faces)) == len(first.faces)
+
+
+def test_vertex_sigma_memo_lives_on_the_polyhedron():
+    f = parse_polynomial("x^2*y+y^2*z+z^2*x+x*y*z")
+    first, second = build_polyhedron(f), build_polyhedron(f)
+    for face in first.faces:
+        face.sigma_tau
+    assert set(first.__dict__["_vertex_sigmas"]) == {face.vertex_ids for face in first.faces}
+    assert "_vertex_sigmas" not in second.__dict__

@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsums import faceformula, newton
+from padicsums import newton
 from padicsums.faceformula import (
     ab_ratio_monitor,
     cone_sums,
@@ -32,7 +32,7 @@ from padicsums.newton import (
 )
 from padicsums.poly import Polynomial, parse_polynomial
 from padicsums.sums import brute_force_S
-from conftest import random_polynomial
+from conftest import random_polynomial, spy_builds
 
 EPS = Fraction(1, 10 ** 8)
 
@@ -239,25 +239,6 @@ def test_ab_ratio_monitor_is_bounded():
 
 
 # -- face sigmas are built on first read ----------------------------------------
-
-def spy_builds(monkeypatch) -> list:
-    """Every polyhedron built through ``build_polyhedron`` from now on, in
-    call order."""
-    real, built = newton.build_polyhedron, []
-
-    def spy(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-
-    for module in (newton, faceformula):
-        monkeypatch.setattr(module, "build_polyhedron", spy)
-    return built
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    return spy_builds(monkeypatch)
-
 
 def test_verify_formula_and_rhs_assembly_build_one_polyhedron(corpus, builds):
     for f in corpus:

@@ -257,3 +257,15 @@ def test_polynomial_type_invariants():
         Polynomial(2, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(2, {})
+
+
+def test_equal_polynomials_hash_equal_whatever_the_term_order():
+    terms = {(2, 0, 1): 3, (0, 1, 0): -1, (1, 1, 1): 7}
+    f = Polynomial(3, terms)
+    g = Polynomial(3, dict(reversed(list(terms.items()))))
+    assert list(f.terms) != list(g.terms)
+    assert f == g and hash(f) == hash(g)
+    assert parse_polynomial("3*x^2*z - y + 7*x*y*z") == f
+    assert hash(parse_polynomial("7*x*y*z - y + 3*x^2*z")) == hash(f)
+    assert len({f, g, Polynomial(3, {(0, 1, 0): -1})}) == 2
+    assert Polynomial(4, {(2, 0, 1, 0): 3}) != Polynomial(3, {(2, 0, 1): 3})
