@@ -28,6 +28,7 @@ from .newton import (
     DEFAULT_POINT_CAP,
     INT64_SAFE,
     N_bound,
+    NewtonPolyhedron,
     build_polyhedron,
     enumerate_faces,
     lattice_blocks,
@@ -400,12 +401,12 @@ def e_decay_fit(
 # critical-locus dimension consistency gate
 # ---------------------------------------------------------------------------
 
-def check_sigma_dim_bound(f: Polynomial, d: int) -> bool:
-    """Whether sigma(f) <= (n - d)/2 for the user-asserted dimension d of the
-    critical locus.  The artifact never computes d; a False result flags an
-    inconsistent d or a failed hypothesis and is reported as a finding."""
-    deg = homogeneity(f)
+def check_sigma_dim_bound(P: NewtonPolyhedron, d: int) -> bool:
+    """Whether sigma(f) <= (n - d)/2 for f = P.source and the user-asserted
+    dimension d of the critical locus.  The artifact never computes d; a
+    False result flags an inconsistent d or a failed hypothesis and is
+    reported as a finding."""
+    deg = homogeneity(P.source)
     if deg is None or deg < 2:
         raise HypothesisUnmet("f must be homogeneous of degree >= 2")
-    sigma = build_polyhedron(f).diagonal.sigma
-    return sigma <= Fraction(f.n - d, 2)
+    return P.diagonal.sigma <= Fraction(P.n - d, 2)

@@ -7,6 +7,12 @@ human text, --json, or --csv on the subcommands whose report is a table
 (verify-formula, verify-nu, ratios, edecay); exact rational quantities
 are serialized as "numerator/denominator" strings, never floats.
 
+Two tables drive the parser, which is built once, at import.  ``_OPTIONS``
+maps each option name to its flags and argparse keywords; ``_COMMANDS``
+maps each subcommand to its handler, its help line and the names of the
+options it takes, a trailing ``!`` marking one it requires.  A handler
+receives the parsed namespace.
+
 Exit codes: 0 = all asserted checks pass, 1 = a hard assertion failed
 (the lattice inequality or a formula verdict), 2 = usage or budget error.
 Findings (half-dimension violations, ratio-ceiling flags, a failed
@@ -19,71 +25,25 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import bounds, faceformula
 from .errors import PadicSumsError
-from .newton import build_polyhedron, enumerate_faces, frac_str, polyhedron_to_dict, sigma_data
-from .poly import Polynomial, parse_polynomial, render
+from .newton import build_polyhedron, enumerate_faces, frac_str, polyhedron_to_dict
+from .poly import parse_polynomial, render
 from .sums import DEFAULT_WORK_BUDGET, brute_force_S, check_nondegenerate_mod_p, torus_E
-
-
-@dataclass
-class RunConfig:
-    command: str
-    polynomial: str
-    primes: List[int]
-    m_range: List[int]
-    eps: Optional[Fraction]
-    T: Optional[int]
-    work_budget: Optional[int]
-    workers: Optional[int]
-    out_format: str  # human | json | csv
-    out_file: Optional[str]
-    face_id: Optional[int] = None
-    d: Optional[int] = None
-    ratio_ceiling: Optional[float] = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        primes: List[int] = []
-        if getattr(args, "prime", None) is not None:
-            primes.append(args.prime)
-        if getattr(args, "primes", None):
-            primes.extend(_parse_primes(args.primes))
-        m_range: List[int] = []
-        if getattr(args, "power", None) is not None:
-            m_range.append(args.power)
-        if getattr(args, "powers", None):
-            m_range.extend(_parse_powers(args.powers))
-        fmt = "json" if args.json else ("csv" if getattr(args, "csv", False) else "human")
-        return cls(
-            command=args.command,
-            polynomial=args.polynomial,
-            primes=sorted(set(primes)),
-            m_range=sorted(set(m_range)),
-            eps=_parse_eps(args.eps) if hasattr(args, "eps") else None,
-            T=getattr(args, "T", None),
-            work_budget=getattr(args, "budget", None),
-            workers=getattr(args, "workers", None),
-            out_format=fmt,
-            out_file=args.out,
-            face_id=getattr(args, "face", None),
-            d=getattr(args, "d", None),
-            ratio_ceiling=getattr(args, "ceiling", None),
-        )
 
 
 def _parse_eps(text: str) -> Fraction:
     try:
         return Fraction(Decimal(text))
-    except ArithmeticError as exc:
-        raise ValueError(f"bad eps {text!r}: {exc}")
+    except (ArithmeticError, ValueError):
+        raise argparse.ArgumentTypeError(f"bad eps {text!r}: not a finite decimal number")
 
 
 def _parse_primes(text: str) -> List[int]:
@@ -97,26 +57,39 @@ def _parse_powers(text: str) -> List[int]:
     return [int(text)]
 
 
-def _emit(cfg: RunConfig, human: Sequence[str], obj: object, csv_rows: Optional[List[dict]] = None) -> None:
-    if cfg.out_format == "json":
-        text = json.dumps(obj, indent=2)
-    elif cfg.out_format == "csv" and csv_rows is not None:
+class _Union(argparse.Action):
+    """Add one value (--prime, --power) or a list (--primes, --powers) to
+    the option's sorted list without repeats."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        merged = set(getattr(namespace, self.dest) or ())
+        merged.update(values if isinstance(values, list) else [values])
+        setattr(namespace, self.dest, sorted(merged))
+
+
+def _emit(
+    args: argparse.Namespace,
+    human: Sequence[str],
+    obj: object,
+    table: Optional[Tuple[Sequence[str], List[dict]]] = None,
+) -> None:
+    """Write the report as JSON, as the CSV ``table`` (column names, rows)
+    when one is given and --csv is set, or as the ``human`` lines."""
+    if args.json:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    elif table is not None and args.csv:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows else ["empty"])
+        writer = csv.DictWriter(buf, fieldnames=table[0])
         writer.writeheader()
-        writer.writerows(csv_rows)
+        writer.writerows(table[1])
         text = buf.getvalue().rstrip("\n")
     else:
         text = "\n".join(human)
-    if cfg.out_file:
-        with open(cfg.out_file, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _poly(cfg: RunConfig) -> Polynomial:
-    return parse_polynomial(cfg.polynomial)
 
 
 def _complex_dict(value: complex) -> dict:
@@ -127,18 +100,16 @@ def _complex_dict(value: complex) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    P = build_polyhedron(_poly(cfg))
-    obj = polyhedron_to_dict(P)
-    sig = sigma_data(P)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    obj = polyhedron_to_dict(build_polyhedron(parse_polynomial(args.polynomial)))
     human = [
-        f"polynomial: {obj['polynomial']}   (n = {P.n})",
+        f"polynomial: {obj['polynomial']}   (n = {obj['n']})",
         f"vertices:   {[tuple(v) for v in obj['vertices']]}",
         "facets:     " + ", ".join(
             f"{tuple(fc['normal'])} . x >= {fc['offset']}" for fc in obj["facets"]
         ),
-        f"sigma = {frac_str(sig.sigma)}   t* = {frac_str(sig.t_star)}   "
-        f"kappa = {sig.kappa}   F0 = face {sig.f0_face_id}",
+        f"sigma = {obj['sigma']}   t* = {obj['t_star']}   "
+        f"kappa = {obj['kappa']}   F0 = face {obj['f0_face_id']}",
         "faces (id, dim, vertices, recession axes, sigma_tau, restriction):",
     ]
     for row in obj["faces"]:
@@ -146,17 +117,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
             f"  {row['id']:3d}  dim {row['dim']}  verts {row['vertices']}  "
             f"axes {row['recession_axes']}  sigma_tau {row['sigma_tau']}  {row['restriction']}"
         )
-    _emit(cfg, human, obj)
+    _emit(args, human, obj)
     return 0
 
 
-def cmd_nondeg(cfg: RunConfig) -> int:
-    f = _poly(cfg)
-    P = build_polyhedron(f)
-    faces = enumerate_faces(P)
+def cmd_nondeg(args: argparse.Namespace) -> int:
+    f = parse_polynomial(args.polynomial)
+    faces = enumerate_faces(build_polyhedron(f))
     reports = [
-        check_nondegenerate_mod_p(f, faces, p, work_budget=cfg.work_budget)
-        for p in cfg.primes
+        check_nondegenerate_mod_p(f, faces, p, work_budget=args.budget)
+        for p in args.primes
     ]
     obj = {"polynomial": render(f), "reports": [r.to_dict() for r in reports]}
     human = [f"polynomial: {render(f)}"]
@@ -164,14 +134,14 @@ def cmd_nondeg(cfg: RunConfig) -> int:
         human.append(f"p = {rep.prime}: {'pass' if rep.passed else 'FAIL'}")
         for e in rep.failures:
             human.append(f"    face {e.face_id} critical at {e.witness}")
-    _emit(cfg, human, obj)
+    _emit(args, human, obj)
     return 0
 
 
-def cmd_sum(cfg: RunConfig) -> int:
-    f = _poly(cfg)
-    p, m = cfg.primes[0], cfg.m_range[0]
-    s = brute_force_S(f, p, m, workers=cfg.workers, work_budget=cfg.work_budget)
+def cmd_sum(args: argparse.Namespace) -> int:
+    f = parse_polynomial(args.polynomial)
+    p, m = args.primes[0], args.powers[0]
+    s = brute_force_S(f, p, m, workers=args.workers, work_budget=args.budget)
     obj = {
         "polynomial": render(f), "p": p, "m": m,
         "value": _complex_dict(s.value),
@@ -182,23 +152,23 @@ def cmd_sum(cfg: RunConfig) -> int:
         f"S(p={p}, m={m}) = {s.value.real:.15g} + {s.value.imag:.15g}i   "
         f"(+/- {s.abs_error_budget:.3g}, {s.term_count} terms)"
     ]
-    _emit(cfg, human, obj)
+    _emit(args, human, obj)
     return 0
 
 
-def cmd_esum(cfg: RunConfig) -> int:
-    f = _poly(cfg)
-    p = cfg.primes[0]
+def cmd_esum(args: argparse.Namespace) -> int:
+    f = parse_polynomial(args.polynomial)
+    p = args.primes[0]
     target = f
-    if cfg.face_id is not None:
+    if args.face is not None:
         faces = enumerate_faces(build_polyhedron(f))
-        if not 0 <= cfg.face_id < len(faces):
-            raise ValueError(f"no face with id {cfg.face_id}")
-        target = faces[cfg.face_id].restriction
-    s = torus_E(target, p, workers=cfg.workers, work_budget=cfg.work_budget)
+        if not 0 <= args.face < len(faces):
+            raise ValueError(f"no face with id {args.face}")
+        target = faces[args.face].restriction
+    s = torus_E(target, p, workers=args.workers, work_budget=args.budget)
     obj = {
         "polynomial": render(f), "restriction": render(target),
-        "p": p, "face_id": cfg.face_id,
+        "p": p, "face_id": args.face,
         "value": _complex_dict(s.value),
         "abs_error_budget": s.abs_error_budget,
         "term_count": s.term_count,
@@ -207,16 +177,19 @@ def cmd_esum(cfg: RunConfig) -> int:
         f"E(p={p}, {render(target)}) = {s.value.real:.15g} + {s.value.imag:.15g}i   "
         f"(+/- {s.abs_error_budget:.3g})"
     ]
-    _emit(cfg, human, obj)
+    _emit(args, human, obj)
     return 0
 
 
-def cmd_verify_formula(cfg: RunConfig) -> int:
-    f = _poly(cfg)
-    p = cfg.primes[0]
+_FORMULA_COLUMNS = ("p", "m", "tol", "verdict", "T", "tail", "lhs_re", "lhs_im", "rhs_re", "rhs_im")
+
+
+def cmd_verify_formula(args: argparse.Namespace) -> int:
+    f = parse_polynomial(args.polynomial)
+    p = args.primes[0]
     reports = faceformula.verify_formula(
-        f, p, cfg.m_range, cfg.eps,
-        workers=cfg.workers, work_budget=cfg.work_budget,
+        f, p, args.powers, args.eps,
+        workers=args.workers, work_budget=args.budget,
     )
     rows = [rep.to_json_row() for rep in reports]
     obj = {
@@ -233,7 +206,7 @@ def cmd_verify_formula(cfg: RunConfig) -> int:
                 f"  m = {rep.m}: {rep.verdict}   |lhs-rhs| = "
                 f"{abs(rep.lhs.value - rep.rhs.value):.3e} <= tol {rep.certified_tolerance:.3e}"
             )
-    _emit(cfg, human, obj, csv_rows=[_flatten_formula_row(r) for r in rows])
+    _emit(args, human, obj, (_FORMULA_COLUMNS, [_flatten_formula_row(r) for r in rows]))
     if any(rep.verdict == "fail" for rep in reports):
         return 1
     if any(rep.verdict == "budget-exceeded" for rep in reports):
@@ -252,10 +225,12 @@ def _flatten_formula_row(row: dict) -> dict:
     return flat
 
 
-def cmd_verify_nu(cfg: RunConfig) -> int:
-    f = _poly(cfg)
-    T = cfg.T if cfg.T is not None else 30
-    res = bounds.check_nu_inequality(f, T)
+_NU_COLUMNS = ("k", "face_id", "nu", "N", "rhs_main", "rhs_halfdim", "main_ok", "halfdim_ok")
+
+
+def cmd_verify_nu(args: argparse.Namespace) -> int:
+    f = parse_polynomial(args.polynomial)
+    res = bounds.check_nu_inequality(f, args.T)
     obj = {
         "polynomial": render(f),
         "T": res.T,
@@ -264,7 +239,7 @@ def cmd_verify_nu(cfg: RunConfig) -> int:
         "halfdim_violations": [bounds.nu_record_to_dict(r) for r in res.halfdim_violations],
     }
     human = [
-        f"polynomial: {render(f)}   T = {T}   points = {res.points_checked}",
+        f"polynomial: {render(f)}   T = {args.T}   points = {res.points_checked}",
         f"main inequality violations: {len(res.main_violations)} (hard assertion)",
         f"half-dimension variant violations: {len(res.halfdim_violations)} (findings)",
     ]
@@ -275,22 +250,22 @@ def cmd_verify_nu(cfg: RunConfig) -> int:
     csv_rows = [bounds.nu_record_to_dict(r) for r in res.main_violations + res.halfdim_violations]
     for row in csv_rows:
         row["k"] = " ".join(str(x) for x in row["k"])
-    _emit(cfg, human, obj, csv_rows=csv_rows)
+    _emit(args, human, obj, (_NU_COLUMNS, csv_rows))
     return 1 if res.main_violations else 0
 
 
-def cmd_ratios(cfg: RunConfig) -> int:
-    f = _poly(cfg)
+_RATIO_COLUMNS = ("p", "m", "abs_S", "ratio_main", "ratio_coarse")
+
+
+def cmd_ratios(args: argparse.Namespace) -> int:
+    f = parse_polynomial(args.polynomial)
     table = bounds.bound_ratio_table(
-        f, cfg.primes, cfg.m_range,
-        workers=cfg.workers, work_budget=cfg.work_budget,
-        ratio_ceiling=cfg.ratio_ceiling,
+        f, args.primes, args.powers,
+        workers=args.workers, work_budget=args.budget,
+        ratio_ceiling=args.ceiling,
     )
     rows = [
-        {
-            "p": c.p, "m": c.m, "abs_S": c.abs_S,
-            "ratio_main": c.ratio_main, "ratio_coarse": c.ratio_coarse,
-        }
+        dict(zip(_RATIO_COLUMNS, (c.p, c.m, c.abs_S, c.ratio_main, c.ratio_coarse)))
         for c in table.rows
     ]
     obj = {
@@ -312,17 +287,26 @@ def cmd_ratios(cfg: RunConfig) -> int:
     for p, m, msg in table.errors:
         human.append(f"  {p:<3d} {m:<3d} skipped: {msg}")
     human.append(f"estimated c (max ratio_main) = {table.estimated_c:.6g}")
-    _emit(cfg, human, obj, csv_rows=rows)
+    _emit(args, human, obj, (_RATIO_COLUMNS, rows))
     return 0 if table.rows or not table.errors else 2
 
 
-def cmd_edecay(cfg: RunConfig) -> int:
-    f = _poly(cfg)
+_EDECAY_COLUMNS = ("p", "abs_E", "status")
+
+
+def cmd_edecay(args: argparse.Namespace) -> int:
+    if args.face is None:
+        raise ValueError("edecay requires --face")
+    f = parse_polynomial(args.polynomial)
     fit = bounds.e_decay_fit(
-        f, cfg.face_id, cfg.primes,
-        workers=cfg.workers, work_budget=cfg.work_budget,
+        f, args.face, args.primes,
+        workers=args.workers, work_budget=args.budget,
     )
-    rows = [{"p": r.p, "abs_E": r.abs_E, "status": r.status} for r in fit.rows]
+    # dropped-degenerate and budget-exceeded rows have no |E| (NaN): null in JSON
+    rows = [
+        dict(zip(_EDECAY_COLUMNS, (r.p, None if math.isnan(r.abs_E) else r.abs_E, r.status)))
+        for r in fit.rows
+    ]
     obj = {
         "polynomial": render(f),
         "face_id": fit.face_id,
@@ -339,43 +323,73 @@ def cmd_edecay(cfg: RunConfig) -> int:
     ]
     for r in fit.rows:
         human.append(f"    p = {r.p:<3d} |E| = {r.abs_E:.6e}  [{r.status}]")
-    _emit(cfg, human, obj, csv_rows=rows)
+    _emit(args, human, obj, (_EDECAY_COLUMNS, rows))
     return 0
 
 
-def cmd_sigma_bound(cfg: RunConfig) -> int:
-    f = _poly(cfg)
-    holds = bounds.check_sigma_dim_bound(f, cfg.d)
-    sigma = build_polyhedron(f).diagonal.sigma
-    bound = Fraction(f.n - cfg.d, 2)
+def cmd_sigma_bound(args: argparse.Namespace) -> int:
+    f = parse_polynomial(args.polynomial)
+    P = build_polyhedron(f)
+    holds = bounds.check_sigma_dim_bound(P, args.d)
+    sigma = P.diagonal.sigma
+    bound = Fraction(f.n - args.d, 2)
     obj = {
-        "polynomial": render(f), "d": cfg.d,
+        "polynomial": render(f), "d": args.d,
         "sigma": frac_str(sigma), "bound": frac_str(bound), "holds": holds,
     }
     human = [
         f"sigma = {frac_str(sigma)} {'<=' if holds else '>'} (n-d)/2 = {frac_str(bound)}"
         + ("" if holds else "   FINDING: inconsistent d or failed hypothesis")
     ]
-    _emit(cfg, human, obj)
+    _emit(args, human, obj)
     return 0
-
-
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "nondeg": cmd_nondeg,
-    "sum": cmd_sum,
-    "esum": cmd_esum,
-    "verify-formula": cmd_verify_formula,
-    "verify-nu": cmd_verify_nu,
-    "ratios": cmd_ratios,
-    "edecay": cmd_edecay,
-    "sigma-bound": cmd_sigma_bound,
-}
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+#: Every option, in the order it is registered: name -> (flags, keywords).
+#: --prime and --primes fill one list, ``args.primes``; so do --power and
+#: --powers (``args.powers``).
+_OPTIONS = {
+    "prime": (("--prime", "-p"), dict(type=int, action=_Union, dest="primes", metavar="PRIME")),
+    "primes": (("--primes",), dict(type=_parse_primes, action=_Union,
+                                   help="comma-separated list, e.g. 3,5,7")),
+    "power": (("--power", "-m"), dict(type=int, action=_Union, dest="powers", metavar="POWER")),
+    "powers": (("--powers",), dict(type=_parse_powers, action=_Union,
+                                   help="range a..b or single value")),
+    "face": (("--face",), dict(type=int, help="face id from `analyze`")),
+    "d": (("--d",), dict(type=int, help="asserted dimension of the critical locus")),
+    "ceiling": (("--ceiling",), dict(type=float, help="flag ratio cells above this value as findings")),
+    "T": (("--T",), dict(type=int, default=30, help="lattice bound (default 30)")),
+    "eps": (("--eps",), dict(type=_parse_eps, default="1e-8", help="truncation certificate target")),
+    "budget": (("--budget",), dict(type=int, default=DEFAULT_WORK_BUDGET,
+                                   help="work budget in grid evaluations")),
+    "workers": (("--workers",), dict(type=int, default=os.cpu_count() or 1)),
+    "json": (("--json",), dict(action="store_true", help="machine-readable JSON report")),
+    "csv": (("--csv",), dict(action="store_true", help="the report's table as CSV")),
+    "out": (("--out",), dict(metavar="FILE", help="write the report to FILE")),
+}
+
+#: Subcommand -> (handler, help, option names).  Every subcommand also takes
+#: --json and --out; a name ending in "!" is a required option.
+_COMMANDS = {
+    "analyze": (cmd_analyze, "polyhedron, faces, sigma/kappa table", ()),
+    "nondeg": (cmd_nondeg, "per-face mod-p nondegeneracy", ("prime", "primes", "budget")),
+    "sum": (cmd_sum, "brute-force complete sum", ("prime!", "power!", "budget", "workers")),
+    "esum": (cmd_esum, "torus sum, optionally of a face restriction",
+             ("prime!", "face", "budget", "workers")),
+    "verify-formula": (cmd_verify_formula, "face decomposition vs brute force",
+                       ("prime!", "power", "powers", "eps", "budget", "workers", "csv")),
+    "verify-nu": (cmd_verify_nu, "lattice inequality scan", ("T", "csv")),
+    "ratios": (cmd_ratios, "decay-normalized sum table",
+               ("prime", "primes", "power", "powers", "ceiling", "budget", "workers", "csv")),
+    "edecay": (cmd_edecay, "torus-sum decay exponent fit",
+               ("prime", "primes", "face", "budget", "workers", "csv")),
+    "sigma-bound": (cmd_sigma_bound, "sigma <= (n-d)/2 consistency gate", ("d!",)),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -383,83 +397,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Newton-polyhedron invariants and p-adic exponential sums",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser, primes=False, prime=False, powers=False,
-               power=False, face=False, need_d=False, ceiling=False, lattice_T=False,
-               eps=False, budget=False, workers=False, csv=False):
+    for command, (handler, help_text, names) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("polynomial", help="polynomial text, e.g. 'x*y + z*u'")
-        if prime:
-            sp.add_argument("--prime", "-p", type=int, required=not primes)
-        if primes:
-            sp.add_argument("--primes", help="comma-separated list, e.g. 3,5,7")
-        if power:
-            sp.add_argument("--power", "-m", type=int, required=not powers)
-        if powers:
-            sp.add_argument("--powers", help="range a..b or single value")
-        if face:
-            sp.add_argument("--face", type=int, help="face id from `analyze`")
-        if need_d:
-            sp.add_argument("--d", type=int, required=True,
-                            help="asserted dimension of the critical locus")
-        if ceiling:
-            sp.add_argument("--ceiling", type=float, default=None,
-                            help="flag ratio cells above this value as findings")
-        if lattice_T:
-            sp.add_argument("--T", type=int, default=None, help="lattice bound (default 30)")
-        if eps:
-            sp.add_argument("--eps", default="1e-8", help="truncation certificate target")
-        if budget:
-            sp.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
-                            help="work budget in grid evaluations")
-        if workers:
-            sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--json", action="store_true", help="machine-readable JSON report")
-        if csv:
-            sp.add_argument("--csv", action="store_true", help="the report's table as CSV")
-        sp.add_argument("--out", metavar="FILE", help="write the report to FILE")
-
-    common(sub.add_parser("analyze", help="polyhedron, faces, sigma/kappa table"))
-    common(sub.add_parser("nondeg", help="per-face mod-p nondegeneracy"),
-           prime=True, primes=True, budget=True)
-    common(sub.add_parser("sum", help="brute-force complete sum"),
-           prime=True, power=True, budget=True, workers=True)
-    common(sub.add_parser("esum", help="torus sum, optionally of a face restriction"),
-           prime=True, face=True, budget=True, workers=True)
-    common(sub.add_parser("verify-formula", help="face decomposition vs brute force"),
-           prime=True, power=True, powers=True, eps=True, budget=True, workers=True, csv=True)
-    common(sub.add_parser("verify-nu", help="lattice inequality scan"), lattice_T=True, csv=True)
-    common(sub.add_parser("ratios", help="decay-normalized sum table"),
-           prime=True, primes=True, power=True, powers=True, ceiling=True,
-           budget=True, workers=True, csv=True)
-    common(sub.add_parser("edecay", help="torus-sum decay exponent fit"),
-           prime=True, primes=True, face=True, budget=True, workers=True, csv=True)
-    common(sub.add_parser("sigma-bound", help="sigma <= (n-d)/2 consistency gate"), need_d=True)
+        required = {name.rstrip("!"): name.endswith("!") for name in (*names, "json", "out")}
+        for name, (flags, keywords) in _OPTIONS.items():
+            if name in required:
+                sp.add_argument(*flags, required=required[name], **keywords)
+        sp.set_defaults(handler=handler)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # one of two flags must supply these lists, which argparse cannot require
+    for dest, what in (("primes", "prime"), ("powers", "power")):
+        if dest in args and not getattr(args, dest):
+            print(f"error: a {what} is required (--{what} or --{dest})", file=sys.stderr)
+            return 2
     try:
-        cfg = RunConfig.from_args(args)
-        if cfg.command in ("sum", "esum", "verify-formula", "nondeg", "ratios", "edecay"):
-            if not cfg.primes:
-                print("error: a prime is required (--prime or --primes)", file=sys.stderr)
-                return 2
-        if cfg.command in ("sum", "verify-formula", "ratios") and not cfg.m_range:
-            print("error: a power is required (--power or --powers)", file=sys.stderr)
-            return 2
-        if cfg.command == "edecay" and cfg.face_id is None:
-            print("error: edecay requires --face", file=sys.stderr)
-            return 2
-        return _HANDLERS[cfg.command](cfg)
-    except PadicSumsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return args.handler(args)
+    except (PadicSumsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -195,13 +195,16 @@ def test_edecay_insufficient_primes():
 # -- sigma-dimension gate -----------------------------------------------------------
 
 def test_sigma_dim_bound_cases():
-    assert check_sigma_dim_bound(parse_polynomial("x*y+z*u"), 0) is True
-    assert check_sigma_dim_bound(parse_polynomial("x*y"), 0) is True
-    assert check_sigma_dim_bound(parse_polynomial("x*y"), 1) is False
+    def check(text, d):
+        return check_sigma_dim_bound(build_polyhedron(parse_polynomial(text)), d)
+
+    assert check("x*y+z*u", 0) is True
+    assert check("x*y", 0) is True
+    assert check("x*y", 1) is False
     with pytest.raises(HypothesisUnmet):
-        check_sigma_dim_bound(parse_polynomial("x^2+y^3"), 0)
+        check("x^2+y^3", 0)
     with pytest.raises(HypothesisUnmet):
-        check_sigma_dim_bound(parse_polynomial("x"), 0)
+        check("x", 0)
 
 
 # -- scalar invariance ----------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+from padicsums import cli
 from padicsums.cli import _build_parser, main
 from padicsums.poly import parse_polynomial
 from padicsums.sums import KERNEL_EPS, _exp_sum_over_grid
@@ -193,12 +197,51 @@ def test_edecay_report(capsys):
     assert got["esig_exponent"] == "-2/1" and got["ds_exponent"] == "-1/1"
 
 
+def test_edecay_rows_without_abs_e_are_null(capsys):
+    # p = 2 fails the face's nondegeneracy check, so its row has no |E|
+    argv = ["edecay", "x^2+y^3", "--face", "4", "--primes", "2,3,5,7,11,13"]
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+
+    def refuse(constant):
+        raise AssertionError(f"non-JSON constant {constant}")
+
+    rows = json.loads(out, parse_constant=refuse)["rows"]
+    assert rows[0] == {"p": 2, "abs_E": None, "status": "dropped-degenerate"}
+    assert all(isinstance(row["abs_E"], float) for row in rows[1:])
+    code, out = run(capsys, *argv, "--csv")
+    assert code == 0 and out.splitlines()[1] == "2,,dropped-degenerate"
+
+
+def test_json_refuses_non_finite_floats():
+    args = argparse.Namespace(json=True, out=None)
+    with pytest.raises(ValueError):
+        cli._emit(args, [], {"abs_E": float("nan")})
+
+
+@pytest.mark.parametrize("argv, want_code, header", [
+    (["verify-nu", "x", "--T", "0"], 0, "k,face_id,nu,N,rhs_main,rhs_halfdim,main_ok,halfdim_ok"),
+    # every cell exceeds the work budget, so the table has no rows
+    (["ratios", "x*y+z*u", "--primes", "13", "--powers", "3"], 2, "p,m,abs_S,ratio_main,ratio_coarse"),
+], ids=["verify-nu", "ratios"])
+def test_empty_csv_table_prints_its_header(capsys, argv, want_code, header):
+    code, out = run(capsys, *argv, "--csv")
+    assert code == want_code
+    assert out.splitlines() == [header]
+
+
 def test_sigma_bound_finding_keeps_exit_zero(capsys):
     code, out = run(capsys, "sigma-bound", "x*y", "--d", "1")
     assert code == 0
     assert "FINDING" in out
     code, _ = run(capsys, "sigma-bound", "x*y", "--d", "0")
     assert code == 0
+
+
+def test_sigma_bound_builds_one_polyhedron(capsys, builds):
+    code, out = run(capsys, "sigma-bound", "x*y+z*u", "--d", "0", "--json")
+    assert code == 0 and json.loads(out)["sigma"] == "2/1"
+    assert len(builds) == 1
 
 
 # -- error handling ------------------------------------------------------------------
@@ -215,6 +258,12 @@ def test_unknown_flag_exits_2(capsys):
 def test_missing_required_exits_2(capsys):
     assert main(["sum", "x*y", "--power", "1"]) == 2
     assert main(["edecay", "x*y", "--primes", "3,5,7"]) == 2
+
+
+@pytest.mark.parametrize("eps", ["abc", "nan", "inf"])
+def test_bad_eps_exits_2(capsys, eps):
+    assert main(["verify-formula", "x*y", "-p", "3", "-m", "1", "--eps", eps]) == 2
+    assert f"bad eps '{eps}': not a finite decimal number" in capsys.readouterr().err
 
 
 def test_sigma_bound_hypothesis_exits_2(capsys):
@@ -263,6 +312,13 @@ def test_flags_are_registered_where_they_are_read(flag, command):
     assert accepted == (command in FLAG_USERS[flag])
 
 
+def test_prime_and_power_flags_merge_into_sorted_lists():
+    args = _build_parser().parse_args(["nondeg", "x*y", "--primes", "7,3", "-p", "5", "--primes", "3"])
+    assert args.primes == [3, 5, 7]
+    args = _build_parser().parse_args(["ratios", "x*y", "-p", "3", "--powers", "2..3", "-m", "1", "-m", "2"])
+    assert args.primes == [3] and args.powers == [1, 2, 3]
+
+
 def test_analyze_rejects_eps(capsys):
     assert main(["analyze", "x*y", "--eps", "1e-9"]) == 2
 
@@ -288,3 +344,30 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     got = json.loads(target.read_text())
     assert got["sigma"] == "1/1"
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+    for _ in range(2):
+        code, out = run(capsys, "analyze", "x*y", "--json")
+        assert code == 0 and json.loads(out)["sigma"] == "1/1"
+
+
+def test_module_entry_point():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "padicsums.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = cli_run("analyze", "x*y", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kappa"] == 2
+    proc = cli_run("analyze", "x*y", "--bogus")
+    assert proc.returncode == 2 and proc.stdout == ""
