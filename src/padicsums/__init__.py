@@ -54,7 +54,7 @@ from .sums import (
 from .faceformula import (
     ConeSumResult,
     FormulaReport,
-    cone_sums,
+    cone_sums_multi,
     rhs_assembly,
     truncation_level,
     verify_formula,

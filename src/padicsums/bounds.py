@@ -25,7 +25,6 @@ from .errors import (
     WorkBudgetExceeded,
 )
 from .newton import (
-    DEFAULT_POINT_CAP,
     INT64_SAFE,
     N_bound,
     NewtonPolyhedron,
@@ -67,12 +66,7 @@ class NuCheckFindings:
     halfdim_violations: Tuple[NuCheckRecord, ...]  # findings only
 
 
-def check_nu_inequality(
-    f: Polynomial,
-    T: int,
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> NuCheckFindings:
+def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     """Evaluate both lattice lower bounds for every k with nu(k) <= T.
 
     Exact throughout: both inequalities are scaled by D, the lcm of 2 and the
@@ -100,7 +94,7 @@ def check_nu_inequality(
     main_bad: List[NuCheckRecord] = []
     half_bad: List[NuCheckRecord] = []
     count = 0
-    for blk in lattice_blocks(P, T, point_cap=point_cap):
+    for blk in lattice_blocks(P, T):
         count += len(blk.nu)
         lhs = blk.nu.astype(dtype) * D
         base = (blk.N.astype(dtype) + 1) * sigma_D
@@ -176,8 +170,11 @@ def convexity_sampler(
         sum beta_j <= 1    and    sum beta_j <= sigma(f_tau) / sigma.
 
     Hypothesis-rejecting samples are discarded; DegenerateSampling fires when
-    fewer than trials/10 samples satisfy the hypothesis.
+    fewer than trials/10 samples satisfy the hypothesis.  trials must be
+    at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     P = build_polyhedron(f)
     faces = enumerate_faces(P)
     if not 0 <= face_id < len(faces):

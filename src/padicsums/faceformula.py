@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, WorkBudgetExceeded
 from .newton import (
-    DEFAULT_POINT_CAP,
     INT64_SAFE,
     Face,
     NewtonPolyhedron,
@@ -56,13 +55,12 @@ EpsLike = Union[Fraction, float, int, str]
 
 @dataclass(frozen=True)
 class ConeSumResult:
-    """Truncated A and B for one face, with the shared exact tail certificate."""
+    """Truncated A and B for one face; the truncation level T and the tail
+    certificate are shared by every row and returned beside them."""
 
     face_id: int
     A_partial: Fraction
     B_partial: Fraction
-    truncation_T: int
-    tail: Fraction
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,10 @@ def cone_sums_multi(
     p: int,
     ms: Sequence[int],
     eps: EpsLike,
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
 ) -> Tuple[Dict[int, List[ConeSumResult]], int, Fraction]:
     """A(p,m,tau) and B(p,m,tau) for every face and every requested m in one
-    shared lattice-enumeration pass.
+    shared lattice-enumeration pass, with the truncation level T and its
+    exact tail (``truncation_level``).
 
     N is bucketed against the sorted breakpoints {m - 1, m : m in ms}: bucket
     j >= 1 holds cuts[j-1] <= N < cuts[j] (the last one is unbounded above)
@@ -152,7 +149,7 @@ def cone_sums_multi(
     edges = np.array(cuts, dtype=np.int64 if bound < INT64_SAFE else object)
     width = len(cuts) + 1
     counts = np.zeros(len(faces) * width * (T + 1), dtype=np.int64)
-    for blk in lattice_blocks(P, T, point_cap=point_cap):
+    for blk in lattice_blocks(P, T):
         bucket = np.searchsorted(edges, blk.N, side="right")
         counts += np.bincount(
             (blk.face_id * width + bucket) * (T + 1) + blk.nu, minlength=counts.size
@@ -171,25 +168,10 @@ def cone_sums_multi(
                 face_id=face.id,
                 A_partial=Fraction(suffix[face.id][a_at], scale),
                 B_partial=Fraction(0 if b_at is None else W[face.id][b_at], scale),
-                truncation_T=T,
-                tail=tail,
             )
             for face in faces
         ]
     return out, T, tail
-
-
-def cone_sums(
-    P: NewtonPolyhedron,
-    p: int,
-    m: int,
-    eps: EpsLike,
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> List[ConeSumResult]:
-    """Per-face truncated A and B for a single m."""
-    per_m, _, _ = cone_sums_multi(P, p, [m], eps, point_cap=point_cap)
-    return per_m[m]
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +201,13 @@ def _torus_values(
 
 
 def _assemble(
-    P: NewtonPolyhedron,
+    n: int,
     p: int,
     rows: Sequence[ConeSumResult],
     e_values: Dict[int, SumValue],
     tail: Fraction,
 ) -> SumValue:
-    factor = (1 - Fraction(1, p)) ** P.n
+    factor = (1 - Fraction(1, p)) ** n
     a_total = Fraction(0)
     eb_total = 0j
     e_budget = 0.0
@@ -252,7 +234,6 @@ def rhs_assembly(
     *,
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    point_cap: int = DEFAULT_POINT_CAP,
 ) -> SumValue:
     """Assembled right-hand side of the face decomposition at (p, m).
 
@@ -261,11 +242,11 @@ def rhs_assembly(
     """
     P = build_polyhedron(f)
     faces = enumerate_faces(P)
-    per_m, _, tail = cone_sums_multi(P, p, [m], eps, point_cap=point_cap)
+    per_m, _, tail = cone_sums_multi(P, p, [m], eps)
     rows = per_m[m]
     needed = [r.face_id for r in rows if r.B_partial]
     e_values = _torus_values(faces, p, workers=workers, work_budget=work_budget, needed=needed)
-    return _assemble(P, p, rows, e_values, tail)
+    return _assemble(f.n, p, rows, e_values, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +261,6 @@ def verify_formula(
     *,
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    point_cap: int = DEFAULT_POINT_CAP,
     report_when_degenerate: bool = False,
 ) -> List[FormulaReport]:
     """Compare brute force against the assembled right-hand side for each m.
@@ -308,7 +288,7 @@ def verify_formula(
 
     reports: List[FormulaReport] = []
     try:
-        per_m, T, tail = cone_sums_multi(P, p, ms, eps, point_cap=point_cap)
+        per_m, T, tail = cone_sums_multi(P, p, ms, eps)
         needed = {r.face_id for rows in per_m.values() for r in rows if r.B_partial}
         e_values = _torus_values(
             faces, p, workers=workers, work_budget=work_budget, needed=needed
@@ -333,7 +313,7 @@ def verify_formula(
                 )
             )
             continue
-        rhs = _assemble(P, p, per_m[m], e_values, tail)
+        rhs = _assemble(f.n, p, per_m[m], e_values, tail)
         tol = lhs.abs_error_budget + rhs.abs_error_budget
         if not nondeg.passed:
             verdict = "not-applicable"
@@ -357,8 +337,6 @@ def ab_ratio_monitor(
     p: int,
     m_max: int,
     eps: EpsLike = Fraction(1, 10 ** 8),
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
 ) -> List[dict]:
     """Per-face suprema over 1 <= m <= m_max of the normalized cone sums
 
@@ -371,7 +349,7 @@ def ab_ratio_monitor(
     sig = sigma_data(P)
     faces = enumerate_faces(P)
     ms = list(range(1, m_max + 1))
-    per_m, _, _ = cone_sums_multi(P, p, ms, eps, point_cap=point_cap)
+    per_m, _, _ = cone_sums_multi(P, p, ms, eps)
     sup_a = {f.id: 0.0 for f in faces}
     sup_b = {f.id: 0.0 for f in faces}
     sigma = float(sig.sigma)

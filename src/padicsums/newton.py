@@ -4,11 +4,17 @@ face lattice, and the diagonal invariants sigma, F0 and kappa.
 The polyhedron of f is conv(Supp(f)) + R_+^n.  Its H-representation is
 computed by an incremental double description pass over the homogenization
 cone spanned by the lifted support points and the orthant rays, in exact
-integer arithmetic; every derived quantity is an int or a Fraction.  The
-vertices are the support points whose tight facets no other support point
-shares in full.  Faces are canonically keyed by (vertex index set, recession
-axis set), which determines a face of this class of polyhedra (pointed,
-recession cone equal to the orthant).  The Newton polyhedron of a face
+integer arithmetic, from an initial simplicial cone written in closed form;
+every derived quantity is an int or a Fraction.  The build computes one
+table, each facet's dots over the sorted support, and reads everything else
+from it: each facet's support bitmask (the support points on it), the
+vertices (the support points whose tight facets no other support point
+shares in full) and the checks that the two representations agree.  Faces
+are canonically keyed by (vertex index set, recession axis set), which
+determines a face of this class of polyhedra (pointed, recession cone equal
+to the orthant); the face lattice is the closure of the facets' support
+bitmasks and zero-axis bitmasks under intersection.  The one elimination,
+``_rank``, gives face dimensions.  The Newton polyhedron of a face
 restriction f_tau is conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the
 face's vertex set: one vertex or a segment is solved in closed form, and only
 three or more vertices need a polyhedron of their own.  A polyhedron is
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
@@ -31,8 +37,10 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionTooLarge
 from .poly import ExponentVector, Polynomial, face_restriction, render
 
-DEFAULT_DIMENSION_CAP = 8
-DEFAULT_POINT_CAP = 5_000_000
+#: Largest ambient dimension n that ``build_polyhedron`` admits.
+DIMENSION_CAP = 8
+#: Most lattice points one ``lattice_blocks`` call may classify.
+POINT_CAP = 5_000_000
 
 FaceKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertex ids, 0-based recession axes)
 
@@ -54,70 +62,25 @@ def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _gauss_jordan(rows: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """Exact fraction-free Gauss-Jordan elimination of an integer matrix,
-    augmented by the identity when it is square; pivots only in the columns
-    of ``rows``.
-
-    Returns the rank of ``rows`` and, when ``rows`` is square with full rank,
-    the columns of its inverse as primitive integer vectors (empty
-    otherwise).  Column c solves rows . x = lambda e_c with lambda > 0, so
-    each column is a ray with the identity tightness pattern.
-    """
-    h, w = len(rows), len(rows[0]) if rows else 0
-    eye = [[int(i == j) for j in range(h)] if h == w else [] for i in range(h)]
-    mat = [list(row) + eye[i] for i, row in enumerate(rows)]
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by exact fraction-free forward elimination."""
+    mat = [list(row) for row in rows]
     r = 0
-    for c in range(w):
-        piv = next((i for i in range(r, h) if mat[i][c]), None)
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         top = mat[r]
-        for i, row in enumerate(mat):
-            if i != r and row[c]:
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            if row[c]:
                 a, b = top[c], row[c]
                 row = [a * x - b * y for x, y in zip(row, top)]
                 g = gcd(*row) or 1
                 mat[i] = [x // g for x in row]
         r += 1
-        if r == h:
-            break
-    if r < h or h != w:
-        return r, []
-    # now row i is p_i (e_i | row i of the inverse): divide by each pivot p_i
-    scale = lcm(*(row[i] for i, row in enumerate(mat)))
-    return r, [
-        _primitive([row[w + c] * (scale // row[i]) for i, row in enumerate(mat)])
-        for c in range(w)
-    ]
-
-
-def _independent_rows(rows: Sequence[Sequence[int]], d: int) -> List[int]:
-    """Indices of the first ``d`` rows that are linearly independent, taken
-    greedily in order, by one incremental fraction-free elimination.
-
-    Each accepted row is kept reduced against the rows accepted before it,
-    so it vanishes at their pivot columns and a candidate is independent
-    exactly when its reduction leaves a nonzero row.
-    """
-    echelon: List[Tuple[int, List[int]]] = []  # (pivot column, reduced row)
-    base: List[int] = []
-    for i, row in enumerate(rows):
-        r = list(row)
-        for c, e in echelon:
-            if r[c]:
-                a, b = e[c], r[c]
-                r = [a * x - b * y for x, y in zip(r, e)]
-        pivot = next((c for c, x in enumerate(r) if x), None)
-        if pivot is None:
-            continue
-        g = gcd(*r)
-        echelon.append((pivot, [x // g for x in r]))
-        base.append(i)
-        if len(base) == d:
-            return base
-    raise ValueError("inequality system is rank deficient")
+    return r
 
 
 def _extreme_rays(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
@@ -125,24 +88,25 @@ def _extreme_rays(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
 
     Incremental double description (Fukuda & Prodon, "Double Description
     Method Revisited", 1996) with the combinatorial adjacency test.  The
-    first d independent rows give the initial simplicial cone; each ray then
-    carries its zero set (the rows seen so far that it is tight on) as a
-    bitmask, updated as rows are added: a kept ray gains the new row when it
-    is tight on it, and a new ray, a positive combination of an adjacent
-    (+, -) pair, is tight on the new row and on the rows both parents are
-    tight on.  The caller guarantees the row system has full column rank
-    and a pointed solution cone; both hold for the homogenization systems
-    built here.
+    rows must begin as the homogenization systems built here do: the n unit
+    rows (e_c, 0), then one lifted point (v, 1).  These n + 1 rows are
+    independent, and the inverse of their matrix [[I, 0], [v, 1]] is
+    [[I, 0], [-v, 1]], so its columns (e_c, -v_c) for c < n and
+    (0, ..., 0, 1) span the initial simplicial cone, each tight on every base
+    row except its own.  Each ray then carries its zero set (the rows seen so
+    far that it is tight on) as a bitmask, updated as rows are added: a kept
+    ray gains the new row when it is tight on it, and a new ray, a positive
+    combination of an adjacent (+, -) pair, is tight on the new row and on
+    the rows both parents are tight on.
     """
-    base = _independent_rows(rows, len(rows[0]))
-    # column c of the inverse is tight on every base row except base[c]
-    rays = _gauss_jordan([rows[i] for i in base])[1]
-    base_mask = sum(1 << i for i in base)
-    zeros = [base_mask ^ (1 << i) for i in base]
-    for idx, a in enumerate(rows):
-        bit = 1 << idx
-        if base_mask & bit:
-            continue
+    d = len(rows[0])
+    n = d - 1
+    unit = [tuple(int(i == c) for i in range(d)) for c in range(n)]
+    assert rows[:n] == unit and rows[n][n] == 1, "rows must open with the unit rows and a lifted point"
+    rays = [e[:n] + (-x,) for e, x in zip(unit, rows[n])] + [(0,) * n + (1,)]
+    zeros = [((1 << d) - 1) ^ (1 << c) for c in range(d)]
+    for idx in range(d, len(rows)):
+        a, bit = rows[idx], 1 << idx
         vals = [_dot(a, r) for r in rays]
         if min(vals) >= 0:
             zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
@@ -247,12 +211,18 @@ class LatticePoint:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """The polyhedron; faces and diagonal data are derived once, on first use."""
+    """The polyhedron; faces and diagonal data are derived once, on first use.
+
+    Bit s of ``support_masks[j]`` is set when the s-th point of the sorted
+    support of ``source`` lies on facet j.  The masks follow from the other
+    fields, so they take no part in equality, hashing or repr.
+    """
 
     n: int
     vertices: Tuple[ExponentVector, ...]
     facets: Tuple[Facet, ...]
     source: Polynomial
+    support_masks: Tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def faces(self) -> Tuple[Face, ...]:
@@ -305,15 +275,15 @@ def _hull_t_star(points: Sequence[ExponentVector], n: int) -> Fraction:
 
     One point: its largest entry.  Two points: the segment's minimum, in
     closed form (``_segment_t_star``).  Three or more: the diagonal of the
-    polyhedron of the polynomial with exactly these points as support, built
-    under P's dimension, which P's own build already admitted.  That build
-    reads only facets, never faces, so it does not recurse.
+    polyhedron of the polynomial with exactly these points as support, in
+    P's dimension.  That build reads only facets, never faces, so it does
+    not recurse.
     """
     if len(points) == 1:
         return Fraction(max(points[0]))
     if len(points) == 2:
         return _segment_t_star(*points)
-    return build_polyhedron(Polynomial(n, dict.fromkeys(points, 1)), dimension_cap=n).diagonal.t_star
+    return build_polyhedron(Polynomial(n, dict.fromkeys(points, 1))).diagonal.t_star
 
 
 def _segment_t_star(a: ExponentVector, b: ExponentVector) -> Fraction:
@@ -345,67 +315,58 @@ def _segment_t_star(a: ExponentVector, b: ExponentVector) -> Fraction:
 # construction
 # ---------------------------------------------------------------------------
 
-def build_polyhedron(
-    f: Polynomial, *, dimension_cap: int = DEFAULT_DIMENSION_CAP
-) -> NewtonPolyhedron:
+def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     """Exact V- and H-representation of conv(Supp(f)) + R_+^n.
 
-    Requires f nonconstant with f(0) = 0.  Facets are the extreme rays of the
-    homogenization cone (``_extreme_rays``); normals come out primitive with
-    nonnegative entries and offsets are the exact minima over the support.
-    Each facet's dots over the support are computed once: they check the
-    offset and give every support point its tight facets as a bitmask.  A
+    Requires f nonconstant with f(0) = 0 and n <= DIMENSION_CAP.  Facets are
+    the extreme rays of the homogenization cone (``_extreme_rays``); normals
+    come out primitive with nonnegative entries.  Each facet's dots over the
+    sorted support are computed once, as one table, and everything else is
+    read from it: the offset must be their minimum (so no support point lies
+    outside), and the points attaining it form the facet's support mask.  A
     support point is a vertex iff no other support point is tight on every
     facet it is tight on: the facets tight at s cut out the smallest face
     containing s, which is {s} for a vertex and otherwise holds a vertex of
-    this pointed polyhedron, and every vertex is a support point.
+    this pointed polyhedron, and every vertex is a support point.  The masks
+    then check what is left of the duality of the two representations: some
+    offset is positive (the origin lies outside) and every facet holds a
+    vertex.
     """
-    if f.n > dimension_cap:
-        raise DimensionTooLarge(f"dimension {f.n} exceeds cap {dimension_cap}")
+    if f.n > DIMENSION_CAP:
+        raise DimensionTooLarge(f"dimension {f.n} exceeds cap {DIMENSION_CAP}")
     if f.has_constant_term:
         raise ValueError("f(0) must be 0 for Newton polyhedron analysis")
-    support = sorted(f.terms)
+    support = f.support
+    rows = [tuple(int(i == j) for i in range(f.n)) + (0,) for j in range(f.n)]
+    rows += [v + (1,) for v in support]
+    facets = sorted(
+        (Facet(ray[:-1], -ray[-1]) for ray in _extreme_rays(rows) if any(ray[:-1])),
+        key=lambda F: F.normal,
+    )  # a ray with k = 0 is the homogenization facet t >= 0
 
-    rows: List[Tuple[int, ...]] = []
-    for j in range(f.n):
-        rows.append(tuple(int(i == j) for i in range(f.n)) + (0,))
-    for v in support:
-        rows.append(v + (1,))
-
-    facets: List[Facet] = []
-    for ray in _extreme_rays(rows):
-        k, c = ray[:-1], ray[-1]
-        if any(k):  # else the homogenization facet t >= 0
-            facets.append(Facet(tuple(k), -c))
-    facets.sort(key=lambda F: F.normal)
-
-    # bit j of tight[s]: support point s lies on facet j
-    tight = [0] * len(support)
+    masks = []
+    tight = [0] * len(support)  # bit j of tight[s]: support point s lies on facet j
     for j, F in enumerate(facets):
         dots = [_dot(F.normal, v) for v in support]
-        assert F.offset == min(dots)
-        for s, x in enumerate(dots):
-            if x == F.offset:
-                tight[s] |= 1 << j
-    verts = [
-        v for s, (v, ts) in enumerate(zip(support, tight))
-        if not any(t != s and ts & tt == ts for t, tt in enumerate(tight))
-    ]
-
-    P = NewtonPolyhedron(n=f.n, vertices=tuple(verts), facets=tuple(facets), source=f)
-    _check_duality(P, support)
-    return P
-
-
-def _check_duality(P: NewtonPolyhedron, support: Sequence[ExponentVector]) -> None:
-    # Cross-checks that are cheap enough to always run: the two
-    # representations must describe the same polyhedron.
-    assert P.vertices, "polyhedron must have at least one vertex"
-    assert any(F.offset > 0 for F in P.facets), "origin exclusion demands a positive offset"
-    for s in support:
-        assert all(_dot(F.normal, s) >= F.offset for F in P.facets), f"support point {s} outside"
-    for F in P.facets:
-        assert any(_dot(F.normal, v) == F.offset for v in P.vertices), f"facet {F} has no tight vertex"
+        assert F.offset == min(dots), f"facet {F} does not support the polyhedron"
+        on = [s for s, x in enumerate(dots) if x == F.offset]
+        for s in on:
+            tight[s] |= 1 << j
+        masks.append(sum(1 << s for s in on))
+    on_vertex = _mask(
+        not any(t != s and ts & tt == ts for t, tt in enumerate(tight))
+        for s, ts in enumerate(tight)
+    )
+    assert on_vertex, "polyhedron must have at least one vertex"
+    assert any(F.offset > 0 for F in facets), "origin exclusion demands a positive offset"
+    assert all(m & on_vertex for m in masks), "every facet holds a vertex"
+    return NewtonPolyhedron(
+        n=f.n,
+        vertices=tuple(support[s] for s in _bits(on_vertex, len(support))),
+        facets=tuple(facets),
+        source=f,
+        support_masks=tuple(masks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +382,7 @@ def _face_dim(P: NewtonPolyhedron, key: FaceKey) -> int:
         tuple(a - b for a, b in zip(P.vertices[i], v0)) for i in vids[1:]
     ]
     rows += [tuple(int(i == a) for i in range(P.n)) for a in axes]
-    return _gauss_jordan(rows)[0]
+    return _rank(rows)
 
 
 def _mask(flags: Iterable[bool]) -> int:
@@ -432,34 +393,27 @@ def _bits(mask: int, width: int) -> Tuple[int, ...]:
     return tuple(i for i in range(width) if mask >> i & 1)
 
 
-def _incidences(P: NewtonPolyhedron) -> List[Tuple[int, int]]:
-    """Per facet, its incidence pair as bitmasks: (tight vertices, axes where
-    its normal is 0)."""
-    return [
-        (
-            _mask(_dot(F.normal, v) == F.offset for v in P.vertices),
-            _mask(x == 0 for x in F.normal),
-        )
-        for F in P.facets
-    ]
-
-
-def _face_masks(P: NewtonPolyhedron, incidences: Sequence[Tuple[int, int]]) -> Set[Tuple[int, int]]:
-    """Every face as a (vertex mask, axis mask) pair: the whole polyhedron,
-    closed under intersection with each facet's incidence pair.
+def _face_masks(P: NewtonPolyhedron, pairs: Sequence[Tuple[int, int]]) -> Set[Tuple[int, int]]:
+    """Every face as a (support mask, axis mask) pair: the whole polyhedron
+    (every support point, every axis), closed under intersection with each
+    facet's pair (its support mask, the axes where its normal is 0).
 
     A nonempty intersection of facets is the face their summed normal
-    minimizes, and its key is the intersection of their incidence pairs, so
-    the closure meets every face once.  The cost is about faces x facets mask
-    operations.
+    minimizes, and its pair is the intersection of theirs: the support points
+    on the face and the axes it recedes along.  The intersection is empty
+    exactly when its support mask is, since every nonempty face holds a
+    vertex and vertices are support points.  A face's vertices are the
+    vertex bits of its support mask, so distinct faces have distinct pairs
+    and the closure meets every face once.  The cost is about faces x facets
+    mask operations.
     """
-    whole = ((1 << len(P.vertices)) - 1, (1 << P.n) - 1)
+    whole = ((1 << len(P.source.terms)) - 1, (1 << P.n) - 1)
     seen = {whole}
     todo = [whole]
     while todo:
-        vmask, amask = todo.pop()
-        for fv, fa in incidences:
-            meet = (vmask & fv, amask & fa)
+        smask, amask = todo.pop()
+        for fs, fa in pairs:
+            meet = (smask & fs, amask & fa)
             if meet[0] and meet not in seen:
                 seen.add(meet)
                 todo.append(meet)
@@ -468,32 +422,26 @@ def _face_masks(P: NewtonPolyhedron, incidences: Sequence[Tuple[int, int]]) -> S
 
 def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
     support = P.source.support
-    incidences = _incidences(P)
-    # bit s of on_facet[j]: support point s lies on facet j
-    on_facet = [
-        _mask(_dot(F.normal, s) == F.offset for s in support) for F in P.facets
-    ]
+    pairs = [(m, _mask(x == 0 for x in F.normal)) for m, F in zip(P.support_masks, P.facets)]
+    vertex_at = [support.index(v) for v in P.vertices]  # vertex i is support point vertex_at[i]
     keyed = []
-    for vmask, amask in _face_masks(P, incidences):
-        key = (_bits(vmask, len(P.vertices)), _bits(amask, P.n))
-        keyed.append((_face_dim(P, key), key, vmask, amask))
+    for smask, amask in _face_masks(P, pairs):
+        vids = tuple(i for i, s in enumerate(vertex_at) if smask >> s & 1)
+        key = (vids, _bits(amask, P.n))
+        keyed.append((_face_dim(P, key), key, smask, amask))
     faces = []
-    for dim, (vids, axes), vmask, amask in sorted(keyed):
-        # the facets containing the face: its vertices tight, its axes free
+    for dim, (vids, axes), smask, amask in sorted(keyed):
+        # the facets containing the face: its support points tight, its axes free
         active = tuple(
-            j for j, (fv, fa) in enumerate(incidences)
-            if vmask & fv == vmask and amask & fa == amask
+            j for j, (fs, fa) in enumerate(pairs)
+            if smask & fs == smask and amask & fa == amask
         )
         witness = tuple(
             sum(P.facets[j].normal[i] for j in active) for i in range(P.n)
         )
         _, _, recheck = P.classify(witness)
         assert recheck == (vids, axes), "witness does not recover its face"
-
-        members = (1 << len(support)) - 1
-        for j in active:
-            members &= on_facet[j]
-        restr = face_restriction(P.source, [support[i] for i in _bits(members, len(support))])
+        restr = face_restriction(P.source, [support[s] for s in _bits(smask, len(support))])
         assert restr is not None, "every face of the Newton polyhedron meets Supp(f)"
         faces.append(Face(len(faces), vids, axes, dim, active, witness, restr, P))
     return tuple(faces)
@@ -504,12 +452,13 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
     sorted by (dim, key); computed on first use and kept on P.
 
     Faces come from closing the whole polyhedron under intersection with the
-    facets' incidence pairs; the same bitmasks give each face its active
-    facets and the support points of its restriction f_tau.  Each face
-    carries its active facets, the sum of their normals as witness
-    (minimizing over P at the witness recovers the face) and f_tau.  Its
-    sigma_tau = sigma(f_tau) is computed only when first read, once per
-    distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
+    facets' (support mask, zero-axis mask) pairs (``_face_masks``); a face's
+    support mask is the support of its restriction f_tau, its vertex bits
+    are the face's vertices, and the pairs containing it are its active
+    facets.  Each face carries its active facets, the sum of their normals
+    as witness (minimizing over P at the witness recovers the face) and
+    f_tau.  Its sigma_tau = sigma(f_tau) is computed only when first read,
+    once per distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
     """
     return list(P.faces)
 
@@ -517,6 +466,8 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
 def eval_k(P: NewtonPolyhedron, k: Sequence[int]) -> KEval:
     """nu(k), N(k) and the face where the minimum over the polyhedron is attained."""
     k = tuple(int(x) for x in k)
+    if len(k) != P.n:
+        raise ValueError(f"k has {len(k)} entries, the polyhedron has dimension {P.n}")
     if any(x < 0 for x in k):
         raise ValueError("k must have nonnegative entries")
     nu, N, key = P.classify(k)
@@ -548,19 +499,17 @@ def f0_face(P: NewtonPolyhedron) -> Face:
     return P.face_by_key(P.diagonal.f0_key)
 
 
-def enumerate_lattice_points(
-    P: NewtonPolyhedron, T: int, *, point_cap: int = DEFAULT_POINT_CAP
-) -> Iterator[LatticePoint]:
+def enumerate_lattice_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoint]:
     """Every k in N^n with nu(k) <= T, exactly once, tagged (nu, N, face id),
     in lexicographic order of k.
 
     The total count is C(T+n, n); BudgetExceeded fires before any point is
-    produced if that exceeds the cap.  This is a flattening of
+    produced if that exceeds POINT_CAP.  This is a flattening of
     ``lattice_blocks``, which classifies LATTICE_BLOCK (2^12) points at a
     time, in int64 while T * max|v|_1 stays below 2^62 and with Python
     integers (dtype=object) otherwise, so no product k . v can wrap.
     """
-    blocks = lattice_blocks(P, T, point_cap=point_cap)
+    blocks = lattice_blocks(P, T)
     return (
         LatticePoint(tuple(k), nu, N, face_id)
         for blk in blocks
@@ -594,9 +543,7 @@ def N_bound(P: NewtonPolyhedron, T: int) -> int:
     return T * max(sum(v) for v in P.vertices)
 
 
-def lattice_blocks(
-    P: NewtonPolyhedron, T: int, *, point_cap: int = DEFAULT_POINT_CAP
-) -> Iterator[LatticeBlock]:
+def lattice_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
     """The points of ``enumerate_lattice_points`` in the same order, as blocks
     of at most LATTICE_BLOCK rows.
 
@@ -610,8 +557,8 @@ def lattice_blocks(
     if T < 0:
         raise ValueError("T must be >= 0")
     count = comb(T + P.n, P.n)
-    if count > point_cap:
-        raise BudgetExceeded(f"{count} lattice points exceed cap {point_cap}")
+    if count > POINT_CAP:
+        raise BudgetExceeded(f"{count} lattice points exceed cap {POINT_CAP}")
     return _classified_blocks(P, T)
 
 

@@ -5,7 +5,8 @@ runs derandomized, so every run tries the same examples."""
 from __future__ import annotations
 
 import random
-from typing import Optional
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import settings
@@ -60,6 +61,35 @@ def spy_builds(monkeypatch) -> list:
 @pytest.fixture
 def builds(monkeypatch):
     return spy_builds(monkeypatch)
+
+
+def fraction_rank_inverse(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[int, Optional[List[List[Fraction]]]]:
+    """Rank of an integer matrix by Gauss-Jordan elimination over Fraction,
+    and its inverse (as rows) when it is square with full rank, else None.
+
+    The test oracles use this instead of the library's integer elimination,
+    so they share no code with what they check.
+    """
+    h, w = len(rows), len(rows[0]) if rows else 0
+    mat = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(h)]
+        for i, row in enumerate(rows)
+    ]
+    r = 0
+    for c in range(w):
+        piv = next((i for i in range(r, h) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(h):
+            q = mat[i][c]
+            if i != r and q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return r, ([row[w:] for row in mat] if r == h == w else None)
 
 
 def random_polynomial(

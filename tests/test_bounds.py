@@ -104,6 +104,12 @@ def test_sampler_passes_on_corpus_faces(corpus):
             assert rep.accepted >= 20
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampler_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError):
+        convexity_sampler(parse_polynomial("x*y"), 0, trials=trials, seed=1)
+
+
 def test_sampler_rejects_unknown_face():
     with pytest.raises(ValueError):
         convexity_sampler(parse_polynomial("x*y"), 99, trials=10, seed=1)

@@ -2,34 +2,52 @@
 face sigmas by vertex set against fresh builds of each face restriction.
 
 ``oracle_extreme_rays`` is the earlier double description pass: base rows
-picked by one Gauss-Jordan rank per candidate, zero sets recomputed from the
-rows for every added row.  ``oracle_vertices`` is the earlier vertex test: a
-support point is a vertex iff the normals of its tight facets have rank n.
+picked by one rank per candidate, the initial rays read from the inverse of
+the base, zero sets recomputed from the rows for every added row.
+``oracle_vertices`` is the earlier vertex test: a support point is a vertex
+iff the normals of its tight facets have rank n.  Both eliminate over
+Fraction (``fraction_rank_inverse``), sharing no code with the build.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padicsums.newton import (
     _extreme_rays,
-    _gauss_jordan,
-    _independent_rows,
-    _primitive,
     _segment_t_star,
     build_polyhedron,
     sigma_data,
 )
 from padicsums.poly import Polynomial, parse_polynomial
-from conftest import random_polynomial
+from conftest import fraction_rank_inverse, random_polynomial
 
 
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def _primitive(vec):
+    """The primitive integer vector on the ray through a rational vector."""
+    scale = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _inverse_columns(rows):
+    """The columns of the inverse of a square invertible matrix, each made a
+    primitive integer vector: column c solves rows . x = lambda e_c with
+    lambda > 0, so it is a ray tight on every row except row c."""
+    _, inverse = fraction_rank_inverse(rows)
+    assert inverse is not None
+    return [_primitive([row[c] for row in inverse]) for c in range(len(rows))]
 
 
 # -- oracles: the rank-based procedures the build used before ------------------
@@ -38,13 +56,13 @@ def oracle_extreme_rays(rows):
     d = len(rows[0])
     base = []
     for i in range(len(rows)):
-        if _gauss_jordan([rows[j] for j in base] + [rows[i]])[0] > len(base):
+        if fraction_rank_inverse([rows[j] for j in base] + [rows[i]])[0] > len(base):
             base.append(i)
             if len(base) == d:
                 break
     assert len(base) == d, "inequality system is rank deficient"
 
-    rays = _gauss_jordan([rows[i] for i in base])[1]
+    rays = _inverse_columns([rows[i] for i in base])
     active = list(base)
     for idx in (i for i in range(len(rows)) if i not in set(base)):
         a = rows[idx]
@@ -73,7 +91,7 @@ def oracle_vertices(P, support):
     verts = []
     for v in support:
         tight = [F.normal for F in P.facets if _dot(F.normal, v) == F.offset]
-        if _gauss_jordan(tight)[0] == P.n:
+        if fraction_rank_inverse(tight)[0] == P.n:
             verts.append(v)
     return tuple(verts)
 
@@ -106,11 +124,23 @@ def random_support(rng: random.Random, n: int):
 
 # -- the leaner build agrees with the oracles -----------------------------------
 
-def test_independent_rows_takes_the_first_rank_increasing_rows():
-    rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4), (5, 0, 0), (9, 9, 9)]
-    assert _independent_rows(rows, 3) == [0, 2, 4]
-    with pytest.raises(ValueError):
-        _independent_rows(rows[:4], 3)
+def test_initial_rays_are_the_inverse_columns_of_the_base():
+    # with only the n unit rows and one lifted point, the double description
+    # pass returns its closed-form initial rays untouched
+    rng = random.Random(4242)
+    for trial in range(200):
+        n = 1 + trial % 6
+        v = tuple(rng.randint(0, 9) for _ in range(n))
+        rows = homogenization_rows([v], n)
+        assert fraction_rank_inverse(rows)[0] == n + 1
+        assert _extreme_rays(rows) == _inverse_columns(rows)
+
+
+def test_extreme_rays_checks_that_the_rows_open_with_unit_rows():
+    rows = homogenization_rows([(1, 2), (2, 1)], 2)
+    for bad in (rows[1:], [rows[1], rows[0]] + rows[2:], rows[:2] + [(1, 2, 0)] + rows[3:]):
+        with pytest.raises(AssertionError):
+            _extreme_rays(bad)
 
 
 def test_extreme_rays_and_vertices_match_rank_oracles_random():
@@ -122,6 +152,22 @@ def test_extreme_rays_and_vertices_match_rank_oracles_random():
         assert set(_extreme_rays(rows)) == set(oracle_extreme_rays(rows))
         P = build_polyhedron(Polynomial(n, dict.fromkeys(support, 1)))
         assert P.vertices == oracle_vertices(P, support)
+
+
+def test_support_masks_match_dots_recomputed_from_scratch():
+    rng = random.Random(3131)
+    for trial in range(150):
+        f = random_polynomial(rng, n=1 + trial % 5, max_terms=8, max_exp=4)
+        P = build_polyhedron(f)
+        support = sorted(f.terms)
+        assert len(P.support_masks) == len(P.facets)
+        for F, mask in zip(P.facets, P.support_masks):
+            dots = [_dot(F.normal, s) for s in support]
+            assert min(dots) == F.offset
+            assert mask == sum(1 << i for i, x in enumerate(dots) if x == F.offset)
+        # the masks follow from the other fields and stay out of ==, hash and repr
+        bare = dataclasses.replace(P, support_masks=())
+        assert bare == P and hash(bare) == hash(P) and repr(bare) == repr(P)
 
 
 def test_non_vertices_of_every_kind_are_excluded():

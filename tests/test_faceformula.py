@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from padicsums import newton
 from padicsums.faceformula import (
     ab_ratio_monitor,
-    cone_sums,
     cone_sums_multi,
     rhs_assembly,
     truncation_level,
@@ -68,8 +67,8 @@ def test_truncation_level_rejects_nonpositive_eps():
 def test_cone_sums_product_polynomial():
     f = parse_polynomial("x*y")
     P = build_polyhedron(f)
-    rows = {r.face_id: r for r in cone_sums(P, 3, 2, EPS)}
-    tail = next(iter(rows.values())).tail
+    per_m, _, tail = cone_sums_multi(P, 3, [2], EPS)
+    rows = {r.face_id: r for r in per_m[2]}
     vertex = eval_k(P, (1, 1)).face.id
     edge_x = eval_k(P, (0, 1)).face.id   # fiber {k1 = 0, k2 >= 1}
     edge_y = eval_k(P, (1, 0)).face.id
@@ -91,9 +90,10 @@ def test_cone_sums_whole_face_at_m1_and_m0():
     f = parse_polynomial("x*y")
     P = build_polyhedron(f)
     whole = eval_k(P, (0, 0)).face.id
-    rows1 = {r.face_id: r for r in cone_sums(P, 3, 1, EPS)}
+    per_m, _, _ = cone_sums_multi(P, 3, [0, 1], EPS)
+    rows1 = {r.face_id: r for r in per_m[1]}
     assert rows1[whole].B_partial == 1  # k = 0 contributes p^0
-    rows0 = {r.face_id: r for r in cone_sums(P, 3, 0, EPS)}
+    rows0 = {r.face_id: r for r in per_m[0]}
     assert rows0[whole].B_partial == 0
 
 

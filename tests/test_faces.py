@@ -3,8 +3,9 @@ invariants every face lattice must satisfy.
 
 ``oracle_faces`` is the original enumerator: the sum of the normals of every
 facet subset is classified, and deduplicating the resulting (vertex ids,
-recession axes) keys leaves each face once.  Its dimensions come from numpy's
-float rank, independent of the library's exact elimination.
+recession axes) keys leaves each face once.  Its dimensions come from an
+elimination over Fraction (``fraction_rank_inverse``), independent of the
+library's integer one, ``_rank``, which is itself checked against numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from hypothesis import assume, given, settings, strategies as st
 from padicsums.newton import (
     Face,
     NewtonPolyhedron,
-    _gauss_jordan,
+    _rank,
     build_polyhedron,
     enumerate_faces,
     f0_face,
     sigma_data,
 )
 from padicsums.poly import Polynomial, face_restriction, parse_polynomial
-from conftest import random_polynomial
+from conftest import fraction_rank_inverse, random_polynomial
 
 
 def _dot(a, b) -> int:
@@ -60,10 +61,10 @@ def oracle_faces(P: NewtonPolyhedron):
             if all(_dot(P.facets[j].normal, s) == P.facets[j].offset for j in active)
         ]
         restr = face_restriction(P.source, members)
-        v0 = np.array(P.vertices[vids[0]])
-        spans = [np.array(P.vertices[i]) - v0 for i in vids[1:]]
-        spans += [np.eye(P.n, dtype=int)[a] for a in axes]
-        dim = int(np.linalg.matrix_rank(np.array(spans))) if spans else 0
+        v0 = P.vertices[vids[0]]
+        spans = [[x - y for x, y in zip(P.vertices[i], v0)] for i in vids[1:]]
+        spans += [[int(i == a) for i in range(P.n)] for a in axes]
+        dim = fraction_rank_inverse(spans)[0]
         sigma_tau = sigma_data(build_polyhedron(restr)).sigma
         records.append(((dim, (vids, axes)), active, witness, restr, sigma_tau))
     records.sort(key=lambda r: r[0])
@@ -158,29 +159,27 @@ def test_face_equality_ignores_whether_sigma_was_read(corpus):
 def matrices(draw):
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     if draw(st.booleans()):
-        w = h  # square matrices exercise the inverse columns
+        w = h  # square matrices exercise the oracle's inverse
     row = st.lists(st.integers(-3, 3), min_size=w, max_size=w)
     return draw(st.lists(row, min_size=h, max_size=h))
 
 
 @settings(max_examples=300, deadline=None)
 @given(rows=matrices())
-def test_gauss_jordan_rank_and_inverse_columns(rows):
-    rank, cols = _gauss_jordan(rows)
-    assert rank == np.linalg.matrix_rank(np.array(rows))
+def test_rank_matches_numpy_and_the_fraction_oracle(rows):
+    rank, inverse = fraction_rank_inverse(rows)
+    assert _rank(rows) == rank == np.linalg.matrix_rank(np.array(rows))
     d = len(rows)
-    if d != len(rows[0]) or rank < d:
-        assert cols == []
-        return
-    assert len(cols) == d
-    for c, col in enumerate(cols):
-        image = [_dot(row, col) for row in rows]
-        assert image[c] > 0 and all(x == 0 for i, x in enumerate(image) if i != c)
-        assert all(isinstance(x, int) for x in col)
+    assert (inverse is not None) == (d == len(rows[0]) == rank)
+    if inverse is not None:
+        for i, row in enumerate(rows):
+            assert [sum(x * inverse[k][c] for k, x in enumerate(row)) for c in range(d)] == [
+                int(i == c) for c in range(d)
+            ]
 
 
-def test_gauss_jordan_pivot_already_in_place():
+def test_rank_pivot_already_in_place():
     # the pivot of every column is on the diagonal, so no row swap happens
-    rank, cols = _gauss_jordan([[2, 1], [0, 3]])
-    assert rank == 2 and cols == [(1, 0), (-1, 2)]
-    assert _gauss_jordan([]) == (0, [])
+    assert _rank([[2, 1], [0, 3]]) == 2
+    assert _rank([[0, 2], [0, 4]]) == 1  # a column with no pivot is skipped
+    assert _rank([]) == 0

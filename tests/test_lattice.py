@@ -92,7 +92,7 @@ def cone_reference(P: NewtonPolyhedron, p: int, ms, eps):
                 a[pt.face_id] += Fraction(1, p ** pt.nu)
             elif pt.N == m - 1:
                 b[pt.face_id] += Fraction(1, p ** pt.nu)
-        out[m] = [ConeSumResult(face.id, a[face.id], b[face.id], T, tail) for face in faces]
+        out[m] = [ConeSumResult(face.id, a[face.id], b[face.id]) for face in faces]
     return out, T, tail
 
 

@@ -16,6 +16,7 @@ from math import comb, gcd
 
 import pytest
 
+from padicsums import newton
 from padicsums.errors import BudgetExceeded, DimensionTooLarge
 from padicsums.newton import (
     build_polyhedron,
@@ -150,13 +151,16 @@ def test_dominated_support_point_excluded():
     assert P.vertices == ((1, 1),)
 
 
-def test_dimension_cap():
-    f = parse_polynomial("x1*x2*x3*x4*x5*x6*x7*x8*x9 + x1^2")
+def test_dimension_cap(monkeypatch):
+    f = parse_polynomial("x1*x2*x3*x4*x5*x6*x7*x8*x9 + x1^4 + x2^4 + x3^4")
     with pytest.raises(DimensionTooLarge):
         build_polyhedron(f)
-    P = build_polyhedron(f, dimension_cap=9)
+    monkeypatch.setattr(newton, "DIMENSION_CAP", 9)
+    P = build_polyhedron(f)
     assert P.n == 9
-    assert enumerate_faces(P)  # face restrictions inherit the admitted dimension
+    # the face restrictions, and the builds behind the sigmas of the faces
+    # with three vertices, are admitted under the same cap
+    assert all(face.sigma_tau > 0 for face in enumerate_faces(P))
 
 
 def test_constant_term_rejected_by_build():
@@ -228,6 +232,13 @@ def test_eval_k_single_vertex():
     nu, N, face = eval_k(P, (2, 3))
     assert (nu, N) == (5, 5)
     assert face.key == ((0,), ())
+
+
+@pytest.mark.parametrize("k", [(1,), (1, 0, 0)], ids=["short", "long"])
+def test_eval_k_rejects_a_k_of_the_wrong_length(k):
+    P = build_polyhedron(parse_polynomial("x*y"))
+    with pytest.raises(ValueError, match="2"):
+        eval_k(P, k)
 
 
 def test_eval_k_diagonal_functional():
@@ -303,10 +314,12 @@ def test_lattice_point_count():
     assert sum(1 for _ in enumerate_lattice_points(P, 5)) == comb(9, 4) == 126
 
 
-def test_lattice_point_cap():
+def test_lattice_point_cap(monkeypatch):
     P = build_polyhedron(parse_polynomial("x*y+z*u"))
+    monkeypatch.setattr(newton, "POINT_CAP", 1000)
     with pytest.raises(BudgetExceeded):
-        enumerate_lattice_points(P, 30, point_cap=1000)
+        enumerate_lattice_points(P, 30)
+    assert sum(1 for _ in enumerate_lattice_points(P, 8)) == comb(12, 4) == 495
 
 
 # -- global invariants --------------------------------------------------------
