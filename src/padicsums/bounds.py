@@ -176,10 +176,7 @@ def convexity_sampler(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     P = build_polyhedron(f)
-    faces = enumerate_faces(P)
-    if not 0 <= face_id < len(faces):
-        raise ValueError(f"no face with id {face_id}")
-    tau = faces[face_id]
+    tau = P.face_by_id(face_id)
     sig = sigma_data(P)
     t_star = sig.t_star
     bound = tau.sigma_tau / sig.sigma
@@ -355,10 +352,7 @@ def e_decay_fit(
     InsufficientPrimes.
     """
     P = build_polyhedron(f)
-    faces = enumerate_faces(P)
-    if not 0 <= face_id < len(faces):
-        raise ValueError(f"no face with id {face_id}")
-    tau = faces[face_id]
+    tau = P.face_by_id(face_id)
 
     rows: List[EDecayRow] = []
     xs: List[float] = []

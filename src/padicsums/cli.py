@@ -11,7 +11,8 @@ Two tables drive the parser, which is built once, at import.  ``_OPTIONS``
 maps each option name to its flags and argparse keywords; ``_COMMANDS``
 maps each subcommand to its handler, its help line and the names of the
 options it takes, a trailing ``!`` marking one it requires.  A handler
-receives the parsed namespace.
+receives the parsed namespace.  ``sum``, ``esum`` and ``verify-formula`` run
+one prime, and ``sum`` one power; a second one is a usage error.
 
 Exit codes: 0 = all asserted checks pass, 1 = a hard assertion failed
 (the lattice inequality or a formula verdict), 2 = usage or budget error.
@@ -96,6 +97,15 @@ def _complex_dict(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
+def _one(args: argparse.Namespace, dest: str) -> int:
+    """The single value of ``args.primes`` or ``args.powers``, for a
+    subcommand that runs one; a second value is a usage error."""
+    values = getattr(args, dest)
+    if len(values) > 1:
+        raise ValueError(f"{args.command} takes one {dest[:-1]}, got {', '.join(map(str, values))}")
+    return values[0]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -140,7 +150,7 @@ def cmd_nondeg(args: argparse.Namespace) -> int:
 
 def cmd_sum(args: argparse.Namespace) -> int:
     f = parse_polynomial(args.polynomial)
-    p, m = args.primes[0], args.powers[0]
+    p, m = _one(args, "primes"), _one(args, "powers")
     s = brute_force_S(f, p, m, workers=args.workers, work_budget=args.budget)
     obj = {
         "polynomial": render(f), "p": p, "m": m,
@@ -158,13 +168,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 def cmd_esum(args: argparse.Namespace) -> int:
     f = parse_polynomial(args.polynomial)
-    p = args.primes[0]
-    target = f
-    if args.face is not None:
-        faces = enumerate_faces(build_polyhedron(f))
-        if not 0 <= args.face < len(faces):
-            raise ValueError(f"no face with id {args.face}")
-        target = faces[args.face].restriction
+    p = _one(args, "primes")
+    target = f if args.face is None else build_polyhedron(f).face_by_id(args.face).restriction
     s = torus_E(target, p, workers=args.workers, work_budget=args.budget)
     obj = {
         "polynomial": render(f), "restriction": render(target),
@@ -186,7 +191,7 @@ _FORMULA_COLUMNS = ("p", "m", "tol", "verdict", "T", "tail", "lhs_re", "lhs_im",
 
 def cmd_verify_formula(args: argparse.Namespace) -> int:
     f = parse_polynomial(args.polynomial)
-    p = args.primes[0]
+    p = _one(args, "primes")
     reports = faceformula.verify_formula(
         f, p, args.powers, args.eps,
         workers=args.workers, work_budget=args.budget,
@@ -295,8 +300,6 @@ _EDECAY_COLUMNS = ("p", "abs_E", "status")
 
 
 def cmd_edecay(args: argparse.Namespace) -> int:
-    if args.face is None:
-        raise ValueError("edecay requires --face")
     f = parse_polynomial(args.polynomial)
     fit = bounds.e_decay_fit(
         f, args.face, args.primes,
@@ -386,7 +389,7 @@ _COMMANDS = {
     "ratios": (cmd_ratios, "decay-normalized sum table",
                ("prime", "primes", "power", "powers", "ceiling", "budget", "workers", "csv")),
     "edecay": (cmd_edecay, "torus-sum decay exponent fit",
-               ("prime", "primes", "face", "budget", "workers", "csv")),
+               ("prime", "primes", "face!", "budget", "workers", "csv")),
     "sigma-bound": (cmd_sigma_bound, "sigma <= (n-d)/2 consistency gate", ("d!",)),
 }
 

@@ -12,8 +12,12 @@ all lattice points with nu(k) <= T; the single truncation certificate
 
 bounds the total omitted mass across every face and both sums at once, so
 |exact - assembled| <= (1-1/p)^n * tail * (1 + max|E|) plus the float budgets
-of the torus sums.  The left-hand side for comparison is the brute-force
-complete sum.
+of the torus sums.  One private pipeline, ``_rhs``, builds the right-hand side
+for every requested m: one cone-sum pass, one torus sum per distinct face
+restriction with B != 0, one assembly per m.  ``rhs_assembly`` (no
+certificate) and ``verify_formula`` (after the mod-p nondegeneracy
+certificate) both call it.  The left-hand side for comparison is the
+brute-force complete sum.
 """
 
 from __future__ import annotations
@@ -179,24 +183,16 @@ def cone_sums_multi(
 # ---------------------------------------------------------------------------
 
 def _torus_values(
-    faces: Sequence[Face],
-    p: int,
-    *,
-    workers: int,
-    work_budget: int,
-    needed: Optional[Iterable[int]] = None,
+    faces: Sequence[Face], needed: Iterable[int], p: int, *, workers: int, work_budget: int
 ) -> Dict[int, SumValue]:
-    """E(p, f_tau) per face id, memoized across faces sharing a restriction."""
-    wanted = set(needed) if needed is not None else {f.id for f in faces}
+    """E(p, f_tau) for each needed face id, one torus sum per distinct restriction."""
     memo: Dict[Polynomial, SumValue] = {}
     out: Dict[int, SumValue] = {}
-    for face in faces:
-        if face.id not in wanted:
-            continue
-        restr = face.restriction
+    for face_id in sorted(needed):
+        restr = faces[face_id].restriction
         if restr not in memo:
             memo[restr] = torus_E(restr, p, workers=workers, work_budget=work_budget)
-        out[face.id] = memo[restr]
+        out[face_id] = memo[restr]
     return out
 
 
@@ -226,6 +222,19 @@ def _assemble(
     return SumValue(value, budget, term_count)
 
 
+def _rhs(
+    P: NewtonPolyhedron, faces: Sequence[Face], p: int, ms: Sequence[int], eps: EpsLike,
+    *, workers: int, work_budget: int,
+) -> Tuple[Dict[int, SumValue], int, Fraction]:
+    """The assembled right-hand side for every m in ms, with the shared
+    truncation level T and tail: one cone-sum pass, then one torus sum per
+    distinct restriction of a face whose B is nonzero at some m."""
+    per_m, T, tail = cone_sums_multi(P, p, ms, eps)
+    needed = {r.face_id for rows in per_m.values() for r in rows if r.B_partial}
+    e_values = _torus_values(faces, needed, p, workers=workers, work_budget=work_budget)
+    return {m: _assemble(P.n, p, per_m[m], e_values, tail) for m in ms}, T, tail
+
+
 def rhs_assembly(
     f: Polynomial,
     p: int,
@@ -241,12 +250,8 @@ def rhs_assembly(
     mod-p nondegeneracy; this function only computes the sum.
     """
     P = build_polyhedron(f)
-    faces = enumerate_faces(P)
-    per_m, _, tail = cone_sums_multi(P, p, [m], eps)
-    rows = per_m[m]
-    needed = [r.face_id for r in rows if r.B_partial]
-    e_values = _torus_values(faces, p, workers=workers, work_budget=work_budget, needed=needed)
-    return _assemble(f.n, p, rows, e_values, tail)
+    rhs, _, _ = _rhs(P, enumerate_faces(P), p, [m], eps, workers=workers, work_budget=work_budget)
+    return rhs[m]
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +266,15 @@ def verify_formula(
     *,
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    report_when_degenerate: bool = False,
 ) -> List[FormulaReport]:
     """Compare brute force against the assembled right-hand side for each m.
 
     When any face fails the mod-p nondegeneracy certificate the identity is
-    not asserted: rows carry the verdict "not-applicable" (both sides are
-    still reported for inspection when report_when_degenerate is set).
-    Budget overruns are recorded per row without aborting the scan.
+    not asserted and neither side is computed: every row is "not-applicable"
+    (``rhs_assembly`` still gives the right-hand side).  A work-budget overrun
+    in the nondegeneracy scan raises WorkBudgetExceeded.  Later overruns are
+    recorded without aborting: one in the cone or torus sums marks every row
+    "budget-exceeded", one in the brute force marks its own row.
     """
     ms = sorted(set(int(m) for m in m_range))
     if any(m < 1 for m in ms):
@@ -277,54 +283,29 @@ def verify_formula(
     faces = enumerate_faces(P)
     nondeg = check_nondegenerate_mod_p(f, faces, p, work_budget=work_budget)
 
-    if not nondeg.passed and not report_when_degenerate:
-        return [
-            FormulaReport(
-                p=p, m=m, lhs=None, rhs=None, certified_tolerance=None,
-                verdict="not-applicable", nondeg=nondeg, truncation_T=None, tail=None,
-            )
-            for m in ms
-        ]
+    def report(m, verdict, T=None, tail=None, lhs=None, rhs=None, tol=None) -> FormulaReport:
+        return FormulaReport(
+            p=p, m=m, lhs=lhs, rhs=rhs, certified_tolerance=tol,
+            verdict=verdict, nondeg=nondeg, truncation_T=T, tail=tail,
+        )
+
+    if not nondeg.passed:
+        return [report(m, "not-applicable") for m in ms]
+    try:
+        rhs, T, tail = _rhs(P, faces, p, ms, eps, workers=workers, work_budget=work_budget)
+    except (BudgetExceeded, WorkBudgetExceeded):
+        return [report(m, "budget-exceeded") for m in ms]
 
     reports: List[FormulaReport] = []
-    try:
-        per_m, T, tail = cone_sums_multi(P, p, ms, eps)
-        needed = {r.face_id for rows in per_m.values() for r in rows if r.B_partial}
-        e_values = _torus_values(
-            faces, p, workers=workers, work_budget=work_budget, needed=needed
-        )
-    except (BudgetExceeded, WorkBudgetExceeded):
-        return [
-            FormulaReport(
-                p=p, m=m, lhs=None, rhs=None, certified_tolerance=None,
-                verdict="budget-exceeded", nondeg=nondeg, truncation_T=None, tail=None,
-            )
-            for m in ms
-        ]
-
     for m in ms:
         try:
             lhs = brute_force_S(f, p, m, workers=workers, work_budget=work_budget)
         except WorkBudgetExceeded:
-            reports.append(
-                FormulaReport(
-                    p=p, m=m, lhs=None, rhs=None, certified_tolerance=None,
-                    verdict="budget-exceeded", nondeg=nondeg, truncation_T=T, tail=tail,
-                )
-            )
+            reports.append(report(m, "budget-exceeded", T, tail))
             continue
-        rhs = _assemble(f.n, p, per_m[m], e_values, tail)
-        tol = lhs.abs_error_budget + rhs.abs_error_budget
-        if not nondeg.passed:
-            verdict = "not-applicable"
-        else:
-            verdict = "pass" if abs(lhs.value - rhs.value) <= tol else "fail"
-        reports.append(
-            FormulaReport(
-                p=p, m=m, lhs=lhs, rhs=rhs, certified_tolerance=tol,
-                verdict=verdict, nondeg=nondeg, truncation_T=T, tail=tail,
-            )
-        )
+        tol = lhs.abs_error_budget + rhs[m].abs_error_budget
+        verdict = "pass" if abs(lhs.value - rhs[m].value) <= tol else "fail"
+        reports.append(report(m, verdict, T, tail, lhs, rhs[m], tol))
     return reports
 
 
@@ -346,6 +327,8 @@ def ab_ratio_monitor(
     These are monitored (reported, never asserted): the theory provides an
     eventual constant bound, not a certified value at desk scale.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     sig = sigma_data(P)
     faces = enumerate_faces(P)
     ms = list(range(1, m_max + 1))

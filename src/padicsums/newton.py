@@ -241,6 +241,8 @@ class NewtonPolyhedron:
 
     def classify(self, k: Sequence[int]) -> Tuple[int, int, FaceKey]:
         """(nu, N, face key) for a nonnegative integer functional k."""
+        if len(k) != self.n:
+            raise ValueError(f"k has {len(k)} entries, the polyhedron has dimension {self.n}")
         dots = [_dot(k, v) for v in self.vertices]
         N = min(dots)
         vids = tuple(i for i, d in enumerate(dots) if d == N)
@@ -249,6 +251,12 @@ class NewtonPolyhedron:
 
     def face_by_key(self, key: FaceKey) -> Face:
         return self.faces[self.face_index[key]]
+
+    def face_by_id(self, face_id: int) -> Face:
+        """The face with this id; ValueError when there is none."""
+        if not 0 <= face_id < len(self.faces):
+            raise ValueError(f"no face with id {face_id}")
+        return self.faces[face_id]
 
     @cached_property
     def _vertex_sigmas(self) -> Dict[Tuple[int, ...], Fraction]:
@@ -466,8 +474,6 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
 def eval_k(P: NewtonPolyhedron, k: Sequence[int]) -> KEval:
     """nu(k), N(k) and the face where the minimum over the polyhedron is attained."""
     k = tuple(int(x) for x in k)
-    if len(k) != P.n:
-        raise ValueError(f"k has {len(k)} entries, the polyhedron has dimension {P.n}")
     if any(x < 0 for x in k):
         raise ValueError("k must have nonnegative entries")
     nu, N, key = P.classify(k)

@@ -193,6 +193,13 @@ def test_edecay_drops_degenerate_primes():
     assert all(v == "used" for p, v in by_p.items() if p != 2)
 
 
+@pytest.mark.parametrize("face_id", [4, -1])
+def test_edecay_rejects_ids_that_name_no_face(face_id):
+    # x*y has faces 0..3
+    with pytest.raises(ValueError, match=f"no face with id {face_id}"):
+        e_decay_fit(parse_polynomial("x*y"), face_id, [3, 5, 7])
+
+
 def test_edecay_insufficient_primes():
     with pytest.raises(InsufficientPrimes):
         e_decay_fit(parse_polynomial("x*y"), 0, [3, 5])

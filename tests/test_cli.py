@@ -319,6 +319,33 @@ def test_prime_and_power_flags_merge_into_sorted_lists():
     assert args.primes == [3] and args.powers == [1, 2, 3]
 
 
+# sum, esum and verify-formula run one prime (sum also one power), so a
+# second value would otherwise be dropped without a word.
+def test_sum_refuses_a_second_prime_or_power(capsys):
+    assert main(["sum", "x*y", "-p", "5", "-p", "3", "-m", "1", "-m", "2"]) == 2
+    assert "sum takes one prime, got 3, 5" in capsys.readouterr().err
+    assert main(["sum", "x*y", "-p", "3", "-m", "1", "-m", "2"]) == 2
+    assert "sum takes one power, got 1, 2" in capsys.readouterr().err
+
+
+def test_esum_refuses_a_second_prime(capsys):
+    assert main(["esum", "x*y", "-p", "7", "-p", "3"]) == 2
+    assert "esum takes one prime, got 3, 7" in capsys.readouterr().err
+
+
+def test_verify_formula_refuses_a_second_prime(capsys):
+    assert main(["verify-formula", "x*y", "-p", "5", "-p", "3", "-m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "verify-formula takes one prime, got 3, 5" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("face", ["4", "-1"])
+def test_esum_refuses_an_id_that_names_no_face(capsys, face):
+    assert main(["esum", "x*y", "-p", "3", "--face", face]) == 2
+    assert f"no face with id {face}" in capsys.readouterr().err
+
+
 def test_analyze_rejects_eps(capsys):
     assert main(["analyze", "x*y", "--eps", "1e-9"]) == 2
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsums import newton
+from padicsums.errors import WorkBudgetExceeded
 from padicsums.faceformula import (
     ab_ratio_monitor,
     cone_sums_multi,
@@ -167,17 +168,14 @@ def test_verify_not_applicable_at_degenerate_prime():
     assert not reports[0].nondeg.passed
 
 
-def test_verify_degenerate_sides_reported_on_request():
-    reports = verify_formula(
-        parse_polynomial("x^2+y^3"), 3, [1], report_when_degenerate=True
-    )
-    assert reports[0].verdict == "not-applicable"
-    assert reports[0].lhs is not None and reports[0].rhs is not None
-
-
 def test_verify_curve_at_good_prime():
     reports = verify_formula(parse_polynomial("x^2+y^3"), 7, [1, 2, 3])
     assert [r.verdict for r in reports] == ["pass"] * 3
+
+
+def test_verify_nondegeneracy_scan_overrun_raises():
+    with pytest.raises(WorkBudgetExceeded):
+        verify_formula(parse_polynomial("x*y+z*u"), 5, [1], work_budget=100)
 
 
 def test_verify_budget_rows_do_not_abort():
@@ -231,11 +229,40 @@ def test_verify_one_variable_and_padded_dimension():
         assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("m_max", [0, -2])
+def test_ab_ratio_monitor_rejects_an_empty_m_range(m_max):
+    # suprema over no m at all would read as a bound on every face
+    P = build_polyhedron(parse_polynomial("x*y"))
+    with pytest.raises(ValueError, match="m_max"):
+        ab_ratio_monitor(P, 3, m_max)
+
+
 def test_ab_ratio_monitor_is_bounded():
     P = build_polyhedron(parse_polynomial("x*y+z*u"))
     rows = ab_ratio_monitor(P, 3, 6, EPS)
     assert all(r["sup_A_ratio"] < 100 and r["sup_B_ratio"] < 100 for r in rows)
     assert len(rows) == len(enumerate_faces(P))
+
+
+# -- one right-hand side ----------------------------------------------------------
+
+def _assert_rhs_assembly_matches_verify(f, p, ms, eps) -> int:
+    """rhs_assembly equals every right-hand side verify_formula computes,
+    exactly in value, budget and term count; returns how many it compared."""
+    compared = 0
+    for rep in verify_formula(f, p, ms, eps, work_budget=10 ** 6):
+        if rep.rhs is not None:
+            assert rhs_assembly(f, p, rep.m, eps) == rep.rhs
+            compared += 1
+    return compared
+
+
+def test_rhs_assembly_equals_verify_formula_rhs_on_corpus(corpus):
+    eps = Fraction(1, 10 ** 6)
+    compared = sum(
+        _assert_rhs_assembly_matches_verify(f, p, [1, 2], eps) for f in corpus for p in (3, 5)
+    )
+    assert compared >= 12
 
 
 # -- face sigmas are built on first read ----------------------------------------
@@ -250,18 +277,21 @@ def test_verify_formula_and_rhs_assembly_build_one_polyhedron(corpus, builds):
         assert len(builds) == 1
 
 
-def _assert_sigmas_fresh_after_verify(f, p, builds):
-    builds.clear()
-    verify_formula(f, p, [1], Fraction(1, 10), report_when_degenerate=True)
-    P = builds[0]
-    assert len(builds) == 1  # no face sigma was read yet
-    for face in P.faces:
-        assert face.sigma_tau == sigma_data(newton.build_polyhedron(face.restriction)).sigma
+def _assert_sigmas_fresh_after_rhs(f, p, builds):
+    # verify_formula computes the right-hand side only where the certificate
+    # passes; rhs_assembly computes it at degenerate primes too
+    eps = Fraction(1, 10)
+    for compute in (lambda: verify_formula(f, p, [1], eps), lambda: rhs_assembly(f, p, 1, eps)):
+        builds.clear()
+        compute()
+        assert len(builds) == 1  # no face sigma was read yet
+        for face in builds[0].faces:
+            assert face.sigma_tau == sigma_data(newton.build_polyhedron(face.restriction)).sigma
 
 
 def test_face_sigmas_after_verify_match_fresh_builds(corpus, builds):
     for f in corpus:
-        _assert_sigmas_fresh_after_verify(f, 3, builds)
+        _assert_sigmas_fresh_after_rhs(f, 3, builds)
 
 
 @st.composite
@@ -280,4 +310,10 @@ def small_polynomials(draw) -> Polynomial:
 @given(f=small_polynomials(), p=st.sampled_from([2, 3]))
 def test_face_sigmas_after_verify_match_fresh_builds_random(f, p):
     with pytest.MonkeyPatch.context() as mp:
-        _assert_sigmas_fresh_after_verify(f, p, spy_builds(mp))
+        _assert_sigmas_fresh_after_rhs(f, p, spy_builds(mp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=small_polynomials(), p=st.sampled_from([2, 3, 5]))
+def test_rhs_assembly_equals_verify_formula_rhs_random(f, p):
+    _assert_rhs_assembly_matches_verify(f, p, [1, 2], Fraction(1, 10 ** 4))

@@ -241,6 +241,22 @@ def test_eval_k_rejects_a_k_of_the_wrong_length(k):
         eval_k(P, k)
 
 
+@pytest.mark.parametrize("k", [(1,), (1, 0, 0)], ids=["short", "long"])
+def test_classify_rejects_a_k_of_the_wrong_length(k):
+    # zipping a short k with each vertex would drop coordinates silently
+    P = build_polyhedron(parse_polynomial("x*y"))
+    with pytest.raises(ValueError, match="2"):
+        P.classify(k)
+
+
+@pytest.mark.parametrize("face_id", [-1, 4, 99])
+def test_face_by_id_rejects_ids_that_name_no_face(face_id):
+    P = build_polyhedron(parse_polynomial("x*y"))
+    assert [P.face_by_id(i) for i in range(len(P.faces))] == list(P.faces)
+    with pytest.raises(ValueError, match=f"no face with id {face_id}$"):
+        P.face_by_id(face_id)
+
+
 def test_eval_k_diagonal_functional():
     P = build_polyhedron(parse_polynomial("x*y+z*u"))
     nu, N, face = eval_k(P, (1, 1, 1, 1))
