@@ -5,20 +5,36 @@ term links two sets of variables, the normalized sum is the product of the
 blocks' sums (a variable in no term contributes 1, the constant term
 e(c/p^m)), so the work is the sum of the block grids, not their product.
 
-In a complete sum the linear variables of a block are summed out first.  If
+A complete sum (domain the complete residue system [0, M), M = p^m) shrinks
+each block's grid further by one of two exact reductions, both checked
+against their hypotheses first, and both need the block's whole grid M^n
+below 2^63.
+
+Linear variables are summed out when M is small enough to histogram.  If
 y_1..y_k each have exponent exactly 1 in every term that contains them and
-no term contains two of them, the block is h(x) + sum_j y_j g_j(x), and
-orthogonality of additive characters over the complete residue system,
+no term contains two of them (after reducing the coefficients mod M), the
+block is h(x) + sum_j y_j g_j(x), and orthogonality of additive characters,
 sum_{y mod M} e(y g/M) = M [g = 0 mod M], gives the y sum exactly: at x, the
 values h(x) + sum_j y_j g_j(x) run over h(x) + d(x) Z/M, each hit
 M^(k-1) d(x) times, d(x) = gcd(g_1(x), ..., g_k(x), M).  So the residue
-histogram of the whole block grid is rebuilt from the M^(n-k) points x
-alone.  Three hypotheses are checked first: the domain is the complete
-residue system [0, M), M is small enough to histogram, and the degree
-condition above holds after reducing the coefficients mod M.  Because the
-histogram is exactly the one the whole grid would give and it is summed the
-same way, the value is bit-identical to the plain grid's.  The torus sums
-(domain [1, p)) and moduli too large to histogram keep the plain grid.
+histogram of the whole block grid is rebuilt from the M^(n-k) points x alone.
+
+The stationary-phase split (Igusa; Denef and Sperber) needs m >= 2.  With
+q = p^ceil(m/2), write x = y + q z: q^2 = 0 mod M and Hasse derivatives have
+integer coefficients, so f(x) = f(y) + q z . grad f(y) mod M exactly, and the
+z sum is the same orthogonality sum with g_j = q df/dx_j and z_j over
+[0, M/q).  The block then visits q^n points, each standing for (M/q)^n
+(3^16 -> 3^8 points for a 4-variable block at 3^4).  Above the histogram cap
+it is always taken; below, only when it beats the plan without it, counting
+the cost of rebuilding the divisor tables.
+
+In both, each visited point stands for ``fiber`` grid points, and in
+histogram mode the rebuilt histogram is exactly the one the whole grid would
+give, summed the same way, so the value is bit-identical to the plain
+grid's.  In exp mode only the points where every g_j vanishes mod M are
+summed and the total is multiplied by the fiber: fewer points, the same
+budget.  The torus sums (domain [1, p)) and m = 1 above the histogram cap
+keep the plain grid.
 
 Each block grid is exact integers until the last step: f is evaluated
 modulo p^m on int64 blocks (per-variable power tables, innermost axes
@@ -276,23 +292,37 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
     The first polynomial is h, the rest are g_1..g_k.  With k = 0 the
     histogram is indexed by the residue of h.  With k >= 1 it is the
     concatenation of one table per divisor d of the modulus, indexed by
-    h mod d at the points where gcd(g_1, ..., g_k, modulus) = d.
+    h mod d at the points where gcd(g_1, ..., g_k, modulus) = d; in exp mode
+    only the points where every g_j vanishes are summed.
+
+    In histogram mode with k >= 1 the modulus is p^m (see _grid_sum), so its
+    divisors are 1, p, ..., p^m and the index of d is the least p-adic
+    valuation of the g_j(x), capped at m: one lookup per g_j in the table
+    val[r] = v_p(r), with val[0] = m.
     """
     (polys, modulus, domains, inner_start, segments, seg_size, lo, hi, mode) = args
-    divisors, offsets = _divisor_offsets(modulus) if len(polys) > 1 else (None, [modulus])
+    if mode == "hist" and len(polys) > 1:
+        divisors, offsets = _divisor_offsets(modulus)
+        val = np.zeros(modulus, dtype=np.int8)
+        for d in divisors[1:].tolist():
+            val[::d] += 1
+    else:
+        offsets = [modulus]
     counts = np.zeros(int(offsets[-1]), dtype=np.int64) if mode == "hist" else None
     exp_parts: List[Tuple[int, complex]] = []
     for task, (h, *gs) in _grid_residues(polys, modulus, domains, inner_start,
                                           segments, seg_size, lo, hi):
         if mode == "exp":
+            if gs:
+                h = h[np.logical_and.reduce([g == 0 for g in gs])]
             phases = h * (2.0 * np.pi / modulus)
             exp_parts.append((task, complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))))
             continue
         if gs:
-            d = np.gcd(gs[0], modulus)
+            v = val[gs[0]]
             for g in gs[1:]:
-                d = np.gcd(d, g)
-            h = offsets[np.searchsorted(divisors, d)] + h % d
+                v = np.minimum(v, val[g])
+            h = offsets[v] + h % divisors[v]
         counts += np.bincount(np.ravel(h), minlength=len(counts))
     return counts, exp_parts
 
@@ -305,35 +335,45 @@ def _exp_sum_over_grid(
 ) -> complex:
     """Unnormalized sum of exp(2 pi i f(x)/modulus) over every point of the
     product grid: the oracle of every reduction in _block_product."""
-    return _grid_sum(_reduced_terms(f.terms, modulus), (), modulus, domains, workers)
+    return _grid_sum(_reduced_terms(f.terms, modulus), (), 1, modulus, domains, workers)
 
 
 def _grid_sum(
     h: Terms,
     gs: Sequence[Terms],
+    fiber: int,
     modulus: int,
     domains: Sequence[Tuple[int, int]],
     workers: int,
 ) -> complex:
-    """Unnormalized sum of e((h(x) + y_1 g_1(x) + ... + y_k g_k(x))/modulus)
-    over x in the product grid and y in (Z/modulus)^k.
+    """Unnormalized sum of e((h(x) + z_1 g_1(x) + ... + z_k g_k(x))/modulus)
+    over x in the product grid and z in a box of ``fiber`` points.
 
-    With k = 0 this is the plain grid sum.  With k >= 1 (histogram mode
-    only) the y sum is done exactly: at a point x with
-    d = gcd(g_1(x), ..., g_k(x), modulus), y -> sum y_j g_j(x) covers
-    d Z/modulus and hits each element modulus^(k-1) d times, so the residue
-    histogram of the whole grid is
-    counts[r] = sum_x modulus^(k-1) d(x) [r = h(x) mod d(x)].
-    That is rebuilt from one table per divisor and then summed like the
-    plain grid's, so the value is bit-identical to the plain grid's.
+    With k = 0 this is the plain grid sum, and fiber is 1.  With k >= 1 each
+    z_j runs over [0, modulus/q), where q divides modulus and every value of
+    every g_j mod modulus, so fiber = (modulus/q)^k.  At a point x,
+    z -> sum_j z_j g_j(x) is then a homomorphism onto d Z/modulus,
+    d = gcd(g_1(x), ..., g_k(x), modulus), that hits each element
+    fiber d / modulus times.  _block_product takes q = 1 for summed-out
+    linear variables and q = p^ceil(m/2) for the stationary-phase split.
+
+    Histogram mode (the modulus must then be a prime power): the residue
+    histogram of the whole grid, counts[r] = sum_x (fiber d(x) / modulus)
+    [r = h(x) mod d(x)], is rebuilt from one table per divisor and summed
+    like the plain grid's, so the value is bit-identical to the plain
+    grid's.  Exp mode: the z sum is fiber where every g_j(x) = 0 mod modulus
+    and 0 elsewhere, so only those points are summed, and the total is
+    multiplied by fiber.
     """
     _require_int64_residues(modulus)
     sizes = [stop - start for start, stop in domains]
     inner_start, segments, seg_size = _split_axes(sizes)
     task_count = prod(sizes[:inner_start], start=1) * segments
     mode = "hist" if modulus <= _HIST_CAP else "exp"
-    if gs and mode != "hist":
-        raise ValueError("linear variables are summed out only in histogram mode")
+    if gs and mode == "hist":
+        divisors, offsets = _divisor_offsets(modulus)
+        if divisors[1] ** (len(divisors) - 1) != modulus:
+            raise ValueError(f"the z sum is histogrammed only modulo a prime power, not {modulus}")
 
     polys = (h, *gs)
     spans = _split_range(task_count, max(1, workers))
@@ -352,14 +392,12 @@ def _grid_sum(
         for extra, _ in results[1:]:
             counts = counts + extra
         if gs:
-            divisors, offsets = _divisor_offsets(modulus)
             table, counts = counts, np.zeros(modulus, dtype=np.int64)
-            weight = modulus ** (len(gs) - 1)
             for d, off in zip(divisors.tolist(), offsets.tolist()):
                 part = table[off:off + d]
                 if part.any():
                     view = counts.reshape(-1, d)
-                    view += weight * d * part
+                    view += fiber * d // modulus * part
         roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
         return complex(np.sum(counts * roots))
     parts = sorted((part for _, batch in results for part in batch), key=lambda t: t[0])
@@ -367,7 +405,7 @@ def _grid_sum(
     c = 0j
     for _, x in parts:
         s, c = _kahan_add(s, c, x)
-    return s
+    return s * fiber
 
 
 def _split_range(total: int, pieces: int) -> List[Tuple[int, int]]:
@@ -399,7 +437,11 @@ def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:
 
 
 def _block_product(
-    f: Polynomial, modulus: int, domain: Tuple[int, int], workers: int
+    f: Polynomial,
+    modulus: int,
+    domain: Tuple[int, int],
+    workers: int,
+    split: Optional[int] = None,
 ) -> complex:
     """Normalized sum of e(f(x)/modulus) over domain^n, as a product of sums
     over variable-disjoint blocks.
@@ -411,27 +453,49 @@ def _block_product(
     with N = |domain| instead of N^n.  Block values are multiplied in
     ascending (real, imag) order, so any variable order gives the same value.
 
-    Linear variables are summed out of a block when three hypotheses hold:
-    the domain is the complete residue system [0, modulus), the modulus is
-    histogrammed (at most _HIST_CAP), and each summed-out variable y_j has
-    exponent exactly 1 in every term that contains it, no term containing
-    two of them.  Then the block is h(x) + sum_j y_j g_j(x), and by
-    orthogonality of additive characters the y sum is exact, so only the
-    remaining N^{n_i - k} points are visited (see _grid_sum).  The rebuilt
-    residue histogram equals the one of the whole block grid, so the block
-    value is bit-identical to the plain grid's, whatever variable order or
-    choice of summed-out variables.  The torus (domain [1, p)) and moduli
-    above _HIST_CAP keep the plain grid.
+    Two exact reductions shrink a block's grid further.  Both need the
+    domain to be the complete residue system [0, modulus) and the block's
+    whole grid N^{n_i} to be below 2^63 (its histogram counts are int64).
+
+    Linear variables are summed out when the modulus is histogrammed (at
+    most _HIST_CAP) and each summed-out variable y_j has exponent exactly 1
+    in every term that contains it, no term containing two of them.  Then
+    the block is h(x) + sum_j y_j g_j(x), and by orthogonality of additive
+    characters the y sum is exact, so only the remaining N^{n_i - k} points
+    are visited, each standing for fiber = modulus^k grid points.
+
+    The stationary-phase split needs ``split`` = q = p^ceil(m/2) for
+    modulus = p^m with m >= 2, which only complete sums pass.  Write
+    x = y + q z with y in [0, q)^{n_i} and z in [0, modulus/q)^{n_i}.  Since
+    q^2 = 0 mod modulus and Hasse derivatives have integer coefficients,
+    f(x) = f(y) + sum_j z_j q (df/dx_j)(y) mod modulus exactly, so the block
+    is h = f and g_j = q df/dx_j on q^{n_i} points, each standing for
+    fiber = (modulus/q)^{n_i} grid points (see _grid_sum): 3^16 points of a
+    4-variable block at 3^4 become 3^8.  In exp mode (modulus above
+    _HIST_CAP) the split is always taken.  In histogram mode it is taken
+    only when q^{n_i} + t * modulus < N^{n_i - k}, with t the number of
+    divisors of the modulus (the cost of rebuilding the t divisor tables),
+    so one-variable blocks and most blocks with linear variables keep their
+    plan.
+
+    In histogram mode the rebuilt residue histogram equals the one of the
+    whole block grid, so the block value is bit-identical to the plain
+    grid's, whatever the plan.  In exp mode the split visits fewer points
+    and keeps the same budget (below).  The torus (domain [1, p)) keeps the
+    plain grid, and so does a complete sum with m = 1 above _HIST_CAP.
 
     Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
     point, so its normalized value is within KERNEL_EPS + u of the truth
-    (u = 2^-53).  e(c/modulus), with c taken in (-modulus/2, modulus/2] so
-    the phase is at most pi, is within 9u.  With k blocks, every factor of
+    (u = 2^-53).  An exp-mode split sums at most q^{n_i} points within that
+    per-point budget and multiplies by fiber (exact as a float:
+    fiber^2 <= N^{n_i} < 2^63) with one more rounding, so its normalized value is within
+    KERNEL_EPS + 2u.  e(c/modulus), with c taken in (-modulus/2, modulus/2]
+    so the phase is at most pi, is within 9u.  With k blocks, every factor of
     modulus at most 1 + O(KERNEL_EPS) and at most k complex multiplications
     (each within sqrt(5) u; Brent, Percival and Zimmermann 2007), the
-    product is within k (KERNEL_EPS + u) + k sqrt(5) u + 9u
-    <= (1.4k + 1) KERNEL_EPS of the true value.  Each block has an axis, so
-    n >= k, and (1.4k + 1) <= N^n whenever N^n >= 3: the error stays under
+    product is within k (KERNEL_EPS + 2u) + k sqrt(5) u + 9u
+    <= (1.5k + 1) KERNEL_EPS of the true value.  Each block has an axis, so
+    n >= k, and (1.5k + 1) <= N^n whenever N^n >= 3: the error stays under
     KERNEL_EPS * N^n, the budget callers report for the whole grid.  Grids
     of at most two points (the torus at p = 2, or a single axis of two
     points) are evaluated whole, where that inequality can fail.
@@ -447,27 +511,38 @@ def _block_product(
         axes = frozenset(i for i, e in enumerate(exps) if e)
         linked = [b for b in blocks if b & axes]
         blocks = [b for b in blocks if not b & axes] + [axes.union(*linked)]
-    complete = domain == (0, modulus) and modulus <= _HIST_CAP
+    complete = domain == (0, modulus)
+    hist = modulus <= _HIST_CAP
+    tables = len(_divisor_offsets(modulus)[0]) if split and complete and hist else 0
     values = []
     for block in blocks:
         axes = sorted(block)
+        n_b = len(axes)
         block_terms = {
             tuple(exps[a] for a in axes): c
             for exps, c in terms.items() if any(exps[a] for a in axes)
         }
-        # counts of the whole block grid must fit int64
-        ys = (_linear_axes(list(block_terms), len(axes))
-              if complete and size ** len(axes) < 1 << 63 else [])
-        rest = [i for i in range(len(axes)) if i not in ys]
-        h: Dict[ExponentVector, int] = {}
-        gs: List[Dict[ExponentVector, int]] = [{} for _ in ys]
-        for exps, c in block_terms.items():
-            hit = [j for j, y in enumerate(ys) if exps[y]]
-            (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
+        whole = complete and size ** n_b < 1 << 63
+        ys = _linear_axes(list(block_terms), n_b) if whole and hist else []
+        if whole and split and (
+            not hist or split ** n_b + tables * modulus < size ** (n_b - len(ys))
+        ):
+            h = block_terms
+            gs = [{e: split * c for e, c in g.terms.items()} if g else {}
+                  for g in gradient(Polynomial(n_b, block_terms))]
+            fiber, domains = (modulus // split) ** n_b, [(0, split)] * n_b
+        else:
+            rest = [i for i in range(n_b) if i not in ys]
+            h = {}
+            gs = [{} for _ in ys]
+            for exps, c in block_terms.items():
+                hit = [j for j, y in enumerate(ys) if exps[y]]
+                (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
+            fiber, domains = modulus ** len(ys), [domain] * len(rest)
         total = _grid_sum(_reduced_terms(h, modulus),
                           [_reduced_terms(g, modulus) for g in gs],
-                          modulus, [domain] * len(rest), workers)
-        values.append(total / size ** len(axes))
+                          fiber, modulus, domains, workers)
+        values.append(total / size ** n_b)
     factors = sorted(values, key=lambda z: (z.real, z.imag))
     if const:
         const -= modulus if 2 * const > modulus else 0
@@ -493,14 +568,19 @@ def brute_force_S(
     """Normalized complete sum p^{-mn} * sum over [0, p^m)^n of e(f(x)/p^m).
 
     Computed as a product of sums over the variable-disjoint blocks of f mod
-    p^m, each on its own grid.  When p^m is small enough to histogram, the
-    variables of degree 1 in a block (exponent exactly 1 in every term that
-    contains them, no two in one term) are summed out exactly by
-    orthogonality of characters, and the block's residue histogram is rebuilt
-    from the remaining axes, so the value is bit-identical to the whole
-    block grid's (see _block_product).  ``term_count``, the work budget check and
-    ``abs_error_budget`` = KERNEL_EPS * term_count still count the whole grid
-    p^{mn}; the product's error stays under that budget (see _block_product).
+    p^m, each on its own grid, shrunk by two exact reductions (see
+    _block_product).  When p^m is small enough to histogram, the variables
+    of degree 1 in a block (exponent exactly 1 in every term that contains
+    them, no two in one term) are summed out by orthogonality of characters.
+    When m >= 2, the stationary-phase split x = y + p^ceil(m/2) z sums out
+    z, so a block visits p^(ceil(m/2) n_i) points: always when p^m is above
+    the histogram cap, and in histogram mode when that is cheaper than the
+    plan without it.  In histogram mode each block's residue histogram is
+    rebuilt exactly, so the value is bit-identical to the whole block grid's;
+    in exp mode the split visits fewer points within the same budget.
+    ``term_count``, the work budget check and ``abs_error_budget`` =
+    KERNEL_EPS * term_count still count the whole grid p^{mn}; the product's
+    error stays under that budget (see _block_product).
     """
     _require_prime(p)
     if m < 1:
@@ -509,7 +589,8 @@ def brute_force_S(
     if total > work_budget:
         raise WorkBudgetExceeded(total, work_budget)
     modulus = p ** m
-    value = _block_product(f, modulus, (0, modulus), workers)
+    split = p ** ((m + 1) // 2) if m >= 2 else None
+    value = _block_product(f, modulus, (0, modulus), workers, split)
     return SumValue(value, KERNEL_EPS * total, total)
 
 

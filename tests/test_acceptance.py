@@ -146,12 +146,18 @@ def test_criterion_5_invariant_suites(corpus, task_plans):
     serial, parallel = brute_force_S(f, 2, 10, workers=1), brute_force_S(f, 2, 10, workers=3)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
     # x*y sums out x and runs as one task; no variable of x^2*y+x*y^2 is
-    # linear, so its 2^22 points run as 2048 tasks split across the pool
+    # linear, so at 2^11 the stationary-phase split leaves 2^12 points, one
+    # task; at the prime 2039 (m = 1, no split) its 2039^2 points run as 2039
+    # tasks split across the pool
     task_plans.clear()
     h = parse_polynomial("x^2*y+x*y^2")
     serial, parallel = brute_force_S(h, 2, 11, workers=1), brute_force_S(h, 2, 11, workers=3)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
-    assert task_plans == [(2048, 1), (2048, 3)]  # tasks, then spans handed to the pool
+    assert task_plans == [(1, 1), (1, 1)]  # tasks, then spans handed to the pool
+    task_plans.clear()
+    serial, parallel = brute_force_S(h, 2039, 1, workers=1), brute_force_S(h, 2039, 1, workers=3)
+    assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
+    assert task_plans == [(2039, 1), (2039, 3)]
     g = parse_polynomial("x")
     serial, parallel = brute_force_S(g, 5, 10, workers=1), brute_force_S(g, 5, 10, workers=4)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
 import random
 from itertools import product
 from unittest import mock
@@ -202,8 +203,10 @@ def test_variable_permutation_invariance():
 
 def test_parallel_matches_serial_histogram_path(task_plans):
     # x*y sums out x and runs its 2^10 remaining points as one task; no
-    # variable of x^2*y+x*y^2 is linear, so its 2^22 points run as 2048 tasks
-    # that three workers split
+    # variable of x^2*y+x*y^2 is linear, so at 2^11 the stationary-phase split
+    # runs its 2^12 points y in [0, 2^6)^2 as one task, and at the prime 2039
+    # (m = 1, no split) its 2039^2 points run as 2039 tasks that three
+    # workers split
     f = parse_polynomial("x*y")
     serial = brute_force_S(f, 2, 10, workers=1)
     parallel = brute_force_S(f, 2, 10, workers=3)
@@ -213,7 +216,12 @@ def test_parallel_matches_serial_histogram_path(task_plans):
     g = parse_polynomial("x^2*y+x*y^2")
     serial = brute_force_S(g, 2, 11, workers=1)
     parallel = brute_force_S(g, 2, 11, workers=3)
-    assert task_plans == [(2048, 1), (2048, 3)]
+    assert task_plans == [(1, 1), (1, 1)]
+    assert serial.value == parallel.value
+    task_plans.clear()
+    serial = brute_force_S(g, 2039, 1, workers=1)
+    parallel = brute_force_S(g, 2039, 1, workers=3)
+    assert task_plans == [(2039, 1), (2039, 3)]
     assert serial.value == parallel.value
 
 
@@ -458,27 +466,39 @@ def plain_value(f, p, m):
     return value
 
 
-@pytest.fixture
-def grid_calls(monkeypatch):
-    """(remaining axes, summed-out variables) of every grid sum, in call order."""
+@contextlib.contextmanager
+def recorded_grid_calls():
+    """(axis sizes, number of polynomials g_j, fiber) of every grid sum
+    made inside the block, in call order."""
     grid_sum, calls = sums._grid_sum, []
 
-    def spy(h, gs, modulus, domains, workers):
-        calls.append((len(domains), len(gs)))
-        return grid_sum(h, gs, modulus, domains, workers)
+    def spy(h, gs, fiber, modulus, domains, workers):
+        calls.append((tuple(stop - start for start, stop in domains), len(gs), fiber))
+        return grid_sum(h, gs, fiber, modulus, domains, workers)
 
-    monkeypatch.setattr(sums, "_grid_sum", spy)
-    return calls
+    with mock.patch.object(sums, "_grid_sum", spy):
+        yield calls
+
+
+@pytest.fixture
+def grid_calls():
+    with recorded_grid_calls() as calls:
+        yield calls
 
 
 @pytest.mark.parametrize("f, p, m, plan", [
-    (parse_polynomial("x*y"), 3, 2, (1, 1)),  # x and y conflict: one is summed out
-    (parse_polynomial("x*y+z*u+x*z+2*y*u"), 3, 2, (2, 2)),  # x and u summed out
-    (parse_polynomial("3*x*y+y^2"), 3, 2, (1, 1)),  # g = 3y, so d(y) is 3 or 9
-    (parse_polynomial("x*y+9*y^2"), 3, 2, (1, 1)),  # y^2 vanishes mod 9
-    (parse_polynomial("6*x"), 3, 2, (0, 1)),  # every variable summed out
-    (Polynomial(2, {(1, 1): 1, (0, 0): 2}), 5, 2, (1, 1)),  # constant term
-    (parse_polynomial("x^2*y+x*y^2"), 3, 2, (2, 0)),  # no linear variable
+    (parse_polynomial("x*y"), 3, 2, ((9,), 1, 9)),  # x and y conflict: one is summed out
+    (parse_polynomial("x*y+z*u+x*z+2*y*u"), 3, 2, ((9, 9), 2, 81)),  # x and u summed out
+    (parse_polynomial("3*x*y+y^2"), 3, 2, ((9,), 1, 9)),  # g = 3y, so d(y) is 3 or 9
+    (parse_polynomial("x*y+9*y^2"), 3, 2, ((9,), 1, 9)),  # y^2 vanishes mod 9
+    (parse_polynomial("6*x"), 3, 2, ((), 1, 9)),  # every variable summed out
+    (Polynomial(2, {(1, 1): 1, (0, 0): 2}), 5, 2, ((25,), 1, 25)),  # constant term
+    # no linear variable: the split x = y + 3z visits y in [0, 3)^2, and
+    # each y stands for (9/3)^2 points
+    (parse_polynomial("x^2*y+x*y^2"), 3, 2, ((3, 3), 2, 9)),
+    # at 2^2, 2^2 + 3 * 4 split points and tables are no fewer than 4^2
+    (parse_polynomial("x^2*y+x*y^2"), 2, 2, ((4, 4), 0, 1)),
+    (parse_polynomial("x^3"), 3, 2, ((9,), 0, 1)),  # one variable: the split never pays
 ])
 def test_linear_variables_are_summed_out(f, p, m, plan, grid_calls):
     got = brute_force_S(f, p, m)
@@ -547,24 +567,87 @@ def test_summed_out_values_are_bit_identical_to_the_plain_grid(case, cap, worker
 @settings(max_examples=40, deadline=None)
 @given(single_block_polynomials())
 def test_torus_and_exp_path_keep_the_plain_grid(case):
-    # Neither the torus (domain [1, p)) nor a modulus above the histogram cap
-    # satisfies the hypotheses, so every grid they run is a plain one.
+    # The torus (domain [1, p)) satisfies neither reduction's hypotheses, and
+    # above the histogram cap linear variables are not summed out, so at
+    # m = 1 every grid they run is a plain one.  At m >= 2 above the cap
+    # every block takes the stationary-phase split instead.
     f, p, m = case
-    calls = []
-    grid_sum = sums._grid_sum
-
-    def spy(h, gs, modulus, domains, workers):
-        calls.append(len(gs))
-        return grid_sum(h, gs, modulus, domains, workers)
-
-    with mock.patch.object(sums, "_grid_sum", spy):
+    with recorded_grid_calls() as calls:
         e = torus_E(f, p)
+        assert not any(gs for _, gs, _ in calls)
+        calls.clear()
         with mock.patch.object(sums, "_HIST_CAP", 1):
             s = brute_force_S(f, p, m)
+            plan = list(calls)
             want = plain_value(f, p, m)
-    assert calls and not any(calls)
-    assert s.value == want
+    assert plan
+    if m == 1:
+        assert not any(gs for _, gs, _ in plan)
+        assert s.value == want
+    else:
+        assert all(gs == len(sizes) for sizes, gs, _ in plan)
+        assert abs(s.value - want) <= s.abs_error_budget
     assert abs(e.value - oracle_E(f, p)) <= e.abs_error_budget + 1e-12
+
+
+# -- the stationary-phase split ---------------------------------------------------
+
+@st.composite
+def split_blocks(draw):
+    """(f, p, m): one block mod p^m with no linear variable, at sizes where
+    the histogram plan takes the split.  A chain of terms that survive mod
+    p^m gives every variable an exponent >= 2; exponents p make derivatives
+    divisible by p, coefficients carry p-power factors (up to vanishing mod
+    p^m), and a constant term is optional, so q * df/dx_j may vanish mod p^m
+    in some or all components."""
+    p, m, n = draw(st.sampled_from([
+        (2, 3, 2), (2, 4, 2), (2, 5, 2), (3, 2, 2), (3, 3, 2), (3, 4, 2), (5, 2, 2),
+        (7, 2, 2), (2, 2, 3), (2, 3, 3), (3, 2, 3), (5, 2, 3),
+    ]))
+    unit = st.integers(-12, 12).filter(lambda c: c % p)
+    exponent = st.sampled_from([2, 3, p, 2 * p])
+    terms = {}
+    for a in range(n - 1):
+        exps = [0] * n
+        exps[a], exps[a + 1] = draw(exponent), draw(exponent)
+        terms[tuple(exps)] = draw(unit) * p ** draw(st.integers(0, m - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.sampled_from([0, 1, 2, p])) for _ in range(n))
+        if any(exps) and exps not in terms:
+            terms[exps] = draw(unit) * p ** draw(st.integers(0, m))
+    if draw(st.booleans()):
+        terms[(0,) * n] = draw(unit)
+    return Polynomial(n, terms), p, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(split_blocks())
+def test_split_values_match_the_plain_grid(case):
+    # The split visits y in [0, q)^n, q = p^ceil(m/2), each y standing for
+    # (p^m / q)^n points.  Its rebuilt histogram is the whole grid's, so the
+    # histogram value is bit-identical; above the cap the exp value is
+    # within the whole grid's budget.
+    f, p, m = case
+    M, q = p ** m, p ** ((m + 1) // 2)
+    with recorded_grid_calls() as calls:
+        got = brute_force_S(f, p, m)
+        with mock.patch.object(sums, "_HIST_CAP", 1):
+            got_exp = brute_force_S(f, p, m)
+    assert calls == [((q,) * f.n, f.n, (M // q) ** f.n)] * 2
+    want = plain_value(f, p, m)
+    assert got.value == want
+    assert got_exp.term_count == got.term_count == M ** f.n
+    assert abs(got_exp.value - want) <= got_exp.abs_error_budget
+
+
+def test_connected_block_at_3_4_visits_3_8_points(grid_calls):
+    # No variable is linear; the split x = y + 9z leaves y in [0, 9)^4, 3^8
+    # points instead of 3^16, each standing for 9^4 grid points.
+    f = parse_polynomial("x^2*y+y^2*z+z^2*u+u^2*x")
+    got = brute_force_S(f, 3, 4)
+    assert grid_calls == [((9,) * 4, 4, 9 ** 4)]
+    assert got.term_count == 3 ** 16
+    assert got.value == _exp_sum_over_grid(f, 81, [(0, 81)] * 4, 1) / 3 ** 16
 
 
 def test_linear_coefficient_residues_at_3_19_are_exact(monkeypatch):
