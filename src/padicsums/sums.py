@@ -17,24 +17,22 @@ block is h(x) + sum_j y_j g_j(x), and orthogonality of additive characters,
 sum_{y mod M} e(y g/M) = M [g = 0 mod M], gives the y sum exactly: at x, the
 values h(x) + sum_j y_j g_j(x) run over h(x) + d(x) Z/M, each hit
 M^(k-1) d(x) times, d(x) = gcd(g_1(x), ..., g_k(x), M).  So the residue
-histogram of the whole block grid is rebuilt from the M^(n-k) points x alone.
+histogram of the whole block grid is rebuilt from the M^(n-k) points x
+alone, and summed the same way, so the value is bit-identical to the plain
+grid's.
 
-The stationary-phase split (Igusa; Denef and Sperber) needs m >= 2.  With
-q = p^ceil(m/2), write x = y + q z: q^2 = 0 mod M and Hasse derivatives have
-integer coefficients, so f(x) = f(y) + q z . grad f(y) mod M exactly, and the
-z sum is the same orthogonality sum with g_j = q df/dx_j and z_j over
-[0, M/q).  The block then visits q^n points, each standing for (M/q)^n
-(3^16 -> 3^8 points for a 4-variable block at 3^4).  Above the histogram cap
-it is always taken; below, only when it beats the plan without it, counting
-the cost of rebuilding the divisor tables.
+The stationary-phase split (Igusa; Denef and Sperber) is taken when M is
+too large to histogram and m >= 2.  With q = p^ceil(m/2), write x = y + q z:
+q^2 = 0 mod M and Hasse derivatives have integer coefficients, so
+f(x) = f(y) + q z . grad f(y) mod M exactly, and the z sum is the same
+orthogonality sum with g_j = q df/dx_j and z_j over [0, M/q): it is
+(M/q)^n where every g_j(y) = 0 mod M and 0 elsewhere.  So only those of the
+q^n points y are summed, and the total is multiplied by (M/q)^n: 5^11 points
+of x^3 mod 5^11 become 5^6, with the same error budget.  Histogram mode
+does not split.
 
-In both, each visited point stands for ``fiber`` grid points, and in
-histogram mode the rebuilt histogram is exactly the one the whole grid would
-give, summed the same way, so the value is bit-identical to the plain
-grid's.  In exp mode only the points where every g_j vanishes mod M are
-summed and the total is multiplied by the fiber: fewer points, the same
-budget.  The torus sums (domain [1, p)) and m = 1 above the histogram cap
-keep the plain grid.
+In both, each visited point stands for ``fiber`` grid points.  The torus
+sums (domain [1, p)) and m = 1 above the histogram cap keep the plain grid.
 
 Each block grid is exact integers until the last step: f is evaluated
 modulo p^m on int64 blocks (per-variable power tables, innermost axes
@@ -355,7 +353,8 @@ def _grid_sum(
     z -> sum_j z_j g_j(x) is then a homomorphism onto d Z/modulus,
     d = gcd(g_1(x), ..., g_k(x), modulus), that hits each element
     fiber d / modulus times.  _block_product takes q = 1 for summed-out
-    linear variables and q = p^ceil(m/2) for the stationary-phase split.
+    linear variables (histogram mode) and q = p^ceil(m/2) for the
+    stationary-phase split (exp mode).
 
     Histogram mode (the modulus must then be a prime power): the residue
     histogram of the whole grid, counts[r] = sum_x (fiber d(x) / modulus)
@@ -437,14 +436,10 @@ def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:
 
 
 def _block_product(
-    f: Polynomial,
-    modulus: int,
-    domain: Tuple[int, int],
-    workers: int,
-    split: Optional[int] = None,
+    f: Polynomial, p: int, m: int, domain: Tuple[int, int], workers: int
 ) -> complex:
-    """Normalized sum of e(f(x)/modulus) over domain^n, as a product of sums
-    over variable-disjoint blocks.
+    """Normalized sum of e(f(x)/modulus) over domain^n, modulus = p^m, as a
+    product of sums over variable-disjoint blocks.
 
     Coefficients are reduced mod modulus and vanishing terms dropped; the
     constant term c contributes the factor e(c/modulus), a variable in no
@@ -462,26 +457,20 @@ def _block_product(
     in every term that contains it, no term containing two of them.  Then
     the block is h(x) + sum_j y_j g_j(x), and by orthogonality of additive
     characters the y sum is exact, so only the remaining N^{n_i - k} points
-    are visited, each standing for fiber = modulus^k grid points.
+    are visited, each standing for fiber = modulus^k grid points.  The
+    rebuilt residue histogram equals the one of the whole block grid, so
+    the block value is bit-identical to the plain grid's, whatever variable
+    order or choice of summed-out variables.
 
-    The stationary-phase split needs ``split`` = q = p^ceil(m/2) for
-    modulus = p^m with m >= 2, which only complete sums pass.  Write
-    x = y + q z with y in [0, q)^{n_i} and z in [0, modulus/q)^{n_i}.  Since
-    q^2 = 0 mod modulus and Hasse derivatives have integer coefficients,
+    The stationary-phase split is taken when the modulus is above
+    _HIST_CAP and m >= 2.  With q = p^ceil(m/2), write x = y + q z with y
+    in [0, q)^{n_i} and z in [0, modulus/q)^{n_i}.  Since q^2 = 0 mod
+    modulus and Hasse derivatives have integer coefficients,
     f(x) = f(y) + sum_j z_j q (df/dx_j)(y) mod modulus exactly, so the block
     is h = f and g_j = q df/dx_j on q^{n_i} points, each standing for
-    fiber = (modulus/q)^{n_i} grid points (see _grid_sum): 3^16 points of a
-    4-variable block at 3^4 become 3^8.  In exp mode (modulus above
-    _HIST_CAP) the split is always taken.  In histogram mode it is taken
-    only when q^{n_i} + t * modulus < N^{n_i - k}, with t the number of
-    divisors of the modulus (the cost of rebuilding the t divisor tables),
-    so one-variable blocks and most blocks with linear variables keep their
-    plan.
-
-    In histogram mode the rebuilt residue histogram equals the one of the
-    whole block grid, so the block value is bit-identical to the plain
-    grid's, whatever the plan.  In exp mode the split visits fewer points
-    and keeps the same budget (below).  The torus (domain [1, p)) keeps the
+    fiber = (modulus/q)^{n_i} grid points (see _grid_sum): 5^11 points of
+    x^3 mod 5^11 become 5^6.  It sums fewer points than the plain grid and
+    keeps the same budget (below).  The torus (domain [1, p)) keeps the
     plain grid, and so does a complete sum with m = 1 above _HIST_CAP.
 
     Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
@@ -500,6 +489,7 @@ def _block_product(
     of at most two points (the torus at p = 2, or a single axis of two
     points) are evaluated whole, where that inequality can fail.
     """
+    modulus = p ** m
     _require_int64_residues(modulus)
     size = domain[1] - domain[0]
     if size ** f.n <= 2:
@@ -513,7 +503,7 @@ def _block_product(
         blocks = [b for b in blocks if not b & axes] + [axes.union(*linked)]
     complete = domain == (0, modulus)
     hist = modulus <= _HIST_CAP
-    tables = len(_divisor_offsets(modulus)[0]) if split and complete and hist else 0
+    q = p ** ((m + 1) // 2)
     values = []
     for block in blocks:
         axes = sorted(block)
@@ -523,15 +513,13 @@ def _block_product(
             for exps, c in terms.items() if any(exps[a] for a in axes)
         }
         whole = complete and size ** n_b < 1 << 63
-        ys = _linear_axes(list(block_terms), n_b) if whole and hist else []
-        if whole and split and (
-            not hist or split ** n_b + tables * modulus < size ** (n_b - len(ys))
-        ):
+        if whole and m >= 2 and not hist:
             h = block_terms
-            gs = [{e: split * c for e, c in g.terms.items()} if g else {}
+            gs = [{e: q * c for e, c in g.terms.items()} if g else {}
                   for g in gradient(Polynomial(n_b, block_terms))]
-            fiber, domains = (modulus // split) ** n_b, [(0, split)] * n_b
+            fiber, domains = (modulus // q) ** n_b, [(0, q)] * n_b
         else:
+            ys = _linear_axes(list(block_terms), n_b) if whole and hist else []
             rest = [i for i in range(n_b) if i not in ys]
             h = {}
             gs = [{} for _ in ys]
@@ -571,13 +559,12 @@ def brute_force_S(
     p^m, each on its own grid, shrunk by two exact reductions (see
     _block_product).  When p^m is small enough to histogram, the variables
     of degree 1 in a block (exponent exactly 1 in every term that contains
-    them, no two in one term) are summed out by orthogonality of characters.
-    When m >= 2, the stationary-phase split x = y + p^ceil(m/2) z sums out
-    z, so a block visits p^(ceil(m/2) n_i) points: always when p^m is above
-    the histogram cap, and in histogram mode when that is cheaper than the
-    plan without it.  In histogram mode each block's residue histogram is
-    rebuilt exactly, so the value is bit-identical to the whole block grid's;
-    in exp mode the split visits fewer points within the same budget.
+    them, no two in one term) are summed out by orthogonality of characters,
+    and the block's residue histogram is rebuilt exactly, so the value is
+    bit-identical to the whole block grid's.  When p^m is above the
+    histogram cap and m >= 2, the stationary-phase split x = y + p^ceil(m/2) z
+    sums out z, so a block visits p^(ceil(m/2) n_i) points instead of
+    p^(m n_i), within the same budget.
     ``term_count``, the work budget check and ``abs_error_budget`` =
     KERNEL_EPS * term_count still count the whole grid p^{mn}; the product's
     error stays under that budget (see _block_product).
@@ -588,9 +575,7 @@ def brute_force_S(
     total = p ** (m * f.n)
     if total > work_budget:
         raise WorkBudgetExceeded(total, work_budget)
-    modulus = p ** m
-    split = p ** ((m + 1) // 2) if m >= 2 else None
-    value = _block_product(f, modulus, (0, modulus), workers, split)
+    value = _block_product(f, p, m, (0, p ** m), workers)
     return SumValue(value, KERNEL_EPS * total, total)
 
 
@@ -612,7 +597,7 @@ def torus_E(
     total = (p - 1) ** f_tau.n
     if total > work_budget:
         raise WorkBudgetExceeded(total, work_budget)
-    value = _block_product(f_tau, p, (1, p), workers)
+    value = _block_product(f_tau, p, 1, (1, p), workers)
     return SumValue(value, KERNEL_EPS * total, total)
 
 

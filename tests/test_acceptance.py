@@ -146,21 +146,22 @@ def test_criterion_5_invariant_suites(corpus, task_plans):
     serial, parallel = brute_force_S(f, 2, 10, workers=1), brute_force_S(f, 2, 10, workers=3)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
     # x*y sums out x and runs as one task; no variable of x^2*y+x*y^2 is
-    # linear, so at 2^11 the stationary-phase split leaves 2^12 points, one
-    # task; at the prime 2039 (m = 1, no split) its 2039^2 points run as 2039
-    # tasks split across the pool
+    # linear, so its 2^22 points run as 2048 tasks split across the pool
     task_plans.clear()
     h = parse_polynomial("x^2*y+x*y^2")
     serial, parallel = brute_force_S(h, 2, 11, workers=1), brute_force_S(h, 2, 11, workers=3)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
-    assert task_plans == [(1, 1), (1, 1)]  # tasks, then spans handed to the pool
+    assert task_plans == [(2048, 1), (2048, 3)]  # tasks, then spans handed to the pool
+    # x mod 5^10 is above the histogram cap and takes the stationary-phase
+    # split, 5^5 points in one task; at the least prime above 2^22 (m = 1)
+    # the plain exp grid runs as 5 segments split across the pool
     task_plans.clear()
-    serial, parallel = brute_force_S(h, 2039, 1, workers=1), brute_force_S(h, 2039, 1, workers=3)
-    assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
-    assert task_plans == [(2039, 1), (2039, 3)]
     g = parse_polynomial("x")
     serial, parallel = brute_force_S(g, 5, 10, workers=1), brute_force_S(g, 5, 10, workers=4)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
+    serial, parallel = brute_force_S(g, 4194319, 1, workers=1), brute_force_S(g, 4194319, 1, workers=4)
+    assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
+    assert task_plans == [(1, 1), (1, 1), (5, 1), (5, 4)]
     print("CRITERION 5: PASS  (mass identity exact x20, partition at T=12, "
           "sigma monotone, parallel == serial)")
 

@@ -203,10 +203,8 @@ def test_variable_permutation_invariance():
 
 def test_parallel_matches_serial_histogram_path(task_plans):
     # x*y sums out x and runs its 2^10 remaining points as one task; no
-    # variable of x^2*y+x*y^2 is linear, so at 2^11 the stationary-phase split
-    # runs its 2^12 points y in [0, 2^6)^2 as one task, and at the prime 2039
-    # (m = 1, no split) its 2039^2 points run as 2039 tasks that three
-    # workers split
+    # variable of x^2*y+x*y^2 is linear, so its 2^22 points run as 2048 tasks
+    # that three workers split
     f = parse_polynomial("x*y")
     serial = brute_force_S(f, 2, 10, workers=1)
     parallel = brute_force_S(f, 2, 10, workers=3)
@@ -216,23 +214,28 @@ def test_parallel_matches_serial_histogram_path(task_plans):
     g = parse_polynomial("x^2*y+x*y^2")
     serial = brute_force_S(g, 2, 11, workers=1)
     parallel = brute_force_S(g, 2, 11, workers=3)
-    assert task_plans == [(1, 1), (1, 1)]
-    assert serial.value == parallel.value
-    task_plans.clear()
-    serial = brute_force_S(g, 2039, 1, workers=1)
-    parallel = brute_force_S(g, 2039, 1, workers=3)
-    assert task_plans == [(2039, 1), (2039, 3)]
+    assert task_plans == [(2048, 1), (2048, 3)]
     assert serial.value == parallel.value
 
 
-def test_parallel_matches_serial_exp_path():
+def test_parallel_matches_serial_exp_path(task_plans):
     # modulus above the histogram cap exercises the compensated path;
-    # fixed block boundaries make any worker count bit-identical
+    # fixed block boundaries make any worker count bit-identical.  At 5^10
+    # the stationary-phase split leaves 5^5 points, one task; at the least
+    # prime above 2^22 (m = 1, no split) the plain grid runs as 5 segments
+    # of its one axis that four workers split
     f = parse_polynomial("x")
     serial = brute_force_S(f, 5, 10, workers=1)
     parallel = brute_force_S(f, 5, 10, workers=4)
+    assert task_plans == [(1, 1), (1, 1)]
     assert serial.value == parallel.value
     assert abs(serial.value) < serial.abs_error_budget
+    task_plans.clear()
+    g = parse_polynomial("x^2+3*x")
+    serial = brute_force_S(g, 4194319, 1, workers=1)
+    parallel = brute_force_S(g, 4194319, 1, workers=4)
+    assert task_plans == [(5, 1), (5, 4)]
+    assert serial.value == parallel.value
 
 
 # -- nondegeneracy ------------------------------------------------------------
@@ -493,12 +496,7 @@ def grid_calls():
     (parse_polynomial("x*y+9*y^2"), 3, 2, ((9,), 1, 9)),  # y^2 vanishes mod 9
     (parse_polynomial("6*x"), 3, 2, ((), 1, 9)),  # every variable summed out
     (Polynomial(2, {(1, 1): 1, (0, 0): 2}), 5, 2, ((25,), 1, 25)),  # constant term
-    # no linear variable: the split x = y + 3z visits y in [0, 3)^2, and
-    # each y stands for (9/3)^2 points
-    (parse_polynomial("x^2*y+x*y^2"), 3, 2, ((3, 3), 2, 9)),
-    # at 2^2, 2^2 + 3 * 4 split points and tables are no fewer than 4^2
-    (parse_polynomial("x^2*y+x*y^2"), 2, 2, ((4, 4), 0, 1)),
-    (parse_polynomial("x^3"), 3, 2, ((9,), 0, 1)),  # one variable: the split never pays
+    (parse_polynomial("x^2*y+x*y^2"), 3, 2, ((9, 9), 0, 1)),  # no linear variable
 ])
 def test_linear_variables_are_summed_out(f, p, m, plan, grid_calls):
     got = brute_force_S(f, p, m)
@@ -594,8 +592,8 @@ def test_torus_and_exp_path_keep_the_plain_grid(case):
 
 @st.composite
 def split_blocks(draw):
-    """(f, p, m): one block mod p^m with no linear variable, at sizes where
-    the histogram plan takes the split.  A chain of terms that survive mod
+    """(f, p, m): one block mod p^m with no linear variable, with m >= 2 and
+    a grid small enough for the plain oracle.  A chain of terms that survive mod
     p^m gives every variable an exponent >= 2; exponents p make derivatives
     divisible by p, coefficients carry p-power factors (up to vanishing mod
     p^m), and a constant term is optional, so q * df/dx_j may vanish mod p^m
@@ -623,31 +621,45 @@ def split_blocks(draw):
 @settings(max_examples=120, deadline=None)
 @given(split_blocks())
 def test_split_values_match_the_plain_grid(case):
-    # The split visits y in [0, q)^n, q = p^ceil(m/2), each y standing for
-    # (p^m / q)^n points.  Its rebuilt histogram is the whole grid's, so the
-    # histogram value is bit-identical; above the cap the exp value is
-    # within the whole grid's budget.
+    # Histogram mode keeps the plain grid.  Above the cap the split visits
+    # y in [0, q)^n, q = p^ceil(m/2), each y standing for (p^m / q)^n
+    # points, and its value is within the whole grid's budget.
     f, p, m = case
     M, q = p ** m, p ** ((m + 1) // 2)
     with recorded_grid_calls() as calls:
         got = brute_force_S(f, p, m)
+        assert calls == [((M,) * f.n, 0, 1)]
+        calls.clear()
         with mock.patch.object(sums, "_HIST_CAP", 1):
             got_exp = brute_force_S(f, p, m)
-    assert calls == [((q,) * f.n, f.n, (M // q) ** f.n)] * 2
+    assert calls == [((q,) * f.n, f.n, (M // q) ** f.n)]
     want = plain_value(f, p, m)
     assert got.value == want
     assert got_exp.term_count == got.term_count == M ** f.n
     assert abs(got_exp.value - want) <= got_exp.abs_error_budget
 
 
+def test_x3_at_5_11_visits_5_6_points(grid_calls):
+    # 5^11 is above the histogram cap; the split x = y + 5^6 z leaves y in
+    # [0, 5^6), each standing for 5^5 grid points.
+    got = brute_force_S(parse_polynomial("x^3"), 5, 11)
+    assert grid_calls == [((5 ** 6,), 1, 5 ** 5)]
+    assert got.term_count == 5 ** 11
+    assert abs(got.value - 5 ** -4) <= got.abs_error_budget
+
+
 def test_connected_block_at_3_4_visits_3_8_points(grid_calls):
-    # No variable is linear; the split x = y + 9z leaves y in [0, 9)^4, 3^8
-    # points instead of 3^16, each standing for 9^4 grid points.
+    # No variable is linear; above the histogram cap the split x = y + 9z
+    # leaves y in [0, 9)^4, 3^8 points instead of 3^16, each standing for
+    # 9^4 grid points.
     f = parse_polynomial("x^2*y+y^2*z+z^2*u+u^2*x")
-    got = brute_force_S(f, 3, 4)
+    want = _exp_sum_over_grid(f, 81, [(0, 81)] * 4, 1) / 3 ** 16
+    grid_calls.clear()
+    with mock.patch.object(sums, "_HIST_CAP", 1):
+        got = brute_force_S(f, 3, 4)
     assert grid_calls == [((9,) * 4, 4, 9 ** 4)]
     assert got.term_count == 3 ** 16
-    assert got.value == _exp_sum_over_grid(f, 81, [(0, 81)] * 4, 1) / 3 ** 16
+    assert abs(got.value - want) <= got.abs_error_budget
 
 
 def test_linear_coefficient_residues_at_3_19_are_exact(monkeypatch):
