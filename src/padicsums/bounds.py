@@ -100,23 +100,26 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
         base = (blk.N.astype(dtype) + 1) * sigma_D
         main_ok = lhs >= base - main_off[blk.face_id]
         half_ok = lhs >= base - half_off[blk.face_id]
-        for i in np.flatnonzero(~(main_ok & half_ok)).tolist():
-            face_id, N = int(blk.face_id[i]), int(blk.N[i])
-            if (face_id, N) not in rhs_memo:
+        bad = np.flatnonzero(~(main_ok & half_ok))
+        rows = zip(
+            blk.k[bad].tolist(), blk.face_id[bad].tolist(), blk.nu[bad].tolist(),
+            blk.N[bad].tolist(), main_ok[bad].tolist(), half_ok[bad].tolist(),
+        )
+        for k, face_id, nu, N, m_ok, h_ok in rows:
+            rhs = rhs_memo.get((face_id, N))
+            if rhs is None:
                 face = faces[face_id]
-                rhs_memo[face_id, N] = (
+                rhs = rhs_memo[face_id, N] = (
                     sigma * (N + 1) - face.sigma_tau,
                     sigma * (N + 1) - Fraction(face.dim + 1, 2),
                 )
-            rhs_main, rhs_half = rhs_memo[face_id, N]
             rec = NuCheckRecord(
-                k=tuple(blk.k[i].tolist()), face_id=face_id, nu=int(blk.nu[i]), N=N,
-                rhs_main=rhs_main, rhs_halfdim=rhs_half,
-                main_ok=bool(main_ok[i]), halfdim_ok=bool(half_ok[i]),
+                k=tuple(k), face_id=face_id, nu=nu, N=N,
+                rhs_main=rhs[0], rhs_halfdim=rhs[1], main_ok=m_ok, halfdim_ok=h_ok,
             )
-            if not rec.main_ok:
+            if not m_ok:
                 main_bad.append(rec)
-            if not rec.halfdim_ok:
+            if not h_ok:
                 half_bad.append(rec)
     return NuCheckFindings(
         T=T,

@@ -11,8 +11,9 @@ Two tables drive the parser, which is built once, at import.  ``_OPTIONS``
 maps each option name to its flags and argparse keywords; ``_COMMANDS``
 maps each subcommand to its handler, its help line and the names of the
 options it takes, a trailing ``!`` marking one it requires.  A handler
-receives the parsed namespace.  ``sum``, ``esum`` and ``verify-formula`` run
-one prime, and ``sum`` one power; a second one is a usage error.
+receives the parsed namespace.  ``sum`` and ``esum`` run one prime, and
+``sum`` one power; a second one is a usage error.  ``verify-formula`` runs
+every prime given.
 
 Exit codes: 0 = all asserted checks pass, 1 = a hard assertion failed
 (the lattice inequality or a formula verdict), 2 = usage or budget error.
@@ -190,31 +191,36 @@ _FORMULA_COLUMNS = ("p", "m", "tol", "verdict", "T", "tail", "lhs_re", "lhs_im",
 
 
 def cmd_verify_formula(args: argparse.Namespace) -> int:
+    """One report per prime, in ascending order; the primes share the one
+    polyhedron of f.  One prime gives its report object, several a list."""
     f = parse_polynomial(args.polynomial)
-    p = _one(args, "primes")
-    reports = faceformula.verify_formula(
-        f, p, args.powers, args.eps,
-        workers=args.workers, work_budget=args.budget,
-    )
-    rows = [rep.to_json_row() for rep in reports]
-    obj = {
-        "polynomial": render(f), "prime": p,
-        "nondeg": reports[0].nondeg.to_dict() if reports else None,
-        "rows": rows,
-    }
-    human = [f"polynomial: {render(f)}   p = {p}"]
-    for rep in reports:
-        if rep.lhs is None:
-            human.append(f"  m = {rep.m}: {rep.verdict}")
-        else:
-            human.append(
-                f"  m = {rep.m}: {rep.verdict}   |lhs-rhs| = "
-                f"{abs(rep.lhs.value - rep.rhs.value):.3e} <= tol {rep.certified_tolerance:.3e}"
-            )
-    _emit(args, human, obj, (_FORMULA_COLUMNS, [_flatten_formula_row(r) for r in rows]))
-    if any(rep.verdict == "fail" for rep in reports):
+    objs, human, csv_rows, verdicts = [], [], [], set()
+    for p in args.primes:
+        reports = faceformula.verify_formula(
+            f, p, args.powers, args.eps,
+            workers=args.workers, work_budget=args.budget,
+        )
+        rows = [rep.to_json_row() for rep in reports]
+        objs.append({
+            "polynomial": render(f), "prime": p,
+            "nondeg": reports[0].nondeg.to_dict() if reports else None,
+            "rows": rows,
+        })
+        human.append(f"polynomial: {render(f)}   p = {p}")
+        for rep in reports:
+            if rep.lhs is None:
+                human.append(f"  m = {rep.m}: {rep.verdict}")
+            else:
+                human.append(
+                    f"  m = {rep.m}: {rep.verdict}   |lhs-rhs| = "
+                    f"{abs(rep.lhs.value - rep.rhs.value):.3e} <= tol {rep.certified_tolerance:.3e}"
+                )
+        csv_rows += [_flatten_formula_row(r) for r in rows]
+        verdicts.update(rep.verdict for rep in reports)
+    _emit(args, human, objs[0] if len(objs) == 1 else objs, (_FORMULA_COLUMNS, csv_rows))
+    if "fail" in verdicts:
         return 1
-    if any(rep.verdict == "budget-exceeded" for rep in reports):
+    if "budget-exceeded" in verdicts:
         return 2
     return 0
 

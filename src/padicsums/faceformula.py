@@ -131,7 +131,23 @@ def cone_sums_multi(
 ) -> Tuple[Dict[int, List[ConeSumResult]], int, Fraction]:
     """A(p,m,tau) and B(p,m,tau) for every face and every requested m in one
     shared lattice-enumeration pass, with the truncation level T and its
-    exact tail (``truncation_level``).
+    exact tail (``truncation_level``): the numerators of ``_cone_numerators``
+    over p^T, as Fractions."""
+    per_m, T, tail = _cone_numerators(P, p, ms, eps)
+    scale = p ** T
+    out = {
+        m: [ConeSumResult(face_id, Fraction(a, scale), Fraction(b, scale))
+            for face_id, (a, b) in enumerate(rows)]
+        for m, rows in per_m.items()
+    }
+    return out, T, tail
+
+
+def _cone_numerators(
+    P: NewtonPolyhedron, p: int, ms: Sequence[int], eps: EpsLike,
+) -> Tuple[Dict[int, List[Tuple[int, int]]], int, Fraction]:
+    """For each m in ms, the integers (p^T A(p,m,tau), p^T B(p,m,tau)) of every
+    face tau, indexed by face id, with T and its tail.
 
     N is bucketed against the sorted breakpoints {m - 1, m : m in ms}: bucket
     j >= 1 holds cuts[j-1] <= N < cuts[j] (the last one is unbounded above)
@@ -163,18 +179,10 @@ def cone_sums_multi(
     W = [flat[i:i + width] for i in range(0, len(flat), width)]
     suffix = [list(accumulate(reversed(row)))[::-1] + [0] for row in W]  # sums of W[f][j:]
     bucket_of = {c: j + 1 for j, c in enumerate(cuts)}
-    scale = p ** T
-    out: Dict[int, List[ConeSumResult]] = {}
+    out: Dict[int, List[Tuple[int, int]]] = {}
     for m in ms:
         a_at, b_at = bucket_of.get(m, width), bucket_of.get(m - 1)
-        out[m] = [
-            ConeSumResult(
-                face_id=face.id,
-                A_partial=Fraction(suffix[face.id][a_at], scale),
-                B_partial=Fraction(0 if b_at is None else W[face.id][b_at], scale),
-            )
-            for face in faces
-        ]
+        out[m] = [(a[a_at], 0 if b_at is None else w[b_at]) for a, w in zip(suffix, W)]
     return out, T, tail
 
 
@@ -199,24 +207,25 @@ def _torus_values(
 def _assemble(
     n: int,
     p: int,
-    rows: Sequence[ConeSumResult],
+    rows: Sequence[Tuple[int, int]],
+    scale: int,
     e_values: Dict[int, SumValue],
     tail: Fraction,
 ) -> SumValue:
+    """The right-hand side at one m from each face's (A, B) numerators over
+    ``scale`` = p^T.  b / scale is float(B) exactly: both are correctly rounded."""
     factor = (1 - Fraction(1, p)) ** n
-    a_total = Fraction(0)
     eb_total = 0j
     e_budget = 0.0
     term_count = len(rows)
-    for row in rows:
-        a_total += row.A_partial
-        if row.B_partial:
-            ev = e_values[row.face_id]
-            eb_total += float(row.B_partial) * ev.value
-            e_budget += float(row.B_partial) * ev.abs_error_budget
+    for face_id, (_, b) in enumerate(rows):
+        if b:
+            ev = e_values[face_id]
+            eb_total += b / scale * ev.value
+            e_budget += b / scale * ev.abs_error_budget
             term_count += ev.term_count
     ffac = float(factor)
-    value = float(factor * a_total) + ffac * eb_total
+    value = float(factor * Fraction(sum(a for a, _ in rows), scale)) + ffac * eb_total
     # |E| <= 1, so 2 bounds (1 + max|E|) over every omitted fiber point.
     budget = float(factor * tail) * 2.0 + ffac * e_budget + KERNEL_EPS * len(rows)
     return SumValue(value, budget, term_count)
@@ -229,10 +238,11 @@ def _rhs(
     """The assembled right-hand side for every m in ms, with the shared
     truncation level T and tail: one cone-sum pass, then one torus sum per
     distinct restriction of a face whose B is nonzero at some m."""
-    per_m, T, tail = cone_sums_multi(P, p, ms, eps)
-    needed = {r.face_id for rows in per_m.values() for r in rows if r.B_partial}
+    per_m, T, tail = _cone_numerators(P, p, ms, eps)
+    needed = {face_id for rows in per_m.values() for face_id, (_, b) in enumerate(rows) if b}
     e_values = _torus_values(faces, needed, p, workers=workers, work_budget=work_budget)
-    return {m: _assemble(P.n, p, per_m[m], e_values, tail) for m in ms}, T, tail
+    scale = p ** T
+    return {m: _assemble(P.n, p, per_m[m], scale, e_values, tail) for m in ms}, T, tail
 
 
 def rhs_assembly(

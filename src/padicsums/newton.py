@@ -18,12 +18,17 @@ bitmasks and zero-axis bitmasks under intersection.  The one elimination,
 restriction f_tau is conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the
 face's vertex set: one vertex or a segment is solved in closed form, and only
 three or more vertices need a polyhedron of their own.  A polyhedron is
-immutable: its faces, its diagonal data and the sigma of each vertex set are
-derived once, on first use, and never change what it compares equal to.
+immutable by contract: its faces, its diagonal data and the sigma of each
+vertex set are derived once, on first use, and never change what it compares
+equal to.  ``build_polyhedron`` keeps each polyhedron for as long as the
+polynomial it was built from lives, so every call with an equal f, at any
+prime, shares one polyhedron and everything derived on it.
 """
 
 from __future__ import annotations
 
+import copy
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -323,22 +328,41 @@ def _segment_t_star(a: ExponentVector, b: ExponentVector) -> Fraction:
 # construction
 # ---------------------------------------------------------------------------
 
+#: Each live polynomial -> its polyhedron.  A polyhedron holds an equal copy
+#: of its polynomial, never the key itself, so an entry dies with its key.
+_BUILT: "weakref.WeakKeyDictionary[Polynomial, NewtonPolyhedron]" = weakref.WeakKeyDictionary()
+
+
 def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     """Exact V- and H-representation of conv(Supp(f)) + R_+^n.
 
-    Requires f nonconstant with f(0) = 0 and n <= DIMENSION_CAP.  Facets are
-    the extreme rays of the homogenization cone (``_extreme_rays``); normals
-    come out primitive with nonnegative entries.  Each facet's dots over the
-    sorted support are computed once, as one table, and everything else is
-    read from it: the offset must be their minimum (so no support point lies
-    outside), and the points attaining it form the facet's support mask.  A
-    support point is a vertex iff no other support point is tight on every
-    facet it is tight on: the facets tight at s cut out the smallest face
-    containing s, which is {s} for a vertex and otherwise holds a vertex of
-    this pointed polyhedron, and every vertex is a support point.  The masks
-    then check what is left of the duality of the two representations: some
-    offset is positive (the origin lies outside) and every facet holds a
-    vertex.
+    The polyhedron depends on f alone, so it is built once and shared: while
+    f lives, every call with a polynomial equal to f returns the same object,
+    with its faces, restrictions and face sigmas as far as they have been
+    derived.  It is immutable by contract; ``source`` is an equal copy of f.
+    Requires f nonconstant with f(0) = 0 and n <= DIMENSION_CAP.
+    """
+    P = _BUILT.get(f)
+    if P is None:
+        P = _BUILT[f] = _build(f)
+    return P
+
+
+def _build(f: Polynomial) -> NewtonPolyhedron:
+    """The polyhedron of f, built afresh (``build_polyhedron`` shares it).
+
+    Facets are the extreme rays of the homogenization cone
+    (``_extreme_rays``); normals come out primitive with nonnegative
+    entries.  Each facet's dots over the sorted support are computed once,
+    as one table, and everything else is read from it: the offset must be
+    their minimum (so no support point lies outside), and the points
+    attaining it form the facet's support mask.  A support point is a vertex
+    iff no other support point is tight on every facet it is tight on: the
+    facets tight at s cut out the smallest face containing s, which is {s}
+    for a vertex and otherwise holds a vertex of this pointed polyhedron,
+    and every vertex is a support point.  The masks then check what is left
+    of the duality of the two representations: some offset is positive (the
+    origin lies outside) and every facet holds a vertex.
     """
     if f.n > DIMENSION_CAP:
         raise DimensionTooLarge(f"dimension {f.n} exceeds cap {DIMENSION_CAP}")
@@ -372,7 +396,7 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
         n=f.n,
         vertices=tuple(support[s] for s in _bits(on_vertex, len(support))),
         facets=tuple(facets),
-        source=f,
+        source=copy.copy(f),
         support_masks=tuple(masks),
     )
 

@@ -45,8 +45,8 @@ def task_plans(monkeypatch):
 
 
 def spy_builds(monkeypatch) -> list:
-    """Every polyhedron built through ``build_polyhedron`` from now on, in
-    call order, whichever padicsums module made the call."""
+    """Every polyhedron returned by ``build_polyhedron`` from now on, shared
+    or new, in call order, whichever padicsums module made the call."""
     real, built = newton.build_polyhedron, []
 
     def spy(*args, **kwargs):

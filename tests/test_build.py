@@ -12,13 +12,16 @@ Fraction (``fraction_rank_inverse``), sharing no code with the build.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from padicsums import newton
 from padicsums.newton import (
     _extreme_rays,
     _segment_t_star,
@@ -248,7 +251,7 @@ def test_sigmas_build_once_per_vertex_set_of_three_or_more(corpus, builds):
     rng = random.Random(55)
     polys = list(corpus) + [random_polynomial(rng, n=rng.randint(2, 5), max_terms=8, max_exp=4) for _ in range(20)]
     for f in polys:
-        P = build_polyhedron(f)
+        P = newton._build(f)  # uncached, so no face sigma has been read
         builds.clear()
         sigmas = [face.sigma_tau for face in P.faces]
         wanted = _sigma_builds(P)
@@ -260,7 +263,7 @@ def test_sigmas_build_once_per_vertex_set_of_three_or_more(corpus, builds):
 
 
 def test_two_vertex_polyhedron_reads_every_sigma_without_a_build(builds):
-    P = build_polyhedron(parse_polynomial("x*y+z*u"))
+    P = newton._build(parse_polynomial("x*y+z*u"))  # uncached, so no face sigma has been read
     builds.clear()
     assert len(P.faces) == 34
     assert {face.sigma_tau for face in P.faces} == {Fraction(1), Fraction(2)}
@@ -269,16 +272,42 @@ def test_two_vertex_polyhedron_reads_every_sigma_without_a_build(builds):
 
 def test_faces_of_two_builds_form_one_set(corpus):
     for f in corpus:
-        first, second = build_polyhedron(f), build_polyhedron(f)
+        first, second = build_polyhedron(f), newton._build(f)  # the second uncached
+        assert first is not second
         assert first == second and hash(first) == hash(second)
         assert set(first.faces) == set(second.faces)
         assert len(set(first.faces) | set(second.faces)) == len(first.faces)
 
 
 def test_vertex_sigma_memo_lives_on_the_polyhedron():
-    f = parse_polynomial("x^2*y+y^2*z+z^2*x+x*y*z")
-    first, second = build_polyhedron(f), build_polyhedron(f)
+    text = "x^2*y+y^2*z+z^2*x+x*y*z"
+    f = parse_polynomial(text)
+    first = build_polyhedron(f)
+    assert build_polyhedron(f) is first
+    assert build_polyhedron(parse_polynomial(text)) is first  # equal f, same P
     for face in first.faces:
         face.sigma_tau
     assert set(first.__dict__["_vertex_sigmas"]) == {face.vertex_ids for face in first.faces}
-    assert "_vertex_sigmas" not in second.__dict__
+    del f, first
+    gc.collect()
+    fresh = build_polyhedron(parse_polynomial(text))
+    assert "_vertex_sigmas" not in fresh.__dict__
+
+
+def test_polyhedron_dies_with_its_polynomial():
+    f = parse_polynomial("x^4*y+x*y^5+x^2*y^2*z+z^7")
+    P = build_polyhedron(f)
+    P.faces, P.diagonal  # derived data must not pin f either
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is build_polyhedron(f)  # kept while f lives
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_polyhedron_holds_an_equal_copy_of_its_polynomial(corpus):
+    for f in corpus:
+        P = build_polyhedron(f)
+        assert P.source == f and P.source is not f

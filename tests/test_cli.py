@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -332,8 +333,8 @@ def test_prime_and_power_flags_merge_into_sorted_lists():
     assert args.primes == [3] and args.powers == [1, 2, 3]
 
 
-# sum, esum and verify-formula run one prime (sum also one power), so a
-# second value would otherwise be dropped without a word.
+# sum and esum run one prime (sum also one power), so a second value would
+# otherwise be dropped without a word.
 def test_sum_refuses_a_second_prime_or_power(capsys):
     assert main(["sum", "x*y", "-p", "5", "-p", "3", "-m", "1", "-m", "2"]) == 2
     assert "sum takes one prime, got 3, 5" in capsys.readouterr().err
@@ -346,11 +347,36 @@ def test_esum_refuses_a_second_prime(capsys):
     assert "esum takes one prime, got 3, 7" in capsys.readouterr().err
 
 
-def test_verify_formula_refuses_a_second_prime(capsys):
-    assert main(["verify-formula", "x*y", "-p", "5", "-p", "3", "-m", "1"]) == 2
-    captured = capsys.readouterr()
-    assert "verify-formula takes one prime, got 3, 5" in captured.err
-    assert captured.out == ""
+# verify-formula runs every prime given, in ascending order.
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+def test_verify_formula_runs_every_prime(capsys, fmt):
+    argv = ["verify-formula", "x*y", "-m", "1", "-m", "2", *fmt]
+    singles = [run(capsys, *argv, "-p", p) for p in ("3", "5")]
+    code, out = run(capsys, *argv, "-p", "5", "-p", "3")
+    assert code == 0 and [c for c, _ in singles] == [0, 0]
+    if fmt == ["--json"]:
+        assert json.loads(out) == [json.loads(single) for _, single in singles]
+    elif fmt == ["--csv"]:
+        first, second = (single.splitlines() for _, single in singles)
+        assert first[0] == second[0] and out.splitlines() == first + second[1:]
+    else:
+        assert out == "".join(single for _, single in singles)
+
+
+@pytest.mark.parametrize("verdicts, want", [
+    ({3: "pass", 5: "pass"}, 0),
+    ({3: "budget-exceeded", 5: "pass"}, 2),
+    ({3: "budget-exceeded", 5: "fail"}, 1),
+    ({3: "fail", 5: "budget-exceeded"}, 1),
+])
+def test_verify_formula_exit_code_over_primes(capsys, monkeypatch, verdicts, want):
+    real = cli.faceformula.verify_formula
+
+    def forced(f, p, *args, **kwargs):
+        return [dataclasses.replace(rep, verdict=verdicts[p]) for rep in real(f, p, *args, **kwargs)]
+
+    monkeypatch.setattr(cli.faceformula, "verify_formula", forced)
+    assert main(["verify-formula", "x*y", "-p", "3", "-p", "5", "-m", "1"]) == want
 
 
 @pytest.mark.parametrize("face", ["4", "-1"])

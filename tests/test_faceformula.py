@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsums import newton
+from padicsums import faceformula, newton
 from padicsums.errors import WorkBudgetExceeded
 from padicsums.faceformula import (
     ab_ratio_monitor,
@@ -31,7 +31,7 @@ from padicsums.newton import (
     sigma_data,
 )
 from padicsums.poly import Polynomial, parse_polynomial
-from padicsums.sums import brute_force_S
+from padicsums.sums import KERNEL_EPS, SumValue, brute_force_S
 from conftest import random_polynomial, spy_builds
 
 EPS = Fraction(1, 10 ** 8)
@@ -284,9 +284,9 @@ def _assert_sigmas_fresh_after_rhs(f, p, builds):
     for compute in (lambda: verify_formula(f, p, [1], eps), lambda: rhs_assembly(f, p, 1, eps)):
         builds.clear()
         compute()
-        assert len(builds) == 1  # no face sigma was read yet
-        for face in builds[0].faces:
-            assert face.sigma_tau == sigma_data(newton.build_polyhedron(face.restriction)).sigma
+        assert len(builds) == 1  # the call reads no face sigma
+        for face in builds[0].faces:  # the oracle is built afresh, sharing no memo
+            assert face.sigma_tau == sigma_data(newton._build(face.restriction)).sigma
 
 
 def test_face_sigmas_after_verify_match_fresh_builds(corpus, builds):
@@ -317,3 +317,56 @@ def test_face_sigmas_after_verify_match_fresh_builds_random(f, p):
 @given(f=small_polynomials(), p=st.sampled_from([2, 3, 5]))
 def test_rhs_assembly_equals_verify_formula_rhs_random(f, p):
     _assert_rhs_assembly_matches_verify(f, p, [1, 2], Fraction(1, 10 ** 4))
+
+
+# -- one polyhedron across primes -----------------------------------------------
+
+def test_verify_formula_across_primes_computes_one_face_lattice(monkeypatch):
+    real, lattices = newton._face_lattice, []
+
+    def spy(P):
+        lattices.append(P)
+        return real(P)
+
+    monkeypatch.setattr(newton, "_face_lattice", spy)
+    f = parse_polynomial("x^3*y+x*y^2+y^5+x^4")
+    for p in (2, 3, 5, 7, 11, 13):
+        verify_formula(f, p, [1, 2], Fraction(1, 10 ** 4))
+    assert len(lattices) == 1
+
+
+# -- integer right-hand side ------------------------------------------------------
+
+def fraction_assemble(n, p, rows, e_values, tail) -> SumValue:
+    """The right-hand side at one m summed over the Fraction rows of
+    ``cone_sums_multi``: the assembly the integer numerators replaced."""
+    factor = (1 - Fraction(1, p)) ** n
+    a_total = Fraction(0)
+    eb_total = 0j
+    e_budget = 0.0
+    term_count = len(rows)
+    for row in rows:
+        a_total += row.A_partial
+        if row.B_partial:
+            ev = e_values[row.face_id]
+            eb_total += float(row.B_partial) * ev.value
+            e_budget += float(row.B_partial) * ev.abs_error_budget
+            term_count += ev.term_count
+    ffac = float(factor)
+    value = float(factor * a_total) + ffac * eb_total
+    budget = float(factor * tail) * 2.0 + ffac * e_budget + KERNEL_EPS * len(rows)
+    return SumValue(value, budget, term_count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=small_polynomials(), p=st.sampled_from([2, 3, 5, 7]))
+def test_integer_assembly_equals_fraction_assembly(f, p):
+    eps, ms = Fraction(1, 10 ** 4), [1, 2, 3]
+    P = build_polyhedron(f)
+    rhs, T, tail = faceformula._rhs(P, P.faces, p, ms, eps, workers=1, work_budget=10 ** 6)
+    per_m, T_rows, tail_rows = cone_sums_multi(P, p, ms, eps)
+    assert (T, tail) == (T_rows, tail_rows)
+    needed = {row.face_id for rows in per_m.values() for row in rows if row.B_partial}
+    e_values = faceformula._torus_values(P.faces, needed, p, workers=1, work_budget=10 ** 6)
+    for m in ms:
+        assert rhs[m] == fraction_assemble(P.n, p, per_m[m], e_values, tail)

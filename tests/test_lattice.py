@@ -185,7 +185,7 @@ def test_pattern_of_no_face_raises_key_error(python_ints, monkeypatch):
     whole = build_polyhedron(f).faces
     T = max(sum(face.witness_k) for face in whole)  # every witness is enumerated
     for dropped in whole:
-        P = build_polyhedron(f)
+        P = newton._build(f)  # uncached: the shared polyhedron of f stays intact
         P.__dict__["faces"] = tuple(face for face in whole if face != dropped)
         with pytest.raises(KeyError) as err:
             list(lattice_blocks(P, T))
