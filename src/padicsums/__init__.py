@@ -12,7 +12,6 @@ Library layout:
 from .errors import (
     BudgetExceeded,
     ConstantTermNonzero,
-    DegenerateSampling,
     DimensionTooLarge,
     HypothesisUnmet,
     InsufficientPrimes,
@@ -66,7 +65,6 @@ from .bounds import (
     bound_ratio_table,
     check_nu_inequality,
     check_sigma_dim_bound,
-    convexity_sampler,
     e_decay_fit,
 )
 

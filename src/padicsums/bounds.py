@@ -6,24 +6,38 @@ enumerated point, while the classical variant that subtracts
 (dim tau + 1)/2 instead is only a findings generator (it is known to fail
 without an extra vertex hypothesis).  Decay exponents of the torus sums are
 fitted empirically and reported next to the two theoretical predictions.
+
+The diagonal-domination inequality needs no check of its own, because the
+polyhedron decides it exactly.  Lemma: let tau be a face of Gamma_f, with
+vertex set V_tau and recession axes e_a, so tau = conv(V_tau) + cone(e_a).
+Let sigma = 1/t* be the diagonal invariant.  If R_1, ..., R_r lie in tau,
+beta_j >= 0 and sum_j beta_j R_j <= (t*, ..., t*) componentwise, then
+
+    sum_j beta_j <= sigma(f_tau) / sigma <= 1,
+
+and the supremum sigma(f_tau)/sigma is attained.  Proof: put
+s = sum_j beta_j; if s > 0, then x = sum_j beta_j R_j / s lies in tau, and
+the hypothesis reads s * max_i x_i <= t*.  Adding a multiple of some e_a
+lowers no coordinate, so the minimum of max_i x_i over tau is its minimum
+over conv(V_tau), which is 1/sigma(f_tau)
+(``NewtonPolyhedron.vertex_sigma``); it is positive, since 0 is not in
+Gamma_f.  Hence s <= t* sigma(f_tau) = sigma(f_tau)/sigma, with equality for
+one point R at that minimizer and beta = t* / max_i R_i.  Finally, tau lies
+in Gamma_f, so the minimum over conv(V_tau) is at least t*, which is
+sigma(f_tau) <= sigma.  On any face the exact supremum is therefore
+``face.sigma_tau / P.diagonal.sigma``; ``analyze`` reports both parts.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateSampling,
-    HypothesisUnmet,
-    InsufficientPrimes,
-    WorkBudgetExceeded,
-)
+from .errors import HypothesisUnmet, InsufficientPrimes, WorkBudgetExceeded
 from .newton import (
     INT64_SAFE,
     N_bound,
@@ -142,102 +156,6 @@ def nu_record_to_dict(rec: NuCheckRecord) -> dict:
         "main_ok": rec.main_ok,
         "halfdim_ok": rec.halfdim_ok,
     }
-
-
-# ---------------------------------------------------------------------------
-# convexity sampler
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvexitySampleReport:
-    face_id: int
-    trials: int
-    accepted: int
-    passed: bool
-    counterexample: Optional[dict] = None
-
-
-def convexity_sampler(
-    f: Polynomial,
-    face_id: int,
-    trials: int,
-    seed: int,
-) -> ConvexitySampleReport:
-    """Randomized exact check of the diagonal-domination inequalities.
-
-    Samples rational points R_j on the face (convex combinations of its
-    vertices plus nonnegative multiples of its recession axes) and weights
-    beta_j >= 0; whenever sum beta_j R_j <= (1/sigma, ..., 1/sigma) holds
-    componentwise it asserts, with exact rationals,
-
-        sum beta_j <= 1    and    sum beta_j <= sigma(f_tau) / sigma.
-
-    Hypothesis-rejecting samples are discarded; DegenerateSampling fires when
-    fewer than trials/10 samples satisfy the hypothesis.  trials must be
-    at least 1.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    P = build_polyhedron(f)
-    tau = P.face_by_id(face_id)
-    sig = sigma_data(P)
-    t_star = sig.t_star
-    bound = tau.sigma_tau / sig.sigma
-    verts = [P.vertices[i] for i in tau.vertex_ids]
-    rng = random.Random(seed)
-
-    accepted = 0
-    for _ in range(trials):
-        npts = rng.randint(1, 3)
-        points: List[Tuple[Fraction, ...]] = []
-        for _ in range(npts):
-            weights = [rng.randint(0, 4) for _ in verts]
-            if not any(weights):
-                weights[rng.randrange(len(verts))] = 1
-            wsum = sum(weights)
-            coord = [Fraction(0)] * P.n
-            for w, v in zip(weights, verts):
-                for i, vi in enumerate(v):
-                    coord[i] += Fraction(w, wsum) * vi
-            for a in tau.recession_axes:
-                coord[a] += Fraction(rng.randint(0, 8), 4)
-            points.append(tuple(coord))
-        betas = []
-        for pt in points:
-            if rng.random() < 0.5:
-                betas.append(Fraction(rng.randint(0, 32), 16))
-            else:
-                peak = max(pt)
-                betas.append(
-                    Fraction(rng.randint(0, 16), 16) * t_star / (1 + peak)
-                )
-        combo = [
-            sum(b * pt[i] for b, pt in zip(betas, points)) for i in range(P.n)
-        ]
-        if any(c > t_star for c in combo):
-            continue
-        accepted += 1
-        total = sum(betas)
-        if total > 1 or total > bound:
-            return ConvexitySampleReport(
-                face_id=face_id,
-                trials=trials,
-                accepted=accepted,
-                passed=False,
-                counterexample={
-                    "points": [[str(c) for c in pt] for pt in points],
-                    "betas": [str(b) for b in betas],
-                    "beta_sum": str(total),
-                    "bound": str(min(Fraction(1), bound)),
-                },
-            )
-    if accepted < trials / 10:
-        raise DegenerateSampling(
-            f"only {accepted} of {trials} samples satisfied the hypothesis"
-        )
-    return ConvexitySampleReport(
-        face_id=face_id, trials=trials, accepted=accepted, passed=True
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +317,11 @@ def check_sigma_dim_bound(P: NewtonPolyhedron, d: int) -> bool:
     """Whether sigma(f) <= (n - d)/2 for f = P.source and the user-asserted
     dimension d of the critical locus.  The artifact never computes d; a
     False result flags an inconsistent d or a failed hypothesis and is
-    reported as a finding."""
+    reported as a finding.  The critical locus of a homogeneous f of degree
+    >= 2 is a proper subvariety, so a d outside 0..n-1 is a ValueError."""
     deg = homogeneity(P.source)
     if deg is None or deg < 2:
         raise HypothesisUnmet("f must be homogeneous of degree >= 2")
+    if not 0 <= d < P.n:
+        raise ValueError(f"d must lie in 0..{P.n - 1} for n = {P.n}, got {d}")
     return P.diagonal.sigma <= Fraction(P.n - d, 2)

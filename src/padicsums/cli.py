@@ -48,24 +48,26 @@ def _parse_eps(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad eps {text!r}: not a finite decimal number")
 
 
+def _nonempty(values: List[int], text: str) -> List[int]:
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} names no value")
+    return values
+
+
 def _parse_primes(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def _parse_powers(text: str) -> List[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    return _nonempty(list(range(int(lo), int(hi if sep else lo) + 1)), text)
 
 
 class _Union(argparse.Action):
-    """Add one value (--prime, --power) or a list (--primes, --powers) to
-    the option's sorted list without repeats."""
+    """Merge one flag's values into the option's sorted list without repeats."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        merged = set(getattr(namespace, self.dest) or ())
-        merged.update(values if isinstance(values, list) else [values])
+        merged = set(getattr(namespace, self.dest) or ()).union(values)
         setattr(namespace, self.dest, sorted(merged))
 
 
@@ -359,15 +361,13 @@ def cmd_sigma_bound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 #: Every option, in the order it is registered: name -> (flags, keywords).
-#: --prime and --primes fill one list, ``args.primes``; so do --power and
-#: --powers (``args.powers``).
+#: Each use of a prime flag adds to one sorted list, ``args.primes``, and
+#: each use of a power flag to ``args.powers``.
 _OPTIONS = {
-    "prime": (("--prime", "-p"), dict(type=int, action=_Union, dest="primes", metavar="PRIME")),
-    "primes": (("--primes",), dict(type=_parse_primes, action=_Union,
-                                   help="comma-separated list, e.g. 3,5,7")),
-    "power": (("--power", "-m"), dict(type=int, action=_Union, dest="powers", metavar="POWER")),
-    "powers": (("--powers",), dict(type=_parse_powers, action=_Union,
-                                   help="range a..b or single value")),
+    "prime": (("--prime", "-p", "--primes"), dict(type=_parse_primes, action=_Union, dest="primes",
+                                                  help="a prime or a list, e.g. 3,5,7")),
+    "power": (("--power", "-m", "--powers"), dict(type=_parse_powers, action=_Union, dest="powers",
+                                                  help="a power a or a range a..b")),
     "face": (("--face",), dict(type=int, help="face id from `analyze`")),
     "d": (("--d",), dict(type=int, help="asserted dimension of the critical locus")),
     "ceiling": (("--ceiling",), dict(type=float, help="flag ratio cells above this value as findings")),
@@ -385,17 +385,17 @@ _OPTIONS = {
 #: --json and --out; a name ending in "!" is a required option.
 _COMMANDS = {
     "analyze": (cmd_analyze, "polyhedron, faces, sigma/kappa table", ()),
-    "nondeg": (cmd_nondeg, "per-face mod-p nondegeneracy", ("prime", "primes", "budget")),
+    "nondeg": (cmd_nondeg, "per-face mod-p nondegeneracy", ("prime!", "budget")),
     "sum": (cmd_sum, "brute-force complete sum", ("prime!", "power!", "budget", "workers")),
     "esum": (cmd_esum, "torus sum, optionally of a face restriction",
              ("prime!", "face", "budget", "workers")),
     "verify-formula": (cmd_verify_formula, "face decomposition vs brute force",
-                       ("prime!", "power", "powers", "eps", "budget", "workers", "csv")),
+                       ("prime!", "power!", "eps", "budget", "workers", "csv")),
     "verify-nu": (cmd_verify_nu, "lattice inequality scan", ("T", "csv")),
     "ratios": (cmd_ratios, "decay-normalized sum table",
-               ("prime", "primes", "power", "powers", "ceiling", "budget", "workers", "csv")),
+               ("prime!", "power!", "ceiling", "budget", "workers", "csv")),
     "edecay": (cmd_edecay, "torus-sum decay exponent fit",
-               ("prime", "primes", "face!", "budget", "workers", "csv")),
+               ("prime!", "face!", "budget", "workers", "csv")),
     "sigma-bound": (cmd_sigma_bound, "sigma <= (n-d)/2 consistency gate", ("d!",)),
 }
 
@@ -425,11 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # one of two flags must supply these lists, which argparse cannot require
-    for dest, what in (("primes", "prime"), ("powers", "power")):
-        if dest in args and not getattr(args, dest):
-            print(f"error: a {what} is required (--{what} or --{dest})", file=sys.stderr)
-            return 2
     try:
         return args.handler(args)
     except (PadicSumsError, ValueError) as exc:

@@ -49,10 +49,6 @@ class ModulusTooLarge(PadicSumsError):
     computation starts."""
 
 
-class DegenerateSampling(PadicSumsError):
-    """Too few hypothesis-satisfying samples were found by the convexity sampler."""
-
-
 class InsufficientPrimes(PadicSumsError):
     """Fewer than three usable primes remain for a decay-exponent fit."""
 

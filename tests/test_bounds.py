@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padicsums.bounds import (
     bound_ratio_table,
     check_nu_inequality,
     check_sigma_dim_bound,
-    convexity_sampler,
     e_decay_fit,
 )
 from padicsums.errors import HypothesisUnmet, InsufficientPrimes
 from padicsums.newton import build_polyhedron, enumerate_faces, eval_k, f0_face, sigma_data
 from padicsums.poly import Polynomial, parse_polynomial
+
+from conftest import random_polynomial
 
 
 # -- the lattice inequality -----------------------------------------------------
@@ -69,7 +72,13 @@ def test_nu_points_checked_count():
     assert res.points_checked == 28  # C(8, 2)
 
 
-# -- convexity sampler ----------------------------------------------------------
+# -- diagonal domination ------------------------------------------------------------
+#
+# The bounds module docstring proves that sum beta_j, over weights beta_j >= 0
+# and points R_j of a face tau with sum beta_j R_j <= t* componentwise, has
+# the exact supremum sigma(f_tau)/sigma <= 1.  The linear program below
+# computes that supremum from the face's vertices and axes alone, without
+# the library's sigma(f_tau) (``vertex_sigma``).
 
 def test_sampler_hand_instance_hyperbolic_pair():
     # single point R = (1,1,0,0) on F0, beta = 1/2: hypothesis holds with
@@ -82,7 +91,7 @@ def test_sampler_hand_instance_hyperbolic_pair():
     assert beta <= 1 and beta <= f0.sigma_tau / sig.sigma
 
 
-def test_sampler_boundary_instance_curve_vertex():
+def test_diagonal_domination_boundary_instance_curve_vertex():
     # R = (2,0): beta <= t*/2 = 3/5 and sigma_tau/sigma = (1/2)/(5/6) = 3/5
     P = build_polyhedron(parse_polynomial("x^2+y^3"))
     sig = sigma_data(P)
@@ -94,25 +103,29 @@ def test_sampler_boundary_instance_curve_vertex():
     assert sig.t_star / 2 == Fraction(3, 5)
 
 
-def test_sampler_passes_on_corpus_faces(corpus):
-    rng_seed = 2024
-    for f in corpus[:3]:
-        faces = enumerate_faces(build_polyhedron(f))
-        for face in faces[:6]:
-            rep = convexity_sampler(f, face.id, trials=200, seed=rng_seed)
-            assert rep.passed and rep.counterexample is None
-            assert rep.accepted >= 20
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_sampler_rejects_fewer_than_one_trial(trials):
-    with pytest.raises(ValueError):
-        convexity_sampler(parse_polynomial("x*y"), 0, trials=trials, seed=1)
-
-
-def test_sampler_rejects_unknown_face():
-    with pytest.raises(ValueError):
-        convexity_sampler(parse_polynomial("x*y"), 99, trials=10, seed=1)
+def test_diagonal_domination_supremum_matches_linear_program(corpus):
+    # maximize sum mu subject to V_tau mu + sum_a r_a e_a <= t* 1, mu, r >= 0:
+    # mu_v collects the weight beta_j puts on vertex v, r_a on recession axis a
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random(1414)
+    polys = corpus + [random_polynomial(rng, max_terms=8, max_exp=4) for _ in range(10)]
+    checked = 0
+    for f in polys:
+        P = build_polyhedron(f)
+        sigma, t_star = P.diagonal.sigma, P.diagonal.t_star
+        for face in enumerate_faces(P):
+            columns = [P.vertices[i] for i in face.vertex_ids]
+            columns += [tuple(int(i == a) for i in range(P.n)) for a in face.recession_axes]
+            cost = [-1.0] * len(face.vertex_ids) + [0.0] * len(face.recession_axes)
+            res = linprog(
+                cost, A_ub=np.array(columns, dtype=float).T,
+                b_ub=[float(t_star)] * P.n, bounds=(0, None), method="highs",
+            )
+            assert res.status == 0, (f, face.id, res.message)
+            assert abs(-res.fun - float(face.sigma_tau / sigma)) < 1e-9, (f, face.id)
+            assert face.sigma_tau <= sigma
+            checked += 1
+    assert checked == 380
 
 
 # -- ratio table ------------------------------------------------------------------
@@ -218,6 +231,10 @@ def test_sigma_dim_bound_cases():
         check("x^2+y^3", 0)
     with pytest.raises(HypothesisUnmet):
         check("x", 0)
+    # the critical locus has dimension 0..n-1
+    for d in (-1, 2):
+        with pytest.raises(ValueError, match=r"d must lie in 0\.\.1"):
+            check("x*y", d)
 
 
 # -- scalar invariance ----------------------------------------------------------------

@@ -252,6 +252,14 @@ def test_sigma_bound_finding_keeps_exit_zero(capsys):
     assert code == 0
 
 
+# The critical locus of a homogeneous f of degree >= 2 has dimension 0..n-1.
+def test_sigma_bound_d_outside_0_to_n_minus_1_exits_2(capsys):
+    for d, want in (("-1", 2), ("0", 0), ("3", 0), ("4", 2)):
+        code, out = run(capsys, "sigma-bound", "x*y+z*u", "--d", d)
+        assert code == want
+        assert out.startswith("sigma = 2/1") == (want == 0)
+
+
 def test_sigma_bound_builds_one_polyhedron(capsys, builds):
     code, out = run(capsys, "sigma-bound", "x*y+z*u", "--d", "0", "--json")
     assert code == 0 and json.loads(out)["sigma"] == "2/1"
@@ -331,6 +339,17 @@ def test_prime_and_power_flags_merge_into_sorted_lists():
     assert args.primes == [3, 5, 7]
     args = _build_parser().parse_args(["ratios", "x*y", "-p", "3", "--powers", "2..3", "-m", "1", "-m", "2"])
     assert args.primes == [3] and args.powers == [1, 2, 3]
+    # every flag of a quantity takes every form of it, wherever it is read
+    args = _build_parser().parse_args(["verify-formula", "x*y", "--primes", "5,3", "-m", "1..2"])
+    assert args.primes == [3, 5] and args.powers == [1, 2]
+    assert _build_parser().parse_args(["sum", "x*y", "-p", "3", "--powers", "2"]).powers == [2]
+    assert _build_parser().parse_args(["edecay", "x*y", "--face", "0", "-p", "2,3,5"]).primes == [2, 3, 5]
+
+
+@pytest.mark.parametrize("flags", [["--primes", ",", "-m", "1"], ["-p", "3", "-m", "1", "--powers", "3..1"]])
+def test_an_empty_prime_or_power_list_exits_2(capsys, flags):
+    assert main(["ratios", "x*y", *flags]) == 2
+    assert "names no value" in capsys.readouterr().err
 
 
 # sum and esum run one prime (sum also one power), so a second value would
