@@ -6,7 +6,7 @@ Library layout:
   sums        brute-force sum kernels and mod-p nondegeneracy scans
   faceformula certified cone sums and the face-decomposition verification
   bounds      inequality scans, decay-ratio tables, exponent fits
-  cli         command-line front end
+  cli         command-line front end and the report schema
 """
 
 from .errors import (
@@ -34,13 +34,11 @@ from .newton import (
     Face,
     Facet,
     NewtonPolyhedron,
-    SigmaData,
     build_polyhedron,
     enumerate_faces,
     enumerate_lattice_points,
     eval_k,
     f0_face,
-    sigma_data,
 )
 from .sums import (
     KERNEL_EPS,

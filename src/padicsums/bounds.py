@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .newton import (
     build_polyhedron,
     enumerate_faces,
     lattice_blocks,
-    sigma_data,
 )
 from .poly import ExponentVector, Polynomial, homogeneity
 from .sums import (
@@ -92,7 +91,7 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     """
     P = build_polyhedron(f)
     faces = enumerate_faces(P)
-    sigma = sigma_data(P).sigma
+    sigma = P.diagonal.sigma
     D = math.lcm(2, sigma.denominator, *(face.sigma_tau.denominator for face in faces))
     sigma_D = int(sigma * D)
     main_D = [int(face.sigma_tau * D) for face in faces]
@@ -143,21 +142,6 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     )
 
 
-def nu_record_to_dict(rec: NuCheckRecord) -> dict:
-    from .newton import frac_str
-
-    return {
-        "k": list(rec.k),
-        "face_id": rec.face_id,
-        "nu": rec.nu,
-        "N": rec.N,
-        "rhs_main": frac_str(rec.rhs_main),
-        "rhs_halfdim": frac_str(rec.rhs_halfdim),
-        "main_ok": rec.main_ok,
-        "halfdim_ok": rec.halfdim_ok,
-    }
-
-
 # ---------------------------------------------------------------------------
 # main-bound ratio table
 # ---------------------------------------------------------------------------
@@ -179,7 +163,6 @@ class RatioTable:
     hypothesis_met: bool
     rows: List[RatioCell] = field(default_factory=list)
     errors: List[Tuple[int, int, str]] = field(default_factory=list)
-    findings: List[RatioCell] = field(default_factory=list)
 
     @property
     def estimated_c(self) -> float:
@@ -193,15 +176,13 @@ def bound_ratio_table(
     *,
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    ratio_ceiling: Optional[float] = None,
 ) -> RatioTable:
     """|S_f(p^m)| with the two normalizations of the decay bound.
 
     The main bound presumes a homogeneous f; non-homogeneous input still
     produces the table but is flagged hypothesis_met=False.  Budget errors
-    are recorded per cell and the scan continues.  Cells whose main ratio
-    exceeds ratio_ceiling are findings, never failures: the bounding constant
-    is existential.
+    are recorded per cell and the scan continues.  No ratio is asserted:
+    the bounding constant is existential.
     """
     sig = build_polyhedron(f).diagonal
     table = RatioTable(
@@ -219,17 +200,14 @@ def bound_ratio_table(
                 continue
             abs_s = abs(s.value)
             growth = p ** (sigma * m)
-            cell = RatioCell(
+            table.rows.append(RatioCell(
                 p=p,
                 m=m,
                 abs_S=abs_s,
                 error_budget=s.abs_error_budget,
                 ratio_main=abs_s * growth / m ** (sig.kappa - 1),
                 ratio_coarse=abs_s * growth / m ** (f.n - 1),
-            )
-            table.rows.append(cell)
-            if ratio_ceiling is not None and cell.ratio_main > ratio_ceiling:
-                table.findings.append(cell)
+            ))
     return table
 
 

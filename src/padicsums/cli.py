@@ -5,7 +5,10 @@ table), ``nondeg``, ``sum``, ``esum``, ``verify-formula``, ``verify-nu``,
 ``ratios``, ``edecay``, ``sigma-bound``.  Reports go to stdout (or --out) as
 human text, --json, or --csv on the subcommands whose report is a table
 (verify-formula, verify-nu, ratios, edecay); exact rational quantities
-are serialized as "numerator/denominator" strings, never floats.
+are serialized as "numerator/denominator" strings, never floats.  This module
+is the one owner of the report schema: the library returns dataclasses, and
+the private ``_*_dict`` and ``_formula_row`` helpers here turn them into
+report objects.
 
 Two tables drive the parser, which is built once, at import.  ``_OPTIONS``
 maps each option name to its flags and argparse keywords; ``_COMMANDS``
@@ -36,9 +39,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import bounds, faceformula
 from .errors import PadicSumsError
-from .newton import build_polyhedron, enumerate_faces, frac_str, polyhedron_to_dict
+from .newton import Face, NewtonPolyhedron, build_polyhedron, enumerate_faces, f0_face
 from .poly import parse_polynomial, render
-from .sums import DEFAULT_WORK_BUDGET, brute_force_S, check_nondegenerate_mod_p, torus_E
+from .sums import DEFAULT_WORK_BUDGET, NondegReport, brute_force_S, check_nondegenerate_mod_p, torus_E
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -96,8 +99,79 @@ def _emit(
         print(text)
 
 
+# ---------------------------------------------------------------------------
+# report schema
+# ---------------------------------------------------------------------------
+
+def _frac_str(x: Fraction) -> str:
+    """Rationals travel as "numerator/denominator" strings, never floats."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _complex_dict(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
+
+
+def _face_dict(P: NewtonPolyhedron, face: Face) -> dict:
+    return {
+        "id": face.id,
+        "vertices": [list(P.vertices[i]) for i in face.vertex_ids],
+        "recession_axes": [a + 1 for a in face.recession_axes],
+        "dim": face.dim,
+        "witness": list(face.witness_k),
+        "sigma_tau": _frac_str(face.sigma_tau),
+        "restriction": render(face.restriction),
+    }
+
+
+def _polyhedron_dict(P: NewtonPolyhedron) -> dict:
+    faces = enumerate_faces(P)
+    sigma, t_star, kappa, _ = P.diagonal
+    return {
+        "n": P.n,
+        "polynomial": render(P.source),
+        "vertices": [list(v) for v in P.vertices],
+        "facets": [{"normal": list(F.normal), "offset": F.offset} for F in P.facets],
+        "sigma": _frac_str(sigma),
+        "t_star": _frac_str(t_star),
+        "kappa": kappa,
+        "f0_face_id": f0_face(P).id,
+        "faces": [_face_dict(P, face) for face in faces],
+    }
+
+
+def _nondeg_dict(report: NondegReport) -> dict:
+    return {
+        "prime": report.prime,
+        "passed": report.passed,
+        "faces": [
+            {"face_id": e.face_id, "passed": e.passed, "witness": list(e.witness) if e.witness else None}
+            for e in report.entries
+        ],
+    }
+
+
+def _formula_row(rep: faceformula.FormulaReport) -> dict:
+    return {
+        "p": rep.p,
+        "m": rep.m,
+        "lhs": None if rep.lhs is None else _complex_dict(rep.lhs.value),
+        "rhs": None if rep.rhs is None else _complex_dict(rep.rhs.value),
+        "tol": rep.certified_tolerance,
+        "verdict": rep.verdict,
+        "T": rep.truncation_T,
+        "tail": None if rep.tail is None else _frac_str(rep.tail),
+    }
+
+
+_NU_COLUMNS = ("k", "face_id", "nu", "N", "rhs_main", "rhs_halfdim", "main_ok", "halfdim_ok")
+
+
+def _nu_dict(rec: bounds.NuCheckRecord) -> dict:
+    return dict(zip(_NU_COLUMNS, (
+        list(rec.k), rec.face_id, rec.nu, rec.N,
+        _frac_str(rec.rhs_main), _frac_str(rec.rhs_halfdim), rec.main_ok, rec.halfdim_ok,
+    )))
 
 
 def _one(args: argparse.Namespace, dest: str) -> int:
@@ -114,7 +188,7 @@ def _one(args: argparse.Namespace, dest: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    obj = polyhedron_to_dict(build_polyhedron(parse_polynomial(args.polynomial)))
+    obj = _polyhedron_dict(build_polyhedron(parse_polynomial(args.polynomial)))
     human = [
         f"polynomial: {obj['polynomial']}   (n = {obj['n']})",
         f"vertices:   {[tuple(v) for v in obj['vertices']]}",
@@ -141,7 +215,7 @@ def cmd_nondeg(args: argparse.Namespace) -> int:
         check_nondegenerate_mod_p(f, faces, p, work_budget=args.budget)
         for p in args.primes
     ]
-    obj = {"polynomial": render(f), "reports": [r.to_dict() for r in reports]}
+    obj = {"polynomial": render(f), "reports": [_nondeg_dict(r) for r in reports]}
     human = [f"polynomial: {render(f)}"]
     for rep in reports:
         human.append(f"p = {rep.prime}: {'pass' if rep.passed else 'FAIL'}")
@@ -202,10 +276,10 @@ def cmd_verify_formula(args: argparse.Namespace) -> int:
             f, p, args.powers, args.eps,
             workers=args.workers, work_budget=args.budget,
         )
-        rows = [rep.to_json_row() for rep in reports]
+        rows = [_formula_row(rep) for rep in reports]
         objs.append({
             "polynomial": render(f), "prime": p,
-            "nondeg": reports[0].nondeg.to_dict() if reports else None,
+            "nondeg": _nondeg_dict(reports[0].nondeg) if reports else None,
             "rows": rows,
         })
         human.append(f"polynomial: {render(f)}   p = {p}")
@@ -228,17 +302,12 @@ def cmd_verify_formula(args: argparse.Namespace) -> int:
 
 
 def _flatten_formula_row(row: dict) -> dict:
-    flat = dict(row)
-    lhs = flat.pop("lhs") or {}
-    rhs = flat.pop("rhs") or {}
-    flat["lhs_re"] = lhs.get("re")
-    flat["lhs_im"] = lhs.get("im")
-    flat["rhs_re"] = rhs.get("re")
-    flat["rhs_im"] = rhs.get("im")
+    """The row with its lhs and rhs objects split into re and im columns."""
+    flat = {key: value for key, value in row.items() if key not in ("lhs", "rhs")}
+    for side in ("lhs", "rhs"):
+        value = row[side] or {}
+        flat[f"{side}_re"], flat[f"{side}_im"] = value.get("re"), value.get("im")
     return flat
-
-
-_NU_COLUMNS = ("k", "face_id", "nu", "N", "rhs_main", "rhs_halfdim", "main_ok", "halfdim_ok")
 
 
 def cmd_verify_nu(args: argparse.Namespace) -> int:
@@ -248,8 +317,8 @@ def cmd_verify_nu(args: argparse.Namespace) -> int:
         "polynomial": render(f),
         "T": res.T,
         "points_checked": res.points_checked,
-        "main_violations": [bounds.nu_record_to_dict(r) for r in res.main_violations],
-        "halfdim_violations": [bounds.nu_record_to_dict(r) for r in res.halfdim_violations],
+        "main_violations": [_nu_dict(r) for r in res.main_violations],
+        "halfdim_violations": [_nu_dict(r) for r in res.halfdim_violations],
     }
     human = [
         f"polynomial: {render(f)}   T = {args.T}   points = {res.points_checked}",
@@ -257,12 +326,9 @@ def cmd_verify_nu(args: argparse.Namespace) -> int:
         f"half-dimension variant violations: {len(res.halfdim_violations)} (findings)",
     ]
     for rec in res.halfdim_violations[:10]:
-        human.append(
-            f"    k = {rec.k}: nu = {rec.nu} < {frac_str(rec.rhs_halfdim)}"
-        )
-    csv_rows = [bounds.nu_record_to_dict(r) for r in res.main_violations + res.halfdim_violations]
-    for row in csv_rows:
-        row["k"] = " ".join(str(x) for x in row["k"])
+        human.append(f"    k = {rec.k}: nu = {rec.nu} < {_frac_str(rec.rhs_halfdim)}")
+    violations = obj["main_violations"] + obj["halfdim_violations"]
+    csv_rows = [dict(row, k=" ".join(map(str, row["k"]))) for row in violations]
     _emit(args, human, obj, (_NU_COLUMNS, csv_rows))
     return 1 if res.main_violations else 0
 
@@ -275,7 +341,6 @@ def cmd_ratios(args: argparse.Namespace) -> int:
     table = bounds.bound_ratio_table(
         f, args.primes, args.powers,
         workers=args.workers, work_budget=args.budget,
-        ratio_ceiling=args.ceiling,
     )
     rows = [
         dict(zip(_RATIO_COLUMNS, (c.p, c.m, c.abs_S, c.ratio_main, c.ratio_coarse)))
@@ -283,15 +348,18 @@ def cmd_ratios(args: argparse.Namespace) -> int:
     ]
     obj = {
         "polynomial": render(f),
-        "sigma": frac_str(table.sigma),
+        "sigma": _frac_str(table.sigma),
         "kappa": table.kappa,
         "hypothesis_met": table.hypothesis_met,
         "estimated_c": table.estimated_c,
         "rows": rows,
         "errors": [{"p": p, "m": m, "error": msg} for p, m, msg in table.errors],
-        "findings": [{"p": c.p, "m": c.m, "ratio_main": c.ratio_main} for c in table.findings],
+        "findings": [
+            {"p": c.p, "m": c.m, "ratio_main": c.ratio_main}
+            for c in table.rows if args.ceiling is not None and c.ratio_main > args.ceiling
+        ],
     }
-    human = [f"polynomial: {render(f)}   sigma = {frac_str(table.sigma)}   kappa = {table.kappa}"]
+    human = [f"polynomial: {render(f)}   sigma = {_frac_str(table.sigma)}   kappa = {table.kappa}"]
     if not table.hypothesis_met:
         human.append("NOTE: hypothesis unmet (f is not homogeneous); bound is not asserted")
     human.append("  p   m       |S|          ratio_main     ratio_coarse")
@@ -322,15 +390,15 @@ def cmd_edecay(args: argparse.Namespace) -> int:
         "polynomial": render(f),
         "face_id": fit.face_id,
         "fitted_exponent": fit.fitted_exponent,
-        "sigma_tau": frac_str(fit.sigma_tau),
-        "esig_exponent": frac_str(-fit.sigma_tau),
-        "ds_exponent": frac_str(fit.ds_exponent),
+        "sigma_tau": _frac_str(fit.sigma_tau),
+        "esig_exponent": _frac_str(-fit.sigma_tau),
+        "ds_exponent": _frac_str(fit.ds_exponent),
         "rows": rows,
     }
     human = [
         f"polynomial: {render(f)}   face {fit.face_id}",
         f"fitted exponent = {fit.fitted_exponent:.4f}   "
-        f"predictions: {frac_str(-fit.sigma_tau)} (sigma), {frac_str(fit.ds_exponent)} (half-dim)",
+        f"predictions: {_frac_str(-fit.sigma_tau)} (sigma), {_frac_str(fit.ds_exponent)} (half-dim)",
     ]
     for r in fit.rows:
         human.append(f"    p = {r.p:<3d} |E| = {r.abs_E:.6e}  [{r.status}]")
@@ -346,10 +414,10 @@ def cmd_sigma_bound(args: argparse.Namespace) -> int:
     bound = Fraction(f.n - args.d, 2)
     obj = {
         "polynomial": render(f), "d": args.d,
-        "sigma": frac_str(sigma), "bound": frac_str(bound), "holds": holds,
+        "sigma": _frac_str(sigma), "bound": _frac_str(bound), "holds": holds,
     }
     human = [
-        f"sigma = {frac_str(sigma)} {'<=' if holds else '>'} (n-d)/2 = {frac_str(bound)}"
+        f"sigma = {_frac_str(sigma)} {'<=' if holds else '>'} (n-d)/2 = {_frac_str(bound)}"
         + ("" if holds else "   FINDING: inconsistent d or failed hypothesis")
     ]
     _emit(args, human, obj)
@@ -375,7 +443,9 @@ _OPTIONS = {
     "eps": (("--eps",), dict(type=_parse_eps, default="1e-8", help="truncation certificate target")),
     "budget": (("--budget",), dict(type=int, default=DEFAULT_WORK_BUDGET,
                                    help="work budget in grid evaluations")),
-    "workers": (("--workers",), dict(type=int, default=os.cpu_count() or 1)),
+    # default: the CPUs of this process's affinity set, where the platform has one
+    "workers": (("--workers",), dict(type=int, default=len(os.sched_getaffinity(0))
+                                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)),
     "json": (("--json",), dict(action="store_true", help="machine-readable JSON report")),
     "csv": (("--csv",), dict(action="store_true", help="the report's table as CSV")),
     "out": (("--out",), dict(metavar="FILE", help="write the report to FILE")),

@@ -39,9 +39,7 @@ from .newton import (
     N_bound,
     build_polyhedron,
     enumerate_faces,
-    frac_str,
     lattice_blocks,
-    sigma_data,
 )
 from .poly import Polynomial
 from .sums import (
@@ -78,21 +76,6 @@ class FormulaReport:
     nondeg: NondegReport
     truncation_T: Optional[int]
     tail: Optional[Fraction]
-
-    def to_json_row(self) -> dict:
-        def side(v: Optional[SumValue]):
-            return None if v is None else {"re": v.value.real, "im": v.value.imag}
-
-        return {
-            "p": self.p,
-            "m": self.m,
-            "lhs": side(self.lhs),
-            "rhs": side(self.rhs),
-            "tol": self.certified_tolerance,
-            "verdict": self.verdict,
-            "T": self.truncation_T,
-            "tail": None if self.tail is None else frac_str(self.tail),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +322,7 @@ def ab_ratio_monitor(
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    sig = sigma_data(P)
+    sig = P.diagonal
     faces = enumerate_faces(P)
     ms = list(range(1, m_max + 1))
     per_m, _, _ = cone_sums_multi(P, p, ms, eps)

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tu
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionTooLarge
-from .poly import ExponentVector, Polynomial, face_restriction, render
+from .poly import ExponentVector, Polynomial, face_restriction
 
 #: Largest ambient dimension n that ``build_polyhedron`` admits.
 DIMENSION_CAP = 8
@@ -186,18 +186,6 @@ class Diagonal(NamedTuple):
     t_star: Fraction
     kappa: int
     f0_key: FaceKey
-
-
-@dataclass(frozen=True)
-class SigmaData:
-    """Diagonal invariants: sigma, t* = 1/sigma, the face F0 where the
-    diagonal first meets the polyhedron, and kappa = n - dim F0."""
-
-    sigma: Fraction
-    t_star: Fraction
-    kappa: int
-    f0_key: FaceKey
-    f0_face_id: int
 
 
 class KEval(NamedTuple):
@@ -505,23 +493,14 @@ def eval_k(P: NewtonPolyhedron, k: Sequence[int]) -> KEval:
 
 
 def _diagonal(P: NewtonPolyhedron) -> Diagonal:
+    """t* is the exact maximum of offset/nu(normal) over positive-offset
+    facets; the diagonal point (t*, ..., t*) lies on exactly the facets
+    active at F0, and the sum of their normals classifies to F0's key."""
     t_star = max(Fraction(F.offset, sum(F.normal)) for F in P.facets if F.offset > 0)
     active = [j for j, F in enumerate(P.facets) if t_star * sum(F.normal) == F.offset]
     witness = tuple(sum(P.facets[j].normal[i] for j in active) for i in range(P.n))
     _, _, key = P.classify(witness)
     return Diagonal(1 / t_star, t_star, P.n - _face_dim(P, key), key)
-
-
-def sigma_data(P: NewtonPolyhedron) -> SigmaData:
-    """sigma, t*, F0 and kappa, with the id of F0 in the face lattice.
-
-    t* is the exact maximum of offset/nu(normal) over positive-offset facets;
-    the diagonal point (t*, ..., t*) lies on exactly the facets active at F0.
-    Everything but the face id comes from the facets alone (``P.diagonal``);
-    the id enumerates the faces on first use.
-    """
-    sigma, t_star, kappa, key = P.diagonal
-    return SigmaData(sigma, t_star, kappa, key, P.face_index[key])
 
 
 def f0_face(P: NewtonPolyhedron) -> Face:
@@ -668,40 +647,3 @@ def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
         K[len(prefix):, cols:cols + width] = tails
         cols += width
     yield classify(K[:, :cols])
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers (report schema consumed by the CLI)
-# ---------------------------------------------------------------------------
-
-def frac_str(x: Fraction) -> str:
-    """Rationals travel as "numerator/denominator" strings, never floats."""
-    return f"{x.numerator}/{x.denominator}"
-
-
-def face_to_dict(P: NewtonPolyhedron, face: Face) -> dict:
-    return {
-        "id": face.id,
-        "vertices": [list(P.vertices[i]) for i in face.vertex_ids],
-        "recession_axes": [a + 1 for a in face.recession_axes],
-        "dim": face.dim,
-        "witness": list(face.witness_k),
-        "sigma_tau": frac_str(face.sigma_tau),
-        "restriction": render(face.restriction),
-    }
-
-
-def polyhedron_to_dict(P: NewtonPolyhedron) -> dict:
-    faces = enumerate_faces(P)
-    sig = sigma_data(P)
-    return {
-        "n": P.n,
-        "polynomial": render(P.source),
-        "vertices": [list(v) for v in P.vertices],
-        "facets": [{"normal": list(F.normal), "offset": F.offset} for F in P.facets],
-        "sigma": frac_str(sig.sigma),
-        "t_star": frac_str(sig.t_star),
-        "kappa": sig.kappa,
-        "f0_face_id": sig.f0_face_id,
-        "faces": [face_to_dict(P, face) for face in faces],
-    }

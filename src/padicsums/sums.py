@@ -625,20 +625,6 @@ class NondegReport:
     def failures(self) -> Tuple[FaceNondeg, ...]:
         return tuple(e for e in self.entries if not e.passed)
 
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "passed": self.passed,
-            "faces": [
-                {
-                    "face_id": e.face_id,
-                    "passed": e.passed,
-                    "witness": list(e.witness) if e.witness else None,
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def _first_critical_point(f_tau: Polynomial, p: int) -> Optional[Tuple[int, ...]]:
     """The lexicographically first point of (F_p^x)^n at which every partial

@@ -20,7 +20,6 @@ from padicsums.newton import (
     enumerate_faces,
     enumerate_lattice_points,
     f0_face,
-    sigma_data,
 )
 from padicsums.poly import parse_polynomial
 from padicsums.sums import brute_force_S, check_nondegenerate_mod_p, torus_E
@@ -139,7 +138,7 @@ def test_criterion_5_invariant_suites(corpus, task_plans):
             count += 1
             assert 0 <= pt.face_id < len(faces)
         assert count == comb(12 + f.n, f.n)
-        sigma = sigma_data(P).sigma
+        sigma = P.diagonal.sigma
         assert all(face.sigma_tau <= sigma for face in faces)
 
     f = parse_polynomial("x*y")

@@ -15,7 +15,7 @@ from padicsums.bounds import (
     e_decay_fit,
 )
 from padicsums.errors import HypothesisUnmet, InsufficientPrimes
-from padicsums.newton import build_polyhedron, enumerate_faces, eval_k, f0_face, sigma_data
+from padicsums.newton import build_polyhedron, enumerate_faces, eval_k, f0_face
 from padicsums.poly import Polynomial, parse_polynomial
 
 from conftest import random_polynomial
@@ -51,7 +51,7 @@ def test_nu_inequality_cubes_no_violations_either_kind():
 def test_nu_inequality_curve_spot_value():
     f = parse_polynomial("x^2+y^3")
     P = build_polyhedron(f)
-    sig = sigma_data(P)
+    sig = P.diagonal
     nu, N, face = eval_k(P, (1, 0))
     assert (nu, N) == (1, 0)
     assert face.sigma_tau == Fraction(1, 3)  # restriction y^3 in ambient R^2
@@ -64,7 +64,7 @@ def test_nu_inequality_product_equality_case():
     f = parse_polynomial("x*y")
     P = build_polyhedron(f)
     nu, N, face = eval_k(P, (1, 1))
-    assert sigma_data(P).sigma * (N + 1) - face.sigma_tau == 2 == nu
+    assert P.diagonal.sigma * (N + 1) - face.sigma_tau == 2 == nu
 
 
 def test_nu_points_checked_count():
@@ -84,7 +84,7 @@ def test_sampler_hand_instance_hyperbolic_pair():
     # single point R = (1,1,0,0) on F0, beta = 1/2: hypothesis holds with
     # equality in the first two coordinates, and 1/2 <= sigma_tau/sigma = 1
     P = build_polyhedron(parse_polynomial("x*y+z*u"))
-    sig = sigma_data(P)
+    sig = P.diagonal
     f0 = f0_face(P)
     beta = Fraction(1, 2)
     assert all(beta * r <= sig.t_star for r in (1, 1, 0, 0))
@@ -94,7 +94,7 @@ def test_sampler_hand_instance_hyperbolic_pair():
 def test_diagonal_domination_boundary_instance_curve_vertex():
     # R = (2,0): beta <= t*/2 = 3/5 and sigma_tau/sigma = (1/2)/(5/6) = 3/5
     P = build_polyhedron(parse_polynomial("x^2+y^3"))
-    sig = sigma_data(P)
+    sig = P.diagonal
     vertex_face = eval_k(P, (1, 2)).face  # minimizes at (2,0)
     assert set(vertex_face.vertex_ids) == {
         i for i, v in enumerate(P.vertices) if v == (2, 0)
@@ -154,13 +154,6 @@ def test_ratio_table_records_budget_errors_and_continues():
     )
     assert [c.m for c in table.rows] == [1, 2]
     assert len(table.errors) == 1 and table.errors[0][1] == 9
-
-
-def test_ratio_table_ceiling_findings():
-    table = bound_ratio_table(
-        parse_polynomial("x*y"), [3], [1, 2], ratio_ceiling=0.75
-    )
-    assert [c.m for c in table.findings] == [1]
 
 
 # -- decay fit --------------------------------------------------------------------
@@ -244,8 +237,8 @@ def test_scaling_leaves_polyhedral_data_unchanged(corpus):
         scaled = Polynomial(f.n, {e: 7 * c for e, c in f.terms.items()})
         P1, P2 = build_polyhedron(f), build_polyhedron(scaled)
         assert P1.vertices == P2.vertices and P1.facets == P2.facets
-        assert sigma_data(P1).sigma == sigma_data(P2).sigma
-        assert sigma_data(P1).kappa == sigma_data(P2).kappa
+        assert P1.diagonal.sigma == P2.diagonal.sigma
+        assert P1.diagonal.kappa == P2.diagonal.kappa
         faces1, faces2 = enumerate_faces(P1), enumerate_faces(P2)
         assert [fc.key for fc in faces1] == [fc.key for fc in faces2]
         assert [fc.sigma_tau for fc in faces1] == [fc.sigma_tau for fc in faces2]

@@ -26,7 +26,6 @@ from padicsums.newton import (
     _extreme_rays,
     _segment_t_star,
     build_polyhedron,
-    sigma_data,
 )
 from padicsums.poly import Polynomial, parse_polynomial
 from conftest import fraction_rank_inverse, random_polynomial
@@ -213,7 +212,7 @@ def test_two_vertex_faces_need_no_build(text, edge, sigma, builds):
     faces = [face for face in P.faces if face.vertex_ids == ids]
     assert faces and all(face.sigma_tau == sigma for face in faces)
     assert builds == []
-    assert all(sigma_data(build_polyhedron(face.restriction)).sigma == sigma for face in faces)
+    assert all(build_polyhedron(face.restriction).diagonal.sigma == sigma for face in faces)
 
 
 @st.composite
@@ -237,7 +236,7 @@ def test_face_sigmas_match_fresh_builds_of_their_restrictions(f):
     P = build_polyhedron(f)
     assert any(face.recession_axes for face in P.faces)
     for face in P.faces:
-        assert face.sigma_tau == sigma_data(build_polyhedron(face.restriction)).sigma
+        assert face.sigma_tau == build_polyhedron(face.restriction).diagonal.sigma
 
 
 def _sigma_builds(P):

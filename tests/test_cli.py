@@ -28,17 +28,24 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
+def golden(name: str) -> str:
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
+        return fh.read()
+
+
 def assert_json_equal(got, want, path="$"):
-    """Structural equality; floats compare with a 1e-9 absolute tolerance."""
+    """Equality of type, key order and value, except that floats compare
+    with a 1e-9 absolute tolerance, so that last-bit differences between
+    numpy builds pass."""
+    assert type(got) is type(want), f"{path}: {got!r} != {want!r}"
     if isinstance(want, float):
-        assert isinstance(got, (int, float)), path
         assert math.isclose(got, want, rel_tol=0, abs_tol=1e-9), path
     elif isinstance(want, dict):
-        assert isinstance(got, dict) and set(got) == set(want), path
+        assert list(got) == list(want), path
         for key in want:
             assert_json_equal(got[key], want[key], f"{path}.{key}")
     elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), path
+        assert len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
             assert_json_equal(g, w, f"{path}[{i}]")
     else:
@@ -54,15 +61,14 @@ def test_analyze_human_report(capsys):
 
 
 def test_analyze_json_matches_golden(capsys):
+    # the report holds no float, so it must match byte for byte
     code, out = run(capsys, "analyze", "x*y+z*u", "--json")
     assert code == 0
     got = json.loads(out)
     # F0 has dimension 1 for this polynomial
     f0 = got["faces"][got["f0_face_id"]]
     assert f0["dim"] == 1 and got["sigma"] == "2/1" and got["kappa"] == 3
-    with open(os.path.join(GOLDEN_DIR, "analyze_xyzu.json")) as fh:
-        want = json.load(fh)
-    assert_json_equal(got, want)
+    assert out == golden("analyze_xyzu.json")
 
 
 def test_analyze_rationals_are_strings(capsys):
@@ -79,6 +85,14 @@ def test_json_output_is_deterministic(capsys):
 
 
 # -- nondeg ------------------------------------------------------------------------
+
+def test_nondeg_json_matches_golden(capsys):
+    # p = 2 and p = 3 have witnesses; the report holds no float
+    code, out = run(capsys, "nondeg", "x^2+y^3", "-p", "2,3,5", "--json")
+    assert code == 0
+    assert out == golden("nondeg_x2y3_p235.json")
+    reports = json.loads(out)["reports"]
+    assert [r["passed"] for r in reports] == [False, False, True]
 
 def test_nondeg_budget_counts_distinct_restrictions(capsys):
     # 34 faces but 3 distinct restrictions: the scan covers 3 * 52^4 points,
@@ -153,9 +167,16 @@ def test_verify_formula_json_matches_golden(capsys):
         capsys, "verify-formula", "x*y", "--prime", "3", "--powers", "1..2", "--json"
     )
     assert code == 0
-    with open(os.path.join(GOLDEN_DIR, "verify_formula_xy_p3.json")) as fh:
-        want = json.load(fh)
-    assert_json_equal(json.loads(out), want)
+    assert_json_equal(json.loads(out), json.loads(golden("verify_formula_xy_p3.json")))
+
+
+def test_verify_formula_json_row_schema(capsys):
+    code, out = run(capsys, "verify-formula", "x*y", "-p", "3", "-m", "1", "--json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert list(row) == ["p", "m", "lhs", "rhs", "tol", "verdict", "T", "tail"]
+    assert list(row["lhs"]) == ["re", "im"]
+    assert isinstance(row["tail"], str) and "/" in row["tail"]
 
 
 def test_verify_formula_not_applicable(capsys):
@@ -181,6 +202,14 @@ def test_verify_nu_findings_do_not_fail(capsys):
     assert "half-dimension variant violations: 54" in out
 
 
+def test_verify_nu_json_matches_golden(capsys):
+    # x*y+z*u has half-dimension violations; the report holds no float
+    code, out = run(capsys, "verify-nu", "x*y+z*u", "--T", "4", "--json")
+    assert code == 0
+    assert out == golden("verify_nu_xyzu_T4.json")
+    assert json.loads(out)["halfdim_violations"]
+
+
 def test_verify_nu_json_schema(capsys):
     code, out = run(capsys, "verify-nu", "x*y", "--T", "6", "--json")
     got = json.loads(out)
@@ -199,6 +228,20 @@ def test_ratios_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "p,m,abs_S,ratio_main,ratio_coarse"
     assert len(lines) == 5
+
+
+# The ceiling only filters the report: cells above it are findings, and the
+# rows and the exit code do not change.
+def test_ratios_ceiling_findings(capsys):
+    argv = ["ratios", "x*y", "-p", "3", "-m", "1..2", "--json"]
+    code, plain = run(capsys, *argv)
+    assert code == 0 and json.loads(plain)["findings"] == []
+    code, out = run(capsys, *argv, "--ceiling", "0.75")
+    assert code == 0
+    got = json.loads(out)
+    assert [(c["p"], c["m"]) for c in got["findings"]] == [(3, 1)]
+    assert got["findings"][0]["ratio_main"] == got["rows"][0]["ratio_main"]
+    assert got["rows"] == json.loads(plain)["rows"]
 
 
 def test_edecay_report(capsys):
@@ -413,12 +456,35 @@ def test_analyze_rejects_csv(capsys):
     assert main(["analyze", "x*y", "--csv"]) == 2
 
 
-def test_readme_examples_parse():
+def test_workers_default_follows_cpu_affinity():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the platform has no CPU affinity")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from padicsums import cli\n"
+        "print(cli._PARSER.parse_args(['sum', 'x', '-p', '3', '-m', '1']).workers)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+# One CLI example per subcommand, and the library example, all run.
+def test_readme_examples_run(capsys):
     with open(README) as fh:
-        examples = [line.split(None, 1)[1] for line in fh if line.startswith("    padicsums ")]
+        text = fh.read()
+    examples = [line.split(None, 1)[1] for line in text.splitlines() if line.startswith("    padicsums ")]
     assert len(examples) == len(SUBCOMMAND_ARGS)
     for example in examples:
-        _build_parser().parse_args(shlex.split(example))
+        assert main(shlex.split(example)) == 0, example
+    library = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(library, "README.md", "exec"), {})
+    capsys.readouterr()
 
 
 # -- output plumbing -----------------------------------------------------------------

@@ -28,7 +28,6 @@ from padicsums.newton import (
     enumerate_faces,
     enumerate_lattice_points,
     eval_k,
-    sigma_data,
 )
 from padicsums.poly import Polynomial, parse_polynomial
 from padicsums.sums import KERNEL_EPS, SumValue, brute_force_S
@@ -198,13 +197,6 @@ def test_residual_shrinks_with_eps():
         prev = residual
 
 
-def test_report_json_schema():
-    rows = [r.to_json_row() for r in verify_formula(parse_polynomial("x*y"), 3, [1])]
-    assert set(rows[0]) == {"p", "m", "lhs", "rhs", "tol", "verdict", "T", "tail"}
-    assert set(rows[0]["lhs"]) == {"re", "im"}
-    assert isinstance(rows[0]["tail"], str) and "/" in rows[0]["tail"]
-
-
 def test_verify_random_polynomials_end_to_end():
     # the strongest whole-stack property: facets, face keys, sigma_tau, cone
     # sums, torus sums and the kernel must all be right for this to hold
@@ -286,7 +278,7 @@ def _assert_sigmas_fresh_after_rhs(f, p, builds):
         compute()
         assert len(builds) == 1  # the call reads no face sigma
         for face in builds[0].faces:  # the oracle is built afresh, sharing no memo
-            assert face.sigma_tau == sigma_data(newton._build(face.restriction)).sigma
+            assert face.sigma_tau == newton._build(face.restriction).diagonal.sigma
 
 
 def test_face_sigmas_after_verify_match_fresh_builds(corpus, builds):

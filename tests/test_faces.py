@@ -22,8 +22,6 @@ from padicsums.newton import (
     _rank,
     build_polyhedron,
     enumerate_faces,
-    f0_face,
-    sigma_data,
 )
 from padicsums.poly import Polynomial, face_restriction, parse_polynomial
 from conftest import fraction_rank_inverse, random_polynomial
@@ -65,7 +63,7 @@ def oracle_faces(P: NewtonPolyhedron):
         spans = [[x - y for x, y in zip(P.vertices[i], v0)] for i in vids[1:]]
         spans += [[int(i == a) for i in range(P.n)] for a in axes]
         dim = fraction_rank_inverse(spans)[0]
-        sigma_tau = sigma_data(build_polyhedron(restr)).sigma
+        sigma_tau = build_polyhedron(restr).diagonal.sigma
         records.append(((dim, (vids, axes)), active, witness, restr, sigma_tau))
     records.sort(key=lambda r: r[0])
     return [
@@ -131,13 +129,6 @@ def test_euler_characteristic_random():
         for _ in range(12 if n < 5 else 4):
             f = random_polynomial(rng, n=n, max_terms=8, max_exp=4)
             assert _euler(enumerate_faces(build_polyhedron(f))) == 0
-
-
-def test_f0_face_id_on_fresh_polyhedra(corpus):
-    for f in corpus:
-        f0_id = sigma_data(build_polyhedron(f)).f0_face_id
-        assert isinstance(f0_id, int)
-        assert f0_id == f0_face(build_polyhedron(f)).id
 
 
 def test_equality_ignores_what_was_derived():

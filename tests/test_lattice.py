@@ -29,7 +29,6 @@ from padicsums.newton import (
     enumerate_faces,
     enumerate_lattice_points,
     lattice_blocks,
-    sigma_data,
 )
 from padicsums.poly import Polynomial, parse_polynomial
 
@@ -64,7 +63,7 @@ def oracle_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoint]:
 def nu_reference(f: Polynomial, T: int) -> NuCheckFindings:
     P = build_polyhedron(f)
     faces = enumerate_faces(P)
-    sigma = sigma_data(P).sigma
+    sigma = P.diagonal.sigma
     main_bad, half_bad, count = [], [], 0
     for pt in oracle_points(P, T):
         count += 1

@@ -23,7 +23,7 @@ from padicsums.newton import (
     enumerate_faces,
     enumerate_lattice_points,
     eval_k,
-    sigma_data,
+    f0_face,
 )
 from padicsums.poly import parse_polynomial, render
 from conftest import random_polynomial
@@ -199,10 +199,7 @@ def test_faces_of_curve_polyhedron():
 
 
 def test_f0_of_hyperbolic_pair_is_segment():
-    P = build_polyhedron(parse_polynomial("x*y+z*u"))
-    faces = enumerate_faces(P)
-    sig = sigma_data(P)
-    f0 = faces[sig.f0_face_id]
+    f0 = f0_face(build_polyhedron(parse_polynomial("x*y+z*u")))
     assert f0.dim == 1
     assert len(f0.vertex_ids) == 2 and not f0.recession_axes
     assert render(f0.restriction) == "z*u + x*y"
@@ -261,7 +258,7 @@ def test_eval_k_diagonal_functional():
     P = build_polyhedron(parse_polynomial("x*y+z*u"))
     nu, N, face = eval_k(P, (1, 1, 1, 1))
     assert (nu, N) == (4, 2)
-    assert face.id == sigma_data(P).f0_face_id
+    assert face.id == f0_face(P).id
 
 
 def test_eval_k_zero_is_whole_polyhedron(corpus):
@@ -282,17 +279,17 @@ def test_eval_k_rejects_negative():
 # -- sigma data ---------------------------------------------------------------
 
 def test_sigma_single_vertex():
-    sig = sigma_data(build_polyhedron(parse_polynomial("x*y")))
+    sig = build_polyhedron(parse_polynomial("x*y")).diagonal
     assert sig.sigma == 1 and sig.kappa == 2
 
 
 def test_sigma_hyperbolic_pair():
-    sig = sigma_data(build_polyhedron(parse_polynomial("x*y+z*u")))
+    sig = build_polyhedron(parse_polynomial("x*y+z*u")).diagonal
     assert sig.sigma == 2 and sig.kappa == 3
 
 
 def test_sigma_curve():
-    sig = sigma_data(build_polyhedron(parse_polynomial("x^2+y^3")))
+    sig = build_polyhedron(parse_polynomial("x^2+y^3")).diagonal
     assert sig.sigma == Fraction(5, 6) and sig.t_star == Fraction(6, 5)
     assert sig.kappa == 1
 
@@ -300,9 +297,8 @@ def test_sigma_curve():
 def test_sigma_diagonal_point_is_tight_exactly_on_f0_facets(corpus):
     for f in corpus:
         P = build_polyhedron(f)
-        faces = enumerate_faces(P)
-        sig = sigma_data(P)
-        f0 = faces[sig.f0_face_id]
+        sig = P.diagonal
+        f0 = f0_face(P)
         for j, F in enumerate(P.facets):
             lhs = sig.t_star * sum(F.normal)
             assert (lhs >= F.offset) is True
@@ -344,7 +340,7 @@ def test_partition_and_nu_bound_invariants(corpus):
     for f in corpus:
         P = build_polyhedron(f)
         faces = enumerate_faces(P)
-        sig = sigma_data(P)
+        sig = P.diagonal
         seen = 0
         for pt in enumerate_lattice_points(P, 6):
             seen += 1
@@ -356,7 +352,7 @@ def test_partition_and_nu_bound_invariants(corpus):
 def test_sigma_tau_monotone(corpus):
     for f in corpus:
         P = build_polyhedron(f)
-        sig = sigma_data(P)
+        sig = P.diagonal
         for face in enumerate_faces(P):
             assert face.sigma_tau <= sig.sigma
 

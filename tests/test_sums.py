@@ -19,6 +19,8 @@ from padicsums.newton import build_polyhedron, enumerate_faces
 from padicsums.poly import Polynomial, parse_polynomial, render
 from padicsums.sums import (
     KERNEL_EPS,
+    FaceNondeg,
+    NondegReport,
     _exp_sum_over_grid,
     _pow_mod_array,
     brute_force_S,
@@ -302,10 +304,10 @@ def test_nondeg_slabs_agree_with_one_pass(cap, corpus, monkeypatch):
 
 
 def oracle_nondeg(f, faces, p):
-    """NondegReport.to_dict() from a pure-Python scan: the partials of each
+    """The NondegReport of a pure-Python scan: the partials of each
     f_tau by term shift, evaluated with Python integers at every point of
     range(1, p)^n in lexicographic order; no code shared with the scan."""
-    rows = []
+    entries = []
     for face in faces:
         terms = face.restriction.terms
         partials = [
@@ -317,10 +319,9 @@ def oracle_nondeg(f, faces, p):
              if all(sum(c * prod_pow(point, e) for c, e in d) % p == 0 for d in partials)),
             None,
         )
-        rows.append({"face_id": face.id, "passed": witness is None,
-                     "witness": list(witness) if witness else None})
-    rows.sort(key=lambda row: row["face_id"])
-    return {"prime": p, "passed": all(row["passed"] for row in rows), "faces": rows}
+        entries.append(FaceNondeg(face_id=face.id, passed=witness is None, witness=witness))
+    entries.sort(key=lambda e: e.face_id)
+    return NondegReport(prime=p, entries=tuple(entries))
 
 
 @st.composite
@@ -340,7 +341,7 @@ def test_nondeg_matches_pure_python_scan(case, cap):
     f, p = case
     faces = enumerate_faces(build_polyhedron(f))
     with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
-        got = check_nondegenerate_mod_p(f, faces, p).to_dict()
+        got = check_nondegenerate_mod_p(f, faces, p)
     assert got == oracle_nondeg(f, faces, p)
 
 
@@ -354,7 +355,7 @@ def test_nondeg_witness_in_a_later_segment(monkeypatch):
     whole = next(face for face in faces if face.restriction == f)
     rep = check_nondegenerate_mod_p(f, faces, 13)
     assert {e.face_id: e.witness for e in rep.entries}[whole.id] == (10,)
-    assert rep.to_dict() == oracle_nondeg(f, faces, 13)
+    assert rep == oracle_nondeg(f, faces, 13)
 
 
 # -- block product and grouped worker ------------------------------------------
