@@ -37,7 +37,6 @@ from .newton import (
     build_polyhedron,
     enumerate_faces,
     enumerate_lattice_points,
-    eval_k,
     f0_face,
 )
 from .sums import (

@@ -188,12 +188,6 @@ class Diagonal(NamedTuple):
     f0_key: FaceKey
 
 
-class KEval(NamedTuple):
-    nu: int
-    N: int
-    face: "Face"
-
-
 @dataclass(frozen=True)
 class LatticePoint:
     k: ExponentVector
@@ -233,9 +227,13 @@ class NewtonPolyhedron:
         return _diagonal(self)
 
     def classify(self, k: Sequence[int]) -> Tuple[int, int, FaceKey]:
-        """(nu, N, face key) for a nonnegative integer functional k."""
+        """(nu, N, face key) for a nonnegative integer functional k: N is
+        the minimum of k over P, and the key names the face where it is
+        attained (``face_by_key``)."""
         if len(k) != self.n:
             raise ValueError(f"k has {len(k)} entries, the polyhedron has dimension {self.n}")
+        if any(x < 0 for x in k):
+            raise ValueError("k must have nonnegative entries")
         dots = [_dot(k, v) for v in self.vertices]
         N = min(dots)
         vids = tuple(i for i, d in enumerate(dots) if d == N)
@@ -481,15 +479,6 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
     once per distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
     """
     return list(P.faces)
-
-
-def eval_k(P: NewtonPolyhedron, k: Sequence[int]) -> KEval:
-    """nu(k), N(k) and the face where the minimum over the polyhedron is attained."""
-    k = tuple(int(x) for x in k)
-    if any(x < 0 for x in k):
-        raise ValueError("k must have nonnegative entries")
-    nu, N, key = P.classify(k)
-    return KEval(nu, N, P.face_by_key(key))
 
 
 def _diagonal(P: NewtonPolyhedron) -> Diagonal:

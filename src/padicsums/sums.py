@@ -31,8 +31,27 @@ q^n points y are summed, and the total is multiplied by (M/q)^n: 5^11 points
 of x^3 mod 5^11 become 5^6, with the same error budget.  Histogram mode
 does not split.
 
-In both, each visited point stands for ``fiber`` grid points.  The torus
-sums (domain [1, p)) and m = 1 above the histogram cap keep the plain grid.
+In both, each visited point stands for ``fiber`` grid points.
+
+A torus sum (domain [1, p), m = 1, p histogrammed) shrinks a block g to the
+rank of its support (Denef and Hoornaert 2001).  Let a_0 < a_1 < ... be the
+exponents of g, with coefficients c_j, and let the a_j - a_0 have rank
+r < n.  An integer row reduction (Cohen, "A Course in Computational
+Algebraic Number Theory", 2.4) gives a unimodular W with W (a_j - a_0) in
+Z^r x 0, so W a_j = (e_j, b) with one tail b for every j.  The substitution
+x_i = prod_k y_k^W_ki gives x^a = y^(W a), and it is a bijection of
+(F_p^x)^n, since F_p^x is cyclic and det W = +-1.  So g(x) = y''^b h(y'),
+where h = sum_j c_j y'^e_j is a Laurent polynomial in the first r
+coordinates, evaluated with its exponents mod p - 1.  For each y', y'' -> y''^b is a
+homomorphism onto the subgroup H of F_p^x of index gcd(b, p - 1) (H = {1}
+when b = 0), so h(y') = s != 0 hits every element of the coset s H exactly
+(p-1)^(n-r)/|H| times, and s = 0 stays at 0.  The residue histogram of the
+whole torus is thus rebuilt exactly from the (p-1)^r points y' (from none
+when r = 0, a single term), and summed like the plain grid's, so the value
+is bit-identical.  The restriction f_tau to a proper face tau has
+r <= dim tau < n, since its support lies in tau.  A block with r = n (such
+as x + x^2), a complete sum with m = 1 above the histogram cap and a torus
+sum above it keep the plain grid.
 
 Each block grid is exact integers until the last step: f is evaluated
 modulo p^m on int64 blocks (per-variable power tables, innermost axes
@@ -48,9 +67,16 @@ KERNEL_EPS per point of the whole grid, which also covers the block product
 refused with ModulusTooLarge before any work starts.
 
 _grid_residues is the package's one evaluator of polynomials mod M: the sum
-kernels and the mod-p nondegeneracy scan both run on it.  The scan walks the
-torus (F_p^x)^n in its task order, which is lexicographic, and stops at the
-first task holding a critical point of a face restriction.
+kernels and the mod-p nondegeneracy scan both run on it.  The scan first
+decides whether a face restriction g has a critical point on the torus at
+all, on (F_p^x)^r: under the substitution above the toric gradient
+(x_i dg/dx_i)_i is W^-1 times (y''^b theta_i h for i <= r, b_k y''^b h for
+k > r), theta_i = y'_i d/dy'_i, and W is invertible mod p, so g has one
+exactly when theta_i h(y') = 0 for i <= r and b_k h(y') = 0 for k > r at
+some y'.  theta_i h multiplies each c_j by the integer e_j,i mod p.  Only
+when it has one is the whole torus (F_p^x)^n walked in its task order,
+which is lexicographic, up to the first task holding a critical point: the
+witness.
 """
 
 from __future__ import annotations
@@ -58,8 +84,10 @@ from __future__ import annotations
 import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
-from math import isqrt, prod
+from math import gcd, isqrt, prod
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -365,27 +393,13 @@ def _grid_sum(
     multiplied by fiber.
     """
     _require_int64_residues(modulus)
-    sizes = [stop - start for start, stop in domains]
-    inner_start, segments, seg_size = _split_axes(sizes)
-    task_count = prod(sizes[:inner_start], start=1) * segments
     mode = "hist" if modulus <= _HIST_CAP else "exp"
     if gs and mode == "hist":
         divisors, offsets = _divisor_offsets(modulus)
         if divisors[1] ** (len(divisors) - 1) != modulus:
             raise ValueError(f"the z sum is histogrammed only modulo a prime power, not {modulus}")
 
-    polys = (h, *gs)
-    spans = _split_range(task_count, max(1, workers))
-    args = [
-        (polys, modulus, tuple(domains), inner_start, segments, seg_size, lo, hi, mode)
-        for lo, hi in spans
-    ]
-    if len(args) == 1:
-        results = [_grid_worker(args[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
-            results = list(pool.map(_grid_worker, args))
-
+    results = _grid_tasks((h, *gs), modulus, domains, workers, mode)
     if mode == "hist":
         counts = results[0][0]
         for extra, _ in results[1:]:
@@ -397,14 +411,42 @@ def _grid_sum(
                 if part.any():
                     view = counts.reshape(-1, d)
                     view += fiber * d // modulus * part
-        roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
-        return complex(np.sum(counts * roots))
+        return _hist_value(counts, modulus)
     parts = sorted((part for _, batch in results for part in batch), key=lambda t: t[0])
     s = 0j
     c = 0j
     for _, x in parts:
         s, c = _kahan_add(s, c, x)
     return s * fiber
+
+
+def _grid_tasks(
+    polys: Sequence[Terms],
+    modulus: int,
+    domains: Sequence[Tuple[int, int]],
+    workers: int,
+    mode: str,
+) -> List[Tuple[np.ndarray, List[Tuple[int, complex]]]]:
+    """The _grid_worker results of the product grid's tasks, split into
+    contiguous spans over up to ``workers`` processes."""
+    sizes = [stop - start for start, stop in domains]
+    inner_start, segments, seg_size = _split_axes(sizes)
+    task_count = prod(sizes[:inner_start], start=1) * segments
+    spans = _split_range(task_count, max(1, workers))
+    args = [
+        (tuple(polys), modulus, tuple(domains), inner_start, segments, seg_size, lo, hi, mode)
+        for lo, hi in spans
+    ]
+    if len(args) == 1:
+        return [_grid_worker(args[0])]
+    with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        return list(pool.map(_grid_worker, args))
+
+
+def _hist_value(counts: np.ndarray, modulus: int) -> complex:
+    """sum_r counts[r] e(r/modulus): the one value path of histogram mode."""
+    roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
+    return complex(np.sum(counts * roots))
 
 
 def _split_range(total: int, pieces: int) -> List[Tuple[int, int]]:
@@ -435,6 +477,83 @@ def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:
     return sorted(chosen)
 
 
+@lru_cache(maxsize=1 << 12)
+def _toric_form(
+    support: Tuple[ExponentVector, ...],
+) -> Tuple[int, Tuple[ExponentVector, ...], ExponentVector]:
+    """(r, (e_j), b) for sorted exponent vectors a_0 < a_1 < ...: r is the
+    rank of the a_j - a_0, and a unimodular W brings every W a_j to
+    (e_j, b), with e_j in Z^r and one tail b for all j.
+
+    W comes from an integer row reduction of the columns a_j - a_0 (Euclid
+    on the rows below the pivot, so every step is unimodular).  The form
+    does not depend on p, so it is memoized by the support; it holds no
+    per-p data.
+    """
+    n = len(support[0])
+    a0 = support[0]
+    width = len(support) - 1
+    # [D | W]: row i holds coordinate i of every a_j - a_0, then row i of W
+    rows = [[a[i] - a0[i] for a in support[1:]] + [int(i == j) for j in range(n)]
+            for i in range(n)]
+    r = 0
+    for c in range(width):
+        if r == n:
+            break
+        while any(rows[i][c] for i in range(r + 1, n)):
+            piv = min((i for i in range(r, n) if rows[i][c]), key=lambda i: abs(rows[i][c]))
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(r + 1, n):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        if rows[r][c]:
+            r += 1
+    W = [row[width:] for row in rows]
+    images = [tuple(sum(map(mul, w, a)) for w in W) for a in support]
+    return r, tuple(e[:r] for e in images), images[0][r:]
+
+
+def _laurent_terms(coefs: Sequence[int], exps: Sequence[ExponentVector], p: int) -> Terms:
+    """sum_j coefs[j] y^exps[j] as a function on (F_p^x)^r: exponents are
+    reduced mod p - 1 (y^(p-1) = 1 there), equal monomials merged and terms
+    vanishing mod p dropped."""
+    merged: Dict[ExponentVector, int] = {}
+    for c, e in zip(coefs, exps):
+        key = tuple(x % (p - 1) for x in e)
+        merged[key] = merged.get(key, 0) + c
+    return _reduced_terms({e: c for e, c in merged.items() if c % p}, p)
+
+
+def _toric_counts(block_terms: Dict[ExponentVector, int], p: int, workers: int) -> np.ndarray:
+    """The residue histogram mod p of a block g on the torus (F_p^x)^{n_b},
+    from (p-1)^r points, r the rank of its support's differences (see
+    _toric_form); its coefficients are nonzero mod p.
+
+    Under the substitution of the module docstring g = y''^b h(y'), so the
+    residue histogram of g on the whole torus is that of h on (F_p^x)^r,
+    with 0 scaled by fiber = (p-1)^(n_b-r) and every s != 0 spread evenly
+    over its coset s H, H = {t : t^|H| = 1}, |H| = (p-1)/gcd(b, p-1).  A
+    single term (r = 0) has h constant, and visits no grid.
+    """
+    support = tuple(sorted(block_terms))
+    r, exps, b = _toric_form(support)
+    fiber = (p - 1) ** (len(support[0]) - r)
+    order = (p - 1) // gcd(p - 1, *b)  # |H|, a divisor of fiber (1 when r = n_b)
+    key = _pow_mod_array(np.arange(1, p, dtype=np.int64), order, p)  # the same on each coset
+    counts = np.zeros(p, dtype=np.int64)
+    if not r:  # g = c x^a, c != 0 mod p: the whole torus lands on c H
+        counts[1:] = (key == pow(block_terms[support[0]], order, p)) * (fiber // order)
+        return counts
+    h = _laurent_terms([block_terms[a] for a in support], exps, p)
+    hist = sum(part for part, _ in _grid_tasks((h,), p, [(1, p)] * r, workers, "hist"))
+    per_coset = np.zeros(p, dtype=np.int64)
+    np.add.at(per_coset, key, hist[1:])
+    counts[0] = hist[0] * fiber
+    counts[1:] = per_coset[key] * (fiber // order)
+    return counts
+
+
 def _block_product(
     f: Polynomial, p: int, m: int, domain: Tuple[int, int], workers: int
 ) -> complex:
@@ -448,9 +567,10 @@ def _block_product(
     with N = |domain| instead of N^n.  Block values are multiplied in
     ascending (real, imag) order, so any variable order gives the same value.
 
-    Two exact reductions shrink a block's grid further.  Both need the
-    domain to be the complete residue system [0, modulus) and the block's
-    whole grid N^{n_i} to be below 2^63 (its histogram counts are int64).
+    Three exact reductions shrink a block's grid further; each needs the
+    block's whole grid N^{n_i} to be below 2^63 (its histogram counts are
+    int64).  The first two need the domain to be the complete residue
+    system [0, modulus).
 
     Linear variables are summed out when the modulus is histogrammed (at
     most _HIST_CAP) and each summed-out variable y_j has exponent exactly 1
@@ -470,8 +590,15 @@ def _block_product(
     is h = f and g_j = q df/dx_j on q^{n_i} points, each standing for
     fiber = (modulus/q)^{n_i} grid points (see _grid_sum): 5^11 points of
     x^3 mod 5^11 become 5^6.  It sums fewer points than the plain grid and
-    keeps the same budget (below).  The torus (domain [1, p)) keeps the
-    plain grid, and so does a complete sum with m = 1 above _HIST_CAP.
+    keeps the same budget (below).  A complete sum with m = 1 above
+    _HIST_CAP keeps the plain grid.
+
+    The toric reduction is taken on the torus (domain [1, p), m = 1) when p
+    is at most _HIST_CAP and the differences of the block's exponents have
+    rank r < n_i (see the module docstring and _toric_counts): the block's
+    residue histogram comes from (p-1)^r points, and its value is
+    bit-identical to the plain grid's.  A block with r = n_i, such as
+    x + x^2, keeps the plain grid.
 
     Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
     point, so its normalized value is within KERNEL_EPS + u of the truth
@@ -503,6 +630,7 @@ def _block_product(
         blocks = [b for b in blocks if not b & axes] + [axes.union(*linked)]
     complete = domain == (0, modulus)
     hist = modulus <= _HIST_CAP
+    torus = domain == (1, p) and m == 1 and hist
     q = p ** ((m + 1) // 2)
     values = []
     for block in blocks:
@@ -512,7 +640,11 @@ def _block_product(
             tuple(exps[a] for a in axes): c
             for exps, c in terms.items() if any(exps[a] for a in axes)
         }
-        whole = complete and size ** n_b < 1 << 63
+        fits = size ** n_b < 1 << 63
+        whole = complete and fits
+        if torus and fits and _toric_form(tuple(sorted(block_terms)))[0] < n_b:
+            values.append(_hist_value(_toric_counts(block_terms, p, workers), p) / size ** n_b)
+            continue
         if whole and m >= 2 and not hist:
             h = block_terms
             gs = [{e: q * c for e, c in g.terms.items()} if g else {}
@@ -589,9 +721,11 @@ def torus_E(
     """Normalized sum over the torus {1..p-1}^n of e(f_tau(x)/p).
 
     Factored over variable-disjoint blocks like brute_force_S; a variable
-    the restriction does not contain contributes exactly 1.  ``term_count``,
-    the work budget check and ``abs_error_budget`` count the whole torus
-    (p-1)^n.
+    the restriction does not contain contributes exactly 1.  A block whose
+    exponent differences have rank r below its variable count (every block
+    of a face restriction) visits (p-1)^r points (see _block_product), with
+    a bit-identical value.  ``term_count``, the work budget check and
+    ``abs_error_budget`` count the whole torus (p-1)^n.
     """
     _require_prime(p)
     total = (p - 1) ** f_tau.n
@@ -626,23 +760,21 @@ class NondegReport:
         return tuple(e for e in self.entries if not e.passed)
 
 
-def _first_critical_point(f_tau: Polynomial, p: int) -> Optional[Tuple[int, ...]]:
-    """The lexicographically first point of (F_p^x)^n at which every partial
-    derivative of f_tau vanishes mod p, or None.
+def _common_zero(comps: Sequence[Terms], p: int, n: int) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first point of (F_p^x)^n at which every
+    component (at least one) vanishes mod p, or None.
 
     The components run through _grid_residues on the torus plan of
     _split_axes, one task at a time in task order, which is lexicographic,
-    so the first task holding a critical point holds the witness.  Within a
-    task, a component is evaluated only while some point is still critical.
+    so the first task holding a common zero holds the first one.  Within a
+    task, a component is evaluated only while some point is still a zero.
     """
-    sizes = [p - 1] * f_tau.n
+    sizes = [p - 1] * n
     inner_start, segments, seg_size = _split_axes(sizes)
     task_count = prod(sizes[:inner_start], start=1) * segments
-    # an identically-zero derivative never cuts the critical locus
-    comps = [_reduced_terms(c.terms, p) for c in gradient(f_tau) if c is not None]
-    for task, residues in _grid_residues(comps, p, [(1, p)] * f_tau.n, inner_start,
+    for task, residues in _grid_residues(comps, p, [(1, p)] * n, inner_start,
                                           segments, seg_size, 0, task_count):
-        mask = True  # f_tau has no constant term, so comps is not empty
+        mask = True
         for r in residues:
             mask = mask & (r == 0)
             if not mask.any():
@@ -655,6 +787,48 @@ def _first_critical_point(f_tau: Polynomial, p: int) -> Optional[Tuple[int, ...]
             return tuple(int(c) + 1 for c in coords)
         del residues, r, mask  # free this task's arrays before the next plan is built
     return None
+
+
+def _may_be_degenerate(f_tau: Polynomial, p: int) -> bool:
+    """False when f_tau has no critical point on (F_p^x)^n; True when it has
+    one, or when the exponent differences of its terms that survive mod p
+    have full rank n, so that only the whole torus can tell.
+
+    The reduced system of the module docstring is solved on (F_p^x)^r.  A
+    component vanishing identically never cuts; with none left, every point
+    is critical.
+    """
+    terms = {e: c for e, c in f_tau.terms.items() if c % p}
+    if not terms:
+        return True
+    support = tuple(sorted(terms))
+    r, exps, b = _toric_form(support)
+    if r == f_tau.n:
+        return True
+    coefs = [terms[a] for a in support]
+    comps = [_laurent_terms([c * e[i] for c, e in zip(coefs, exps)], exps, p) for i in range(r)]
+    if any(x % p for x in b):
+        comps.append(_laurent_terms(coefs, exps, p))
+    comps = [c for c in comps if c]
+    if not comps:
+        return True
+    # with r = 0 every component is a nonzero constant
+    return bool(r) and _common_zero(comps, p, r) is not None
+
+
+def _first_critical_point(f_tau: Polynomial, p: int) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first point of (F_p^x)^n at which every partial
+    derivative of f_tau vanishes mod p, or None.
+
+    The reduced system of _may_be_degenerate decides whether there is one;
+    only then is the whole torus scanned for the first.
+    """
+    if not _may_be_degenerate(f_tau, p):
+        return None
+    # an identically-zero derivative never cuts the critical locus; f_tau has
+    # no constant term, so some derivative is not identically zero
+    comps = [_reduced_terms(c.terms, p) for c in gradient(f_tau) if c is not None]
+    return _common_zero(comps, p, f_tau.n)
 
 
 def check_nondegenerate_mod_p(
@@ -670,9 +844,10 @@ def check_nondegenerate_mod_p(
     decomposition identity is asserted; the witness of a failure is the
     lexicographically first critical torus point.
 
-    Faces with the same restriction share one scan (_first_critical_point,
-    on _grid_residues in task order), and the work budget counts one torus
-    per distinct restriction.
+    Faces with the same restriction share one scan (_first_critical_point),
+    which walks the whole torus only for the witness of a degenerate one
+    (see the module docstring); the work budget counts one whole torus per
+    distinct restriction.
     """
     _require_prime(p)
     _require_int64_residues(p)

@@ -15,7 +15,7 @@ from padicsums.bounds import (
     e_decay_fit,
 )
 from padicsums.errors import HypothesisUnmet, InsufficientPrimes
-from padicsums.newton import build_polyhedron, enumerate_faces, eval_k, f0_face
+from padicsums.newton import build_polyhedron, enumerate_faces, f0_face
 from padicsums.poly import Polynomial, parse_polynomial
 
 from conftest import random_polynomial
@@ -52,7 +52,8 @@ def test_nu_inequality_curve_spot_value():
     f = parse_polynomial("x^2+y^3")
     P = build_polyhedron(f)
     sig = P.diagonal
-    nu, N, face = eval_k(P, (1, 0))
+    nu, N, key = P.classify((1, 0))
+    face = P.face_by_key(key)
     assert (nu, N) == (1, 0)
     assert face.sigma_tau == Fraction(1, 3)  # restriction y^3 in ambient R^2
     assert sig.sigma * (N + 1) - face.sigma_tau == Fraction(1, 2)
@@ -63,7 +64,8 @@ def test_nu_inequality_product_equality_case():
     assert res.main_violations == ()
     f = parse_polynomial("x*y")
     P = build_polyhedron(f)
-    nu, N, face = eval_k(P, (1, 1))
+    nu, N, key = P.classify((1, 1))
+    face = P.face_by_key(key)
     assert P.diagonal.sigma * (N + 1) - face.sigma_tau == 2 == nu
 
 
@@ -95,7 +97,7 @@ def test_diagonal_domination_boundary_instance_curve_vertex():
     # R = (2,0): beta <= t*/2 = 3/5 and sigma_tau/sigma = (1/2)/(5/6) = 3/5
     P = build_polyhedron(parse_polynomial("x^2+y^3"))
     sig = P.diagonal
-    vertex_face = eval_k(P, (1, 2)).face  # minimizes at (2,0)
+    vertex_face = P.face_by_key(P.classify((1, 2))[2])  # minimizes at (2,0)
     assert set(vertex_face.vertex_ids) == {
         i for i, v in enumerate(P.vertices) if v == (2, 0)
     }

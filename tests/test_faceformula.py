@@ -27,7 +27,6 @@ from padicsums.newton import (
     build_polyhedron,
     enumerate_faces,
     enumerate_lattice_points,
-    eval_k,
 )
 from padicsums.poly import Polynomial, parse_polynomial
 from padicsums.sums import KERNEL_EPS, SumValue, brute_force_S
@@ -69,10 +68,10 @@ def test_cone_sums_product_polynomial():
     P = build_polyhedron(f)
     per_m, _, tail = cone_sums_multi(P, 3, [2], EPS)
     rows = {r.face_id: r for r in per_m[2]}
-    vertex = eval_k(P, (1, 1)).face.id
-    edge_x = eval_k(P, (0, 1)).face.id   # fiber {k1 = 0, k2 >= 1}
-    edge_y = eval_k(P, (1, 0)).face.id
-    whole = eval_k(P, (0, 0)).face.id
+    vertex, edge_x, edge_y, whole = (
+        P.face_by_key(P.classify(k)[2]).id
+        for k in [(1, 1), (0, 1), (1, 0), (0, 0)]  # edge_x: fiber {k1 = 0, k2 >= 1}
+    )
 
     # A(3,2,vertex) = (sum_{k>=1} 3^-k)^2 = 1/4, truncated from below
     assert Fraction(1, 4) - rows[vertex].A_partial <= tail
@@ -89,7 +88,7 @@ def test_cone_sums_product_polynomial():
 def test_cone_sums_whole_face_at_m1_and_m0():
     f = parse_polynomial("x*y")
     P = build_polyhedron(f)
-    whole = eval_k(P, (0, 0)).face.id
+    whole = P.face_by_key(P.classify((0, 0))[2]).id
     per_m, _, _ = cone_sums_multi(P, 3, [0, 1], EPS)
     rows1 = {r.face_id: r for r in per_m[1]}
     assert rows1[whole].B_partial == 1  # k = 0 contributes p^0

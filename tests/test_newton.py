@@ -22,7 +22,6 @@ from padicsums.newton import (
     build_polyhedron,
     enumerate_faces,
     enumerate_lattice_points,
-    eval_k,
     f0_face,
 )
 from padicsums.poly import parse_polynomial, render
@@ -222,20 +221,14 @@ def test_witness_soundness(corpus):
             assert P.classify(face.witness_k)[2] == face.key
 
 
-# -- eval_k -----------------------------------------------------------------
+# -- classify -----------------------------------------------------------------
 
-def test_eval_k_single_vertex():
+def test_classify_single_vertex():
     P = build_polyhedron(parse_polynomial("x*y"))
-    nu, N, face = eval_k(P, (2, 3))
+    nu, N, key = P.classify((2, 3))
     assert (nu, N) == (5, 5)
-    assert face.key == ((0,), ())
-
-
-@pytest.mark.parametrize("k", [(1,), (1, 0, 0)], ids=["short", "long"])
-def test_eval_k_rejects_a_k_of_the_wrong_length(k):
-    P = build_polyhedron(parse_polynomial("x*y"))
-    with pytest.raises(ValueError, match="2"):
-        eval_k(P, k)
+    assert key == ((0,), ())
+    assert P.face_by_key(key).key == key
 
 
 @pytest.mark.parametrize("k", [(1,), (1, 0, 0)], ids=["short", "long"])
@@ -254,26 +247,27 @@ def test_face_by_id_rejects_ids_that_name_no_face(face_id):
         P.face_by_id(face_id)
 
 
-def test_eval_k_diagonal_functional():
+def test_classify_diagonal_functional():
     P = build_polyhedron(parse_polynomial("x*y+z*u"))
-    nu, N, face = eval_k(P, (1, 1, 1, 1))
+    nu, N, key = P.classify((1, 1, 1, 1))
     assert (nu, N) == (4, 2)
-    assert face.id == f0_face(P).id
+    assert P.face_by_key(key).id == f0_face(P).id
 
 
-def test_eval_k_zero_is_whole_polyhedron(corpus):
+def test_classify_zero_is_whole_polyhedron(corpus):
     for f in corpus:
         P = build_polyhedron(f)
-        nu, N, face = eval_k(P, (0,) * f.n)
+        nu, N, key = P.classify((0,) * f.n)
         assert (nu, N) == (0, 0)
+        face = P.face_by_key(key)
         assert face.dim == f.n
         assert face.witness_k == (0,) * f.n
 
 
-def test_eval_k_rejects_negative():
+def test_classify_rejects_negative():
     P = build_polyhedron(parse_polynomial("x*y"))
-    with pytest.raises(ValueError):
-        eval_k(P, (-1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        P.classify((-1, 0))
 
 
 # -- sigma data ---------------------------------------------------------------
@@ -316,7 +310,7 @@ def test_lattice_points_tiny():
 def test_lattice_point_tags():
     P = build_polyhedron(parse_polynomial("x*y"))
     tagged = {pt.k: pt for pt in enumerate_lattice_points(P, 2)}
-    vertex_face = eval_k(P, (1, 1)).face
+    vertex_face = P.face_by_key(P.classify((1, 1))[2])
     assert tagged[(1, 1)].N == 2 and tagged[(1, 1)].face_id == vertex_face.id
     assert tagged[(0, 0)].N == 0
 

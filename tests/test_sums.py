@@ -9,7 +9,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from padicsums.sums import (
     check_nondegenerate_mod_p,
     torus_E,
 )
-from conftest import random_polynomial
+from conftest import fraction_rank_inverse, random_polynomial
 
 
 def oracle_S(f, p, m):
@@ -303,22 +303,26 @@ def test_nondeg_slabs_agree_with_one_pass(cap, corpus, monkeypatch):
         assert check_nondegenerate_mod_p(f, faces, p) == want
 
 
+def oracle_critical_point(g, p):
+    """The first point of range(1, p)^n, in lexicographic order, where every
+    partial of g (by term shift, with Python integers) vanishes mod p, or
+    None; no code shared with the scan."""
+    partials = [
+        [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:]) for e, c in g.terms.items() if e[j]]
+        for j in range(g.n)
+    ]
+    return next(
+        (point for point in product(range(1, p), repeat=g.n)
+         if all(sum(c * prod_pow(point, e) for c, e in d) % p == 0 for d in partials)),
+        None,
+    )
+
+
 def oracle_nondeg(f, faces, p):
-    """The NondegReport of a pure-Python scan: the partials of each
-    f_tau by term shift, evaluated with Python integers at every point of
-    range(1, p)^n in lexicographic order; no code shared with the scan."""
+    """The NondegReport of a pure-Python scan of every face restriction."""
     entries = []
     for face in faces:
-        terms = face.restriction.terms
-        partials = [
-            [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:]) for e, c in terms.items() if e[j]]
-            for j in range(f.n)
-        ]
-        witness = next(
-            (point for point in product(range(1, p), repeat=f.n)
-             if all(sum(c * prod_pow(point, e) for c, e in d) % p == 0 for d in partials)),
-            None,
-        )
+        witness = oracle_critical_point(face.restriction, p)
         entries.append(FaceNondeg(face_id=face.id, passed=witness is None, witness=witness))
     entries.sort(key=lambda e: e.face_id)
     return NondegReport(prime=p, entries=tuple(entries))
@@ -326,9 +330,10 @@ def oracle_nondeg(f, faces, p):
 
 @st.composite
 def scan_polynomials(draw):
-    """(f, p): n <= 3, f(0) = 0, some coefficients divisible by p."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    n = draw(st.integers(1, 3))
+    """(f, p): n <= 4, f(0) = 0, some coefficients divisible by p; p <= 5
+    when n = 4, to keep the pure-Python oracle fast."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5] if n == 4 else [2, 3, 5, 7]))
     exps = st.tuples(*[st.integers(0, 4)] * n).filter(any)
     coef = st.one_of(st.integers(-9, 9).filter(bool), st.integers(-3, 3).filter(bool).map(lambda c: c * p))
     terms = draw(st.dictionaries(exps, coef, min_size=1, max_size=5))
@@ -343,6 +348,28 @@ def test_nondeg_matches_pure_python_scan(case, cap):
     with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
         got = check_nondegenerate_mod_p(f, faces, p)
     assert got == oracle_nondeg(f, faces, p)
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_first_critical_point_plans_agree_with_the_oracle(cap, monkeypatch):
+    # A restriction whose exponent differences have full rank n is decided by
+    # the whole-torus scan, passing or failing; one of lower rank reaches it
+    # only when it fails, to find the witness.  Caps of 1 and 7 plan these
+    # tori as one task per point, or per segment of the last axis.
+    full_rank = ["x^2+6*x", "x+x^2", "x^3+y^2+x*y", "x^2*y+x*y^3+x", "x^2+y^2+z^2+x*y*z",
+                 "x*y+y*z+z*x+x^2*y^2*z^2"]
+    lower_rank = ["x^2+y^3", "x^3+y^3+z^3", "x*y+z*u", "x^5*y+x*y^4", "3*x^2*y+y^3"]
+    monkeypatch.setattr(sums, "_INNER_CAP", cap)
+    outcomes = set()
+    for text in full_rank + lower_rank:
+        g = parse_polynomial(text)
+        for p in (3, 5, 7, 11, 13):
+            if (p - 1) ** g.n > 3000:
+                continue
+            want = oracle_critical_point(g, p)
+            assert sums._first_critical_point(g, p) == want
+            outcomes.add((text in full_rank, want is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_nondeg_witness_in_a_later_segment(monkeypatch):
@@ -565,16 +592,12 @@ def test_summed_out_values_are_bit_identical_to_the_plain_grid(case, cap, worker
 
 @settings(max_examples=40, deadline=None)
 @given(single_block_polynomials())
-def test_torus_and_exp_path_keep_the_plain_grid(case):
-    # The torus (domain [1, p)) satisfies neither reduction's hypotheses, and
-    # above the histogram cap linear variables are not summed out, so at
-    # m = 1 every grid they run is a plain one.  At m >= 2 above the cap
-    # every block takes the stationary-phase split instead.
+def test_exp_path_keeps_the_plain_grid(case):
+    # Above the histogram cap linear variables are not summed out, so at
+    # m = 1 every grid is a plain one.  At m >= 2 above the cap every block
+    # takes the stationary-phase split instead.
     f, p, m = case
     with recorded_grid_calls() as calls:
-        e = torus_E(f, p)
-        assert not any(gs for _, gs, _ in calls)
-        calls.clear()
         with mock.patch.object(sums, "_HIST_CAP", 1):
             s = brute_force_S(f, p, m)
             plan = list(calls)
@@ -586,7 +609,136 @@ def test_torus_and_exp_path_keep_the_plain_grid(case):
     else:
         assert all(gs == len(sizes) for sizes, gs, _ in plan)
         assert abs(s.value - want) <= s.abs_error_budget
-    assert abs(e.value - oracle_E(f, p)) <= e.abs_error_budget + 1e-12
+
+
+# -- the toric reduction ----------------------------------------------------------
+
+@contextlib.contextmanager
+def recorded_grids():
+    """The axis sizes of every grid the kernel visits, in call order."""
+    grid_tasks, grids = sums._grid_tasks, []
+
+    def spy(polys, modulus, domains, workers, mode):
+        grids.append(tuple(stop - start for start, stop in domains))
+        return grid_tasks(polys, modulus, domains, workers, mode)
+
+    with mock.patch.object(sums, "_grid_tasks", spy):
+        yield grids
+
+
+def difference_rank(terms):
+    """Rank of the differences a_j - a_0 of the exponents, over Q."""
+    support = sorted(terms)
+    rows = [[x - y for x, y in zip(a, support[0])] for a in support[1:]]
+    return fraction_rank_inverse(rows)[0] if rows else 0
+
+
+@pytest.mark.parametrize("text, p, rank", [
+    ("x^3*y+x*y^3", 5, 1),  # (F_5^x)^1 instead of ^2
+    ("x^2*y+y^2*z+z^2*x", 7, 2),
+    ("x^2*y+y^2*z+z^2*u+u^2*x", 5, 3),  # homogeneous: 4^3 points instead of 4^4
+    ("x*y+x^2*y^2", 7, 1),  # 0 lies in the affine hull: b = 0
+    ("x^5*y+x*y^4", 11, 1),  # Laurent exponents in h
+    ("3*x^2*y^3", 5, 0),  # one term: no grid
+    ("x+x^2", 7, 1),  # rank n: the plain grid
+    ("x*y+y^2+x^2*y^3", 5, 2),  # rank n
+])
+def test_torus_block_visits_p_minus_1_to_the_rank(text, p, rank):
+    # Each f is one block.  A torus block whose exponent differences have
+    # rank r < n_b visits (p-1)^r points, none when r = 0; one with r = n_b
+    # keeps the plain grid.  Either way the value is bit-identical to the
+    # plain grid's.
+    f = parse_polynomial(text)
+    assert difference_rank(f.terms) == rank
+    with recorded_grids() as grids:
+        got = torus_E(f, p)
+    assert grids == ([(p - 1,) * rank] if rank else [])
+    assert got.term_count == (p - 1) ** f.n  # budgets still count the whole torus
+    assert got.value == _exp_sum_over_grid(f, p, [(1, p)] * f.n, 1) / (p - 1) ** f.n
+
+
+@st.composite
+def toric_polynomials(draw):
+    """(f, p): n <= 4, exponents a_0 + sum_k lambda_k u_k for fewer than n
+    directions u_k, so their differences have rank below n (a block of f may
+    still have full rank); exponents are at times scaled by p, which makes
+    b = 0 mod p, and coefficients are at times divisible by p.  Directions
+    with negative entries make Laurent exponents in h.  p <= 5 when n = 4."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5] if n == 4 else [2, 3, 5, 7]))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n - 1))
+    a0 = draw(st.tuples(*[st.integers(0, 5)] * n).filter(any))
+    scale = draw(st.sampled_from([1, 1, p]))
+    coef = st.one_of(st.integers(-9, 9).filter(bool),
+                     st.integers(-3, 3).filter(bool).map(lambda c: c * p))
+    terms = {tuple(scale * x for x in a0): draw(coef)}
+    for lam in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(dirs)), max_size=5)):
+        a = tuple(scale * (a0[i] + sum(l * u[i] for l, u in zip(lam, dirs))) for i in range(n))
+        if min(a) >= 0 and any(a):
+            terms[a] = draw(coef)
+    return Polynomial(n, terms), p
+
+
+#: Each pitfall of the toric reduction, on top of the random draws.
+TORIC_PITFALLS = [
+    ("x^5*y+x*y^4", 11),  # h = y^-5 + y^-6: Laurent exponents
+    ("y+2*x^3*y^3+3*x^6*y^5", 7),  # h = y^-1 + 2 + 3 y: of both signs
+    ("z+2*x^3*y^2*z^2+x^4*y^5", 5),  # r = 2, of both signs
+    ("x^5*y+3*x*y^4", 3),  # Laurent, and a coefficient divisible by p
+    ("x^5*y+x*y^4+z^5*u+z*u^4", 5),  # n = 4, Laurent
+    ("x^5*y+x*y^4", 2),  # p - 1 = 1
+    ("x^4*y+y^5", 5),  # b = 5 = 0 mod p: h is no component of the scan
+    ("x^2*y^3+x^4*y^6", 7),  # b = 0: H = {1}
+    ("2*x^2*y+2*y^3", 2),  # every coefficient vanishes mod p
+]
+
+
+def with_toric_pitfalls(test):
+    for text, p in TORIC_PITFALLS:
+        test = example((parse_polynomial(text), p))(test)
+    return test
+
+
+@settings(max_examples=120, deadline=None)
+@given(toric_polynomials())
+@with_toric_pitfalls
+def test_toric_counts_equal_the_plain_torus_histogram(case):
+    f, p = case
+    terms = {e: c % p for e, c in f.terms.items() if c % p}
+    assume(terms)
+    want = np.bincount(
+        [sum(c * prod_pow(x, e) for e, c in terms.items()) % p
+         for x in product(range(1, p), repeat=f.n)],
+        minlength=p,
+    )
+    rank = difference_rank(terms)
+    with recorded_grids() as grids:
+        got = sums._toric_counts(terms, p, 1)
+    assert grids == ([(p - 1,) * rank] if rank else [])
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(toric_polynomials())
+@with_toric_pitfalls
+def test_toric_torus_values_are_bit_identical_to_the_plain_grid(case):
+    # A rank of n_b for every support sends each block to the plain grid.
+    f, p = case
+    got = torus_E(f, p)
+    with mock.patch.object(sums, "_toric_form", lambda support: (len(support[0]), None, None)):
+        plain = torus_E(f, p)
+    assert got == plain
+    reversed_f = Polynomial(f.n, {exps[::-1]: c for exps, c in f.terms.items()})
+    assert torus_E(reversed_f, p).value == got.value
+
+
+@settings(max_examples=120, deadline=None)
+@given(toric_polynomials())
+@with_toric_pitfalls
+def test_toric_scan_matches_pure_python_scan(case):
+    f, p = case
+    faces = enumerate_faces(build_polyhedron(f))
+    assert check_nondegenerate_mod_p(f, faces, p) == oracle_nondeg(f, faces, p)
 
 
 # -- the stationary-phase split ---------------------------------------------------
