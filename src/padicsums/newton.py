@@ -18,17 +18,20 @@ bitmasks and zero-axis bitmasks under intersection.  The one elimination,
 restriction f_tau is conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the
 face's vertex set: one vertex or a segment is solved in closed form, and only
 three or more vertices need a polyhedron of their own.  A polyhedron is
-immutable by contract: its faces, its diagonal data and the sigma of each
-vertex set are derived once, on first use, and never change what it compares
-equal to.  ``build_polyhedron`` keeps each polyhedron for as long as the
-polynomial it was built from lives, so every call with an equal f, at any
-prime, shares one polyhedron and everything derived on it.
+immutable by contract: its faces, its diagonal data, the sigma of each
+vertex set and its lattice table (how many lattice points with nu(k) <= T
+share each (face, N, nu), kept for the largest T requested) are derived
+once, on first use, and never change what it compares equal to.
+``build_polyhedron`` keeps each polyhedron for as long as the polynomial it
+was built from lives, so every call with an equal f, at any prime, shares
+one polyhedron and everything derived on it.
 """
 
 from __future__ import annotations
 
 import copy
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +47,8 @@ from .poly import ExponentVector, Polynomial, face_restriction
 
 #: Largest ambient dimension n that ``build_polyhedron`` admits.
 DIMENSION_CAP = 8
-#: Most lattice points one ``lattice_blocks`` call may classify.
+#: Most lattice points one ``lattice_blocks`` call may classify.  Below 2^31,
+#: so every nu <= T and every count of a ``LatticeTable`` fits int32.
 POINT_CAP = 5_000_000
 
 FaceKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertex ids, 0-based recession axes)
@@ -254,6 +258,36 @@ class NewtonPolyhedron:
         # the whole vertex set spans P itself, whose sigma is P's own
         return {tuple(range(len(self.vertices))): self.diagonal.sigma}
 
+    @cached_property
+    def _lattice_tables(self) -> Dict[int, "LatticeTable"]:
+        # at most one entry: T -> the table of the largest T requested so far
+        return {}
+
+    def lattice_table(self, T: int) -> "LatticeTable":
+        """The (face id, N, nu) triples of the lattice points with nu(k) <= T
+        and how many points share each (``LatticeTable``).
+
+        None of it depends on a prime, so the table is built once and kept:
+        a request at a smaller T filters the kept table to nu <= T, and one
+        at a larger T builds afresh from ``lattice_blocks`` and keeps that
+        instead.  ``lattice_blocks``'s checks run on every request, so
+        ValueError and BudgetExceeded fire as if nothing were kept, and a
+        build that raises keeps nothing.
+        """
+        blocks = lattice_blocks(self, T)  # a lazy generator: only the checks run here
+        memo = self._lattice_tables
+        kept = next(iter(memo), -1)
+        if T > kept:
+            table = _count_lattice(self, T, blocks)
+            memo.clear()
+            memo[T] = table
+            return table
+        table = memo[kept]
+        if T == kept:
+            return table
+        keep = table.nu <= T
+        return LatticeTable(*(column[keep] for column in table))
+
     def vertex_sigma(self, vertex_ids: Tuple[int, ...]) -> Fraction:
         """sigma of conv(V) + R_+^n for the vertices V with these ids,
         computed on first request and memoized by the id tuple.
@@ -324,9 +358,10 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
 
     The polyhedron depends on f alone, so it is built once and shared: while
     f lives, every call with a polynomial equal to f returns the same object,
-    with its faces, restrictions and face sigmas as far as they have been
-    derived.  It is immutable by contract; ``source`` is an equal copy of f.
-    Requires f nonconstant with f(0) = 0 and n <= DIMENSION_CAP.
+    with its faces, restrictions, face sigmas and lattice table as far as
+    they have been derived.  It is immutable by contract; ``source`` is an
+    equal copy of f.  Requires f nonconstant with f(0) = 0 and
+    n <= DIMENSION_CAP.
     """
     P = _BUILT.get(f)
     if P is None:
@@ -536,6 +571,19 @@ class LatticeBlock(NamedTuple):
     face_id: np.ndarray
 
 
+class LatticeTable(NamedTuple):
+    """Each distinct (face id, N, nu) of the lattice points with nu(k) <= T,
+    as parallel arrays, and ``count``, the number of points that have it,
+    sorted by (face id, nu, N).  Face id, nu and count are int32: the count
+    and T are at most C(T+n, n) <= POINT_CAP.  N has dtype object when
+    ``N_bound`` reaches INT64_SAFE and int64 otherwise."""
+
+    face_id: np.ndarray
+    N: np.ndarray
+    nu: np.ndarray
+    count: np.ndarray
+
+
 def N_bound(P: NewtonPolyhedron, T: int) -> int:
     """T * max|v|_1 over the vertices: an upper bound on N(k) when nu(k) <= T."""
     return T * max(sum(v) for v in P.vertices)
@@ -636,3 +684,62 @@ def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
         K[len(prefix):, cols:cols + width] = tails
         cols += width
     yield classify(K[:, :cols])
+
+
+def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) -> LatticeTable:
+    """The ``LatticeTable`` of P at T, tallied from ``blocks`` (those of
+    ``lattice_blocks(P, T)``) as they stream past.
+
+    Each point gets the key (face id * (T+1) + nu) * (N_bound+1) + N, which
+    orders the triples, decodes back to them and is below span =
+    faces * (T+1) * (N_bound+1).  While span is proven below INT64_SAFE, the
+    keys are tallied in batches: once the points waiting number eight blocks,
+    or as many as the tally has rows, ``np.unique`` tallies them and they are
+    merged into the tally, so what is held stays within a small multiple of
+    the larger of the two.  Keys are int32 when span allows, since they sort
+    faster.  Otherwise the triples are tallied as Python integers, so no key
+    or N can wrap.
+    """
+    bound = N_bound(P, T)
+    span = len(P.faces) * (T + 1) * (bound + 1)
+    if span > INT64_SAFE:
+        tally: Counter = Counter()
+        for blk in blocks:
+            tally.update(zip(blk.face_id.tolist(), blk.nu.tolist(), blk.N.tolist()))
+        triples = sorted(tally)
+        face_id, nu, N = zip(*triples)
+        return LatticeTable(
+            np.array(face_id, dtype=np.int32),
+            np.array(N, dtype=np.int64 if bound < INT64_SAFE else object),
+            np.array(nu, dtype=np.int32),
+            np.array([tally[key] for key in triples], dtype=np.int32),
+        )
+    key_dtype = np.int32 if span <= 1 << 31 else np.int64
+    keys, counts = np.empty(0, dtype=key_dtype), np.empty(0, dtype=np.int64)
+    pending: List[np.ndarray] = []
+    held = 0  # points in pending
+    for blk in blocks:
+        key = (blk.face_id * (T + 1) + blk.nu) * (bound + 1) + blk.N
+        pending.append(key.astype(key_dtype))
+        held += len(key)
+        if held >= max(len(keys), 8 * LATTICE_BLOCK):
+            keys, counts = _merge_tally(keys, counts, np.concatenate(pending))
+            pending, held = [], 0
+    if pending:
+        keys, counts = _merge_tally(keys, counts, np.concatenate(pending))
+    face_nu, N = np.divmod(keys.astype(np.int64), bound + 1)
+    face_id, nu = np.divmod(face_nu, T + 1)
+    return LatticeTable(face_id.astype(np.int32), N, nu.astype(np.int32), counts.astype(np.int32))
+
+
+def _merge_tally(
+    keys: np.ndarray, counts: np.ndarray, points: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The tally (sorted distinct keys, their counts) with the keys of
+    ``points`` added."""
+    new, tallied = np.unique(points, return_counts=True)
+    keys = np.concatenate((keys, new))
+    order = np.argsort(keys, kind="stable")  # timsort: two sorted runs
+    keys, counts = keys[order], np.concatenate((counts, tallied))[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(counts, first)

@@ -51,8 +51,12 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
 
     def __hash__(self) -> int:
-        # consistent with ==, which compares the term maps regardless of order
-        return hash((self.n, frozenset(self.terms.items())))
+        # consistent with ==, which compares the term maps regardless of order;
+        # computed on first use and kept, since the polynomial never changes
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.n, frozenset(self.terms.items())))
+        return h
 
     @property
     def support(self) -> Tuple[ExponentVector, ...]:

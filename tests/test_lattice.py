@@ -3,20 +3,26 @@
 ``oracle_points`` is the original one-point-at-a-time generator; the Fraction
 references below are the original per-point nu-inequality check and cone-sum
 fold.  The blocked enumerator with its sorted-key face lookup, the
-integer-scaled nu check and the bucketed np.bincount fold must reproduce them
-exactly, in order, for any block size and on both the int64 and the
-Python-integer (dtype=object) paths.
+integer-scaled nu check, the polyhedron's lattice table and the bucketed fold
+over it must reproduce them exactly, in order, for any block size and on both
+the int64 and the Python-integer (dtype=object) paths.  Tests that force a
+path or a block size build their polyhedron uncached (``newton._build``), so
+no lattice table kept on a shared polyhedron can stand in for the path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsums import bounds, faceformula, newton
+from padicsums import bounds, newton
+from padicsums.errors import BudgetExceeded
 from padicsums.bounds import NuCheckFindings, NuCheckRecord, check_nu_inequality
 from padicsums.faceformula import ConeSumResult, cone_sums_multi, truncation_level
 from padicsums.newton import (
@@ -119,9 +125,9 @@ def test_blocked_layer_matches_oracle(f, T, block, p, python_ints):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(newton, "LATTICE_BLOCK", block)  # forces many blocks
         if python_ints:  # every int64 bound fails: the dtype=object path everywhere
-            for module in (newton, bounds, faceformula):
+            for module in (newton, bounds):
                 mp.setattr(module, "INT64_SAFE", 1)
-        P = build_polyhedron(f)
+        P = newton._build(f)  # uncached: no lattice table kept from an earlier example
         want = list(oracle_points(P, T))
         assert list(enumerate_lattice_points(P, T)) == want
         blocks = list(lattice_blocks(P, T))
@@ -137,9 +143,11 @@ def test_block_boundaries_on_corpus(corpus, monkeypatch):
     for block in (97, 3):
         monkeypatch.setattr(newton, "LATTICE_BLOCK", block)
         for f in corpus:
-            P = build_polyhedron(f)
+            P = newton._build(f)  # uncached: its lattice table is built at this block size
             assert list(enumerate_lattice_points(P, 9)) == list(oracle_points(P, 9))
             assert check_nu_inequality(f, 9) == nu_reference(f, 9)
+            ms, eps = [0, 1, 2, 3], Fraction(1, 10)
+            assert cone_sums_multi(P, 3, ms, eps) == cone_reference(P, 3, ms, eps)
 
 
 @pytest.mark.parametrize("e", [2 ** 61, 2 ** 40])
@@ -166,14 +174,70 @@ def test_fold_buckets_match_reference(corpus, block, python_ints, monkeypatch):
     if block is not None:
         monkeypatch.setattr(newton, "LATTICE_BLOCK", block)
     if python_ints:
-        for module in (newton, bounds, faceformula):
+        for module in (newton, bounds):
             monkeypatch.setattr(module, "INT64_SAFE", 1)
     p, eps = 3, Fraction(1, 10)
     for f in corpus:
-        P = build_polyhedron(f)
+        P = newton._build(f)  # uncached: its lattice table is built on this path
         T, _ = truncation_level(p, P.n, eps)
         ms = [5, 0, 2, 2, 9, 1, N_bound(P, T) + 1, 10 ** 30, 5]
         assert cone_sums_multi(P, p, ms, eps) == cone_reference(P, p, ms, eps)
+
+
+def rows(table) -> list:
+    """A lattice table as a list of (face id, N, nu, count) in Python integers."""
+    return list(zip(*(column.tolist() for column in table)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=polynomials(),
+    T=st.integers(0, 8),
+    later=st.integers(0, 8),
+    primes=st.permutations([2, 3, 5]),
+    path=st.sampled_from(["int64", "python keys", "python ints"]),
+)
+def test_lattice_table_is_the_point_count(f, T, later, primes, path):
+    P = newton._build(f)  # uncached, so every table below is built here
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "python keys":  # N fits int64, the combined keys do not
+            mp.setattr(newton, "INT64_SAFE", N_bound(P, max(T, later)) + 1)
+        elif path == "python ints":  # N itself takes dtype=object
+            mp.setattr(newton, "INT64_SAFE", 1)
+        table = P.lattice_table(T)
+        points = Counter((pt.face_id, pt.N, pt.nu) for pt in enumerate_lattice_points(P, T))
+        assert {(face, N, nu): c for face, N, nu, c in rows(table)} == points
+        assert rows(table) == sorted(rows(table), key=lambda row: (row[0], row[2], row[1]))
+        assert table.N.dtype == (np.int64 if N_bound(P, T) < newton.INT64_SAFE else object)
+        assert table.face_id.dtype == table.nu.dtype == table.count.dtype == np.int32
+        # a read at another T, kept table or not, equals a fresh build there
+        assert rows(P.lattice_table(later)) == rows(newton._build(f).lattice_table(later))
+        ms, eps = [0, 1, 2, 3], Fraction(1, 10)
+        for p in primes:  # each prime's T may slice the kept table or outgrow it
+            assert cone_sums_multi(P, p, ms, eps) == cone_reference(P, p, ms, eps)
+        # the checks run on every request, however large the kept table
+        with pytest.raises(ValueError):
+            P.lattice_table(-1)
+        mp.setattr(newton, "POINT_CAP", comb(later + f.n, f.n) - 1)
+        with pytest.raises(BudgetExceeded):
+            P.lattice_table(later)
+
+
+def test_lattice_table_is_built_once_per_largest_T(monkeypatch):
+    f = parse_polynomial("x*y+z*u")
+    P = newton._build(f)
+    built, real = [], newton._count_lattice
+
+    def spy(P, T, blocks):
+        built.append(T)
+        return real(P, T, blocks)
+
+    monkeypatch.setattr(newton, "_count_lattice", spy)
+    eps = Fraction(1, 10 ** 4)
+    Ts = {p: truncation_level(p, f.n, eps)[0] for p in (2, 3, 5, 7)}
+    for p in (5, 3, 7, 2, 5, 3):
+        assert cone_sums_multi(P, p, [1, 2], eps) == cone_reference(P, p, [1, 2], eps)
+    assert built == [Ts[5], Ts[3], Ts[2]]  # a smaller T is a slice of the kept table
 
 
 @pytest.mark.parametrize("python_ints", [False, True])
@@ -189,3 +253,13 @@ def test_pattern_of_no_face_raises_key_error(python_ints, monkeypatch):
         with pytest.raises(KeyError) as err:
             list(lattice_blocks(P, T))
         assert err.value.args[0] == dropped.key
+        # the lattice table looks every point up too, and a table kept from
+        # a smaller T, below the first point on the dropped face, does not hide it
+        points = oracle_points(build_polyhedron(f), T)
+        first = min(pt.nu for pt in points if pt.face_id == dropped.id)
+        if first > 0:
+            P.lattice_table(first - 1)
+        for _ in range(2):  # a build that raises keeps nothing
+            with pytest.raises(KeyError) as err:
+                P.lattice_table(T)
+            assert err.value.args[0] == dropped.key

@@ -7,6 +7,7 @@ and a from-scratch term-shift differentiator for gradients.
 
 from __future__ import annotations
 
+import pickle
 import random
 from math import prod
 
@@ -269,3 +270,14 @@ def test_equal_polynomials_hash_equal_whatever_the_term_order():
     assert hash(parse_polynomial("7*x*y*z - y + 3*x^2*z")) == hash(f)
     assert len({f, g, Polynomial(3, {(0, 1, 0): -1})}) == 2
     assert Polynomial(4, {(2, 0, 1, 0): 3}) != Polynomial(3, {(2, 0, 1): 3})
+
+
+def test_hash_is_computed_once_on_first_use():
+    f = Polynomial(3, {(2, 0, 1): 3, (0, 1, 0): -1})
+    want = hash((3, frozenset(f.terms.items())))
+    assert "_hash" not in f.__dict__  # construction does not pay for it
+    assert hash(f) == want
+    f.__dict__["_hash"] = want + 1  # later calls read the kept value
+    assert hash(f) == want + 1
+    g = pickle.loads(pickle.dumps(Polynomial(3, dict(f.terms))))  # as pool workers get it
+    assert g == f and hash(g) == want
