@@ -140,9 +140,9 @@ def _cone_numerators(
 
     N is bucketed against the sorted breakpoints {m - 1, m : m in ms}: bucket
     j >= 1 holds cuts[j-1] <= N < cuts[j] (the last one is unbounded above)
-    and bucket 0 holds N below every cut.  The rows' counts are added into
-    int64 counts of shape (face, bucket, nu), so memory grows with len(ms),
-    not with max(ms).  Then W[face][bucket] = sum_nu count * p^(T - nu) is
+    and bucket 0 holds N below every cut.  One ``np.bincount`` bins the rows'
+    counts into int64 counts of shape (face, bucket, nu), so memory grows
+    with len(ms), not with max(ms).  Then W[face][bucket] = sum_nu count * p^(T - nu) is
     formed once in Python integers: A(m) is the suffix sum of a face's W
     from m's bucket on, and B(m) the single entry of m - 1's bucket, which
     holds N = m - 1 alone.
@@ -158,10 +158,12 @@ def _cone_numerators(
     cuts = sorted({c for m in ms for c in (m - 1, m) if c <= bound})
     edges = np.array(cuts, dtype=table.N.dtype)
     width = len(cuts) + 1
-    counts = np.zeros(len(faces) * width * (T + 1), dtype=np.int64)
     bucket = np.searchsorted(edges, table.N, side="right")
     index = (table.face_id.astype(np.int64) * width + bucket) * (T + 1) + table.nu
-    np.add.at(counts, index, table.count)
+    # float64 bins are exact: each total counts distinct points, at most
+    # POINT_CAP < 2^53 of them, so every partial sum is an exact integer
+    counts = np.bincount(index, weights=table.count,
+                         minlength=len(faces) * width * (T + 1)).astype(np.int64)
     weights = [p ** (T - nu) for nu in range(T + 1)]
     flat = [sum(map(mul, row, weights)) for row in counts.reshape(-1, T + 1).tolist()]
     W = [flat[i:i + width] for i in range(0, len(flat), width)]

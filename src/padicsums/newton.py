@@ -269,16 +269,20 @@ class NewtonPolyhedron:
 
         None of it depends on a prime, so the table is built once and kept:
         a request at a smaller T filters the kept table to nu <= T, and one
-        at a larger T builds afresh from ``lattice_blocks`` and keeps that
-        instead.  ``lattice_blocks``'s checks run on every request, so
+        at a larger T classifies only the shell of points with kept T < nu
+        <= T, adds its rows to the kept ones (the two are disjoint in nu)
+        and keeps the result instead, so a run of growing T classifies each
+        point once.  ``lattice_blocks``'s checks run on every request, so
         ValueError and BudgetExceeded fire as if nothing were kept, and a
         build that raises keeps nothing.
         """
-        blocks = lattice_blocks(self, T)  # a lazy generator: only the checks run here
+        lattice_blocks(self, T)  # a lazy generator: only the checks run here
         memo = self._lattice_tables
         kept = next(iter(memo), -1)
         if T > kept:
-            table = _count_lattice(self, T, blocks)
+            table = _count_lattice(self, T, _classified_blocks(self, T, kept))
+            if kept >= 0:
+                table = _join_tables(memo[kept], table)
             memo.clear()
             memo[T] = table
             return table
@@ -618,32 +622,42 @@ def _compositions(n: int, T: int) -> np.ndarray:
     return K
 
 
+def _shell(n: int, T: int, low: int) -> np.ndarray:
+    """Every k in N^n with low < |k| <= T, in lexicographic order."""
+    K = _compositions(n, T)
+    return K if low < 0 else K[:, K.sum(axis=0) > low]
+
+
 def _composition_chunks(
-    n: int, T: int, prefix: Tuple[int, ...], memo: Dict[Tuple[int, int], np.ndarray]
+    n: int, T: int, low: int, prefix: Tuple[int, ...], memo: Dict[Tuple[int, int, int], np.ndarray]
 ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
-    """``prefix`` followed by every k in N^n with |k| <= T, in lexicographic
-    order, as (prefix, tails) chunks of at most LATTICE_BLOCK columns.
+    """``prefix`` followed by every k in N^n with low < |k| <= T (low < 0:
+    every |k| <= T), in lexicographic order, as (prefix, tails) chunks of
+    at most LATTICE_BLOCK columns.
 
     Below a prefix of two or more entries the same tails recur for many
-    prefixes, so those ``_compositions(n, T)`` are built once per ``memo``;
+    prefixes, so those ``_shell(n, T, low)`` are built once per ``memo``;
     a shorter prefix fixes T, and its tails are built once anyway.
     """
     if comb(T + n, n) <= LATTICE_BLOCK:
         if len(prefix) < 2:
-            yield prefix, _compositions(n, T)
+            yield prefix, _shell(n, T, low)
             return
-        if (n, T) not in memo:
-            memo[n, T] = _compositions(n, T)
-        yield prefix, memo[n, T]
+        if (n, T, low) not in memo:
+            memo[n, T, low] = _shell(n, T, low)
+        yield prefix, memo[n, T, low]
     elif n == 1:
-        for lo in range(0, T + 1, LATTICE_BLOCK):
+        for lo in range(max(low + 1, 0), T + 1, LATTICE_BLOCK):
             yield prefix, np.arange(lo, min(T + 1, lo + LATTICE_BLOCK), dtype=np.int64).reshape(1, -1)
     else:
         for v in range(T + 1):
-            yield from _composition_chunks(n - 1, T - v, prefix + (v,), memo)
+            yield from _composition_chunks(n - 1, T - v, max(low - v, -1), prefix + (v,), memo)
 
 
-def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
+def _classified_blocks(P: NewtonPolyhedron, T: int, low: int = -1) -> Iterator[LatticeBlock]:
+    """The classified lattice points with low < nu(k) <= T, in lexicographic
+    order of k, as blocks of at most LATTICE_BLOCK rows (see
+    ``lattice_blocks``, which takes low = -1); the caller runs the checks."""
     n, nv = P.n, len(P.vertices)
     dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
     V = np.array(P.vertices, dtype=dtype)
@@ -670,10 +684,10 @@ def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
             raise KeyError((_bits(key, nv), _bits(key >> nv, n)))
         return LatticeBlock(K.T, np.add.reduce(K, axis=0), N, face_ids[at])
 
-    memo: Dict[Tuple[int, int], np.ndarray] = {}
+    memo: Dict[Tuple[int, int, int], np.ndarray] = {}
     K = np.empty((n, LATTICE_BLOCK), dtype=np.int64)
     cols = 0
-    for prefix, tails in _composition_chunks(n, T, (), memo):
+    for prefix, tails in _composition_chunks(n, T, low, (), memo):
         width = tails.shape[1]
         if cols + width > LATTICE_BLOCK:
             yield classify(K[:, :cols])
@@ -730,6 +744,17 @@ def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) 
     face_nu, N = np.divmod(keys.astype(np.int64), bound + 1)
     face_id, nu = np.divmod(face_nu, T + 1)
     return LatticeTable(face_id.astype(np.int32), N, nu.astype(np.int32), counts.astype(np.int32))
+
+
+def _join_tables(below: LatticeTable, shell: LatticeTable) -> LatticeTable:
+    """The rows of two tables whose nu ranges are disjoint, in one table
+    sorted by (face id, nu, N), with N in the dtype of the shell's (the one
+    of the larger T).  Each input is sorted, and no (face id, nu) has rows in
+    both, so a stable sort by (face id, nu) keeps N ascending."""
+    joined = LatticeTable(*(np.concatenate((a.astype(b.dtype, copy=False), b))
+                            for a, b in zip(below, shell)))
+    order = np.lexsort((joined.nu, joined.face_id))
+    return LatticeTable(*(column[order] for column in joined))
 
 
 def _merge_tally(

@@ -77,14 +77,54 @@ some y'.  theta_i h multiplies each c_j by the integer e_j,i mod p.  Only
 when it has one is the whole torus (F_p^x)^n walked in its task order,
 which is lexicographic, up to the first task holding a critical point: the
 witness.
+
+Before any scan, a face restriction may be cleared by a prime-free
+certificate (_certificate; Gelfand, Kapranov and Zelevinsky, "Discriminants,
+Resultants, and Multidimensional Determinants", 1994, ch. 9; Denef and
+Sperber 2001): an integer E such that g has no critical point on
+(F_p^x)^n at any p not dividing E.  Let g = sum_j c_j x^a_j have r terms,
+A the n x r matrix with columns a_j, k = r - rank A, and d the product of
+A's nonzero Smith invariants, the gcd of its rank-size minors, so that A
+has the same rank mod p exactly when p does not divide d.  A critical point
+x gives A y = 0 mod p with y_j = c_j x^a_j, and every y_j != 0 when p does
+not divide prod_j c_j.
+- k = 0: A has full column rank mod p, so y = 0, which is impossible.
+  E = d prod_j c_j.
+- k = 1: the kernel of A mod p is spanned by the primitive integer relation
+  lambda (sum_j lambda_j a_j = 0), which stays nonzero mod p, so y = t
+  lambda.  If some lambda_j = 0 that forces y_j = 0: E is as for k = 0.
+  Otherwise, at p not dividing prod_j lambda_j, x^a_j = t lambda_j / c_j,
+  and prod_j (x^a_j)^lambda_j = x^0 = 1 gives
+  t^(sum lambda) prod_j (lambda_j / c_j)^lambda_j = 1.  When the support lies
+  in a hyperplane <w, a> = N != 0, as a proper face restriction's does,
+  sum_j lambda_j N = <w, sum_j lambda_j a_j> = 0, so sum lambda = 0 and t
+  drops out: a critical point needs prod_j (lambda_j / c_j)^lambda_j = 1 mod
+  p, i.e. p divides the circuit discriminant
+  Delta = prod_{lambda_j>0} lambda_j^lambda_j prod_{lambda_j<0} c_j^-lambda_j
+          - (-1)^(sum_{lambda_j<0} lambda_j) prod_{lambda_j<0} (-lambda_j)^-lambda_j
+            prod_{lambda_j>0} c_j^lambda_j.
+  With Delta != 0, E = d prod_j c_j prod_j lambda_j Delta.  Delta = 0, as
+  for (x + y)^2, gives no certificate, and neither does a Delta too large
+  to form (_DISCRIMINANT_BITS).
+- sum lambda != 0 gives no certificate: t^(sum lambda) = const then has a
+  solution t for a positive share of primes, whatever const is (every p
+  with gcd(sum lambda, p - 1) = 1), so no finite set of primes can hold
+  the degenerate ones.  x + x^2 (lambda = (2, -1)) is critical at
+  x = -1/2 at every odd p.
+- k >= 2: no certificate (that needs resultants); the scan stays.
+The conditions above are necessary for a critical point, not sufficient:
+the monomial map x -> (x^a_j)_j need not reach every t lambda / c when the
+torsion of Z^n / <a_j> meets p - 1.  So a certificate is sound but not
+complete: it may exclude a prime at which g passes.  The scan then decides.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import repeat
 from math import gcd, isqrt, prod
 from operator import mul
@@ -190,6 +230,42 @@ def _reduced_terms(terms: Dict[ExponentVector, int], modulus: int) -> Terms:
     return tuple((coef % modulus, exps) for exps, coef in sorted(terms.items()))
 
 
+#: Most entries the per-modulus tables of ``_modulus_table`` hold together:
+#: the size of the one roots-of-unity table a histogram at _HIST_CAP needs.
+_TABLE_CAP = _HIST_CAP
+_tables: "OrderedDict[Tuple[str, int], object]" = OrderedDict()
+
+
+def _modulus_table(build):
+    """Decorator: ``build(modulus)``, an array or a tuple of arrays, is
+    built once per modulus, made read-only and kept.  The tables of every
+    decorated builder share one store; once they hold more than _TABLE_CAP
+    entries in total, the least recently used are dropped (never the one
+    just built)."""
+    name = build.__name__
+
+    def arrays(value) -> tuple:
+        return value if isinstance(value, tuple) else (value,)
+
+    @wraps(build)
+    def table(modulus: int):
+        key = (name, modulus)
+        if key in _tables:
+            _tables.move_to_end(key)
+            return _tables[key]
+        value = build(modulus)
+        for a in arrays(value):
+            a.flags.writeable = False
+        _tables[key] = value
+        held = sum(a.size for kept in _tables.values() for a in arrays(kept))
+        while held > _TABLE_CAP and len(_tables) > 1:
+            held -= sum(a.size for a in arrays(_tables.popitem(last=False)[1]))
+        return value
+
+    return table
+
+
+@_modulus_table
 def _divisor_offsets(modulus: int) -> Tuple[np.ndarray, np.ndarray]:
     """The divisors d of modulus in ascending order, and the offset of each
     d's table of residues mod d in one concatenated histogram (one more
@@ -197,6 +273,22 @@ def _divisor_offsets(modulus: int) -> Tuple[np.ndarray, np.ndarray]:
     small = [d for d in range(1, isqrt(modulus) + 1) if modulus % d == 0]
     divisors = np.array(sorted(set(small + [modulus // d for d in small])), dtype=np.int64)
     return divisors, np.concatenate(([0], np.cumsum(divisors)))
+
+
+@_modulus_table
+def _valuations(modulus: int) -> np.ndarray:
+    """val[r] = the number of divisors d > 1 of modulus that divide r: for a
+    prime power p^m, v_p(r) capped at m (val[0] = m)."""
+    val = np.zeros(modulus, dtype=np.int8)
+    for d in _divisor_offsets(modulus)[0][1:].tolist():
+        val[::d] += 1
+    return val
+
+
+@_modulus_table
+def _roots(modulus: int) -> np.ndarray:
+    """e(r/modulus) for r = 0..modulus-1."""
+    return np.exp(2j * np.pi * np.arange(modulus) / modulus)
 
 
 def _grid_residues(
@@ -329,9 +421,7 @@ def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
     (polys, modulus, domains, inner_start, segments, seg_size, lo, hi, mode) = args
     if mode == "hist" and len(polys) > 1:
         divisors, offsets = _divisor_offsets(modulus)
-        val = np.zeros(modulus, dtype=np.int8)
-        for d in divisors[1:].tolist():
-            val[::d] += 1
+        val = _valuations(modulus)
     else:
         offsets = [modulus]
     counts = np.zeros(int(offsets[-1]), dtype=np.int64) if mode == "hist" else None
@@ -445,8 +535,7 @@ def _grid_tasks(
 
 def _hist_value(counts: np.ndarray, modulus: int) -> complex:
     """sum_r counts[r] e(r/modulus): the one value path of histogram mode."""
-    roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
-    return complex(np.sum(counts * roots))
+    return complex(np.sum(counts * _roots(modulus)))
 
 
 def _split_range(total: int, pieces: int) -> List[Tuple[int, int]]:
@@ -477,6 +566,29 @@ def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:
     return sorted(chosen)
 
 
+def _row_reduce(rows: List[List[int]], width: int) -> int:
+    """Bring the first ``width`` columns of ``rows`` to row echelon form in
+    place, by unimodular integer row operations (swaps, and Euclid on the
+    rows below the pivot), applied to whole rows; return the rank.  Row i
+    of the result has its pivot in a column after row i - 1's, and the rows
+    from the rank on are zero in those columns."""
+    n = len(rows)
+    r = 0
+    for c in range(width):
+        if r == n:
+            break
+        while any(rows[i][c] for i in range(r + 1, n)):
+            piv = min((i for i in range(r, n) if rows[i][c]), key=lambda i: abs(rows[i][c]))
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(r + 1, n):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        if rows[r][c]:
+            r += 1
+    return r
+
+
 @lru_cache(maxsize=1 << 12)
 def _toric_form(
     support: Tuple[ExponentVector, ...],
@@ -496,19 +608,7 @@ def _toric_form(
     # [D | W]: row i holds coordinate i of every a_j - a_0, then row i of W
     rows = [[a[i] - a0[i] for a in support[1:]] + [int(i == j) for j in range(n)]
             for i in range(n)]
-    r = 0
-    for c in range(width):
-        if r == n:
-            break
-        while any(rows[i][c] for i in range(r + 1, n)):
-            piv = min((i for i in range(r, n) if rows[i][c]), key=lambda i: abs(rows[i][c]))
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(r + 1, n):
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        if rows[r][c]:
-            r += 1
+    r = _row_reduce(rows, width)
     W = [row[width:] for row in rows]
     images = [tuple(sum(map(mul, w, a)) for w in W) for a in support]
     return r, tuple(e[:r] for e in images), images[0][r:]
@@ -760,6 +860,60 @@ class NondegReport:
         return tuple(e for e in self.entries if not e.passed)
 
 
+#: Largest bit size of the circuit discriminant that _certificate forms;
+#: a circuit whose two products would be larger gets no certificate.
+_DISCRIMINANT_BITS = 1 << 16
+
+
+@lru_cache(maxsize=1 << 12)
+def _certificate(terms: Tuple[Tuple[ExponentVector, int], ...]) -> Optional[int]:
+    """A positive integer E such that g = sum_j c_j x^a_j, given by its
+    sorted (a_j, c_j) pairs, has no critical point on (F_p^x)^n at any
+    prime p not dividing E; None when the module docstring's rules give none.
+
+    A is the matrix with columns a_j, k = #terms - rank A, and d = the
+    product of A's nonzero Smith invariants, read off two integer row
+    reductions (no minors): A to its nonzero echelon rows R, then [R^T | I]
+    to [H | U] with H triangular above zero rows.  U is unimodular, so the
+    gcd of the rank-size minors of R^T, which is d, is |det H|, the product
+    of H's diagonal; and with k = 1, U's row below the rank is a primitive
+    integer lambda with R lambda = 0, hence A lambda = 0.  The certificate
+    depends on no prime, so it is memoized by the terms.
+    """
+    exps = [a for a, _ in terms]
+    coefs = [c for _, c in terms]
+    width = len(terms)
+    rows = [[a[i] for a in exps] for i in range(len(exps[0]))]
+    rank = _row_reduce(rows, width)
+    if width - rank > 1:
+        return None
+    # [R^T | U]: row j holds column j of the echelon rows, then row j of U
+    cols = [[rows[i][j] for i in range(rank)] + [int(j == l) for l in range(width)]
+            for j in range(width)]
+    _row_reduce(cols, rank)
+    cert = prod(cols[i][i] for i in range(rank)) * prod(coefs)
+    if width - rank == 1:
+        lam = cols[rank][rank:]
+        if all(lam):
+            size = sum(abs(l) * max(abs(l).bit_length(), abs(c).bit_length())
+                       for l, c in zip(lam, coefs))
+            if sum(lam) or size > _DISCRIMINANT_BITS:
+                return None
+            pos = [(l, c) for l, c in zip(lam, coefs) if l > 0]
+            neg = [(-l, c) for l, c in zip(lam, coefs) if l < 0]
+            sign = -1 if sum(mu for mu, _ in neg) % 2 else 1
+            delta = (prod(l ** l for l, _ in pos) * prod(c ** mu for mu, c in neg)
+                     - sign * prod(mu ** mu for mu, _ in neg) * prod(c ** l for l, c in pos))
+            cert *= prod(lam) * delta
+    return abs(cert) or None
+
+
+def _cleared(g: Polynomial, p: int) -> bool:
+    """Whether g's certificate shows it has no critical point on (F_p^x)^n."""
+    cert = _certificate(tuple(sorted(g.terms.items())))
+    return cert is not None and cert % p != 0
+
+
 def _common_zero(comps: Sequence[Terms], p: int, n: int) -> Optional[Tuple[int, ...]]:
     """The lexicographically first point of (F_p^x)^n at which every
     component (at least one) vanishes mod p, or None.
@@ -844,10 +998,14 @@ def check_nondegenerate_mod_p(
     decomposition identity is asserted; the witness of a failure is the
     lexicographically first critical torus point.
 
-    Faces with the same restriction share one scan (_first_critical_point),
-    which walks the whole torus only for the witness of a degenerate one
-    (see the module docstring); the work budget counts one whole torus per
-    distinct restriction.
+    A restriction whose prime-free certificate E (_certificate, see the
+    module docstring) is not divisible by p passes with witness None and
+    is not scanned, exactly as the scan would report it.  The others share
+    one scan per distinct restriction (_first_critical_point), which walks
+    the whole torus only for the witness of a degenerate one.  The prime
+    and int64 checks and the work budget, one whole torus per distinct
+    restriction, run first whatever the certificates say, so the same
+    inputs raise the same errors.
     """
     _require_prime(p)
     _require_int64_residues(p)
@@ -856,7 +1014,8 @@ def check_nondegenerate_mod_p(
     if estimated > work_budget:
         raise WorkBudgetExceeded(estimated, work_budget)
 
-    witnesses = {g: _first_critical_point(g, p) for g in restrictions}
+    witnesses = {g: None if _cleared(g, p) else _first_critical_point(g, p)
+                 for g in restrictions}
     entries = []
     for face in faces:
         witness = witnesses[face.restriction]

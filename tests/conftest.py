@@ -1,9 +1,13 @@
 """Shared fixtures: the verification corpus, a seeded random-polynomial
 source and spies that count kernel tasks and polyhedron builds.  Hypothesis
-runs derandomized, so every run tries the same examples."""
+runs derandomized, so every run tries the same examples.  The profile is
+named by the HYPOTHESIS_PROFILE environment variable: "deterministic" (the
+default) or "ci", which tries five times as many examples in the property
+tests that leave the count to the profile."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -15,7 +19,8 @@ from padicsums import bounds, cli, faceformula, newton, sums
 from padicsums.poly import Polynomial, parse_polynomial
 
 settings.register_profile("deterministic", derandomize=True, database=None)
-settings.load_profile("deterministic")
+settings.register_profile("ci", derandomize=True, database=None, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 CORPUS_TEXTS = [
     "x*y",

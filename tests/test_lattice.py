@@ -192,24 +192,38 @@ def rows(table) -> list:
 @settings(max_examples=40, deadline=None)
 @given(
     f=polynomials(),
-    T=st.integers(0, 8),
+    Ts=st.lists(st.integers(0, 8), min_size=1, max_size=4).map(sorted),
     later=st.integers(0, 8),
     primes=st.permutations([2, 3, 5]),
-    path=st.sampled_from(["int64", "python keys", "python ints"]),
+    path=st.sampled_from(["int64", "python keys", "python ints", "N grows to object"]),
 )
-def test_lattice_table_is_the_point_count(f, T, later, primes, path):
+def test_lattice_table_is_the_point_count(f, Ts, later, primes, path):
     P = newton._build(f)  # uncached, so every table below is built here
+    T = Ts[-1]
     with pytest.MonkeyPatch.context() as mp:
         if path == "python keys":  # N fits int64, the combined keys do not
             mp.setattr(newton, "INT64_SAFE", N_bound(P, max(T, later)) + 1)
         elif path == "python ints":  # N itself takes dtype=object
             mp.setattr(newton, "INT64_SAFE", 1)
-        table = P.lattice_table(T)
-        points = Counter((pt.face_id, pt.N, pt.nu) for pt in enumerate_lattice_points(P, T))
-        assert {(face, N, nu): c for face, N, nu, c in rows(table)} == points
-        assert rows(table) == sorted(rows(table), key=lambda row: (row[0], row[2], row[1]))
-        assert table.N.dtype == (np.int64 if N_bound(P, T) < newton.INT64_SAFE else object)
-        assert table.face_id.dtype == table.nu.dtype == table.count.dtype == np.int32
+        elif path == "N grows to object":  # int64 N below the last T, object N at it
+            mp.setattr(newton, "INT64_SAFE", max(N_bound(P, T), 1))
+        classified, count = [], newton._count_lattice
+
+        def spy(P, T, blocks):
+            blocks = list(blocks)
+            classified.extend(nu for blk in blocks for nu in blk.nu.tolist())
+            return count(P, T, blocks)
+
+        mp.setattr(newton, "_count_lattice", spy)
+        for t in Ts:  # ascending: each growth classifies only its shell
+            table = P.lattice_table(t)
+            points = Counter((pt.face_id, pt.N, pt.nu) for pt in enumerate_lattice_points(P, t))
+            assert {(face, N, nu): c for face, N, nu, c in rows(table)} == points
+            assert rows(table) == sorted(rows(table), key=lambda row: (row[0], row[2], row[1]))
+            assert table.N.dtype == (np.int64 if N_bound(P, t) < newton.INT64_SAFE else object)
+            assert table.face_id.dtype == table.nu.dtype == table.count.dtype == np.int32
+        assert sorted(classified) == sorted(pt.nu for pt in enumerate_lattice_points(P, T))
+        mp.setattr(newton, "_count_lattice", count)
         # a read at another T, kept table or not, equals a fresh build there
         assert rows(P.lattice_table(later)) == rows(newton._build(f).lattice_table(later))
         ms, eps = [0, 1, 2, 3], Fraction(1, 10)

@@ -290,17 +290,37 @@ def test_nondeg_slabs_agree_with_one_pass(cap, corpus, monkeypatch):
     # The default cap scans these small tori as one task; caps of 1 and 7
     # split them into one task per point or per segment of the last axis,
     # which must keep every verdict and the lexicographically first witness.
+    # Certificates clear most restrictions without a scan, so every
+    # restriction is also scanned directly, and a counter shows the scans ran.
     rng = random.Random(404)
     polys = list(corpus) + [random_polynomial(rng, max_terms=5, max_exp=4) for _ in range(12)]
     cases = []
     for f in polys:
         faces = enumerate_faces(build_polyhedron(f))
+        restrictions = dict.fromkeys(face.restriction for face in faces)
         for p in (3, 5, 7, 11):
-            cases.append((f, faces, p, check_nondegenerate_mod_p(f, faces, p)))
-    assert any(not rep.passed for *_, rep in cases)  # witnesses are exercised
+            witnesses = {g: sums._first_critical_point(g, p) for g in restrictions}
+            cases.append((f, faces, p, check_nondegenerate_mod_p(f, faces, p), witnesses))
+    assert any(not rep.passed for _, _, _, rep, _ in cases)  # witnesses are exercised
+    assert any(w is not None for *_, ws in cases for w in ws.values())
+    scans = spy_scans(monkeypatch)
     monkeypatch.setattr(sums, "_INNER_CAP", cap)
-    for f, faces, p, want in cases:
+    for f, faces, p, want, witnesses in cases:
         assert check_nondegenerate_mod_p(f, faces, p) == want
+        assert {g: sums._first_critical_point(g, p) for g in witnesses} == witnesses
+    assert len(scans) >= sum(w is not None for *_, ws in cases for w in ws.values())
+
+
+def spy_scans(monkeypatch) -> list:
+    """The torus dimension of every ``_common_zero`` scan from now on."""
+    real, scans = sums._common_zero, []
+
+    def spy(comps, p, n):
+        scans.append(n)
+        return real(comps, p, n)
+
+    monkeypatch.setattr(sums, "_common_zero", spy)
+    return scans
 
 
 def oracle_critical_point(g, p):
@@ -360,16 +380,22 @@ def test_first_critical_point_plans_agree_with_the_oracle(cap, monkeypatch):
                  "x*y+y*z+z*x+x^2*y^2*z^2"]
     lower_rank = ["x^2+y^3", "x^3+y^3+z^3", "x*y+z*u", "x^5*y+x*y^4", "3*x^2*y+y^3"]
     monkeypatch.setattr(sums, "_INNER_CAP", cap)
-    outcomes = set()
+    scans = spy_scans(monkeypatch)
+    outcomes, whole_passes = set(), 0
     for text in full_rank + lower_rank:
         g = parse_polynomial(text)
         for p in (3, 5, 7, 11, 13):
             if (p - 1) ** g.n > 3000:
                 continue
             want = oracle_critical_point(g, p)
+            before = len(scans)
             assert sums._first_critical_point(g, p) == want
+            whole = g.n in scans[before:]  # the whole torus was scanned
+            assert whole or want is None
+            whole_passes += whole and want is None
             outcomes.add((text in full_rank, want is None))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    assert whole_passes
 
 
 def test_nondeg_witness_in_a_later_segment(monkeypatch):
@@ -380,7 +406,10 @@ def test_nondeg_witness_in_a_later_segment(monkeypatch):
     monkeypatch.setattr(sums, "_INNER_CAP", 7)
     assert sums._split_axes([12]) == (0, 2, 7)
     whole = next(face for face in faces if face.restriction == f)
+    assert sums._certificate(tuple(sorted(f.terms.items()))) is None  # so it is scanned
+    scans = spy_scans(monkeypatch)
     rep = check_nondegenerate_mod_p(f, faces, 13)
+    assert scans == [1]
     assert {e.face_id: e.witness for e in rep.entries}[whole.id] == (10,)
     assert rep == oracle_nondeg(f, faces, 13)
 
