@@ -2,6 +2,7 @@
 
 Library layout:
   poly        sparse integer polynomials (parser, gradients, face restrictions)
+  store       one byte-capped store of read-only tables kept per key
   newton      exact polyhedron, face lattice, sigma / kappa invariants
   sums        brute-force sum kernels and mod-p nondegeneracy scans
   faceformula certified cone sums and the face-decomposition verification

@@ -7,6 +7,19 @@ enumerated point, while the classical variant that subtracts
 without an extra vertex hypothesis).  Decay exponents of the torus sums are
 fitted empirically and reported next to the two theoretical predictions.
 
+The lattice scan is decided on rows, not points.  For a point k with
+nu(k) <= T, classified onto the face tau with N(k) = min over the vertices
+of k . v, both inequalities read nu >= sigma (N + 1) - c_tau, with c_tau =
+sigma(f_tau) or (dim tau + 1)/2: each side is a function of (face id, N, nu)
+alone.  So a row of ``NewtonPolyhedron.lattice_table(T)`` (one distinct
+triple and its point count) has one verdict, and it is the verdict of each
+of its points; the points checked number the sum of the counts.  Findings
+are records of single points, so they are built only where some row fails,
+by classifying again the points with nu between the least and the largest
+nu of a failing row, in lexicographic order: a sub-sequence of the full
+scan's order, so the records come out in the same order as a scan of every
+point would give.
+
 The diagonal-domination inequality needs no check of its own, because the
 polyhedron decides it exactly.  Lemma: let tau be a face of Gamma_f, with
 vertex set V_tau and recession axes e_a, so tau = conv(V_tau) + cone(e_a).
@@ -33,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +55,9 @@ from .newton import (
     INT64_SAFE,
     N_bound,
     NewtonPolyhedron,
+    _classified_blocks,
     build_polyhedron,
     enumerate_faces,
-    lattice_blocks,
 )
 from .poly import ExponentVector, Polynomial, homogeneity
 from .sums import (
@@ -59,8 +72,7 @@ from .sums import (
 # lattice inequality scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NuCheckRecord:
+class NuCheckRecord(NamedTuple):
     k: ExponentVector
     face_id: int
     nu: int
@@ -82,14 +94,22 @@ class NuCheckFindings:
 def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     """Evaluate both lattice lower bounds for every k with nu(k) <= T.
 
+    Both sides of both inequalities depend on k only through (face id, N,
+    nu), so they are decided on the rows of ``P.lattice_table(T)``: a row's
+    verdict is the verdict of each of its points (module docstring).  Only
+    when some row fails are points classified again, and only those with nu
+    in the failing rows' range, in lexicographic order (a sub-sequence of
+    the scan's order); records are built for the failing points among them.
+
     Exact throughout: both inequalities are scaled by D, the lcm of 2 and the
     denominators of sigma and of every sigma(f_tau), and compared in integers
     (int64 when every scaled side provably stays below 2^62, Python integers
-    otherwise).  Fraction records are built only for violating points, in
-    point order.  The per-face data (sigma(f_tau), dim tau) comes from the
-    enumerated face lattice.
+    otherwise).  The per-face data (sigma(f_tau), dim tau) comes from the
+    enumerated face lattice.  The lattice table's checks run first, so
+    ValueError, BudgetExceeded and KeyError fire as the point scan's would.
     """
     P = build_polyhedron(f)
+    table = P.lattice_table(T)
     faces = enumerate_faces(P)
     sigma = P.diagonal.sigma
     D = math.lcm(2, sigma.denominator, *(face.sigma_tau.denominator for face in faces))
@@ -103,40 +123,41 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     main_off = np.array(main_D, dtype=dtype)
     half_off = np.array(half_D, dtype=dtype)
 
-    rhs_memo: Dict[Tuple[int, int], Tuple[Fraction, Fraction]] = {}
+    def verdicts(face_id: np.ndarray, N: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        lhs = nu.astype(dtype) * D
+        base = (N.astype(dtype) + 1) * sigma_D
+        return lhs >= base - main_off[face_id], lhs >= base - half_off[face_id]
+
+    main_ok, half_ok = verdicts(table.face_id, table.N, table.nu)
+    failing = ~(main_ok & half_ok)
     main_bad: List[NuCheckRecord] = []
     half_bad: List[NuCheckRecord] = []
-    count = 0
-    for blk in lattice_blocks(P, T):
-        count += len(blk.nu)
-        lhs = blk.nu.astype(dtype) * D
-        base = (blk.N.astype(dtype) + 1) * sigma_D
-        main_ok = lhs >= base - main_off[blk.face_id]
-        half_ok = lhs >= base - half_off[blk.face_id]
-        bad = np.flatnonzero(~(main_ok & half_ok))
-        rows = zip(
-            blk.k[bad].tolist(), blk.face_id[bad].tolist(), blk.nu[bad].tolist(),
-            blk.N[bad].tolist(), main_ok[bad].tolist(), half_ok[bad].tolist(),
-        )
-        for k, face_id, nu, N, m_ok, h_ok in rows:
-            rhs = rhs_memo.get((face_id, N))
-            if rhs is None:
-                face = faces[face_id]
-                rhs = rhs_memo[face_id, N] = (
-                    sigma * (N + 1) - face.sigma_tau,
-                    sigma * (N + 1) - Fraction(face.dim + 1, 2),
-                )
-            rec = NuCheckRecord(
-                k=tuple(k), face_id=face_id, nu=nu, N=N,
-                rhs_main=rhs[0], rhs_halfdim=rhs[1], main_ok=m_ok, halfdim_ok=h_ok,
+    if failing.any():
+        rhs = {
+            (face_id, N): (
+                sigma * (N + 1) - faces[face_id].sigma_tau,
+                sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2),
             )
-            if not m_ok:
-                main_bad.append(rec)
-            if not h_ok:
-                half_bad.append(rec)
+            for face_id, N in set(zip(table.face_id[failing].tolist(), table.N[failing].tolist()))
+        }
+        failing_nu = table.nu[failing]
+        for blk in _classified_blocks(P, int(failing_nu.max()), int(failing_nu.min()) - 1):
+            main_ok, half_ok = verdicts(blk.face_id, blk.N, blk.nu)
+            bad = np.flatnonzero(~(main_ok & half_ok))
+            rows = zip(
+                map(tuple, blk.k[bad].tolist()), blk.face_id[bad].tolist(), blk.nu[bad].tolist(),
+                blk.N[bad].tolist(), main_ok[bad].tolist(), half_ok[bad].tolist(),
+            )
+            for k, face_id, nu, N, m_ok, h_ok in rows:
+                rhs_main, rhs_half = rhs[face_id, N]
+                rec = NuCheckRecord._make((k, face_id, nu, N, rhs_main, rhs_half, m_ok, h_ok))
+                if not m_ok:
+                    main_bad.append(rec)
+                if not h_ok:
+                    half_bad.append(rec)
     return NuCheckFindings(
         T=T,
-        points_checked=count,
+        points_checked=int(table.count.sum()),
         main_violations=tuple(main_bad),
         halfdim_violations=tuple(half_bad),
     )

@@ -21,7 +21,10 @@ three or more vertices need a polyhedron of their own.  A polyhedron is
 immutable by contract: its faces, its diagonal data, the sigma of each
 vertex set and its lattice table (how many lattice points with nu(k) <= T
 share each (face, N, nu), kept for the largest T requested) are derived
-once, on first use, and never change what it compares equal to.
+once, on first use, and never change what it compares equal to.  The
+compositions the lattice layer enumerates depend on n and T alone, so each
+is built once for every polyhedron and kept in the shared table store
+(``store.TABLES``).
 ``build_polyhedron`` keeps each polyhedron for as long as the polynomial it
 was built from lives, so every call with an equal f, at any prime, shares
 one polyhedron and everything derived on it.
@@ -44,6 +47,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionTooLarge
 from .poly import ExponentVector, Polynomial, face_restriction
+from .store import kept_table
 
 #: Largest ambient dimension n that ``build_polyhedron`` admits.
 DIMENSION_CAP = 8
@@ -622,36 +626,34 @@ def _compositions(n: int, T: int) -> np.ndarray:
     return K
 
 
+@kept_table
 def _shell(n: int, T: int, low: int) -> np.ndarray:
-    """Every k in N^n with low < |k| <= T, in lexicographic order."""
+    """Every k in N^n with low < |k| <= T, in lexicographic order.  It
+    depends on no polyhedron and no prime, so it is kept read-only in the
+    shared table store, in the least unsigned dtype that holds T (uint8 up
+    to T = 255: an eighth of int64) to keep the store small."""
     K = _compositions(n, T)
-    return K if low < 0 else K[:, K.sum(axis=0) > low]
+    if low >= 0:
+        K = K[:, K.sum(axis=0) > low]
+    return K.astype(np.min_scalar_type(T))
 
 
 def _composition_chunks(
-    n: int, T: int, low: int, prefix: Tuple[int, ...], memo: Dict[Tuple[int, int, int], np.ndarray]
+    n: int, T: int, low: int, prefix: Tuple[int, ...] = ()
 ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
     """``prefix`` followed by every k in N^n with low < |k| <= T (low < 0:
     every |k| <= T), in lexicographic order, as (prefix, tails) chunks of
-    at most LATTICE_BLOCK columns.
-
-    Below a prefix of two or more entries the same tails recur for many
-    prefixes, so those ``_shell(n, T, low)`` are built once per ``memo``;
-    a shorter prefix fixes T, and its tails are built once anyway.
-    """
+    at most LATTICE_BLOCK columns.  The same tails recur below many
+    prefixes, and for every polyhedron of dimension n, so each is a kept
+    ``_shell``."""
     if comb(T + n, n) <= LATTICE_BLOCK:
-        if len(prefix) < 2:
-            yield prefix, _shell(n, T, low)
-            return
-        if (n, T, low) not in memo:
-            memo[n, T, low] = _shell(n, T, low)
-        yield prefix, memo[n, T, low]
+        yield prefix, _shell(n, T, low)
     elif n == 1:
         for lo in range(max(low + 1, 0), T + 1, LATTICE_BLOCK):
             yield prefix, np.arange(lo, min(T + 1, lo + LATTICE_BLOCK), dtype=np.int64).reshape(1, -1)
     else:
         for v in range(T + 1):
-            yield from _composition_chunks(n - 1, T - v, max(low - v, -1), prefix + (v,), memo)
+            yield from _composition_chunks(n - 1, T - v, max(low - v, -1), prefix + (v,))
 
 
 def _classified_blocks(P: NewtonPolyhedron, T: int, low: int = -1) -> Iterator[LatticeBlock]:
@@ -684,10 +686,9 @@ def _classified_blocks(P: NewtonPolyhedron, T: int, low: int = -1) -> Iterator[L
             raise KeyError((_bits(key, nv), _bits(key >> nv, n)))
         return LatticeBlock(K.T, np.add.reduce(K, axis=0), N, face_ids[at])
 
-    memo: Dict[Tuple[int, int, int], np.ndarray] = {}
     K = np.empty((n, LATTICE_BLOCK), dtype=np.int64)
     cols = 0
-    for prefix, tails in _composition_chunks(n, T, low, (), memo):
+    for prefix, tails in _composition_chunks(n, T, low):
         width = tails.shape[1]
         if cols + width > LATTICE_BLOCK:
             yield classify(K[:, :cols])

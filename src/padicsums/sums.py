@@ -121,10 +121,9 @@ complete: it may exclude a prime at which g passes.  The scan then decides.
 from __future__ import annotations
 
 import cmath
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
 from operator import mul
@@ -135,6 +134,7 @@ import numpy as np
 from .errors import ModulusTooLarge, WorkBudgetExceeded
 from .newton import Face
 from .poly import ExponentVector, Polynomial, gradient
+from .store import kept_table
 
 #: Declared per-term float budget; the histogram path is far more accurate,
 #: the budget is a uniform upper bound across both paths.
@@ -230,42 +230,7 @@ def _reduced_terms(terms: Dict[ExponentVector, int], modulus: int) -> Terms:
     return tuple((coef % modulus, exps) for exps, coef in sorted(terms.items()))
 
 
-#: Most entries the per-modulus tables of ``_modulus_table`` hold together:
-#: the size of the one roots-of-unity table a histogram at _HIST_CAP needs.
-_TABLE_CAP = _HIST_CAP
-_tables: "OrderedDict[Tuple[str, int], object]" = OrderedDict()
-
-
-def _modulus_table(build):
-    """Decorator: ``build(modulus)``, an array or a tuple of arrays, is
-    built once per modulus, made read-only and kept.  The tables of every
-    decorated builder share one store; once they hold more than _TABLE_CAP
-    entries in total, the least recently used are dropped (never the one
-    just built)."""
-    name = build.__name__
-
-    def arrays(value) -> tuple:
-        return value if isinstance(value, tuple) else (value,)
-
-    @wraps(build)
-    def table(modulus: int):
-        key = (name, modulus)
-        if key in _tables:
-            _tables.move_to_end(key)
-            return _tables[key]
-        value = build(modulus)
-        for a in arrays(value):
-            a.flags.writeable = False
-        _tables[key] = value
-        held = sum(a.size for kept in _tables.values() for a in arrays(kept))
-        while held > _TABLE_CAP and len(_tables) > 1:
-            held -= sum(a.size for a in arrays(_tables.popitem(last=False)[1]))
-        return value
-
-    return table
-
-
-@_modulus_table
+@kept_table
 def _divisor_offsets(modulus: int) -> Tuple[np.ndarray, np.ndarray]:
     """The divisors d of modulus in ascending order, and the offset of each
     d's table of residues mod d in one concatenated histogram (one more
@@ -275,7 +240,7 @@ def _divisor_offsets(modulus: int) -> Tuple[np.ndarray, np.ndarray]:
     return divisors, np.concatenate(([0], np.cumsum(divisors)))
 
 
-@_modulus_table
+@kept_table
 def _valuations(modulus: int) -> np.ndarray:
     """val[r] = the number of divisors d > 1 of modulus that divide r: for a
     prime power p^m, v_p(r) capped at m (val[0] = m)."""
@@ -285,7 +250,7 @@ def _valuations(modulus: int) -> np.ndarray:
     return val
 
 
-@_modulus_table
+@kept_table
 def _roots(modulus: int) -> np.ndarray:
     """e(r/modulus) for r = 0..modulus-1."""
     return np.exp(2j * np.pi * np.arange(modulus) / modulus)

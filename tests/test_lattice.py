@@ -134,6 +134,12 @@ def test_blocked_layer_matches_oracle(f, T, block, p, python_ints):
         assert all(len(blk.k) <= block for blk in blocks)
         assert sum(len(blk.k) for blk in blocks) == len(want)
         assert check_nu_inequality(f, T) == nu_reference(f, T)
+        # an input with findings, fresh, so its failing points are classified
+        # at this block size and on this path
+        g, T_g = parse_polynomial("x*y+z*u"), max(T, 4)
+        want_g = nu_reference(g, T_g)
+        assert want_g.halfdim_violations
+        assert check_nu_inequality(g, T_g) == want_g
         ms, eps = [0, 1, 2, 3], Fraction(1, 10)
         assert cone_sums_multi(P, p, ms, eps) == cone_reference(P, p, ms, eps)
 
@@ -142,12 +148,133 @@ def test_block_boundaries_on_corpus(corpus, monkeypatch):
     # at 3 rows, tails of one, two and three entries are all reused
     for block in (97, 3):
         monkeypatch.setattr(newton, "LATTICE_BLOCK", block)
+        findings = 0
         for f in corpus:
             P = newton._build(f)  # uncached: its lattice table is built at this block size
             assert list(enumerate_lattice_points(P, 9)) == list(oracle_points(P, 9))
-            assert check_nu_inequality(f, 9) == nu_reference(f, 9)
+            want = nu_reference(f, 9)
+            assert check_nu_inequality(f, 9) == want
+            findings += len(want.halfdim_violations)
             ms, eps = [0, 1, 2, 3], Fraction(1, 10)
             assert cone_sums_multi(P, 3, ms, eps) == cone_reference(P, 3, ms, eps)
+        assert findings  # so the per-point classification ran at this block size
+
+
+@pytest.mark.parametrize("block", [3, 97, None])
+def test_shell_growth_and_lattice_blocks_give_the_same_points(corpus, block, monkeypatch):
+    # the growth path classifies low < nu <= T; it must be lattice_blocks'
+    # scan restricted to that shell, in the same order, in blocks within the cap
+    if block is not None:
+        monkeypatch.setattr(newton, "LATTICE_BLOCK", block)
+    for f in corpus:
+        P = newton._build(f)
+        every = [(blk.k.tolist(), blk.nu.tolist(), blk.N.tolist(), blk.face_id.tolist())
+                 for blk in lattice_blocks(P, 9)]
+        flat = [row for columns in every for row in zip(*columns)]
+        for low in (0, 3, 8):
+            blocks = list(newton._classified_blocks(P, 9, low))
+            assert all(len(blk.k) <= newton.LATTICE_BLOCK for blk in blocks)
+            got = [row for blk in blocks for row in zip(
+                blk.k.tolist(), blk.nu.tolist(), blk.N.tolist(), blk.face_id.tolist())]
+            assert got == [row for row in flat if row[1] > low]
+        for t in (0, 3, 9):  # a table grown shell by shell equals one built at once
+            grown = P.lattice_table(t)
+        assert rows(grown) == rows(newton._build(f).lattice_table(9))
+
+
+def assert_same_findings(got: NuCheckFindings, want: NuCheckFindings) -> None:
+    assert got == want
+    assert type(got.points_checked) is int
+    for records, expected in ((got.main_violations, want.main_violations),
+                              (got.halfdim_violations, want.halfdim_violations)):
+        assert [rec._asdict() for rec in records] == [rec._asdict() for rec in expected]
+        assert all(type(rec) is NuCheckRecord for rec in records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=polynomials(),
+    Ts=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+    order=st.sampled_from(["ascending", "descending", "as drawn"]),
+    python_ints=st.booleans(),
+)
+def test_row_check_on_a_kept_table_matches_the_point_scan(f, Ts, order, python_ints):
+    # one live f: each call finds a table kept at a larger, a smaller or the
+    # same T, and the last T is asked twice
+    Ts = {"ascending": sorted(Ts), "descending": sorted(Ts, reverse=True), "as drawn": Ts}[order]
+    with pytest.MonkeyPatch.context() as mp:
+        if python_ints:
+            for module in (newton, bounds):
+                mp.setattr(module, "INT64_SAFE", 1)
+        for T in Ts + Ts[-1:]:
+            assert_same_findings(check_nu_inequality(f, T), nu_reference(f, T))
+
+
+def spy_classified(monkeypatch) -> list:
+    """The nu of every point classified from now on, by the lattice table or
+    by the nu check, in order."""
+    real, seen = newton._classified_blocks, []
+
+    def spy(*args):
+        for blk in real(*args):
+            seen.extend(blk.nu.tolist())
+            yield blk
+
+    for module in (newton, bounds):
+        monkeypatch.setattr(module, "_classified_blocks", spy)
+    return seen
+
+
+def test_a_clean_polynomial_at_a_kept_T_classifies_no_point(monkeypatch):
+    f = parse_polynomial("x^3+y^3+z^3")
+    build_polyhedron(f).lattice_table(20)
+    seen = spy_classified(monkeypatch)
+    for T in (20, 12):
+        res = check_nu_inequality(f, T)
+        assert res.points_checked == comb(T + 3, 3) and not res.halfdim_violations
+    assert seen == []
+
+
+def test_findings_classify_only_the_failing_nu_range(monkeypatch):
+    f = parse_polynomial("x*y+z*u")
+    want = nu_reference(f, 12)
+    build_polyhedron(f).lattice_table(12)
+    seen = spy_classified(monkeypatch)
+    assert_same_findings(check_nu_inequality(f, 12), want)
+    failing = [rec.nu for rec in want.main_violations + want.halfdim_violations]
+    lo, hi = min(failing), max(failing)
+    assert lo > 0 and sorted(seen) == sorted(pt.nu for pt in oracle_points(build_polyhedron(f), 12)
+                                             if lo <= pt.nu <= hi)
+    assert len(seen) < comb(12 + 4, 4)
+
+
+def test_nu_check_errors_fire_with_a_kept_table(monkeypatch):
+    f = parse_polynomial("x*y+z*u")
+    build_polyhedron(f).lattice_table(9)
+    with pytest.raises(ValueError):
+        check_nu_inequality(f, -1)
+    monkeypatch.setattr(newton, "POINT_CAP", comb(9 + 4, 4) - 1)
+    with pytest.raises(BudgetExceeded):
+        check_nu_inequality(f, 9)  # the kept table is not read past the cap
+    monkeypatch.setattr(newton, "POINT_CAP", comb(8 + 4, 4))
+    assert check_nu_inequality(f, 8) == nu_reference(f, 8)
+
+
+@pytest.mark.parametrize("kept", [False, True])
+def test_nu_check_raises_key_error_on_a_pattern_of_no_face(kept, monkeypatch):
+    f = parse_polynomial("x^2+y^3")
+    whole = build_polyhedron(f).faces
+    dropped = max(whole, key=lambda face: sum(face.witness_k))
+    T = sum(dropped.witness_k)
+    P = newton._build(f)
+    P.__dict__["faces"] = tuple(face for face in whole if face != dropped)
+    if kept:  # a table kept below the dropped face's first point does not hide it
+        first = min(pt.nu for pt in oracle_points(build_polyhedron(f), T) if pt.face_id == dropped.id)
+        P.lattice_table(first - 1)
+    monkeypatch.setattr(bounds, "build_polyhedron", lambda g: P)
+    with pytest.raises(KeyError) as err:
+        check_nu_inequality(f, T)
+    assert err.value.args[0] == dropped.key
 
 
 @pytest.mark.parametrize("e", [2 ** 61, 2 ** 40])
