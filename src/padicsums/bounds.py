@@ -15,10 +15,10 @@ alone.  So a row of ``NewtonPolyhedron.lattice_table(T)`` (one distinct
 triple and its point count) has one verdict, and it is the verdict of each
 of its points; the points checked number the sum of the counts.  Findings
 are records of single points, so they are built only where some row fails,
-by classifying again the points with nu between the least and the largest
-nu of a failing row, in lexicographic order: a sub-sequence of the full
-scan's order, so the records come out in the same order as a scan of every
-point would give.
+by classifying again the points with nu up to the largest nu of a failing
+row (``lattice_blocks`` at that nu), in lexicographic order: a sub-sequence
+of the full scan's order, so the records come out in the same order as a
+scan of every point would give.
 
 The diagonal-domination inequality needs no check of its own, because the
 polyhedron decides it exactly.  Lemma: let tau be a face of Gamma_f, with
@@ -55,9 +55,9 @@ from .newton import (
     INT64_SAFE,
     N_bound,
     NewtonPolyhedron,
-    _classified_blocks,
     build_polyhedron,
     enumerate_faces,
+    lattice_blocks,
 )
 from .poly import ExponentVector, Polynomial, homogeneity
 from .sums import (
@@ -97,9 +97,9 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     Both sides of both inequalities depend on k only through (face id, N,
     nu), so they are decided on the rows of ``P.lattice_table(T)``: a row's
     verdict is the verdict of each of its points (module docstring).  Only
-    when some row fails are points classified again, and only those with nu
-    in the failing rows' range, in lexicographic order (a sub-sequence of
-    the scan's order); records are built for the failing points among them.
+    when some row fails are points classified again, those with nu up to
+    the largest failing nu, in lexicographic order (a sub-sequence of the
+    scan's order); records are built for the failing points among them.
 
     Exact throughout: both inequalities are scaled by D, the lcm of 2 and the
     denominators of sigma and of every sigma(f_tau), and compared in integers
@@ -140,8 +140,7 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
             )
             for face_id, N in set(zip(table.face_id[failing].tolist(), table.N[failing].tolist()))
         }
-        failing_nu = table.nu[failing]
-        for blk in _classified_blocks(P, int(failing_nu.max()), int(failing_nu.min()) - 1):
+        for blk in lattice_blocks(P, int(table.nu[failing].max())):
             main_ok, half_ok = verdicts(blk.face_id, blk.N, blk.nu)
             bad = np.flatnonzero(~(main_ok & half_ok))
             rows = zip(

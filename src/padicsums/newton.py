@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import copy
 import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -271,22 +270,18 @@ class NewtonPolyhedron:
         """The (face id, N, nu) triples of the lattice points with nu(k) <= T
         and how many points share each (``LatticeTable``).
 
-        None of it depends on a prime, so the table is built once and kept:
-        a request at a smaller T filters the kept table to nu <= T, and one
-        at a larger T classifies only the shell of points with kept T < nu
-        <= T, adds its rows to the kept ones (the two are disjoint in nu)
-        and keeps the result instead, so a run of growing T classifies each
-        point once.  ``lattice_blocks``'s checks run on every request, so
-        ValueError and BudgetExceeded fire as if nothing were kept, and a
-        build that raises keeps nothing.
+        None of it depends on a prime, so one table is kept, at the largest T
+        requested: a request at a smaller T filters it to nu <= T, and one at
+        a larger T tallies ``lattice_blocks(self, T)`` from nu = 0 and keeps
+        that table instead.  ``lattice_blocks``'s checks run on every
+        request, so ValueError and BudgetExceeded fire as if nothing were
+        kept, and a build that raises keeps nothing.
         """
-        lattice_blocks(self, T)  # a lazy generator: only the checks run here
+        blocks = lattice_blocks(self, T)  # a lazy generator: only the checks run here
         memo = self._lattice_tables
         kept = next(iter(memo), -1)
         if T > kept:
-            table = _count_lattice(self, T, _classified_blocks(self, T, kept))
-            if kept >= 0:
-                table = _join_tables(memo[kept], table)
+            table = _count_lattice(self, T, blocks)
             memo.clear()
             memo[T] = table
             return table
@@ -616,50 +611,39 @@ def lattice_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
     return _classified_blocks(P, T)
 
 
-def _compositions(n: int, T: int) -> np.ndarray:
-    """Every k in N^n with |k| <= T, in lexicographic order, one column each."""
+@kept_table
+def _shell(n: int, T: int) -> np.ndarray:
+    """Every k in N^n with |k| <= T, in lexicographic order, one column each.
+    It depends on no polyhedron and no prime, so it is kept read-only in the
+    shared table store, in the least unsigned dtype that holds T (uint8 up
+    to T = 255: an eighth of int64) to keep the store small."""
     K = np.arange(T + 1, dtype=np.int64).reshape(1, -1)
     for _ in range(n - 1):
         # row-major nonzero: for each new first entry v, the columns with |k| <= T - v
         first, rest = np.nonzero(K.sum(axis=0) <= T - np.arange(T + 1)[:, None])
         K = np.vstack((first, K[:, rest]))
-    return K
-
-
-@kept_table
-def _shell(n: int, T: int, low: int) -> np.ndarray:
-    """Every k in N^n with low < |k| <= T, in lexicographic order.  It
-    depends on no polyhedron and no prime, so it is kept read-only in the
-    shared table store, in the least unsigned dtype that holds T (uint8 up
-    to T = 255: an eighth of int64) to keep the store small."""
-    K = _compositions(n, T)
-    if low >= 0:
-        K = K[:, K.sum(axis=0) > low]
     return K.astype(np.min_scalar_type(T))
 
 
 def _composition_chunks(
-    n: int, T: int, low: int, prefix: Tuple[int, ...] = ()
+    n: int, T: int, prefix: Tuple[int, ...] = ()
 ) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
-    """``prefix`` followed by every k in N^n with low < |k| <= T (low < 0:
-    every |k| <= T), in lexicographic order, as (prefix, tails) chunks of
-    at most LATTICE_BLOCK columns.  The same tails recur below many
-    prefixes, and for every polyhedron of dimension n, so each is a kept
-    ``_shell``."""
+    """``prefix`` followed by every k in N^n with |k| <= T, in lexicographic
+    order, as (prefix, tails) chunks of at most LATTICE_BLOCK columns.  The
+    same tails recur below many prefixes, and for every polyhedron of
+    dimension n, so each is a kept ``_shell``."""
     if comb(T + n, n) <= LATTICE_BLOCK:
-        yield prefix, _shell(n, T, low)
+        yield prefix, _shell(n, T)
     elif n == 1:
-        for lo in range(max(low + 1, 0), T + 1, LATTICE_BLOCK):
+        for lo in range(0, T + 1, LATTICE_BLOCK):
             yield prefix, np.arange(lo, min(T + 1, lo + LATTICE_BLOCK), dtype=np.int64).reshape(1, -1)
     else:
         for v in range(T + 1):
-            yield from _composition_chunks(n - 1, T - v, max(low - v, -1), prefix + (v,))
+            yield from _composition_chunks(n - 1, T - v, prefix + (v,))
 
 
-def _classified_blocks(P: NewtonPolyhedron, T: int, low: int = -1) -> Iterator[LatticeBlock]:
-    """The classified lattice points with low < nu(k) <= T, in lexicographic
-    order of k, as blocks of at most LATTICE_BLOCK rows (see
-    ``lattice_blocks``, which takes low = -1); the caller runs the checks."""
+def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
+    """The blocks of ``lattice_blocks``, which runs the checks first."""
     n, nv = P.n, len(P.vertices)
     dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
     V = np.array(P.vertices, dtype=dtype)
@@ -688,7 +672,7 @@ def _classified_blocks(P: NewtonPolyhedron, T: int, low: int = -1) -> Iterator[L
 
     K = np.empty((n, LATTICE_BLOCK), dtype=np.int64)
     cols = 0
-    for prefix, tails in _composition_chunks(n, T, low):
+    for prefix, tails in _composition_chunks(n, T):
         width = tails.shape[1]
         if cols + width > LATTICE_BLOCK:
             yield classify(K[:, :cols])
@@ -707,34 +691,23 @@ def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) 
 
     Each point gets the key (face id * (T+1) + nu) * (N_bound+1) + N, which
     orders the triples, decodes back to them and is below span =
-    faces * (T+1) * (N_bound+1).  While span is proven below INT64_SAFE, the
-    keys are tallied in batches: once the points waiting number eight blocks,
-    or as many as the tally has rows, ``np.unique`` tallies them and they are
-    merged into the tally, so what is held stays within a small multiple of
-    the larger of the two.  Keys are int32 when span allows, since they sort
-    faster.  Otherwise the triples are tallied as Python integers, so no key
-    or N can wrap.
+    faces * (T+1) * (N_bound+1).  The keys are tallied in batches: once the
+    points waiting number eight blocks, or as many as the tally has rows,
+    ``np.unique`` tallies them and they are merged into the tally, so what
+    is held stays within a small multiple of the larger of the two.  Keys
+    are int32 when span allows, since they sort faster, int64 while span is
+    proven below INT64_SAFE, and Python integers (dtype=object) otherwise,
+    so no key or N can wrap.
     """
     bound = N_bound(P, T)
     span = len(P.faces) * (T + 1) * (bound + 1)
-    if span > INT64_SAFE:
-        tally: Counter = Counter()
-        for blk in blocks:
-            tally.update(zip(blk.face_id.tolist(), blk.nu.tolist(), blk.N.tolist()))
-        triples = sorted(tally)
-        face_id, nu, N = zip(*triples)
-        return LatticeTable(
-            np.array(face_id, dtype=np.int32),
-            np.array(N, dtype=np.int64 if bound < INT64_SAFE else object),
-            np.array(nu, dtype=np.int32),
-            np.array([tally[key] for key in triples], dtype=np.int32),
-        )
-    key_dtype = np.int32 if span <= 1 << 31 else np.int64
+    wide = np.int64 if span <= INT64_SAFE else object
+    key_dtype = np.int32 if span <= 1 << 31 else wide
     keys, counts = np.empty(0, dtype=key_dtype), np.empty(0, dtype=np.int64)
     pending: List[np.ndarray] = []
     held = 0  # points in pending
     for blk in blocks:
-        key = (blk.face_id * (T + 1) + blk.nu) * (bound + 1) + blk.N
+        key = (blk.face_id.astype(wide, copy=False) * (T + 1) + blk.nu) * (bound + 1) + blk.N
         pending.append(key.astype(key_dtype))
         held += len(key)
         if held >= max(len(keys), 8 * LATTICE_BLOCK):
@@ -742,20 +715,15 @@ def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) 
             pending, held = [], 0
     if pending:
         keys, counts = _merge_tally(keys, counts, np.concatenate(pending))
-    face_nu, N = np.divmod(keys.astype(np.int64), bound + 1)
-    face_id, nu = np.divmod(face_nu, T + 1)
-    return LatticeTable(face_id.astype(np.int32), N, nu.astype(np.int32), counts.astype(np.int32))
-
-
-def _join_tables(below: LatticeTable, shell: LatticeTable) -> LatticeTable:
-    """The rows of two tables whose nu ranges are disjoint, in one table
-    sorted by (face id, nu, N), with N in the dtype of the shell's (the one
-    of the larger T).  Each input is sorted, and no (face id, nu) has rows in
-    both, so a stable sort by (face id, nu) keeps N ascending."""
-    joined = LatticeTable(*(np.concatenate((a.astype(b.dtype, copy=False), b))
-                            for a, b in zip(below, shell)))
-    order = np.lexsort((joined.nu, joined.face_id))
-    return LatticeTable(*(column[order] for column in joined))
+    keys = keys.astype(wide)  # np.divmod refuses dtype=object
+    face_nu, N = keys // (bound + 1), keys % (bound + 1)
+    face_id, nu = face_nu // (T + 1), face_nu % (T + 1)
+    return LatticeTable(
+        face_id.astype(np.int32),
+        N.astype(np.int64 if bound < INT64_SAFE else object, copy=False),
+        nu.astype(np.int32),
+        counts.astype(np.int32),
+    )
 
 
 def _merge_tally(
