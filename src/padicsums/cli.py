@@ -443,9 +443,10 @@ _OPTIONS = {
     "eps": (("--eps",), dict(type=_parse_eps, default="1e-8", help="truncation certificate target")),
     "budget": (("--budget",), dict(type=int, default=DEFAULT_WORK_BUDGET,
                                    help="work budget in grid evaluations")),
-    # default: the CPUs of this process's affinity set, where the platform has one
     "workers": (("--workers",), dict(type=int, default=len(os.sched_getaffinity(0))
-                                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)),
+                                     if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+                                     help="worker processes (default: the CPUs this process may run "
+                                          "on, its affinity set where the platform has one)")),
     "json": (("--json",), dict(action="store_true", help="machine-readable JSON report")),
     "csv": (("--csv",), dict(action="store_true", help="the report's table as CSV")),
     "out": (("--out",), dict(metavar="FILE", help="write the report to FILE")),

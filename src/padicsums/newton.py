@@ -13,11 +13,12 @@ shares in full) and the checks that the two representations agree.  Faces
 are canonically keyed by (vertex index set, recession axis set), which
 determines a face of this class of polyhedra (pointed, recession cone equal
 to the orthant); the face lattice is the closure of the facets' support
-bitmasks and zero-axis bitmasks under intersection.  The one elimination,
-``_rank``, gives face dimensions.  The Newton polyhedron of a face
-restriction f_tau is conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the
-face's vertex set: one vertex or a segment is solved in closed form, and only
-three or more vertices need a polyhedron of their own.  A polyhedron is
+bitmasks and zero-axis bitmasks under intersection.  The one integer
+elimination, ``_row_reduce`` (which ``sums`` shares), gives face
+dimensions.  The Newton polyhedron of a face restriction f_tau is
+conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the face's vertex set:
+one vertex or a segment is solved in closed form, and only three or more
+vertices need a polyhedron of their own.  A polyhedron is
 immutable by contract: its faces, its diagonal data, the sigma of each
 vertex set and its lattice table (how many lattice points with nu(k) <= T
 share each (face, N, nu), kept for the largest T requested) are derived
@@ -74,24 +75,26 @@ def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, by exact fraction-free forward elimination."""
-    mat = [list(row) for row in rows]
+def _row_reduce(rows: List[List[int]], width: int) -> int:
+    """Bring the first ``width`` columns of ``rows`` to row echelon form in
+    place, by unimodular integer row operations (swaps, and Euclid on the
+    rows below the pivot), applied to whole rows; return the rank.  Row i
+    of the result has its pivot in a column after row i - 1's, and the rows
+    from the rank on are zero in those columns."""
+    n = len(rows)
     r = 0
-    for c in range(len(mat[0]) if mat else 0):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        top = mat[r]
-        for i in range(r + 1, len(mat)):
-            row = mat[i]
-            if row[c]:
-                a, b = top[c], row[c]
-                row = [a * x - b * y for x, y in zip(row, top)]
-                g = gcd(*row) or 1
-                mat[i] = [x // g for x in row]
-        r += 1
+    for c in range(width):
+        if r == n:
+            break
+        while any(rows[i][c] for i in range(r + 1, n)):
+            piv = min((i for i in range(r, n) if rows[i][c]), key=lambda i: abs(rows[i][c]))
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(r + 1, n):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        if rows[r][c]:
+            r += 1
     return r
 
 
@@ -434,11 +437,9 @@ def _face_dim(P: NewtonPolyhedron, key: FaceKey) -> int:
     if len(vids) == 1:  # a vertex plus its recession rays, which are independent
         return len(axes)
     v0 = P.vertices[vids[0]]
-    rows: List[Tuple[int, ...]] = [
-        tuple(a - b for a, b in zip(P.vertices[i], v0)) for i in vids[1:]
-    ]
-    rows += [tuple(int(i == a) for i in range(P.n)) for a in axes]
-    return _rank(rows)
+    rows = [[a - b for a, b in zip(P.vertices[i], v0)] for i in vids[1:]]
+    rows += [[int(i == a) for i in range(P.n)] for a in axes]
+    return _row_reduce(rows, P.n)
 
 
 def _mask(flags: Iterable[bool]) -> int:

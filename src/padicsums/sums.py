@@ -132,7 +132,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ModulusTooLarge, WorkBudgetExceeded
-from .newton import Face
+from .newton import Face, _row_reduce
 from .poly import ExponentVector, Polynomial, gradient
 from .store import kept_table
 
@@ -529,29 +529,6 @@ def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:
         if not partners[i].intersection(chosen):
             chosen.append(i)
     return sorted(chosen)
-
-
-def _row_reduce(rows: List[List[int]], width: int) -> int:
-    """Bring the first ``width`` columns of ``rows`` to row echelon form in
-    place, by unimodular integer row operations (swaps, and Euclid on the
-    rows below the pivot), applied to whole rows; return the rank.  Row i
-    of the result has its pivot in a column after row i - 1's, and the rows
-    from the rank on are zero in those columns."""
-    n = len(rows)
-    r = 0
-    for c in range(width):
-        if r == n:
-            break
-        while any(rows[i][c] for i in range(r + 1, n)):
-            piv = min((i for i in range(r, n) if rows[i][c]), key=lambda i: abs(rows[i][c]))
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(r + 1, n):
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        if rows[r][c]:
-            r += 1
-    return r
 
 
 @lru_cache(maxsize=1 << 12)

@@ -5,7 +5,8 @@ invariants every face lattice must satisfy.
 facet subset is classified, and deduplicating the resulting (vertex ids,
 recession axes) keys leaves each face once.  Its dimensions come from an
 elimination over Fraction (``fraction_rank_inverse``), independent of the
-library's integer one, ``_rank``, which is itself checked against numpy.
+library's integer one, ``_row_reduce``, which is itself checked against
+numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from padicsums.newton import (
     Face,
     NewtonPolyhedron,
-    _rank,
+    _row_reduce,
     build_polyhedron,
     enumerate_faces,
 )
@@ -155,13 +156,18 @@ def matrices(draw):
     return draw(st.lists(row, min_size=h, max_size=h))
 
 
+def rank(rows) -> int:
+    """The rank ``_row_reduce`` returns, on a copy of ``rows``."""
+    return _row_reduce([list(row) for row in rows], len(rows[0]) if rows else 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=matrices())
 def test_rank_matches_numpy_and_the_fraction_oracle(rows):
-    rank, inverse = fraction_rank_inverse(rows)
-    assert _rank(rows) == rank == np.linalg.matrix_rank(np.array(rows))
+    want, inverse = fraction_rank_inverse(rows)
+    assert rank(rows) == want == np.linalg.matrix_rank(np.array(rows))
     d = len(rows)
-    assert (inverse is not None) == (d == len(rows[0]) == rank)
+    assert (inverse is not None) == (d == len(rows[0]) == want)
     if inverse is not None:
         for i, row in enumerate(rows):
             assert [sum(x * inverse[k][c] for k, x in enumerate(row)) for c in range(d)] == [
@@ -171,6 +177,6 @@ def test_rank_matches_numpy_and_the_fraction_oracle(rows):
 
 def test_rank_pivot_already_in_place():
     # the pivot of every column is on the diagonal, so no row swap happens
-    assert _rank([[2, 1], [0, 3]]) == 2
-    assert _rank([[0, 2], [0, 4]]) == 1  # a column with no pivot is skipped
-    assert _rank([]) == 0
+    assert rank([[2, 1], [0, 3]]) == 2
+    assert rank([[0, 2], [0, 4]]) == 1  # a column with no pivot is skipped
+    assert rank([]) == 0
