@@ -1,13 +1,14 @@
 """One byte-capped store of read-only tables, each built once per key.
 
 The kernel's per-modulus tables (``sums``: roots of unity, divisor offsets,
-valuations) and the lattice layer's prime-free compositions (``newton._shell``:
-every k in N^n with |k| <= T) are pure functions of a few integers, so a
-builder decorated with ``kept_table`` builds each once, makes it read-only
-and keeps it in ``TABLES``.  The store holds at most ``cap`` bytes of arrays in all:
-past that, the least recently used tables are dropped, and a table that
-alone exceeds the cap is returned without being kept, so it cannot push out
-everything else or stay resident after its one use.
+valuations) and the lattice layer's prime-free compositions
+(``newton._shell``: every k in N^n with |k| <= T) are pure functions of a
+few integers, so a builder decorated with ``kept_table`` builds each once,
+makes it read-only and keeps it in ``TABLES``.  The store holds at most
+``cap`` bytes of arrays in all: past that, the least recently used tables
+are dropped, and a table that alone exceeds the cap is returned without
+being kept, so it cannot push out everything else or stay resident after
+its one use.
 """
 
 from __future__ import annotations
