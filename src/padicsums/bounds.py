@@ -62,7 +62,7 @@ from .newton import (
 from .poly import ExponentVector, Polynomial, homogeneity
 from .sums import (
     DEFAULT_WORK_BUDGET,
-    brute_force_S,
+    _complete_sums,
     check_nondegenerate_mod_p,
     torus_E,
 )
@@ -199,10 +199,12 @@ def bound_ratio_table(
 ) -> RatioTable:
     """|S_f(p^m)| with the two normalizations of the decay bound.
 
-    The main bound presumes a homogeneous f; non-homogeneous input still
-    produces the table but is flagged hypothesis_met=False.  Budget errors
-    are recorded per cell and the scan continues.  No ratio is asserted:
-    the bounding constant is existential.
+    The sums of every m at one prime come from one residue histogram per
+    block of f (``sums._complete_sums``), each bit-identical to
+    ``brute_force_S(f, p, m)``.  The main bound presumes a homogeneous f;
+    non-homogeneous input still produces the table but is flagged
+    hypothesis_met=False.  Budget errors are recorded per cell and the scan
+    continues.  No ratio is asserted: the bounding constant is existential.
     """
     sig = build_polyhedron(f).diagonal
     table = RatioTable(
@@ -211,12 +213,13 @@ def bound_ratio_table(
         hypothesis_met=homogeneity(f) is not None,
     )
     sigma = float(sig.sigma)
+    ms = sorted(set(m_range))
     for p in sorted(set(primes)):
-        for m in sorted(set(m_range)):
-            try:
-                s = brute_force_S(f, p, m, workers=workers, work_budget=work_budget)
-            except WorkBudgetExceeded as exc:
-                table.errors.append((p, m, str(exc)))
+        complete = _complete_sums(f, p, ms, workers=workers, work_budget=work_budget)
+        for m in ms:
+            s = complete[m]
+            if isinstance(s, WorkBudgetExceeded):
+                table.errors.append((p, m, str(s)))
                 continue
             abs_s = abs(s.value)
             growth = p ** (sigma * m)

@@ -471,8 +471,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token with one leading "-" as a
+    positional unless it begins with a registered short flag, so a
+    polynomial may begin with a minus sign ("-x*y") with no "--" before it;
+    "-p 3", "-p3" and "-h" stay options."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string[:2] not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicsums",
         description="Newton-polyhedron invariants and p-adic exponential sums",
     )

@@ -16,8 +16,9 @@ of the torus sums.  One private pipeline, ``_rhs``, builds the right-hand side
 for every requested m: one cone-sum pass, one torus sum per distinct face
 restriction with B != 0, one assembly per m.  ``rhs_assembly`` (no
 certificate) and ``verify_formula`` (after the mod-p nondegeneracy
-certificate) both call it.  The left-hand side for comparison is the
-brute-force complete sum.
+certificate) both call it.  The left-hand side is the complete sum
+S_f(p^m) of every requested m from one residue histogram per block of f
+(``sums._complete_sums``), each value bit-identical to ``brute_force_S``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .sums import (
     KERNEL_EPS,
     NondegReport,
     SumValue,
-    brute_force_S,
+    _complete_sums,
     check_nondegenerate_mod_p,
     torus_E,
 )
@@ -267,14 +268,19 @@ def verify_formula(
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> List[FormulaReport]:
-    """Compare brute force against the assembled right-hand side for each m.
+    """Compare the complete sum S_f(p^m) against the assembled right-hand
+    side for each m.
 
-    When any face fails the mod-p nondegeneracy certificate the identity is
-    not asserted and neither side is computed: every row is "not-applicable"
-    (``rhs_assembly`` still gives the right-hand side).  A work-budget overrun
-    in the nondegeneracy scan raises WorkBudgetExceeded.  Later overruns are
-    recorded without aborting: one in the cone or torus sums marks every row
-    "budget-exceeded", one in the brute force marks its own row.
+    The complete sums of every m come from one residue histogram per block
+    of f, built at the largest m within the budget and folded to the smaller
+    ones (``sums._complete_sums``); each equals ``brute_force_S(f, p, m)``
+    bit for bit.  When any face fails the mod-p nondegeneracy certificate the
+    identity is not asserted and neither side is computed: every row is
+    "not-applicable" (``rhs_assembly`` still gives the right-hand side).  A
+    work-budget overrun in the nondegeneracy scan raises WorkBudgetExceeded.
+    Later overruns are recorded without aborting: one in the cone or torus
+    sums marks every row "budget-exceeded", a complete sum over the budget
+    marks its own row.
     """
     ms = sorted(set(int(m) for m in m_range))
     if any(m < 1 for m in ms):
@@ -297,10 +303,10 @@ def verify_formula(
         return [report(m, "budget-exceeded") for m in ms]
 
     reports: List[FormulaReport] = []
+    lhs_values = _complete_sums(f, p, ms, workers=workers, work_budget=work_budget)
     for m in ms:
-        try:
-            lhs = brute_force_S(f, p, m, workers=workers, work_budget=work_budget)
-        except WorkBudgetExceeded:
+        lhs = lhs_values[m]
+        if isinstance(lhs, WorkBudgetExceeded):
             reports.append(report(m, "budget-exceeded", T, tail))
             continue
         tol = lhs.abs_error_budget + rhs[m].abs_error_budget

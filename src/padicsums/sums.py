@@ -33,6 +33,17 @@ does not split.
 
 In both, each visited point stands for ``fiber`` grid points.
 
+Every histogrammed m of one (f, p) comes from one histogram per block, built
+at the largest m, t (_complete_sums; Igusa 1978; Denef and Sperber 2001).  For
+m <= t, each x mod p^m has p^(n_b (t - m)) lifts mod p^t on a block of n_b
+axes, all with f(lift) = f(x) mod p^m, so hist_m[r] = p^(-n_b (t - m))
+sum_{r' = r mod p^m} hist_t[r']: a column sum and an exact integer division,
+and a histogram rebuilt over summed-out variables is the whole grid's, so it
+folds too.  The same _hist_value and block product then give brute_force_S's
+value at m bit for bit when the blocks agree; a coefficient vanishing mod p^m
+but not mod p^t can split a block, so an m whose support differs is summed
+on its own.
+
 A torus sum (domain [1, p), m = 1, p histogrammed) shrinks a block g to the
 rank of its support (Denef and Hoornaert 2001).  Let a_0 < a_1 < ... be the
 exponents of g, with coefficients c_j, and let the a_j - a_0 have rank
@@ -127,7 +138,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, prod
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -415,8 +426,9 @@ def _exp_sum_over_grid(
     workers: int,
 ) -> complex:
     """Unnormalized sum of exp(2 pi i f(x)/modulus) over every point of the
-    product grid: the oracle of every reduction in _block_product."""
-    return _grid_sum(_reduced_terms(f.terms, modulus), (), 1, modulus, domains, workers)
+    product grid: the oracle of every reduction in _block_sum."""
+    total = _grid_sum(_reduced_terms(f.terms, modulus), (), 1, modulus, domains, workers)
+    return _hist_value(total, modulus) if modulus <= _HIST_CAP else total
 
 
 def _grid_sum(
@@ -426,24 +438,25 @@ def _grid_sum(
     modulus: int,
     domains: Sequence[Tuple[int, int]],
     workers: int,
-) -> complex:
+) -> Union[np.ndarray, complex]:
     """Unnormalized sum of e((h(x) + z_1 g_1(x) + ... + z_k g_k(x))/modulus)
-    over x in the product grid and z in a box of ``fiber`` points.
+    over x in the product grid and z in a box of ``fiber`` points: its
+    residue histogram when the modulus is at most _HIST_CAP (histogram
+    mode), its complex value above (exp mode).
 
     With k = 0 this is the plain grid sum, and fiber is 1.  With k >= 1 each
     z_j runs over [0, modulus/q), where q divides modulus and every value of
     every g_j mod modulus, so fiber = (modulus/q)^k.  At a point x,
     z -> sum_j z_j g_j(x) is then a homomorphism onto d Z/modulus,
     d = gcd(g_1(x), ..., g_k(x), modulus), that hits each element
-    fiber d / modulus times.  _block_product takes q = 1 for summed-out
+    fiber d / modulus times.  _block_sum takes q = 1 for summed-out
     linear variables (histogram mode) and q = p^ceil(m/2) for the
     stationary-phase split (exp mode).
 
     Histogram mode (the modulus must then be a prime power): the residue
     histogram of the whole grid, counts[r] = sum_x (fiber d(x) / modulus)
-    [r = h(x) mod d(x)], is rebuilt from one table per divisor and summed
-    like the plain grid's, so the value is bit-identical to the plain
-    grid's.  Exp mode: the z sum is fiber where every g_j(x) = 0 mod modulus
+    [r = h(x) mod d(x)], is rebuilt from one table per divisor, so it equals
+    the plain grid's.  Exp mode: the z sum is fiber where every g_j(x) = 0 mod modulus
     and 0 elsewhere, so only those points are summed, and the total is
     multiplied by fiber.
     """
@@ -466,7 +479,7 @@ def _grid_sum(
                 if part.any():
                     view = counts.reshape(-1, d)
                     view += fiber * d // modulus * part
-        return _hist_value(counts, modulus)
+        return counts
     parts = sorted((part for _, batch in results for part in batch), key=lambda t: t[0])
     s = 0j
     c = 0j
@@ -596,6 +609,80 @@ def _toric_counts(block_terms: Dict[ExponentVector, int], p: int, workers: int) 
     return counts
 
 
+def _blocks(f: Polynomial, modulus: int) -> Tuple[int, List[Tuple[int, Dict[ExponentVector, int]]]]:
+    """f mod modulus as its constant term and, per variable-disjoint block,
+    (n_b, its terms over its own n_b axes); vanishing terms are dropped."""
+    terms = {e: c % modulus for e, c in f.terms.items() if c % modulus}
+    const = terms.pop((0,) * f.n, 0)
+    blocks: List[frozenset] = []
+    for exps in terms:
+        axes = frozenset(i for i, e in enumerate(exps) if e)
+        linked = [b for b in blocks if b & axes]
+        blocks = [b for b in blocks if not b & axes] + [axes.union(*linked)]
+    return const, [(len(b), {tuple(exps[a] for a in sorted(b)): c
+                             for exps, c in terms.items() if any(exps[a] for a in b)})
+                   for b in blocks]
+
+
+def _block_sum(
+    block_terms: Dict[ExponentVector, int], n_b: int, p: int, m: int,
+    domain: Tuple[int, int], workers: int,
+) -> Union[np.ndarray, complex]:
+    """Unnormalized sum of e(g(x)/modulus) over domain^{n_b} for one block
+    g, modulus = p^m, as _grid_sum gives it: the residue histogram of the
+    whole block grid when the modulus is at most _HIST_CAP, the complex
+    value above.
+
+    The exact reductions of the module docstring are taken here, each only
+    when its hypotheses hold and the whole grid N^{n_b}, N = |domain|, is
+    below 2^63 (histogram counts are int64): on [0, modulus) with the
+    modulus at most _HIST_CAP, the linear variables of _linear_axes are
+    summed out; on [0, modulus) above _HIST_CAP with m >= 2, the
+    stationary-phase split, q = p^ceil(m/2), visits q^{n_b} points (budget:
+    see _block_product); on the torus [1, p) with m = 1 and p at most
+    _HIST_CAP, a block whose exponent differences have rank r < n_b visits
+    (p-1)^r points (_toric_counts).  Any other block keeps the plain grid.
+    """
+    modulus = p ** m
+    size = domain[1] - domain[0]
+    fits = size ** n_b < 1 << 63
+    whole = domain == (0, modulus) and fits
+    hist = modulus <= _HIST_CAP
+    if domain == (1, p) and m == 1 and hist and fits and _toric_form(tuple(sorted(block_terms)))[0] < n_b:
+        return _toric_counts(block_terms, p, workers)
+    if whole and m >= 2 and not hist:
+        q = p ** ((m + 1) // 2)
+        h = block_terms
+        gs = [{e: q * c for e, c in g.terms.items()} if g else {}
+              for g in gradient(Polynomial(n_b, block_terms))]
+        fiber, domains = (modulus // q) ** n_b, [(0, q)] * n_b
+    else:
+        ys = _linear_axes(list(block_terms), n_b) if whole and hist else []
+        rest = [i for i in range(n_b) if i not in ys]
+        h = {}
+        gs = [{} for _ in ys]
+        for exps, c in block_terms.items():
+            hit = [j for j, y in enumerate(ys) if exps[y]]
+            (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
+        fiber, domains = modulus ** len(ys), [domain] * len(rest)
+    return _grid_sum(_reduced_terms(h, modulus), [_reduced_terms(g, modulus) for g in gs],
+                     fiber, modulus, domains, workers)
+
+
+def _product(values: Sequence[complex], const: int, modulus: int) -> complex:
+    """The normalized block values multiplied in ascending (real, imag)
+    order, so any variable order gives the same value, times e(const/modulus)
+    with const taken in (-modulus/2, modulus/2]."""
+    factors = sorted(values, key=lambda z: (z.real, z.imag))
+    if const:
+        const -= modulus if 2 * const > modulus else 0
+        factors.append(cmath.exp(2j * cmath.pi * const / modulus))
+    value = factors[0] if factors else 1 + 0j
+    for v in factors[1:]:
+        value *= v
+    return value
+
+
 def _block_product(
     f: Polynomial, p: int, m: int, domain: Tuple[int, int], workers: int
 ) -> complex:
@@ -605,42 +692,11 @@ def _block_product(
     Coefficients are reduced mod modulus and vanishing terms dropped; the
     constant term c contributes the factor e(c/modulus), a variable in no
     term the factor 1, and each block of variables linked by shared terms
-    one grid sum over its own n_i axes, so the work is sum_i N^{n_i} points
-    with N = |domain| instead of N^n.  Block values are multiplied in
-    ascending (real, imag) order, so any variable order gives the same value.
-
-    Three exact reductions shrink a block's grid further; each needs the
-    block's whole grid N^{n_i} to be below 2^63 (its histogram counts are
-    int64).  The first two need the domain to be the complete residue
-    system [0, modulus).
-
-    Linear variables are summed out when the modulus is histogrammed (at
-    most _HIST_CAP) and each summed-out variable y_j has exponent exactly 1
-    in every term that contains it, no term containing two of them.  Then
-    the block is h(x) + sum_j y_j g_j(x), and by orthogonality of additive
-    characters the y sum is exact, so only the remaining N^{n_i - k} points
-    are visited, each standing for fiber = modulus^k grid points.  The
-    rebuilt residue histogram equals the one of the whole block grid, so
-    the block value is bit-identical to the plain grid's, whatever variable
-    order or choice of summed-out variables.
-
-    The stationary-phase split is taken when the modulus is above
-    _HIST_CAP and m >= 2.  With q = p^ceil(m/2), write x = y + q z with y
-    in [0, q)^{n_i} and z in [0, modulus/q)^{n_i}.  Since q^2 = 0 mod
-    modulus and Hasse derivatives have integer coefficients,
-    f(x) = f(y) + sum_j z_j q (df/dx_j)(y) mod modulus exactly, so the block
-    is h = f and g_j = q df/dx_j on q^{n_i} points, each standing for
-    fiber = (modulus/q)^{n_i} grid points (see _grid_sum): 5^11 points of
-    x^3 mod 5^11 become 5^6.  It sums fewer points than the plain grid and
-    keeps the same budget (below).  A complete sum with m = 1 above
-    _HIST_CAP keeps the plain grid.
-
-    The toric reduction is taken on the torus (domain [1, p), m = 1) when p
-    is at most _HIST_CAP and the differences of the block's exponents have
-    rank r < n_i (see the module docstring and _toric_counts): the block's
-    residue histogram comes from (p-1)^r points, and its value is
-    bit-identical to the plain grid's.  A block with r = n_i, such as
-    x + x^2, keeps the plain grid.
+    one sum over its own n_i axes (_block_sum, which shrinks the grid
+    further by exact reductions), so the work is at most sum_i N^{n_i}
+    points with N = |domain| instead of N^n.  A histogrammed block's value
+    is its histogram summed by _hist_value, the plain grid's one value path,
+    so it is bit-identical to the plain grid's.
 
     Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
     point, so its normalized value is within KERNEL_EPS + u of the truth
@@ -663,56 +719,52 @@ def _block_product(
     size = domain[1] - domain[0]
     if size ** f.n <= 2:
         return _exp_sum_over_grid(f, modulus, [domain] * f.n, workers) / size ** f.n
-    terms = {e: c % modulus for e, c in f.terms.items() if c % modulus}
-    const = terms.pop((0,) * f.n, 0)
-    blocks: List[frozenset] = []
-    for exps in terms:
-        axes = frozenset(i for i, e in enumerate(exps) if e)
-        linked = [b for b in blocks if b & axes]
-        blocks = [b for b in blocks if not b & axes] + [axes.union(*linked)]
-    complete = domain == (0, modulus)
-    hist = modulus <= _HIST_CAP
-    torus = domain == (1, p) and m == 1 and hist
-    q = p ** ((m + 1) // 2)
+    const, blocks = _blocks(f, modulus)
     values = []
-    for block in blocks:
-        axes = sorted(block)
-        n_b = len(axes)
-        block_terms = {
-            tuple(exps[a] for a in axes): c
-            for exps, c in terms.items() if any(exps[a] for a in axes)
-        }
-        fits = size ** n_b < 1 << 63
-        whole = complete and fits
-        if torus and fits and _toric_form(tuple(sorted(block_terms)))[0] < n_b:
-            values.append(_hist_value(_toric_counts(block_terms, p, workers), p) / size ** n_b)
-            continue
-        if whole and m >= 2 and not hist:
-            h = block_terms
-            gs = [{e: q * c for e, c in g.terms.items()} if g else {}
-                  for g in gradient(Polynomial(n_b, block_terms))]
-            fiber, domains = (modulus // q) ** n_b, [(0, q)] * n_b
-        else:
-            ys = _linear_axes(list(block_terms), n_b) if whole and hist else []
-            rest = [i for i in range(n_b) if i not in ys]
-            h = {}
-            gs = [{} for _ in ys]
-            for exps, c in block_terms.items():
-                hit = [j for j, y in enumerate(ys) if exps[y]]
-                (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
-            fiber, domains = modulus ** len(ys), [domain] * len(rest)
-        total = _grid_sum(_reduced_terms(h, modulus),
-                          [_reduced_terms(g, modulus) for g in gs],
-                          fiber, modulus, domains, workers)
+    for n_b, block_terms in blocks:
+        total = _block_sum(block_terms, n_b, p, m, domain, workers)
+        if modulus <= _HIST_CAP:
+            total = _hist_value(total, modulus)
         values.append(total / size ** n_b)
-    factors = sorted(values, key=lambda z: (z.real, z.imag))
-    if const:
-        const -= modulus if 2 * const > modulus else 0
-        factors.append(cmath.exp(2j * cmath.pi * const / modulus))
-    value = factors[0] if factors else 1 + 0j
-    for v in factors[1:]:
-        value *= v
-    return value
+    return _product(values, const, modulus)
+
+
+def _complete_sums(
+    f: Polynomial, p: int, ms: Sequence[int], *, workers: int, work_budget: int,
+) -> Dict[int, Union[SumValue, WorkBudgetExceeded]]:
+    """brute_force_S(f, p, m), bit for bit, or the WorkBudgetExceeded it
+    raises, for each m in ms, from one residue histogram per block.
+
+    The top m is the largest m in ms whose grid is within the work budget,
+    histogrammed and of more than two points.  Each block's histogram mod
+    p^top is built once (_block_sum), and each such m whose support (terms
+    not vanishing mod p^m) is the top m's is folded from it (see the module
+    docstring); every other m is a brute_force_S call of its own.
+    """
+    _require_prime(p)
+    if any(m < 1 for m in ms):
+        raise ValueError("m must be >= 1")
+    fold = [m for m in ms if 2 < p ** (m * f.n) <= work_budget and p ** m <= _HIST_CAP]
+    out: Dict[int, Union[SumValue, WorkBudgetExceeded]] = {}
+    if fold:
+        top = max(fold)
+        _, blocks = _blocks(f, p ** top)
+        counts = [(n_b, _block_sum(terms, n_b, p, top, (0, p ** top), workers))
+                  for n_b, terms in blocks]
+        support = {m: {e for e, c in f.terms.items() if c % p ** m} for m in fold}
+        for m in (m for m in fold if support[m] == support[top]):
+            modulus, total = p ** m, p ** (m * f.n)
+            values = [_hist_value(c.reshape(-1, modulus).sum(0) // p ** (n_b * (top - m)), modulus)
+                      / modulus ** n_b for n_b, c in counts]
+            const = f.terms.get((0,) * f.n, 0) % modulus
+            out[m] = SumValue(_product(values, const, modulus), KERNEL_EPS * total, total)
+    for m in ms:
+        if m not in out:
+            try:
+                out[m] = brute_force_S(f, p, m, workers=workers, work_budget=work_budget)
+            except WorkBudgetExceeded as exc:
+                out[m] = exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +783,7 @@ def brute_force_S(
 
     Computed as a product of sums over the variable-disjoint blocks of f mod
     p^m, each on its own grid, shrunk by two exact reductions (see
-    _block_product).  When p^m is small enough to histogram, the variables
+    _block_sum).  When p^m is small enough to histogram, the variables
     of degree 1 in a block (exponent exactly 1 in every term that contains
     them, no two in one term) are summed out by orthogonality of characters,
     and the block's residue histogram is rebuilt exactly, so the value is
@@ -765,7 +817,7 @@ def torus_E(
     Factored over variable-disjoint blocks like brute_force_S; a variable
     the restriction does not contain contributes exactly 1.  A block whose
     exponent differences have rank r below its variable count (every block
-    of a face restriction) visits (p-1)^r points (see _block_product), with
+    of a face restriction) visits (p-1)^r points (see _block_sum), with
     a bit-identical value.  ``term_count``, the work budget check and
     ``abs_error_budget`` count the whole torus (p-1)^n.
     """

@@ -320,6 +320,26 @@ def test_unknown_flag_exits_2(capsys):
     assert main(["analyze", "x*y", "--bogus"]) == 2
 
 
+# A polynomial may begin with a minus sign and hold no space; argparse would
+# read such a token as an unknown option, so it needed "--" before it.
+@pytest.mark.parametrize("argv, options", [
+    (["analyze"], []),
+    (["analyze"], ["--json"]),
+    (["verify-formula"], ["-p", "2,3,5,7", "-m", "1..2", "--budget", "1000000", "--workers", "1", "--json"]),
+    (["verify-formula"], ["-p2", "-p", "3", "--powers=1..2", "--workers", "1"]),
+])
+def test_a_polynomial_may_begin_with_a_minus_sign(capsys, argv, options):
+    text = "-8*y*z^3*u"  # a random polynomial of the output battery
+    want = run(capsys, *argv, *options, "--", text)
+    assert text in want[1]  # a report, not a usage error
+    assert run(capsys, *argv, text, *options) == want
+    assert run(capsys, *argv, *options, text) == want
+    args = _build_parser().parse_args([*argv, text, *options])
+    assert args.polynomial == text
+    if options[:1] == ["-p"]:
+        assert args.primes == [2, 3, 5, 7] and args.powers == [1, 2]
+
+
 def test_missing_required_exits_2(capsys):
     assert main(["sum", "x*y", "--power", "1"]) == 2
     assert main(["edecay", "x*y", "--primes", "3,5,7"]) == 2
