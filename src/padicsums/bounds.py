@@ -14,11 +14,13 @@ sigma(f_tau) or (dim tau + 1)/2: each side is a function of (face id, N, nu)
 alone.  So a row of ``NewtonPolyhedron.lattice_table(T)`` (one distinct
 triple and its point count) has one verdict, and it is the verdict of each
 of its points; the points checked number the sum of the counts.  Findings
-are records of single points, so they are built only where some row fails,
-by classifying again the points with nu up to the largest nu of a failing
-row (``lattice_blocks`` at that nu), in lexicographic order: a sub-sequence
-of the full scan's order, so the records come out in the same order as a
-scan of every point would give.
+are single points, so they are listed only where some row fails, by
+classifying again the points with nu up to the largest nu of a failing row
+(``lattice_blocks`` at that nu), in lexicographic order: a sub-sequence of
+the full scan's order, so they come out in the order a scan of every point
+would give.  They are kept as parallel numpy columns with one map of
+right-hand sides per failing (face id, N), and ``NuCheckRecord``s are built
+from the columns only when a violation tuple is first read.
 
 The diagonal-domination inequality needs no check of its own, because the
 polyhedron decides it exactly.  Lemma: let tau be a face of Gamma_f, with
@@ -45,8 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -83,12 +86,36 @@ class NuCheckRecord(NamedTuple):
     halfdim_ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NuCheckFindings:
+    """The failing points in scan order as parallel columns: k (F x n, int64),
+    face_id and nu (int64), N (object when ``N_bound(P, T)`` reaches
+    INT64_SAFE, else int64), main_ok and halfdim_ok (bool); and ``rhs``, each
+    failing (face id, N) mapped to its (rhs_main, rhs_halfdim)."""
+
     T: int
     points_checked: int
-    main_violations: Tuple[NuCheckRecord, ...]     # expected empty, hard assertion
-    halfdim_violations: Tuple[NuCheckRecord, ...]  # findings only
+    k: np.ndarray
+    face_id: np.ndarray
+    nu: np.ndarray
+    N: np.ndarray
+    main_ok: np.ndarray
+    halfdim_ok: np.ndarray
+    rhs: Dict[Tuple[int, int], Tuple[Fraction, Fraction]]
+
+    def failing(self, ok: np.ndarray) -> Iterator[tuple]:
+        """(k as a list, face id, nu, N, main ok, halfdim ok) in Python values
+        for each point whose verdict column ``ok`` is False, in scan order."""
+        cols = (self.k, self.face_id, self.nu, self.N, self.main_ok, self.halfdim_ok)
+        return zip(*(col[~ok].tolist() for col in cols))
+
+    def _records(self, ok: np.ndarray) -> Tuple[NuCheckRecord, ...]:
+        return tuple(NuCheckRecord._make((tuple(k), face_id, nu, N, *self.rhs[face_id, N], m_ok, h_ok))
+                     for k, face_id, nu, N, m_ok, h_ok in self.failing(ok))
+
+    # the records, built from the columns when first read
+    main_violations = cached_property(lambda self: self._records(self.main_ok))  # a hard assertion
+    halfdim_violations = cached_property(lambda self: self._records(self.halfdim_ok))  # findings
 
 
 def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
@@ -99,7 +126,8 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     verdict is the verdict of each of its points (module docstring).  Only
     when some row fails are points classified again, those with nu up to
     the largest failing nu, in lexicographic order (a sub-sequence of the
-    scan's order); records are built for the failing points among them.
+    scan's order); the failing points among them are gathered into the
+    findings' columns, block by block.
 
     Exact throughout: both inequalities are scaled by D, the lcm of 2 and the
     denominators of sigma and of every sigma(f_tau), and compared in integers
@@ -130,36 +158,24 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
 
     main_ok, half_ok = verdicts(table.face_id, table.N, table.nu)
     failing = ~(main_ok & half_ok)
-    main_bad: List[NuCheckRecord] = []
-    half_bad: List[NuCheckRecord] = []
-    if failing.any():
-        rhs = {
-            (face_id, N): (
-                sigma * (N + 1) - faces[face_id].sigma_tau,
-                sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2),
-            )
-            for face_id, N in set(zip(table.face_id[failing].tolist(), table.N[failing].tolist()))
-        }
+    rhs = {
+        (face_id, N): (
+            sigma * (N + 1) - faces[face_id].sigma_tau,
+            sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2),
+        )
+        for face_id, N in set(zip(table.face_id[failing].tolist(), table.N[failing].tolist()))
+    }
+    # per column, an empty piece of the column's dtype, then each block's failing rows
+    N_dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
+    pieces = [[np.empty((0, P.n), np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
+              [np.empty(0, N_dtype)], [np.empty(0, bool)], [np.empty(0, bool)]]
+    if rhs:
         for blk in lattice_blocks(P, int(table.nu[failing].max())):
             main_ok, half_ok = verdicts(blk.face_id, blk.N, blk.nu)
             bad = np.flatnonzero(~(main_ok & half_ok))
-            rows = zip(
-                map(tuple, blk.k[bad].tolist()), blk.face_id[bad].tolist(), blk.nu[bad].tolist(),
-                blk.N[bad].tolist(), main_ok[bad].tolist(), half_ok[bad].tolist(),
-            )
-            for k, face_id, nu, N, m_ok, h_ok in rows:
-                rhs_main, rhs_half = rhs[face_id, N]
-                rec = NuCheckRecord._make((k, face_id, nu, N, rhs_main, rhs_half, m_ok, h_ok))
-                if not m_ok:
-                    main_bad.append(rec)
-                if not h_ok:
-                    half_bad.append(rec)
-    return NuCheckFindings(
-        T=T,
-        points_checked=int(table.count.sum()),
-        main_violations=tuple(main_bad),
-        halfdim_violations=tuple(half_bad),
-    )
+            for piece, col in zip(pieces, (blk.k, blk.face_id, blk.nu, blk.N, main_ok, half_ok)):
+                piece.append(col[bad])
+    return NuCheckFindings(T, int(table.count.sum()), *map(np.concatenate, pieces), rhs)
 
 
 # ---------------------------------------------------------------------------

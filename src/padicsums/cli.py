@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -167,11 +168,14 @@ def _formula_row(rep: faceformula.FormulaReport) -> dict:
 _NU_COLUMNS = ("k", "face_id", "nu", "N", "rhs_main", "rhs_halfdim", "main_ok", "halfdim_ok")
 
 
-def _nu_dict(rec: bounds.NuCheckRecord) -> dict:
-    return dict(zip(_NU_COLUMNS, (
-        list(rec.k), rec.face_id, rec.nu, rec.N,
-        _frac_str(rec.rhs_main), _frac_str(rec.rhs_halfdim), rec.main_ok, rec.halfdim_ok,
-    )))
+def _nu_rows(res: bounds.NuCheckFindings, ok, limit: Optional[int] = None) -> List[dict]:
+    """The report rows of the points whose verdict column ``ok`` is False,
+    the first ``limit`` of them when a limit is given."""
+    rhs = {key: tuple(map(_frac_str, pair)) for key, pair in res.rhs.items()}
+    return [
+        dict(zip(_NU_COLUMNS, (k, face_id, nu, N, *rhs[face_id, N], m_ok, h_ok)))
+        for k, face_id, nu, N, m_ok, h_ok in itertools.islice(res.failing(ok), limit)
+    ]
 
 
 def _one(args: argparse.Namespace, dest: str) -> int:
@@ -311,26 +315,28 @@ def _flatten_formula_row(row: dict) -> dict:
 
 
 def cmd_verify_nu(args: argparse.Namespace) -> int:
+    """Text shows the first 10 findings; JSON and CSV list every one."""
     f = parse_polynomial(args.polynomial)
     res = bounds.check_nu_inequality(f, args.T)
-    obj = {
-        "polynomial": render(f),
-        "T": res.T,
-        "points_checked": res.points_checked,
-        "main_violations": [_nu_dict(r) for r in res.main_violations],
-        "halfdim_violations": [_nu_dict(r) for r in res.halfdim_violations],
-    }
+    main_bad, half_bad = (int((~ok).sum()) for ok in (res.main_ok, res.halfdim_ok))
     human = [
         f"polynomial: {render(f)}   T = {args.T}   points = {res.points_checked}",
-        f"main inequality violations: {len(res.main_violations)} (hard assertion)",
-        f"half-dimension variant violations: {len(res.halfdim_violations)} (findings)",
+        f"main inequality violations: {main_bad} (hard assertion)",
+        f"half-dimension variant violations: {half_bad} (findings)",
     ]
-    for rec in res.halfdim_violations[:10]:
-        human.append(f"    k = {rec.k}: nu = {rec.nu} < {_frac_str(rec.rhs_halfdim)}")
-    violations = obj["main_violations"] + obj["halfdim_violations"]
-    csv_rows = [dict(row, k=" ".join(map(str, row["k"]))) for row in violations]
-    _emit(args, human, obj, (_NU_COLUMNS, csv_rows))
-    return 1 if res.main_violations else 0
+    for row in _nu_rows(res, res.halfdim_ok, 10):
+        human.append(f"    k = {tuple(row['k'])}: nu = {row['nu']} < {row['rhs_halfdim']}")
+    obj = table = None
+    if args.json or args.csv:
+        obj = {
+            "polynomial": render(f), "T": res.T, "points_checked": res.points_checked,
+            "main_violations": _nu_rows(res, res.main_ok),
+            "halfdim_violations": _nu_rows(res, res.halfdim_ok),
+        }
+        violations = obj["main_violations"] + obj["halfdim_violations"]
+        table = (_NU_COLUMNS, [dict(row, k=" ".join(map(str, row["k"]))) for row in violations])
+    _emit(args, human, obj, table)
+    return 1 if main_bad else 0
 
 
 _RATIO_COLUMNS = ("p", "m", "abs_S", "ratio_main", "ratio_coarse")

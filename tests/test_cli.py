@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,8 +17,9 @@ import pytest
 
 from padicsums import cli
 from padicsums.cli import _build_parser, main
-from padicsums.poly import parse_polynomial
+from padicsums.poly import parse_polynomial, render
 from padicsums.sums import KERNEL_EPS, _exp_sum_over_grid
+from test_lattice import nu_reference
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -216,6 +219,58 @@ def test_verify_nu_json_schema(capsys):
     assert code == 0 and got["points_checked"] == 28
     assert got["main_violations"] == []
     assert all("/" in rec["rhs_halfdim"] for rec in got["halfdim_violations"])
+
+
+def render_nu_reference(text: str, T: int) -> dict:
+    """The verify-nu text, --json and --csv bytes of the per-point reference
+    scan, rendered as the report was when the library returned records."""
+    f = parse_polynomial(text)
+    res = nu_reference(f, T)
+    columns = ("k", "face_id", "nu", "N", "rhs_main", "rhs_halfdim", "main_ok", "halfdim_ok")
+
+    def frac(x):
+        return f"{x.numerator}/{x.denominator}"
+
+    def nu_dict(rec):
+        return dict(zip(columns, (
+            list(rec.k), rec.face_id, rec.nu, rec.N,
+            frac(rec.rhs_main), frac(rec.rhs_halfdim), rec.main_ok, rec.halfdim_ok,
+        )))
+
+    obj = {
+        "polynomial": render(f),
+        "T": res.T,
+        "points_checked": res.points_checked,
+        "main_violations": [nu_dict(r) for r in res.main_violations],
+        "halfdim_violations": [nu_dict(r) for r in res.halfdim_violations],
+    }
+    human = [
+        f"polynomial: {render(f)}   T = {T}   points = {res.points_checked}",
+        f"main inequality violations: {len(res.main_violations)} (hard assertion)",
+        f"half-dimension variant violations: {len(res.halfdim_violations)} (findings)",
+    ]
+    for rec in res.halfdim_violations[:10]:
+        human.append(f"    k = {rec.k}: nu = {rec.nu} < {frac(rec.rhs_halfdim)}")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(dict(row, k=" ".join(map(str, row["k"])))
+                     for row in obj["main_violations"] + obj["halfdim_violations"])
+    return {
+        "--text": "\n".join(human) + "\n",
+        "--json": json.dumps(obj, indent=2, allow_nan=False) + "\n",
+        "--csv": buf.getvalue().rstrip("\n") + "\n",
+    }
+
+
+@pytest.mark.parametrize("text", ["x*y+z*u", "x*y+z*u+x*z+2*y*u"])
+def test_verify_nu_reports_at_T30_match_the_point_scan(text, capsys):
+    want = render_nu_reference(text, 30)
+    assert want["--json"].count('"k"') > 10  # both have findings past the text's first 10
+    for fmt, expected in want.items():
+        code, out = run(capsys, "verify-nu", text, "--T", "30", *([fmt] if fmt != "--text" else []))
+        assert code == 0
+        assert out == expected, fmt
 
 
 # -- tables ---------------------------------------------------------------------------

@@ -12,16 +12,17 @@ no lattice table kept on a shared polyhedron can stand in for the path.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsums import bounds, newton
+from padicsums import bounds, cli, newton
 from padicsums.errors import BudgetExceeded
 from padicsums.bounds import NuCheckFindings, NuCheckRecord, check_nu_inequality
 from padicsums.faceformula import ConeSumResult, cone_sums_multi, truncation_level
@@ -66,7 +67,14 @@ def oracle_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoint]:
     yield from rec(0, T)
 
 
-def nu_reference(f: Polynomial, T: int) -> NuCheckFindings:
+class NuReference(NamedTuple):
+    T: int
+    points_checked: int
+    main_violations: Tuple[NuCheckRecord, ...]
+    halfdim_violations: Tuple[NuCheckRecord, ...]
+
+
+def nu_reference(f: Polynomial, T: int) -> NuReference:
     P = build_polyhedron(f)
     faces = enumerate_faces(P)
     sigma = P.diagonal.sigma
@@ -82,7 +90,25 @@ def nu_reference(f: Polynomial, T: int) -> NuCheckFindings:
             main_bad.append(rec)
         if not half_ok:
             half_bad.append(rec)
-    return NuCheckFindings(T, count, tuple(main_bad), tuple(half_bad))
+    return NuReference(T, count, tuple(main_bad), tuple(half_bad))
+
+
+def assert_same_findings(got: NuCheckFindings, want: NuReference) -> None:
+    """T, the points checked and both violation tuples, record by record and
+    in order, with the field types of the per-point scan: a tuple k and
+    Python integers, Fraction right-hand sides and bool verdicts."""
+    assert (got.T, got.points_checked) == (want.T, want.points_checked)
+    assert type(got.T) is int and type(got.points_checked) is int
+    for records, expected in ((got.main_violations, want.main_violations),
+                              (got.halfdim_violations, want.halfdim_violations)):
+        assert type(records) is tuple
+        assert [rec._asdict() for rec in records] == [rec._asdict() for rec in expected]
+        assert all(type(rec) is NuCheckRecord for rec in records)
+        for rec in records:
+            assert type(rec.k) is tuple
+            assert {type(x) for x in rec.k + (rec.face_id, rec.nu, rec.N)} == {int}
+            assert type(rec.rhs_main) is Fraction and type(rec.rhs_halfdim) is Fraction
+            assert type(rec.main_ok) is bool and type(rec.halfdim_ok) is bool
 
 
 def cone_reference(P: NewtonPolyhedron, p: int, ms, eps):
@@ -133,13 +159,13 @@ def test_blocked_layer_matches_oracle(f, T, block, p, python_ints):
         blocks = list(lattice_blocks(P, T))
         assert all(len(blk.k) <= block for blk in blocks)
         assert sum(len(blk.k) for blk in blocks) == len(want)
-        assert check_nu_inequality(f, T) == nu_reference(f, T)
+        assert_same_findings(check_nu_inequality(f, T), nu_reference(f, T))
         # an input with findings, fresh, so its failing points are classified
         # at this block size and on this path
         g, T_g = parse_polynomial("x*y+z*u"), max(T, 4)
         want_g = nu_reference(g, T_g)
         assert want_g.halfdim_violations
-        assert check_nu_inequality(g, T_g) == want_g
+        assert_same_findings(check_nu_inequality(g, T_g), want_g)
         ms, eps = [0, 1, 2, 3], Fraction(1, 10)
         assert cone_sums_multi(P, p, ms, eps) == cone_reference(P, p, ms, eps)
 
@@ -153,7 +179,7 @@ def test_block_boundaries_on_corpus(corpus, monkeypatch):
             P = newton._build(f)  # uncached: its lattice table is built at this block size
             assert list(enumerate_lattice_points(P, 9)) == list(oracle_points(P, 9))
             want = nu_reference(f, 9)
-            assert check_nu_inequality(f, 9) == want
+            assert_same_findings(check_nu_inequality(f, 9), want)
             findings += len(want.halfdim_violations)
             ms, eps = [0, 1, 2, 3], Fraction(1, 10)
             assert cone_sums_multi(P, 3, ms, eps) == cone_reference(P, 3, ms, eps)
@@ -170,15 +196,6 @@ def test_shell_growth_and_lattice_blocks_give_the_same_points(corpus, block, mon
         for t in (0, 3, 9):
             grown = P.lattice_table(t)
         assert rows(grown) == rows(newton._build(f).lattice_table(9))
-
-
-def assert_same_findings(got: NuCheckFindings, want: NuCheckFindings) -> None:
-    assert got == want
-    assert type(got.points_checked) is int
-    for records, expected in ((got.main_violations, want.main_violations),
-                              (got.halfdim_violations, want.halfdim_violations)):
-        assert [rec._asdict() for rec in records] == [rec._asdict() for rec in expected]
-        assert all(type(rec) is NuCheckRecord for rec in records)
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,6 +215,90 @@ def test_row_check_on_a_kept_table_matches_the_point_scan(f, Ts, order, python_i
                 mp.setattr(module, "INT64_SAFE", 1)
         for T in Ts + Ts[-1:]:
             assert_same_findings(check_nu_inequality(f, T), nu_reference(f, T))
+
+
+def assert_columns_match(res: NuCheckFindings, want: NuReference, P: NewtonPolyhedron) -> None:
+    """The columns hold every point failing either inequality, in scan
+    (lexicographic) order, and the map holds their right-hand sides."""
+    failing = sorted({*want.main_violations, *want.halfdim_violations}, key=lambda rec: rec.k)
+    F = len(failing)
+    assert res.k.shape == (F, P.n) and res.k.dtype == np.int64
+    assert res.face_id.shape == res.nu.shape == res.N.shape == (F,)
+    assert res.face_id.dtype == res.nu.dtype == np.int64
+    assert res.main_ok.dtype == res.halfdim_ok.dtype == bool
+    assert res.N.dtype == (object if N_bound(P, res.T) >= bounds.INT64_SAFE else np.int64)
+    assert res.k.tolist() == [list(rec.k) for rec in failing]
+    for column in ("face_id", "nu", "N", "main_ok", "halfdim_ok"):
+        assert getattr(res, column).tolist() == [getattr(rec, column) for rec in failing]
+    assert res.rhs == {(rec.face_id, rec.N): (rec.rhs_main, rec.rhs_halfdim) for rec in failing}
+
+
+@settings(deadline=None)
+@given(
+    f=polynomials(),
+    T=st.integers(0, 8),
+    block=st.integers(1, 40),
+    python_ints=st.booleans(),
+)
+def test_nu_columns_match_the_point_scan(f, T, block, python_ints):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "LATTICE_BLOCK", block)
+        if python_ints:
+            for module in (newton, bounds):
+                mp.setattr(module, "INT64_SAFE", 1)
+        P = newton._build(f)
+        mp.setattr(bounds, "build_polyhedron", lambda g: P)  # classified at this block size
+        res, want = check_nu_inequality(f, T), nu_reference(f, T)
+        assert_columns_match(res, want, P)
+        assert_same_findings(res, want)
+
+
+@pytest.mark.parametrize("text, T, safe, N_dtype", [
+    ("x*y+z*u", 8, None, np.int64),
+    ("x^3+y^3+z^3", 12, None, np.int64),  # no findings: empty columns, k still (0, n)
+    ("x*y+z*u", 8, 2 * 8, object),         # N_bound(P, 8) = 16 reaches INT64_SAFE
+    ("x*y+z*u", 8, 2 * 8 + 1, np.int64),   # and stays just below it
+])
+def test_nu_column_dtypes_and_shapes(text, T, safe, N_dtype, monkeypatch):
+    f = parse_polynomial(text)
+    if safe is not None:
+        for module in (newton, bounds):
+            monkeypatch.setattr(module, "INT64_SAFE", safe)
+        P = newton._build(f)
+        monkeypatch.setattr(bounds, "build_polyhedron", lambda g: P)
+    res = check_nu_inequality(f, T)
+    assert res.N.dtype == N_dtype
+    assert res.k.ndim == 2 and res.k.shape[1] == f.n
+    if N_dtype is object:
+        assert {type(N) for N in res.N} == {int}
+    assert_columns_match(res, nu_reference(f, T), build_polyhedron(f) if safe is None else P)
+
+
+def test_records_are_built_only_when_a_violation_tuple_is_read(monkeypatch, capsys):
+    f = parse_polynomial("x*y+z*u")
+    want = nu_reference(f, 8)
+    built = []
+    real_make, real_new = NuCheckRecord._make, NuCheckRecord.__new__
+
+    def spy_make(cls, iterable):
+        built.append("make")
+        return real_make(iterable)
+
+    def spy_new(cls, *args, **kwargs):
+        built.append("new")
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(NuCheckRecord, "_make", classmethod(spy_make))
+    monkeypatch.setattr(NuCheckRecord, "__new__", spy_new)
+    res = check_nu_inequality(f, 8)
+    assert len(res.k) == len(want.halfdim_violations) > 0 and built == []
+    assert cli.main(["verify-nu", "x*y+z*u", "--T", "8", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["halfdim_violations"] and built == []
+    assert res.main_violations == () and built == []
+    half = res.halfdim_violations
+    assert built == ["make"] * len(want.halfdim_violations)
+    assert res.halfdim_violations is half  # built once, on first access
+    assert_same_findings(res, want)
 
 
 def spy_classified(monkeypatch) -> list:
@@ -244,7 +345,7 @@ def test_nu_check_errors_fire_with_a_kept_table(monkeypatch):
     with pytest.raises(BudgetExceeded):
         check_nu_inequality(f, 9)  # the kept table is not read past the cap
     monkeypatch.setattr(newton, "POINT_CAP", comb(8 + 4, 4))
-    assert check_nu_inequality(f, 8) == nu_reference(f, 8)
+    assert_same_findings(check_nu_inequality(f, 8), nu_reference(f, 8))
 
 
 @pytest.mark.parametrize("kept", [False, True])
@@ -275,7 +376,9 @@ def test_huge_exponents_take_exact_object_path(e):
     lattice_dtype = object if T * e >= INT64_SAFE else "int64"
     assert all(blk.N.dtype == lattice_dtype for blk in lattice_blocks(P, T))
     assert list(enumerate_lattice_points(P, T)) == list(oracle_points(P, T))
-    assert check_nu_inequality(f, T) == nu_reference(f, T)
+    res, want = check_nu_inequality(f, T), nu_reference(f, T)
+    assert_columns_match(res, want, P)  # N is object at 2^61, int64 at 2^40
+    assert_same_findings(res, want)
     ms, eps = [0, 1, 2], Fraction(1, 10)
     assert cone_sums_multi(P, 3, ms, eps) == cone_reference(P, 3, ms, eps)
 
