@@ -187,7 +187,6 @@ class RatioCell:
     p: int
     m: int
     abs_S: float
-    error_budget: float
     ratio_main: float   # |S| p^{sigma m} / m^{kappa-1}
     ratio_coarse: float  # |S| p^{sigma m} / m^{n-1}
 
@@ -243,7 +242,6 @@ def bound_ratio_table(
                 p=p,
                 m=m,
                 abs_S=abs_s,
-                error_budget=s.abs_error_budget,
                 ratio_main=abs_s * growth / m ** (sig.kappa - 1),
                 ratio_coarse=abs_s * growth / m ** (f.n - 1),
             ))

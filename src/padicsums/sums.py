@@ -33,16 +33,18 @@ does not split.
 
 In both, each visited point stands for ``fiber`` grid points.
 
-Every histogrammed m of one (f, p) comes from one histogram per block, built
-at the largest m, t (_complete_sums; Igusa 1978; Denef and Sperber 2001).  For
-m <= t, each x mod p^m has p^(n_b (t - m)) lifts mod p^t on a block of n_b
-axes, all with f(lift) = f(x) mod p^m, so hist_m[r] = p^(-n_b (t - m))
-sum_{r' = r mod p^m} hist_t[r']: a column sum and an exact integer division,
-and a histogram rebuilt over summed-out variables is the whole grid's, so it
-folds too.  The same _hist_value and block product then give brute_force_S's
-value at m bit for bit when the blocks agree; a coefficient vanishing mod p^m
-but not mod p^t can split a block, so an m whose support differs is summed
-on its own.
+Every complete sum takes one path, _complete_sums; brute_force_S is its
+one-m case.  The histogrammed m of one (f, p) come from one histogram per
+block, built at the largest m, t (_block_product; Igusa 1978; Denef and
+Sperber 2001).  For m <= t, each x mod p^m has p^(n_b (t - m)) lifts mod p^t
+on a block of n_b axes, all with f(lift) = f(x) mod p^m, so hist_m[r] =
+p^(-n_b (t - m)) sum_{r' = r mod p^m} hist_t[r']: a column sum and an exact
+integer division, and a histogram rebuilt over summed-out variables is the
+whole grid's, so it folds too.  The folded histogram is the one built at m,
+so the value at m is the same bit for bit whether m is summed alone or
+folded from t.  A coefficient vanishing mod p^m but not mod p^t can split a
+block, so an m whose support differs is summed on its own, and so is an m in
+exp mode or with a grid of at most two points.
 
 A torus sum (domain [1, p), m = 1, p histogrammed) shrinks a block g to the
 rank of its support (Denef and Hoornaert 2001).  Let a_0 < a_1 < ... be the
@@ -204,8 +206,9 @@ def _pow_mod_array(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
     return out
 
 
-def _split_axes(sizes: Sequence[int]) -> Tuple[int, int, int]:
-    """(first inner axis, segment count, segment size) for the block plan.
+def _split_axes(sizes: Sequence[int]) -> Tuple[int, int, int, int]:
+    """(first inner axis, segment count, segment size, task count) for the
+    block plan.
 
     Inner axes are the longest suffix whose grid fits _INNER_CAP; when even
     the last axis alone is too large (only reachable for n = 1 moduli), that
@@ -213,17 +216,16 @@ def _split_axes(sizes: Sequence[int]) -> Tuple[int, int, int]:
     """
     n = len(sizes)
     if not n:
-        return 0, 1, 1
+        return 0, 1, 1, 1
     start = n
     elems = 1
     while start > 0 and elems * sizes[start - 1] <= _INNER_CAP:
         elems *= sizes[start - 1]
         start -= 1
     if start == n:  # last axis alone exceeds the cap
-        seg_size = _INNER_CAP
-        segments = -(-sizes[-1] // seg_size)
-        return n - 1, segments, seg_size
-    return start, 1, sizes[-1]
+        segments = -(-sizes[-1] // _INNER_CAP)
+        return n - 1, segments, _INNER_CAP, prod(sizes[:-1]) * segments
+    return start, 1, sizes[-1], prod(sizes[:start])
 
 
 def _kahan_add(s: complex, c: complex, x: complex) -> Tuple[complex, complex]:
@@ -459,6 +461,9 @@ def _grid_sum(
     the plain grid's.  Exp mode: the z sum is fiber where every g_j(x) = 0 mod modulus
     and 0 elsewhere, so only those points are summed, and the total is
     multiplied by fiber.
+
+    The grid's tasks (_split_axes) are reduced by _grid_worker in contiguous
+    spans over up to ``workers`` processes.
     """
     _require_int64_residues(modulus)
     mode = "hist" if modulus <= _HIST_CAP else "exp"
@@ -466,8 +471,14 @@ def _grid_sum(
         divisors, offsets = _divisor_offsets(modulus)
         if divisors[1] ** (len(divisors) - 1) != modulus:
             raise ValueError(f"the z sum is histogrammed only modulo a prime power, not {modulus}")
-
-    results = _grid_tasks((h, *gs), modulus, domains, workers, mode)
+    inner_start, segments, seg_size, task_count = _split_axes([stop - start for start, stop in domains])
+    args = [((h, *gs), modulus, tuple(domains), inner_start, segments, seg_size, lo, hi, mode)
+            for lo, hi in _split_range(task_count, max(1, workers))]
+    if len(args) == 1:
+        results = [_grid_worker(args[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+            results = list(pool.map(_grid_worker, args))
     if mode == "hist":
         counts = results[0][0]
         for extra, _ in results[1:]:
@@ -486,29 +497,6 @@ def _grid_sum(
     for _, x in parts:
         s, c = _kahan_add(s, c, x)
     return s * fiber
-
-
-def _grid_tasks(
-    polys: Sequence[Terms],
-    modulus: int,
-    domains: Sequence[Tuple[int, int]],
-    workers: int,
-    mode: str,
-) -> List[Tuple[np.ndarray, List[Tuple[int, complex]]]]:
-    """The _grid_worker results of the product grid's tasks, split into
-    contiguous spans over up to ``workers`` processes."""
-    sizes = [stop - start for start, stop in domains]
-    inner_start, segments, seg_size = _split_axes(sizes)
-    task_count = prod(sizes[:inner_start], start=1) * segments
-    spans = _split_range(task_count, max(1, workers))
-    args = [
-        (tuple(polys), modulus, tuple(domains), inner_start, segments, seg_size, lo, hi, mode)
-        for lo, hi in spans
-    ]
-    if len(args) == 1:
-        return [_grid_worker(args[0])]
-    with ProcessPoolExecutor(max_workers=len(args)) as pool:
-        return list(pool.map(_grid_worker, args))
 
 
 def _hist_value(counts: np.ndarray, modulus: int) -> complex:
@@ -601,7 +589,7 @@ def _toric_counts(block_terms: Dict[ExponentVector, int], p: int, workers: int) 
         counts[1:] = (key == pow(block_terms[support[0]], order, p)) * (fiber // order)
         return counts
     h = _laurent_terms([block_terms[a] for a in support], exps, p)
-    hist = sum(part for part, _ in _grid_tasks((h,), p, [(1, p)] * r, workers, "hist"))
+    hist = _grid_sum(h, (), 1, p, [(1, p)] * r, workers)
     per_coset = np.zeros(p, dtype=np.int64)
     np.add.at(per_coset, key, hist[1:])
     counts[0] = hist[0] * fiber
@@ -684,19 +672,21 @@ def _product(values: Sequence[complex], const: int, modulus: int) -> complex:
 
 
 def _block_product(
-    f: Polynomial, p: int, m: int, domain: Tuple[int, int], workers: int
-) -> complex:
-    """Normalized sum of e(f(x)/modulus) over domain^n, modulus = p^m, as a
-    product of sums over variable-disjoint blocks.
+    f: Polynomial, p: int, ms: Sequence[int], domain: Tuple[int, int], workers: int
+) -> Dict[int, complex]:
+    """{m: normalized sum of e(f(x)/p^m)} for each m in ms, as a product of
+    sums over variable-disjoint blocks, on domain^n at t = max(ms).
 
-    Coefficients are reduced mod modulus and vanishing terms dropped; the
-    constant term c contributes the factor e(c/modulus), a variable in no
-    term the factor 1, and each block of variables linked by shared terms
-    one sum over its own n_i axes (_block_sum, which shrinks the grid
-    further by exact reductions), so the work is at most sum_i N^{n_i}
-    points with N = |domain| instead of N^n.  A histogrammed block's value
-    is its histogram summed by _hist_value, the plain grid's one value path,
-    so it is bit-identical to the plain grid's.
+    Coefficients are reduced mod p^t and vanishing terms dropped; the
+    constant term c contributes the factor e(c/p^m), a variable in no term
+    the factor 1, and each block of variables linked by shared terms one sum
+    over its own n_i axes (_block_sum, which shrinks the grid further by
+    exact reductions), so the work is at most sum_i N^{n_i} points with
+    N = |domain| instead of N^n.  Each block is summed once, at t, and
+    folded to each m below t (see the module docstring), so those m must be
+    histogrammed, on [0, p^t), with t's support.  A histogrammed block's
+    value is its histogram summed by _hist_value, the plain grid's one value
+    path, so it is bit-identical to the plain grid's.
 
     Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
     point, so its normalized value is within KERNEL_EPS + u of the truth
@@ -712,58 +702,58 @@ def _block_product(
     n >= k, and (1.5k + 1) <= N^n whenever N^n >= 3: the error stays under
     KERNEL_EPS * N^n, the budget callers report for the whole grid.  Grids
     of at most two points (the torus at p = 2, or a single axis of two
-    points) are evaluated whole, where that inequality can fail.
+    points) are evaluated whole, where that inequality can fail (ms = [t]).
     """
-    modulus = p ** m
-    _require_int64_residues(modulus)
+    t = max(ms)
+    _require_int64_residues(p ** t)
     size = domain[1] - domain[0]
     if size ** f.n <= 2:
-        return _exp_sum_over_grid(f, modulus, [domain] * f.n, workers) / size ** f.n
-    const, blocks = _blocks(f, modulus)
-    values = []
-    for n_b, block_terms in blocks:
-        total = _block_sum(block_terms, n_b, p, m, domain, workers)
-        if modulus <= _HIST_CAP:
-            total = _hist_value(total, modulus)
-        values.append(total / size ** n_b)
-    return _product(values, const, modulus)
+        return {t: _exp_sum_over_grid(f, p ** t, [domain] * f.n, workers) / size ** f.n}
+    const, blocks = _blocks(f, p ** t)
+    totals = [(n_b, _block_sum(terms, n_b, p, t, domain, workers)) for n_b, terms in blocks]
+    out = {}
+    for m in ms:
+        modulus, lifts = p ** m, p ** (t - m)
+        values = []
+        for n_b, total in totals:
+            if p ** t <= _HIST_CAP:
+                if m < t:
+                    total = total.reshape(-1, modulus).sum(0) // lifts ** n_b
+                total = _hist_value(total, modulus)
+            values.append(total / (size // lifts) ** n_b)
+        out[m] = _product(values, const % modulus, modulus)
+    return out
 
 
 def _complete_sums(
     f: Polynomial, p: int, ms: Sequence[int], *, workers: int, work_budget: int,
 ) -> Dict[int, Union[SumValue, WorkBudgetExceeded]]:
-    """brute_force_S(f, p, m), bit for bit, or the WorkBudgetExceeded it
-    raises, for each m in ms, from one residue histogram per block.
+    """brute_force_S(f, p, m) for each m in ms, or the WorkBudgetExceeded of
+    an m whose grid p^(mn) is over the work budget: the one complete-sum path.
 
     The top m is the largest m in ms whose grid is within the work budget,
-    histogrammed and of more than two points.  Each block's histogram mod
-    p^top is built once (_block_sum), and each such m whose support (terms
-    not vanishing mod p^m) is the top m's is folded from it (see the module
-    docstring); every other m is a brute_force_S call of its own.
+    histogrammed and of more than two points.  Every such m whose support
+    (terms not vanishing mod p^m) is the top m's shares one _block_product
+    call, which sums each block once at the top m and folds it to the others
+    (see the module docstring); every other m within the budget (exp mode, a
+    grid of at most two points, a changed support) is a one-m call.
+    ``term_count`` and ``abs_error_budget`` = KERNEL_EPS * term_count count
+    the whole grid p^(mn); the error stays under it (see _block_product).
     """
     _require_prime(p)
     if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
-    fold = [m for m in ms if 2 < p ** (m * f.n) <= work_budget and p ** m <= _HIST_CAP]
-    out: Dict[int, Union[SumValue, WorkBudgetExceeded]] = {}
-    if fold:
-        top = max(fold)
-        _, blocks = _blocks(f, p ** top)
-        counts = [(n_b, _block_sum(terms, n_b, p, top, (0, p ** top), workers))
-                  for n_b, terms in blocks]
-        support = {m: {e for e, c in f.terms.items() if c % p ** m} for m in fold}
-        for m in (m for m in fold if support[m] == support[top]):
-            modulus, total = p ** m, p ** (m * f.n)
-            values = [_hist_value(c.reshape(-1, modulus).sum(0) // p ** (n_b * (top - m)), modulus)
-                      / modulus ** n_b for n_b, c in counts]
-            const = f.terms.get((0,) * f.n, 0) % modulus
-            out[m] = SumValue(_product(values, const, modulus), KERNEL_EPS * total, total)
-    for m in ms:
-        if m not in out:
-            try:
-                out[m] = brute_force_S(f, p, m, workers=workers, work_budget=work_budget)
-            except WorkBudgetExceeded as exc:
-                out[m] = exc
+    out: Dict[int, Union[SumValue, WorkBudgetExceeded]] = {
+        m: WorkBudgetExceeded(p ** (m * f.n), work_budget) for m in ms if p ** (m * f.n) > work_budget}
+    fold = [m for m in ms if m not in out and p ** (m * f.n) > 2 and p ** m <= _HIST_CAP]
+    support = {m: {e for e, c in f.terms.items() if c % p ** m} for m in ms}
+    top = [m for m in dict.fromkeys(fold) if support[m] == support[max(fold)]]
+    groups = ([top] if top else []) + [[m] for m in dict.fromkeys(ms) if m not in out and m not in top]
+    for group in groups:
+        values = _block_product(f, p, group, (0, p ** max(group)), workers)
+        for m in group:
+            total = p ** (m * f.n)
+            out[m] = SumValue(values[m], KERNEL_EPS * total, total)
     return out
 
 
@@ -779,7 +769,8 @@ def brute_force_S(
     workers: int = 1,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> SumValue:
-    """Normalized complete sum p^{-mn} * sum over [0, p^m)^n of e(f(x)/p^m).
+    """Normalized complete sum p^{-mn} * sum over [0, p^m)^n of e(f(x)/p^m):
+    the one-m case of _complete_sums, raising its WorkBudgetExceeded.
 
     Computed as a product of sums over the variable-disjoint blocks of f mod
     p^m, each on its own grid, shrunk by two exact reductions (see
@@ -792,17 +783,12 @@ def brute_force_S(
     sums out z, so a block visits p^(ceil(m/2) n_i) points instead of
     p^(m n_i), within the same budget.
     ``term_count``, the work budget check and ``abs_error_budget`` =
-    KERNEL_EPS * term_count still count the whole grid p^{mn}; the product's
-    error stays under that budget (see _block_product).
+    KERNEL_EPS * term_count still count the whole grid p^{mn}.
     """
-    _require_prime(p)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    total = p ** (m * f.n)
-    if total > work_budget:
-        raise WorkBudgetExceeded(total, work_budget)
-    value = _block_product(f, p, m, (0, p ** m), workers)
-    return SumValue(value, KERNEL_EPS * total, total)
+    value = _complete_sums(f, p, [m], workers=workers, work_budget=work_budget)[m]
+    if isinstance(value, WorkBudgetExceeded):
+        raise value
+    return value
 
 
 def torus_E(
@@ -825,7 +811,7 @@ def torus_E(
     total = (p - 1) ** f_tau.n
     if total > work_budget:
         raise WorkBudgetExceeded(total, work_budget)
-    value = _block_product(f_tau, p, 1, (1, p), workers)
+    value = _block_product(f_tau, p, [1], (1, p), workers)[1]
     return SumValue(value, KERNEL_EPS * total, total)
 
 
@@ -918,8 +904,7 @@ def _common_zero(comps: Sequence[Terms], p: int, n: int) -> Optional[Tuple[int, 
     task, a component is evaluated only while some point is still a zero.
     """
     sizes = [p - 1] * n
-    inner_start, segments, seg_size = _split_axes(sizes)
-    task_count = prod(sizes[:inner_start], start=1) * segments
+    inner_start, segments, seg_size, task_count = _split_axes(sizes)
     for task, residues in _grid_residues(comps, p, [(1, p)] * n, inner_start,
                                           segments, seg_size, 0, task_count):
         mask = True

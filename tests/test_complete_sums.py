@@ -3,7 +3,11 @@
 
 Each value must equal a direct ``brute_force_S`` call bit for bit (``==`` on
 ``SumValue``), and an m over the work budget must give the same
-WorkBudgetExceeded, with the same message.  ``verify_formula`` and
+WorkBudgetExceeded, with the same message.  ``brute_force_S`` is the one-m
+case of the same path, so each value of at most ORACLE_POINTS grid points
+is also checked against an independent oracle: the plain grid
+(``_exp_sum_over_grid`` on [0, p^m)^n), with no reduction, no block product
+and no fold, within twice the value's error budget.  ``verify_formula`` and
 ``bound_ratio_table`` must build each block's complete-sum grid once per
 (f, p), not once per m.  The property test leaves its example count to the
 hypothesis profile.
@@ -22,11 +26,12 @@ from padicsums.bounds import bound_ratio_table
 from padicsums.errors import WorkBudgetExceeded
 from padicsums.faceformula import verify_formula
 from padicsums.poly import Polynomial, parse_polynomial
-from padicsums.sums import brute_force_S
+from padicsums.sums import _exp_sum_over_grid, brute_force_S
 
 from conftest import CORPUS_TEXTS
 
 PRIMES = (2, 3, 5, 7, 11, 13)
+ORACLE_POINTS = 200_000
 
 
 def powers(f: Polynomial, p: int, budget: int):
@@ -38,7 +43,8 @@ def powers(f: Polynomial, p: int, budget: int):
 
 
 def assert_direct(f: Polynomial, p: int, ms, budget: int):
-    """_complete_sums against one brute_force_S call per m."""
+    """_complete_sums against one brute_force_S call per m, and against the
+    plain grid where it has at most ORACLE_POINTS points."""
     got = sums._complete_sums(f, p, ms, workers=1, work_budget=budget)
     assert sorted(got) == sorted(set(ms))
     for m in ms:
@@ -48,6 +54,9 @@ def assert_direct(f: Polynomial, p: int, ms, budget: int):
             assert isinstance(got[m], WorkBudgetExceeded) and str(got[m]) == str(exc), (f, p, m)
             continue
         assert got[m] == want, (f, p, m)
+        if p ** (m * f.n) <= ORACLE_POINTS:
+            plain = _exp_sum_over_grid(f, p ** m, [(0, p ** m)] * f.n, 1) / p ** (m * f.n)
+            assert abs(got[m].value - plain) <= 2 * got[m].abs_error_budget, (f, p, m)
 
 
 @pytest.mark.parametrize("p", PRIMES)

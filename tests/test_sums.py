@@ -113,8 +113,14 @@ def test_modulus_too_large_for_int64_residues_is_refused():
     f = parse_polynomial("x^2")
     with pytest.raises(ModulusTooLarge):
         _exp_sum_over_grid(f, 5 ** 14, [(5 ** 14 - 2000, 5 ** 14)], 1)
-    with pytest.raises(ModulusTooLarge):
-        brute_force_S(f, 5, 14, work_budget=10 ** 10)
+    # The work budget is checked first, then the modulus, and no grid is
+    # summed before either error.
+    with recorded_grids() as grids:
+        with pytest.raises(WorkBudgetExceeded):
+            brute_force_S(f, 5, 14)
+        with pytest.raises(ModulusTooLarge):
+            brute_force_S(f, 5, 14, work_budget=10 ** 10)
+    assert grids == []
     big_prime = 3037000507  # smallest prime p with p (p - 1) >= 2^63
     faces = enumerate_faces(build_polyhedron(f))
     with pytest.raises(ModulusTooLarge):
@@ -404,7 +410,7 @@ def test_nondeg_witness_in_a_later_segment(monkeypatch):
     f = parse_polynomial("x^2+6*x")
     faces = enumerate_faces(build_polyhedron(f))
     monkeypatch.setattr(sums, "_INNER_CAP", 7)
-    assert sums._split_axes([12]) == (0, 2, 7)
+    assert sums._split_axes([12]) == (0, 2, 7, 2)
     whole = next(face for face in faces if face.restriction == f)
     assert sums._certificate(tuple(sorted(f.terms.items()))) is None  # so it is scanned
     scans = spy_scans(monkeypatch)
@@ -645,13 +651,13 @@ def test_exp_path_keeps_the_plain_grid(case):
 @contextlib.contextmanager
 def recorded_grids():
     """The axis sizes of every grid the kernel visits, in call order."""
-    grid_tasks, grids = sums._grid_tasks, []
+    grid_sum, grids = sums._grid_sum, []
 
-    def spy(polys, modulus, domains, workers, mode):
+    def spy(h, gs, fiber, modulus, domains, workers):
         grids.append(tuple(stop - start for start, stop in domains))
-        return grid_tasks(polys, modulus, domains, workers, mode)
+        return grid_sum(h, gs, fiber, modulus, domains, workers)
 
-    with mock.patch.object(sums, "_grid_tasks", spy):
+    with mock.patch.object(sums, "_grid_sum", spy):
         yield grids
 
 
@@ -855,12 +861,12 @@ def test_linear_coefficient_residues_at_3_19_are_exact(monkeypatch):
     monkeypatch.setattr(sums, "_INNER_CAP", 40)
     domains = [(M - 25, M), (M - 40, M)]
     plan = sums._split_axes([25, 40])
-    assert plan == (1, 1, 40)
+    assert plan == (1, 1, 40, 25)
     h = {(k, 1 + k % 3): M - 1 - 7 * k for k in range(3)}
     g = {(k, 1 + k % 3): M - 1 - 7 * k for k in range(30)} | {(0, 3): M - 5}
     polys = [sums._reduced_terms(t, M) for t in (h, g)]
     tasks = 0
-    for task, arrays in sums._grid_residues(polys, M, domains, *plan, 0, 25):
+    for task, arrays in sums._grid_residues(polys, M, domains, *plan[:3], 0, 25):
         x = domains[0][0] + task
         for terms, got in zip((h, g), arrays):
             want = [sum(c * x ** a * y ** b for (a, b), c in terms.items()) % M
