@@ -5,7 +5,9 @@ table), ``nondeg``, ``sum``, ``esum``, ``verify-formula``, ``verify-nu``,
 ``ratios``, ``edecay``, ``sigma-bound``.  Reports go to stdout (or --out) as
 human text, --json, or --csv on the subcommands whose report is a table
 (verify-formula, verify-nu, ratios, edecay); exact rational quantities
-are serialized as "numerator/denominator" strings, never floats.  This module
+are serialized as "numerator/denominator" strings, never floats.  JSON is
+encoded by the C encoder on one line and then indented by one array pass,
+byte for byte as ``json.dumps(obj, indent=2)`` writes it.  This module
 is the one owner of the report schema: the library returns dataclasses, and
 the private ``_*_dict`` and ``_formula_row`` helpers here turn them into
 report objects.
@@ -37,6 +39,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import bounds, faceformula
 from .errors import PadicSumsError
@@ -75,6 +79,67 @@ class _Union(argparse.Action):
         setattr(namespace, self.dest, sorted(merged))
 
 
+#: Byte classes of one-line JSON: ordinary, a quote, a backslash, an opening
+#: bracket or brace, a closing one and a comma.
+_PLAIN, _QUOTE, _SLASH, _OPEN, _CLOSE, _COMMA = range(6)
+_KIND = np.zeros(256, dtype=np.int8)
+for _chars, _kind in ((b'"', _QUOTE), (b"\\", _SLASH), (b"[{", _OPEN), (b"]}", _CLOSE), (b",", _COMMA)):
+    _KIND[list(_chars)] = _kind
+
+
+def _indent_json(line: str) -> str:
+    """``line``, JSON from ``json.dumps(..., separators=(",", ": "))``,
+    indented as ``json.dumps(..., indent=2)`` would have written it.
+
+    Only the structural bytes ``[]{},`` outside strings matter: a run of
+    "\\n" and two spaces per depth goes after each opening bracket and each
+    comma, at the depth after it, and before each closing bracket, at the
+    depth after it, except inside an empty ``[]`` or ``{}``.  A quote opens
+    or closes a string unless an odd run of backslashes comes before it, so
+    a byte lies in a string when an odd number of such quotes precede it.
+    The encoder escapes every non-ASCII character, so bytes and characters
+    coincide.  Everything runs as array operations over the special bytes;
+    the temporaries are an int8 class per byte, int32 positions, the uint8
+    output and one boolean per output byte that marks where the input bytes
+    go (one ``np.repeat`` of the alternating stretch and run lengths).
+    """
+    buf = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    kind = _KIND[buf]
+    pos = np.flatnonzero(kind).astype(np.int32)
+    kind = kind[pos]
+    quote = kind == _QUOTE
+    slashes = pos[kind == _SLASH]
+    if len(slashes):
+        # j: the last backslash before each quote; first[j]: where its run starts
+        at = pos[quote]
+        j = np.searchsorted(slashes, at) - 1
+        starts = np.ones(len(slashes), dtype=bool)
+        starts[1:] = np.diff(slashes) != 1
+        first = np.maximum.accumulate(np.where(starts, np.arange(len(slashes)), 0))
+        odd = (j >= 0) & (slashes[j] == at - 1) & ((j - first[j]) % 2 == 0)
+        quote[np.flatnonzero(quote)[odd]] = False
+    outside = ~np.logical_xor.accumulate(quote)
+    keep = outside & (kind >= _OPEN)
+    pos, kind = pos[keep], kind[keep]
+    depth = np.cumsum((kind == _OPEN).astype(np.int32) - (kind == _CLOSE), dtype=np.int32)
+    # an empty container: an opening bracket the next byte closes; both keep no run
+    empty = np.zeros(len(pos) + 1, dtype=bool)
+    empty[1:-1] = (kind[:-1] == _OPEN) & (kind[1:] == _CLOSE) & (np.diff(pos) == 1)
+    runs = ~(empty[1:] | empty[:-1])
+    at = (pos + (kind != _CLOSE))[runs]  # each run goes before the input byte at ``at``
+    width = 1 + 2 * depth[runs]
+    # the output alternates input stretches and runs: mark the input's bytes
+    lengths = np.empty(2 * len(at) + 1, dtype=np.int32)
+    lengths[0::2] = np.diff(at, prepend=0, append=len(buf))
+    lengths[1::2] = width
+    stretch = np.zeros(len(lengths), dtype=bool)
+    stretch[0::2] = True
+    out = np.full(len(buf) + int(width.sum()), ord(" "), dtype=np.uint8)
+    out[np.repeat(stretch, lengths)] = buf
+    out[at + np.cumsum(width, dtype=np.int32) - width] = ord("\n")
+    return str(memoryview(out), "ascii")
+
+
 def _emit(
     args: argparse.Namespace,
     human: Sequence[str],
@@ -82,9 +147,14 @@ def _emit(
     table: Optional[Tuple[Sequence[str], List[dict]]] = None,
 ) -> None:
     """Write the report as JSON, as the CSV ``table`` (column names, rows)
-    when one is given and --csv is set, or as the ``human`` lines."""
+    when one is given and --csv is set, or as the ``human`` lines.
+
+    JSON is encoded once by the C encoder, on one line, and then indented
+    (``_indent_json``), so its bytes are those of ``json.dumps(obj,
+    indent=2, allow_nan=False)``, whose pure-Python encoder is several times
+    slower; NaN and infinities raise ValueError, as they do there."""
     if args.json:
-        text = json.dumps(obj, indent=2, allow_nan=False)
+        text = _indent_json(json.dumps(obj, allow_nan=False, separators=(",", ": ")))
     elif table is not None and args.csv:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=table[0])
@@ -113,7 +183,7 @@ def _complex_dict(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def _face_dict(P: NewtonPolyhedron, face: Face) -> dict:
+def _face_dict(P: NewtonPolyhedron, face: Face, restriction: str) -> dict:
     return {
         "id": face.id,
         "vertices": [list(P.vertices[i]) for i in face.vertex_ids],
@@ -121,12 +191,15 @@ def _face_dict(P: NewtonPolyhedron, face: Face) -> dict:
         "dim": face.dim,
         "witness": list(face.witness_k),
         "sigma_tau": _frac_str(face.sigma_tau),
-        "restriction": render(face.restriction),
+        "restriction": restriction,
     }
 
 
 def _polyhedron_dict(P: NewtonPolyhedron) -> dict:
+    """The ``analyze`` report; faces on the same support points share one
+    restriction, which is rendered once."""
     faces = enumerate_faces(P)
+    rendered = {restriction: render(restriction) for restriction in {face.restriction for face in faces}}
     sigma, t_star, kappa, _ = P.diagonal
     return {
         "n": P.n,
@@ -137,7 +210,7 @@ def _polyhedron_dict(P: NewtonPolyhedron) -> dict:
         "t_star": _frac_str(t_star),
         "kappa": kappa,
         "f0_face_id": f0_face(P).id,
-        "faces": [_face_dict(P, face) for face in faces],
+        "faces": [_face_dict(P, face, rendered[face.restriction]) for face in faces],
     }
 
 
@@ -192,7 +265,13 @@ def _one(args: argparse.Namespace, dest: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """The face lines are formatted only for a text report."""
     obj = _polyhedron_dict(build_polyhedron(parse_polynomial(args.polynomial)))
+    _emit(args, [] if args.json else _analyze_lines(obj), obj)
+    return 0
+
+
+def _analyze_lines(obj: dict) -> List[str]:
     human = [
         f"polynomial: {obj['polynomial']}   (n = {obj['n']})",
         f"vertices:   {[tuple(v) for v in obj['vertices']]}",
@@ -208,8 +287,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"  {row['id']:3d}  dim {row['dim']}  verts {row['vertices']}  "
             f"axes {row['recession_axes']}  sigma_tau {row['sigma_tau']}  {row['restriction']}"
         )
-    _emit(args, human, obj)
-    return 0
+    return human
 
 
 def cmd_nondeg(args: argparse.Namespace) -> int:

@@ -13,9 +13,12 @@ shares in full) and the checks that the two representations agree.  Faces
 are canonically keyed by (vertex index set, recession axis set), which
 determines a face of this class of polyhedra (pointed, recession cone equal
 to the orthant); the face lattice is the closure of the facets' support
-bitmasks and zero-axis bitmasks under intersection.  The one integer
-elimination, ``_row_reduce`` (which ``sums`` shares), gives face
-dimensions.  The Newton polyhedron of a face restriction f_tau is
+bitmasks and zero-axis bitmasks under intersection, and each face's active
+facets and witness come, for all faces at once, from products of boolean
+incidence matrices, checked by the same pattern keys (tight vertices, zero
+axes) the lattice layer classifies with; faces on the same support points
+share one restriction f_tau.  The one integer elimination, ``_row_reduce``
+(which ``sums`` shares), gives face dimensions.  The Newton polyhedron of a face restriction f_tau is
 conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the face's vertex set:
 one vertex or a segment is solved in closed form, and only three or more
 vertices need a polyhedron of their own.  A polyhedron is immutable by
@@ -450,6 +453,19 @@ def _bits(mask: int, width: int) -> Tuple[int, ...]:
     return tuple(i for i in range(width) if mask >> i & 1)
 
 
+def _incidence(masks: Sequence[int], width: int) -> np.ndarray:
+    """A boolean matrix with a row per mask, holding bit i of it in column i."""
+    dtype = np.int64 if width <= 63 else object
+    return np.array(masks, dtype=dtype).reshape(-1, 1) >> np.arange(width) & 1 != 0
+
+
+def _members(incidence: np.ndarray) -> List[Tuple[int, ...]]:
+    """The columns set in each row of a boolean matrix, in order."""
+    cols = np.nonzero(incidence)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(incidence, axis=1)).tolist()
+    return [tuple(cols[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 def _face_masks(P: NewtonPolyhedron, pairs: Sequence[Tuple[int, int]]) -> Set[Tuple[int, int]]:
     """Every face as a (support mask, axis mask) pair: the whole polyhedron
     (every support point, every axis), closed under intersection with each
@@ -479,28 +495,40 @@ def _face_masks(P: NewtonPolyhedron, pairs: Sequence[Tuple[int, int]]) -> Set[Tu
 
 def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
     support = P.source.support
+    nf = len(P.facets)
     pairs = [(m, _mask(x == 0 for x in F.normal)) for m, F in zip(P.support_masks, P.facets)]
+    found = list(_face_masks(P, pairs))
+    # incidences, one row per face and then one per facet: the support points
+    # on it and the axes it recedes along
+    on = _incidence([smask for smask, _ in found] + [fs for fs, _ in pairs], len(support))
+    free = _incidence([amask for _, amask in found] + [fa for _, fa in pairs], P.n)
     vertex_at = [support.index(v) for v in P.vertices]  # vertex i is support point vertex_at[i]
-    keyed = []
-    for smask, amask in _face_masks(P, pairs):
-        vids = tuple(i for i, s in enumerate(vertex_at) if smask >> s & 1)
-        key = (vids, _bits(amask, P.n))
-        keyed.append((_face_dim(P, key), key, smask, amask))
+    keys = list(zip(_members(on[:-nf, vertex_at]), _members(free[:-nf])))
+    ranked = sorted((_face_dim(P, key), key, i) for i, key in enumerate(keys))
+    order = [i for _, _, i in ranked]
+    on_face, free_face = on[order], free[order]
+    # facet j contains a face when none of the face's support points is off
+    # j and none of its axes is one that j's normal bounds
+    active = ~((on_face @ ~on[-nf:].T) | (free_face @ ~free[-nf:].T))
+    # every witness is a sum of normals, so |witness|_1 <= the sum of all
+    # their entries, which bounds the products as |k|_1 <= T does
+    patterns = _Patterns(P, sum(sum(F.normal) for F in P.facets))
+    normals = np.array([F.normal for F in P.facets], dtype=patterns.dtype)
+    witnesses = active.astype(patterns.dtype) @ normals
+    _, recheck = patterns(witnesses.T)
+    assert (recheck == patterns.pack(on_face[:, vertex_at].T, free_face.T)).all(), (
+        "witness does not recover its face"
+    )
+    restrictions = {}  # support mask -> f_tau, one per distinct support mask
     faces = []
-    for dim, (vids, axes), smask, amask in sorted(keyed):
-        # the facets containing the face: its support points tight, its axes free
-        active = tuple(
-            j for j, (fs, fa) in enumerate(pairs)
-            if smask & fs == smask and amask & fa == amask
-        )
-        witness = tuple(
-            sum(P.facets[j].normal[i] for j in active) for i in range(P.n)
-        )
-        _, _, recheck = P.classify(witness)
-        assert recheck == (vids, axes), "witness does not recover its face"
-        restr = face_restriction(P.source, [support[s] for s in _bits(smask, len(support))])
-        assert restr is not None, "every face of the Newton polyhedron meets Supp(f)"
-        faces.append(Face(len(faces), vids, axes, dim, active, witness, restr, P))
+    for (dim, (vids, axes), i), active_ids, witness in zip(ranked, _members(active), witnesses.tolist()):
+        smask = found[i][0]
+        restr = restrictions.get(smask)
+        if restr is None:
+            points = [support[s] for s in _bits(smask, len(support))]
+            restr = restrictions[smask] = face_restriction(P.source, points)
+            assert restr is not None, "every face of the Newton polyhedron meets Supp(f)"
+        faces.append(Face(len(faces), vids, axes, dim, active_ids, tuple(witness), restr, P))
     return tuple(faces)
 
 
@@ -510,12 +538,18 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
 
     Faces come from closing the whole polyhedron under intersection with the
     facets' (support mask, zero-axis mask) pairs (``_face_masks``); a face's
-    support mask is the support of its restriction f_tau, its vertex bits
-    are the face's vertices, and the pairs containing it are its active
-    facets.  Each face carries its active facets, the sum of their normals
-    as witness (minimizing over P at the witness recovers the face) and
-    f_tau.  Its sigma_tau = sigma(f_tau) is computed only when first read,
-    once per distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
+    support mask is the support of its restriction f_tau, and its vertex bits
+    are the face's vertices.  The rest is done for every face at once, on
+    boolean incidence matrices (faces or facets x support points, and x
+    axes): a face's active facets are those that none of its support points
+    is off and none of its axes is bounded by, one matrix product; its
+    witness, the sum of their normals, is one more, and minimizing over P at
+    every witness (``_Patterns``, the pattern keys the lattice layer
+    classifies with) must recover every face.  Only the dimension
+    (``_face_dim``) is found face by face.  Faces on the same support points
+    (a vertex and the vertex plus a recession axis, say) share one f_tau.
+    Its sigma_tau = sigma(f_tau) is computed only when first read, once per
+    distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
     """
     return list(P.faces)
 
@@ -643,27 +677,53 @@ def _composition_chunks(
             yield from _composition_chunks(n - 1, T - v, prefix + (v,))
 
 
+class _Patterns:
+    """How nonnegative functionals k with |k|_1 <= T classify on P, in bulk.
+
+    Called on K, which holds one k per column, it returns each k's minimum
+    N = min_v k . v over the vertices and its pattern key, which has bit i
+    set for each vertex i attaining N and bit nv + j for each k_j = 0 (the
+    face key ``classify`` names, as one integer; ``key`` encodes a face
+    key the same way).  The products are int64 (``dtype``) when
+    ``N_bound(P, T)`` is below INT64_SAFE and Python integers otherwise, so
+    none can wrap; the keys are int64 (``key_dtype``) when nv + n bits fit
+    and Python integers otherwise.  Both choices are made here for every
+    caller.
+    """
+
+    def __init__(self, P: NewtonPolyhedron, T: int):
+        n, self.nv = P.n, len(P.vertices)
+        self.dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
+        self.key_dtype = np.int64 if 1 << (self.nv + n) <= INT64_SAFE else object
+        self.V = np.array(P.vertices, dtype=self.dtype)
+        self.vertex_bits = np.array([1 << i for i in range(self.nv)], dtype=self.key_dtype)
+        self.axis_bits = np.array([1 << (self.nv + j) for j in range(n)], dtype=self.key_dtype)
+
+    def key(self, key: FaceKey) -> int:
+        vids, axes = key
+        return sum(1 << i for i in vids) + sum(1 << (self.nv + j) for j in axes)
+
+    def pack(self, tight: np.ndarray, zero: np.ndarray) -> np.ndarray:
+        """The keys of boolean columns: tight vertices (nv rows), zero axes (n rows)."""
+        return self.vertex_bits @ tight + self.axis_bits @ zero
+
+    def __call__(self, K: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # one k per column, so every reduction runs along long rows
+        dots = self.V @ K.astype(self.dtype, copy=False)
+        N = np.minimum.reduce(dots, axis=0)
+        return N, self.pack(dots == N, K == 0)
+
+
 def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
     """The blocks of ``lattice_blocks``, which runs the checks first."""
     n, nv = P.n, len(P.vertices)
-    dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
-    V = np.array(P.vertices, dtype=dtype)
-    # A pattern key has bit i set for tight vertex i and bit nv + j for k_j = 0.
-    key_dtype = np.int64 if 1 << (nv + n) <= INT64_SAFE else object
-    vertex_bits = np.array([1 << i for i in range(nv)], dtype=key_dtype)
-    axis_bits = np.array([1 << (nv + j) for j in range(n)], dtype=key_dtype)
-    keyed = sorted(
-        (sum(1 << i for i in face.vertex_ids) + sum(1 << (nv + j) for j in face.recession_axes), face.id)
-        for face in P.faces
-    )
-    face_keys = np.array([key for key, _ in keyed], dtype=key_dtype)
+    patterns = _Patterns(P, T)
+    keyed = sorted((patterns.key(face.key), face.id) for face in P.faces)
+    face_keys = np.array([key for key, _ in keyed], dtype=patterns.key_dtype)
     face_ids = np.array([face_id for _, face_id in keyed], dtype=np.int64)
 
     def classify(K: np.ndarray) -> LatticeBlock:
-        # K holds one point per column, so every reduction runs along long rows
-        dots = V @ K.astype(dtype, copy=False)
-        N = np.minimum.reduce(dots, axis=0)
-        keys = vertex_bits @ (dots == N) + axis_bits @ (K == 0)
+        N, keys = patterns(K)
         at = np.minimum(np.searchsorted(face_keys, keys), len(face_keys) - 1)
         found = face_keys[at] == keys
         if not found.all():

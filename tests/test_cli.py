@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -14,6 +15,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicsums import cli
 from padicsums.cli import _build_parser, main
@@ -329,6 +331,53 @@ def test_json_refuses_non_finite_floats():
     args = argparse.Namespace(json=True, out=None)
     with pytest.raises(ValueError):
         cli._emit(args, [], {"abs_E": float("nan")})
+
+
+# strings full of the bytes the writer must tell apart from structure
+_TEXTS = st.text(st.sampled_from('"\\[]{},: ') | st.characters(), max_size=8)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | _FINITE | st.sampled_from([-0.0, 1e300, -1e300, 5e-324]) | _TEXTS
+)
+_KEYS = _TEXTS | st.integers() | _FINITE | st.booleans() | st.none()
+
+
+@st.composite
+def json_trees(draw, leaves=_SCALARS):
+    """A tree of lists and dicts (some empty), wrapped in up to 40 more
+    levels of one-item containers."""
+    tree = draw(st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
+        max_leaves=24,
+    ))
+    for as_list in draw(st.lists(st.booleans(), max_size=40)):
+        tree = [tree] if as_list else {draw(_KEYS): tree}
+    return tree
+
+
+def emitted(obj) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(argparse.Namespace(json=True, out=None), [], obj)
+    return out.getvalue()
+
+
+@settings(deadline=None)
+@given(json_trees())
+def test_json_writer_matches_indent_2(obj):
+    assert emitted(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+@settings(deadline=None)
+@given(json_trees(), st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
+def test_json_writer_refuses_non_finite_floats_like_indent_2(obj, bad, as_key):
+    obj = [obj, {bad: 0} if as_key else bad]
+    with pytest.raises(ValueError):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        emitted(obj)
 
 
 @pytest.mark.parametrize("argv, want_code, header", [

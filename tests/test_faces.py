@@ -11,6 +11,8 @@ numpy.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import random
 
 import numpy as np
@@ -113,6 +115,49 @@ def test_staircase_faces_match_subset_sweep(facets):
     faces = enumerate_faces(P)
     assert len(faces) == 2 * facets  # vertices, edges and the polyhedron
     assert_faces_match_oracle(P)
+
+
+def test_faces_with_products_past_int64_match_subset_sweep():
+    # witness . vertex products near 2^81 and 2^61 * 2^40: int64 would wrap
+    big = 1 << 40
+    for f in (
+        Polynomial(2, {(big + 1, 0): 1, (0, big + 3): 2, (1, 1): 3}),
+        Polynomial(3, {(big, 1, 0): 1, (0, big + 1, 1): -2, (1, 0, big + 5): 3, (2, 2, 2): 1}),
+    ):
+        P = build_polyhedron(f)
+        assert max(max(face.witness_k) for face in enumerate_faces(P)) * big >= 1 << 63
+        assert_faces_match_oracle(P)
+
+
+def test_staircase_faces_with_keys_past_int64():
+    # 64 vertices and n = 2: pattern keys and support masks exceed 63 bits,
+    # and the subset sweep (2^65 subsets) is out of reach
+    P = build_polyhedron(staircase(64))
+    faces = enumerate_faces(P)
+    assert len(P.vertices) + P.n >= 63 and len(P.source.terms) > 63
+    assert len(faces) == 2 * len(P.facets)
+    assert [face.dim for face in faces] == [0] * 64 + [1] * 65 + [2]
+    for face in faces:
+        assert P.classify(face.witness_k)[2] == face.key
+        assert face.active_facet_ids == tuple(
+            j for j, F in enumerate(P.facets)
+            if all(_dot(F.normal, P.vertices[i]) == F.offset for i in face.vertex_ids)
+            and all(F.normal[a] == 0 for a in face.recession_axes)
+        )
+
+
+def test_faces_on_one_support_share_one_restriction(corpus):
+    for f in corpus:
+        faces = enumerate_faces(build_polyhedron(f))
+        by_support = {}
+        for face in faces:
+            by_support.setdefault(frozenset(face.restriction.terms), []).append(face)
+        assert any(len(group) > 1 for group in by_support.values())
+        for group in by_support.values():
+            assert all(face.restriction is group[0].restriction for face in group)
+        # a fresh, equal restriction changes neither equality nor hash
+        fresh = [dataclasses.replace(face, restriction=copy.copy(face.restriction)) for face in faces]
+        assert fresh == faces and list(map(hash, fresh)) == list(map(hash, faces))
 
 
 def _euler(faces) -> int:
