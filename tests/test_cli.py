@@ -344,11 +344,11 @@ _KEYS = _TEXTS | st.integers() | _FINITE | st.booleans() | st.none()
 
 
 @st.composite
-def json_trees(draw, leaves=_SCALARS):
+def json_trees(draw):
     """A tree of lists and dicts (some empty), wrapped in up to 40 more
     levels of one-item containers."""
     tree = draw(st.recursive(
-        leaves,
+        _SCALARS,
         lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
         max_leaves=24,
     ))

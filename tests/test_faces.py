@@ -118,7 +118,7 @@ def test_staircase_faces_match_subset_sweep(facets):
 
 
 def test_faces_with_products_past_int64_match_subset_sweep():
-    # witness . vertex products near 2^81 and 2^61 * 2^40: int64 would wrap
+    # witness . vertex products reach about 2^80, where int64 would wrap
     big = 1 << 40
     for f in (
         Polynomial(2, {(big + 1, 0): 1, (0, big + 3): 2, (1, 1): 3}),
