@@ -18,15 +18,15 @@ facets and witness come, for all faces at once, from products of boolean
 incidence matrices, checked by the same pattern keys (tight vertices, zero
 axes) the lattice layer classifies with; faces on the same support points
 share one restriction f_tau.  The one integer elimination, ``_row_reduce``
-(which ``sums`` shares), gives face dimensions.  The Newton polyhedron of a face restriction f_tau is
-conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the face's vertex set:
-one vertex or a segment is solved in closed form, and only three or more
-vertices need a polyhedron of their own.  A polyhedron is immutable by
-contract: its faces, its diagonal data, the sigma of each vertex set and
-its lattice table (how many lattice points with nu(k) <= T share each
-(face, N, nu), kept for the largest T requested) are derived once, on first
-use, and never change what it compares equal to.  The
-compositions the lattice layer enumerates depend on n and T alone, so each
+(which ``sums`` shares), gives face dimensions.  The Newton polyhedron of a
+face restriction f_tau is conv(V_tau) + R_+^n, so sigma(f_tau) depends only
+on the face's vertex set: one vertex or a segment is solved in closed form,
+and only three or more vertices need a polyhedron of their own.  A
+polyhedron is immutable by contract: its faces, its diagonal data, the
+sigma of each vertex set and its lattice table (how many lattice points with
+nu(k) <= T share each (face, N, nu), kept for the largest T requested) are
+derived once, on first use, and never change what it compares equal to.
+The compositions the lattice layer enumerates depend on n and T alone, so each
 is built once for every polyhedron and kept in the shared table store
 (``store.TABLES``).
 ``build_polyhedron`` keeps each polyhedron for as long as the polynomial it
