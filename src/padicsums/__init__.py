@@ -26,8 +26,6 @@ from .poly import (
     ExponentVector,
     Polynomial,
     face_restriction,
-    gradient,
-    homogeneity,
     parse_polynomial,
     render,
 )
@@ -52,8 +50,6 @@ from .faceformula import (
     ConeSumResult,
     FormulaReport,
     cone_sums_multi,
-    rhs_assembly,
-    truncation_level,
     verify_formula,
 )
 from .bounds import (

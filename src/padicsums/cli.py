@@ -21,7 +21,8 @@ receives the parsed namespace.  ``sum`` and ``esum`` run one prime, and
 every prime given.
 
 Exit codes: 0 = all asserted checks pass, 1 = a hard assertion failed
-(the lattice inequality or a formula verdict), 2 = usage or budget error.
+(the lattice inequality or a formula verdict), 2 = usage, budget or I/O
+error (an unwritable --out, or a reader that closed stdout early).
 Findings (half-dimension violations, ratio-ceiling flags, a failed
 sigma-dimension gate) never affect the exit code.
 """
@@ -595,13 +596,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (PadicSumsError, ValueError) as exc:
+    except (PadicSumsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: the rest goes to os.devnull, where the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ bounds the total omitted mass across every face and both sums at once, so
 |exact - assembled| <= (1-1/p)^n * tail * (1 + max|E|) plus the float budgets
 of the torus sums.  One private pipeline, ``_rhs``, builds the right-hand side
 for every requested m: one cone-sum pass, one torus sum per distinct face
-restriction with B != 0, one assembly per m.  ``rhs_assembly`` (no
-certificate) and ``verify_formula`` (after the mod-p nondegeneracy
-certificate) both call it.  The left-hand side is the complete sum
+restriction with B != 0, one assembly per m.  It checks no hypothesis;
+``verify_formula`` calls it only after the mod-p nondegeneracy certificate
+passes.  The left-hand side is the complete sum
 S_f(p^m) of every requested m from one residue histogram per block of f
 (``sums._complete_sums``), each value bit-identical to ``brute_force_S``.
 """
@@ -236,25 +236,6 @@ def _rhs(
     return {m: _assemble(P.n, p, per_m[m], scale, e_values, tail) for m in ms}, T, tail
 
 
-def rhs_assembly(
-    f: Polynomial,
-    p: int,
-    m: int,
-    eps: EpsLike,
-    *,
-    workers: int = 1,
-    work_budget: int = DEFAULT_WORK_BUDGET,
-) -> SumValue:
-    """Assembled right-hand side of the face decomposition at (p, m).
-
-    The caller is responsible for having verified (or explicitly waived)
-    mod-p nondegeneracy; this function only computes the sum.
-    """
-    P = build_polyhedron(f)
-    rhs, _, _ = _rhs(P, enumerate_faces(P), p, [m], eps, workers=workers, work_budget=work_budget)
-    return rhs[m]
-
-
 # ---------------------------------------------------------------------------
 # verification scan
 # ---------------------------------------------------------------------------
@@ -276,11 +257,11 @@ def verify_formula(
     ones (``sums._complete_sums``); each equals ``brute_force_S(f, p, m)``
     bit for bit.  When any face fails the mod-p nondegeneracy certificate the
     identity is not asserted and neither side is computed: every row is
-    "not-applicable" (``rhs_assembly`` still gives the right-hand side).  A
-    work-budget overrun in the nondegeneracy scan raises WorkBudgetExceeded.
-    Later overruns are recorded without aborting: one in the cone or torus
-    sums marks every row "budget-exceeded", a complete sum over the budget
-    marks its own row.
+    "not-applicable".  A work-budget overrun in the nondegeneracy scan
+    raises WorkBudgetExceeded.  Later overruns are recorded without
+    aborting: one in the cone or torus sums (a lattice table over its point
+    cap, or a torus over the work budget) marks every row
+    "budget-exceeded", a complete sum over the budget marks its own row.
     """
     ms = sorted(set(int(m) for m in m_range))
     if any(m < 1 for m in ms):
@@ -313,48 +294,3 @@ def verify_formula(
         verdict = "pass" if abs(lhs.value - rhs[m].value) <= tol else "fail"
         reports.append(report(m, verdict, T, tail, lhs, rhs[m], tol))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# empirical cone-sum growth monitor
-# ---------------------------------------------------------------------------
-
-def ab_ratio_monitor(
-    P: NewtonPolyhedron,
-    p: int,
-    m_max: int,
-    eps: EpsLike = Fraction(1, 10 ** 8),
-) -> List[dict]:
-    """Per-face suprema over 1 <= m <= m_max of the normalized cone sums
-
-        A(p,m,tau) p^{m sigma} / m^{kappa-1}   and
-        B(p,m,tau) p^{m sigma - sigma(f_tau)} / m^{kappa-1}.
-
-    These are monitored (reported, never asserted): the theory provides an
-    eventual constant bound, not a certified value at desk scale.
-    """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    sig = P.diagonal
-    faces = enumerate_faces(P)
-    ms = list(range(1, m_max + 1))
-    per_m, _, _ = cone_sums_multi(P, p, ms, eps)
-    sup_a = {f.id: 0.0 for f in faces}
-    sup_b = {f.id: 0.0 for f in faces}
-    sigma = float(sig.sigma)
-    for m in ms:
-        weight = float(m) ** (sig.kappa - 1)
-        for row in per_m[m]:
-            face = faces[row.face_id]
-            a_ratio = float(row.A_partial) * p ** (m * sigma) / weight
-            b_ratio = (
-                float(row.B_partial)
-                * p ** (m * sigma - float(face.sigma_tau))
-                / weight
-            )
-            sup_a[row.face_id] = max(sup_a[row.face_id], a_ratio)
-            sup_b[row.face_id] = max(sup_b[row.face_id], b_ratio)
-    return [
-        {"face_id": f.id, "sup_A_ratio": sup_a[f.id], "sup_B_ratio": sup_b[f.id]}
-        for f in faces
-    ]

@@ -536,20 +536,12 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
     """The complete face lattice, including the polyhedron itself (witness 0),
     sorted by (dim, key); computed on first use and kept on P.
 
-    Faces come from closing the whole polyhedron under intersection with the
-    facets' (support mask, zero-axis mask) pairs (``_face_masks``); a face's
-    support mask is the support of its restriction f_tau, and its vertex bits
-    are the face's vertices.  The rest is done for every face at once, on
-    boolean incidence matrices (faces or facets x support points, and x
-    axes): a face's active facets are those that none of its support points
-    is off and none of its axes is bounded by, one matrix product; its
-    witness, the sum of their normals, is one more, and minimizing over P at
-    every witness (``_Patterns``, the pattern keys the lattice layer
-    classifies with) must recover every face.  Only the dimension
-    (``_face_dim``) is found face by face.  Faces on the same support points
-    (a vertex and the vertex plus a recession axis, say) share one f_tau.
-    Its sigma_tau = sigma(f_tau) is computed only when first read, once per
-    distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
+    The faces come from the closure in ``_face_masks``; their active facets
+    and witnesses from products of boolean incidence matrices, for every
+    face at once, and minimizing over P at every witness (``_Patterns``)
+    must recover every face.  Only the dimension (``_face_dim``) is found
+    face by face.  A face's sigma_tau = sigma(f_tau) is computed when first
+    read, once per distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
     """
     return list(P.faces)
 

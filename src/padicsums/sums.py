@@ -137,7 +137,7 @@ import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, isqrt, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -168,9 +168,31 @@ class SumValue:
     term_count: int
 
 
+#: The primes to 41: trial divisors (one gcd) deciding p < 43^2 alone, and Miller-Rabin
+#: bases exact below _MR_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017), psi_13).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMORIAL = prod(_SMALL_PRIMES)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    """ValueError unless p is prime.  A p from _MR_LIMIT on is refused too:
+    the bases no longer decide it, and no kernel takes it (p (p-1) >= 2^63)."""
+    if p in _SMALL_PRIMES:
+        return
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is too large to certify as prime (limit {_MR_LIMIT})")
+    if p < 2 or gcd(p, _PRIMORIAL) != 1 or (
+            p >= 43 * 43 and any(_mr_witness(a, p) for a in _SMALL_PRIMES)):
         raise ValueError(f"{p} is not prime")
+
+
+def _mr_witness(a: int, p: int) -> bool:
+    """Whether a proves the odd p > a composite: with p - 1 = 2^s d, d odd,
+    x = a^d is not 1 and none of x, x^2, ..., x^(2^(s-1)) is -1 mod p."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    x = pow(a, (p - 1) >> s, p)
+    return x != 1 and p - 1 not in accumulate(range(s - 1), lambda y, _: y * y % p, initial=x)
 
 
 # ---------------------------------------------------------------------------
@@ -772,18 +794,12 @@ def brute_force_S(
     """Normalized complete sum p^{-mn} * sum over [0, p^m)^n of e(f(x)/p^m):
     the one-m case of _complete_sums, raising its WorkBudgetExceeded.
 
-    Computed as a product of sums over the variable-disjoint blocks of f mod
-    p^m, each on its own grid, shrunk by two exact reductions (see
-    _block_sum).  When p^m is small enough to histogram, the variables
-    of degree 1 in a block (exponent exactly 1 in every term that contains
-    them, no two in one term) are summed out by orthogonality of characters,
-    and the block's residue histogram is rebuilt exactly, so the value is
-    bit-identical to the whole block grid's.  When p^m is above the
-    histogram cap and m >= 2, the stationary-phase split x = y + p^ceil(m/2) z
-    sums out z, so a block visits p^(ceil(m/2) n_i) points instead of
-    p^(m n_i), within the same budget.
-    ``term_count``, the work budget check and ``abs_error_budget`` =
-    KERNEL_EPS * term_count still count the whole grid p^{mn}.
+    A product of sums over the variable-disjoint blocks of f mod p^m, each
+    shrunk by the exact reductions of the module docstring (summing out the
+    linear variables in histogram mode, the stationary-phase split in exp
+    mode; _block_sum).  ``term_count``, the work budget check and
+    ``abs_error_budget`` = KERNEL_EPS * term_count still count the whole
+    grid p^{mn}.
     """
     value = _complete_sums(f, p, [m], workers=workers, work_budget=work_budget)[m]
     if isinstance(value, WorkBudgetExceeded):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from padicsums.bounds import bound_ratio_table, check_nu_inequality, e_decay_fit
-from padicsums.faceformula import cone_sums_multi, rhs_assembly, verify_formula
+from padicsums.faceformula import cone_sums_multi, verify_formula
 from padicsums.newton import (
     build_polyhedron,
     enumerate_faces,
@@ -58,11 +58,10 @@ def test_criterion_1_formula_verification(corpus):
 
     # hand-checkable instance: both sides equal 1/9 within 1e-9 (eps tightened
     # to 1e-9 so the certified truncation mass itself sits below the target)
-    f = parse_polynomial("x*y")
-    lhs = brute_force_S(f, 3, 2)
-    rhs = rhs_assembly(f, 3, 2, Fraction(1, 10 ** 9))
-    assert abs(lhs.value - 1 / 9) <= 1e-9
-    assert abs(rhs.value - 1 / 9) <= 1e-9
+    (rep,) = verify_formula(parse_polynomial("x*y"), 3, [2], Fraction(1, 10 ** 9))
+    assert rep.verdict == "pass"
+    assert abs(rep.lhs.value - 1 / 9) <= 1e-9
+    assert abs(rep.rhs.value - 1 / 9) <= 1e-9
     print(
         f"\nCRITERION 1: PASS  ({passes} cells verified, "
         f"{not_applicable} not-applicable at degenerate primes; xy@3^2 = 1/9)"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from padicsums import bounds
 from padicsums.bounds import (
     bound_ratio_table,
     check_nu_inequality,
@@ -17,6 +18,7 @@ from padicsums.bounds import (
 from padicsums.errors import HypothesisUnmet, InsufficientPrimes
 from padicsums.newton import build_polyhedron, enumerate_faces, f0_face
 from padicsums.poly import Polynomial, parse_polynomial
+from padicsums.sums import SumValue
 
 from conftest import random_polynomial
 
@@ -199,6 +201,34 @@ def test_edecay_drops_degenerate_primes():
     by_p = {r.p: r.status for r in fit.rows}
     assert by_p[2] == "dropped-degenerate"
     assert all(v == "used" for p, v in by_p.items() if p != 2)
+
+
+def test_edecay_marks_primes_over_the_work_budget():
+    # the one-face nondegeneracy scan of F0 covers (p - 1)^4 torus points
+    f = parse_polynomial("x*y+z*u")
+    fit = e_decay_fit(f, f0_face(build_polyhedron(f)).id, [3, 5, 7, 11, 13], work_budget=5000)
+    assert [(r.p, r.status) for r in fit.rows] == [
+        (3, "used"), (5, "used"), (7, "used"), (11, "budget-exceeded"), (13, "budget-exceeded"),
+    ]
+    assert all(r.abs_E != r.abs_E for r in fit.rows[3:])  # NaN: no |E| was computed
+    assert abs(fit.fitted_exponent + 2) < 1e-9
+
+
+def test_edecay_drops_a_torus_sum_below_its_noise_floor(monkeypatch):
+    # no face restriction of a small polynomial at a small prime has a torus
+    # sum that vanishes, so the noise branch needs a sum made to vanish
+    real = bounds.torus_E
+
+    def vanishing_at_7(f_tau, p, **kwargs):
+        ev = real(f_tau, p, **kwargs)
+        return SumValue(0j, ev.abs_error_budget, ev.term_count) if p == 7 else ev
+
+    monkeypatch.setattr(bounds, "torus_E", vanishing_at_7)
+    f = parse_polynomial("x*y+z*u")
+    fit = e_decay_fit(f, f0_face(build_polyhedron(f)).id, [3, 5, 7, 11, 13])
+    assert {r.p: r.status for r in fit.rows}[7] == "dropped-noise"
+    assert [r.status for r in fit.rows].count("used") == 4
+    assert abs(fit.fitted_exponent + 2) < 1e-9
 
 
 @pytest.mark.parametrize("face_id", [4, -1])

@@ -13,6 +13,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +288,14 @@ def test_ratios_csv(capsys):
     assert len(lines) == 5
 
 
+def test_ratios_notes_a_polynomial_that_is_not_homogeneous(capsys):
+    code, out = run(capsys, "ratios", "x^2+y^3", "-p", "5", "-m", "1")
+    assert code == 0
+    assert out.splitlines()[1] == "NOTE: hypothesis unmet (f is not homogeneous); bound is not asserted"
+    code, out = run(capsys, "ratios", "x*y", "-p", "5", "-m", "1")
+    assert code == 0 and "NOTE" not in out
+
+
 # The ceiling only filters the report: cells above it are findings, and the
 # rows and the exit code do not change.
 def test_ratios_ceiling_findings(capsys):
@@ -468,6 +477,14 @@ def test_modulus_too_large_exits_2(capsys):
     assert "int64" in capsys.readouterr().err
 
 
+def test_a_large_prime_reaches_the_budget_check_at_once(capsys):
+    # 10^20 + 39 is prime; trial division to its square root would not finish
+    start = time.perf_counter()
+    assert main(["sum", "x", "-p", "100000000000000000039", "-m", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exceed the work budget" in capsys.readouterr().err
+
+
 # Each of --eps, --budget, --workers and --csv is registered only where it is read.
 FLAG_USERS = {
     "--csv": {"verify-formula", "verify-nu", "ratios", "edecay"},
@@ -619,6 +636,37 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     got = json.loads(target.read_text())
     assert got["sigma"] == "1/1"
+
+
+@pytest.mark.parametrize("name", [".", "missing/report.txt"])
+def test_an_unwritable_out_path_exits_2_with_one_error_line(tmp_path, capsys, name):
+    # "." names the directory itself; "missing/" does not exist
+    assert main(["analyze", "x*y", "--out", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_2_and_one_error_line():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def start(*argv):
+        return subprocess.Popen(
+            [sys.executable, "-m", "padicsums.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+
+    # this report (about 760 KB) fills the pipe, so a write in the handler fails
+    large = start("verify-nu", "x*y+z*u", "--T", "30", "--json")
+    assert large.stdout.readline() == b"{\n"
+    large.stdout.close()
+    # this one is still buffered when the handler returns, so the last flush fails
+    small = start("sum", "x*y", "-p", "3", "-m", "1")
+    small.stdout.close()
+    for proc in (large, small):
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -16,20 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from padicsums import faceformula, newton
 from padicsums.errors import WorkBudgetExceeded
-from padicsums.faceformula import (
-    ab_ratio_monitor,
-    cone_sums_multi,
-    rhs_assembly,
-    truncation_level,
-    verify_formula,
-)
+from padicsums.faceformula import cone_sums_multi, truncation_level, verify_formula
 from padicsums.newton import (
     build_polyhedron,
     enumerate_faces,
     enumerate_lattice_points,
 )
 from padicsums.poly import Polynomial, parse_polynomial
-from padicsums.sums import KERNEL_EPS, SumValue, brute_force_S
+from padicsums.sums import DEFAULT_WORK_BUDGET, KERNEL_EPS, SumValue, brute_force_S
 from conftest import random_polynomial, spy_builds
 
 EPS = Fraction(1, 10 ** 8)
@@ -127,9 +121,17 @@ def test_A_nonincreasing_in_m_and_B_support():
 
 # -- right-hand side ----------------------------------------------------------
 
+def rhs_at(f, p, m, eps) -> SumValue:
+    """The right-hand side at the one m from ``faceformula._rhs`` alone: no
+    nondegeneracy certificate, so it is computed at degenerate primes too."""
+    P = newton.build_polyhedron(f)
+    rhs, _, _ = faceformula._rhs(P, P.faces, p, [m], eps, workers=1, work_budget=DEFAULT_WORK_BUDGET)
+    return rhs[m]
+
+
 def test_rhs_hand_example_one_ninth():
     f = parse_polynomial("x*y")
-    rhs = rhs_assembly(f, 3, 2, Fraction(1, 10 ** 9))
+    rhs = rhs_at(f, 3, 2, Fraction(1, 10 ** 9))
     assert abs(rhs.value - Fraction(1, 9)) <= 1e-9
     lhs = brute_force_S(f, 3, 2)
     assert abs(lhs.value - rhs.value) <= lhs.abs_error_budget + rhs.abs_error_budget
@@ -137,7 +139,7 @@ def test_rhs_hand_example_one_ninth():
 
 def test_rhs_matches_brute_force_m1():
     f = parse_polynomial("x*y")
-    rhs = rhs_assembly(f, 3, 1, EPS)
+    rhs = rhs_at(f, 3, 1, EPS)
     lhs = brute_force_S(f, 3, 1)
     assert abs(lhs.value - rhs.value) <= lhs.abs_error_budget + rhs.abs_error_budget
 
@@ -145,7 +147,7 @@ def test_rhs_matches_brute_force_m1():
 def test_rhs_matches_brute_force_hyperbolic():
     f = parse_polynomial("x*y+z*u")
     for m in (1, 2, 3):
-        rhs = rhs_assembly(f, 3, m, EPS)
+        rhs = rhs_at(f, 3, m, EPS)
         lhs = brute_force_S(f, 3, m)
         assert abs(lhs.value - rhs.value) <= lhs.abs_error_budget + rhs.abs_error_budget
 
@@ -188,7 +190,7 @@ def test_residual_shrinks_with_eps():
     lhs = brute_force_S(f, 3, 2)
     prev = None
     for exp in (4, 6, 8, 10):
-        rhs = rhs_assembly(f, 3, 2, Fraction(1, 10 ** exp))
+        rhs = rhs_at(f, 3, 2, Fraction(1, 10 ** exp))
         residual = abs(lhs.value - rhs.value)
         assert residual <= lhs.abs_error_budget + rhs.abs_error_budget
         if prev is not None:
@@ -220,30 +222,30 @@ def test_verify_one_variable_and_padded_dimension():
         assert rep.verdict == "pass"
 
 
-@pytest.mark.parametrize("m_max", [0, -2])
-def test_ab_ratio_monitor_rejects_an_empty_m_range(m_max):
-    # suprema over no m at all would read as a bound on every face
-    P = build_polyhedron(parse_polynomial("x*y"))
-    with pytest.raises(ValueError, match="m_max"):
-        ab_ratio_monitor(P, 3, m_max)
+@pytest.mark.parametrize("ms", [[0, 1], [-1]])
+def test_verify_formula_rejects_m_below_one(ms):
+    with pytest.raises(ValueError, match="m values"):
+        verify_formula(parse_polynomial("x*y"), 3, ms)
 
 
-def test_ab_ratio_monitor_is_bounded():
-    P = build_polyhedron(parse_polynomial("x*y+z*u"))
-    rows = ab_ratio_monitor(P, 3, 6, EPS)
-    assert all(r["sup_A_ratio"] < 100 and r["sup_B_ratio"] < 100 for r in rows)
-    assert len(rows) == len(enumerate_faces(P))
+def test_verify_cone_sum_overrun_marks_every_row():
+    # eps = 1e-2000 asks for a lattice table far over its point cap
+    reports = verify_formula(parse_polynomial("x*y"), 3, [1, 2], Fraction(1, 10 ** 2000))
+    assert [r.verdict for r in reports] == ["budget-exceeded"] * 2
+    assert all(r.lhs is None and r.rhs is None and r.truncation_T is None for r in reports)
+    assert all(r.nondeg.passed for r in reports)
 
 
 # -- one right-hand side ----------------------------------------------------------
 
 def _assert_rhs_assembly_matches_verify(f, p, ms, eps) -> int:
-    """rhs_assembly equals every right-hand side verify_formula computes,
-    exactly in value, budget and term count; returns how many it compared."""
+    """The right-hand side at one m equals every right-hand side
+    verify_formula computes over all of ms at once, exactly in value,
+    budget and term count; returns how many it compared."""
     compared = 0
     for rep in verify_formula(f, p, ms, eps, work_budget=10 ** 6):
         if rep.rhs is not None:
-            assert rhs_assembly(f, p, rep.m, eps) == rep.rhs
+            assert rhs_at(f, p, rep.m, eps) == rep.rhs
             compared += 1
     return compared
 
@@ -264,15 +266,15 @@ def test_verify_formula_and_rhs_assembly_build_one_polyhedron(corpus, builds):
         verify_formula(f, 3, [1, 2], Fraction(1, 10 ** 4))
         assert len(builds) == 1
         builds.clear()
-        rhs_assembly(f, 3, 2, Fraction(1, 10 ** 4))
+        rhs_at(f, 3, 2, Fraction(1, 10 ** 4))
         assert len(builds) == 1
 
 
 def _assert_sigmas_fresh_after_rhs(f, p, builds):
     # verify_formula computes the right-hand side only where the certificate
-    # passes; rhs_assembly computes it at degenerate primes too
+    # passes; _rhs computes it at degenerate primes too
     eps = Fraction(1, 10)
-    for compute in (lambda: verify_formula(f, p, [1], eps), lambda: rhs_assembly(f, p, 1, eps)):
+    for compute in (lambda: verify_formula(f, p, [1], eps), lambda: rhs_at(f, p, 1, eps)):
         builds.clear()
         compute()
         assert len(builds) == 1  # the call reads no face sigma

@@ -84,6 +84,16 @@ def test_parse_syntax_error_reports_position():
         parse_polynomial("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x^", "expected an exponent after '^'"),
+    ("x+", "expected a coefficient or variable"),
+])
+def test_parse_text_ending_after_an_operator_reports_its_end(text, message):
+    with pytest.raises(PolyParseError, match=message.replace("^", r"\^")) as exc:
+        parse_polynomial(text)
+    assert exc.value.position == len(text)
+
+
 def test_parse_named_variable_aliases():
     f = parse_polynomial("v*w")
     assert f.n == 6
@@ -116,6 +126,11 @@ def test_parse_dimension_hint():
         parse_polynomial("x*y*z", dimension_hint=2)
     with pytest.raises(PolyParseError):
         parse_polynomial("x0")
+
+
+def test_parse_refuses_a_dimension_hint_below_one():
+    with pytest.raises(ValueError, match="dimension_hint must be >= 1"):
+        parse_polynomial("x", dimension_hint=0)
 
 
 def test_render_round_trip_random():
@@ -183,6 +198,12 @@ def test_gradient_constant_component_and_zero_component():
     g = gradient(parse_polynomial("x", dimension_hint=2))
     assert g[0].terms == {(0, 0): 1}
     assert g[1] is None
+
+
+def test_render_writes_a_constant_term_as_its_coefficient():
+    assert render(gradient(parse_polynomial("x"))[0]) == "1"
+    assert render(gradient(parse_polynomial("-2*x"))[0]) == "-2"
+    assert render(gradient(parse_polynomial("x*y+3*x"))[0]) == "3 + y"
 
 
 def test_gradient_matches_oracle_random():
@@ -258,6 +279,11 @@ def test_polynomial_type_invariants():
         Polynomial(2, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(2, {})
+
+
+def test_polynomial_refuses_an_ambient_dimension_below_one():
+    with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+        Polynomial(0, {(): 1})
 
 
 def test_equal_polynomials_hash_equal_whatever_the_term_order():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import math
 import random
+import time
 from itertools import product
 from unittest import mock
 
@@ -23,6 +25,7 @@ from padicsums.sums import (
     NondegReport,
     _exp_sum_over_grid,
     _pow_mod_array,
+    _require_prime,
     brute_force_S,
     check_nondegenerate_mod_p,
     torus_E,
@@ -125,6 +128,49 @@ def test_modulus_too_large_for_int64_residues_is_refused():
     faces = enumerate_faces(build_polyhedron(f))
     with pytest.raises(ModulusTooLarge):
         check_nondegenerate_mod_p(f, faces, big_prime)
+
+
+# -- the prime check ----------------------------------------------------------------
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+@settings(deadline=None)
+@given(st.integers(-2, 10 ** 5))
+@example(43 * 43)  # the first composite the 13 trial divisors miss
+@example(2047)  # the least strong pseudoprime to base 2
+@example(1847)  # the largest prime decided by trial division alone
+def test_require_prime_matches_trial_division(n):
+    if is_prime_by_trial_division(n):
+        _require_prime(n)
+    else:
+        with pytest.raises(ValueError, match="is not prime"):
+            _require_prime(n)
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 10 ** 20 + 39])
+def test_require_prime_passes_large_primes_at_once(p):
+    # trial division to sqrt(p) would take hours here
+    start = time.perf_counter()
+    _require_prime(p)
+    assert time.perf_counter() - start < 0.5
+
+
+# 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+# 3825123056546413051 to every prime base up to 23
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 10 ** 20 + 41])
+def test_require_prime_refuses_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="is not prime"):
+        _require_prime(n)
+
+
+def test_require_prime_refuses_primes_beyond_its_certified_range():
+    # the least composite that passes all 13 bases; every p this large is refused
+    with pytest.raises(ValueError, match="too large"):
+        _require_prime(3_317_044_064_679_887_385_961_981)
+    with pytest.raises(ValueError, match="too large"):
+        _require_prime(2 ** 89 - 1)  # a Mersenne prime
 
 
 @settings(max_examples=150, deadline=None)
