@@ -72,6 +72,13 @@ def _parse_powers(text: str) -> List[int]:
     return _nonempty(list(range(int(lo), int(hi if sep else lo) + 1)), text)
 
 
+def _parse_workers(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive worker count")
+    return count
+
+
 class _Union(argparse.Action):
     """Merge one flag's values into the option's sorted list without repeats."""
 
@@ -528,7 +535,7 @@ _OPTIONS = {
     "eps": (("--eps",), dict(type=_parse_eps, default="1e-8", help="truncation certificate target")),
     "budget": (("--budget",), dict(type=int, default=DEFAULT_WORK_BUDGET,
                                    help="work budget in grid evaluations")),
-    "workers": (("--workers",), dict(type=int, default=len(os.sched_getaffinity(0))
+    "workers": (("--workers",), dict(type=_parse_workers, default=len(os.sched_getaffinity(0))
                                      if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
                                      help="worker processes (default: the CPUs this process may run "
                                           "on, its affinity set where the platform has one)")),

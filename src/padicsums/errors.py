@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Union
+
 
 class PadicSumsError(Exception):
     """Base class for every error raised by this package."""
@@ -34,10 +36,11 @@ class BudgetExceeded(PadicSumsError):
 class WorkBudgetExceeded(PadicSumsError):
     """A sum kernel would evaluate more grid points than the work budget.
 
-    Raised before any computation starts; ``estimated`` carries the count.
+    Raised before any computation starts; ``estimated`` carries the count,
+    or the text "p^k" of a count too long to print.
     """
 
-    def __init__(self, estimated: int, budget: int):
+    def __init__(self, estimated: Union[int, str], budget: int):
         super().__init__(f"estimated {estimated} evaluations exceed the work budget {budget}")
         self.estimated = estimated
         self.budget = budget

@@ -1,6 +1,6 @@
 """One byte-capped store of read-only tables, each built once per key.
 
-The kernel's per-modulus tables (``sums``: roots of unity, divisor offsets,
+The kernel's per-modulus tables (``sums``: roots of unity, p-adic
 valuations) and the lattice layer's prime-free compositions
 (``newton._shell``: every k in N^n with |k| <= T) are pure functions of a
 few integers, so a builder decorated with ``kept_table`` builds each once,

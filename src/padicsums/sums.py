@@ -136,9 +136,9 @@ from __future__ import annotations
 import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, repeat
-from math import gcd, isqrt, prod
+from functools import lru_cache, partial
+from itertools import accumulate, islice, product, repeat
+from math import gcd, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -157,6 +157,7 @@ DEFAULT_WORK_BUDGET = 200_000_000
 
 _HIST_CAP = 1 << 22   # largest modulus we histogram (bincount array size)
 _INNER_CAP = 1 << 20  # target elements per vectorized block
+_COUNT_BITS = 1 << 12  # longest grid count a work-budget message prints in full
 
 
 @dataclass(frozen=True)
@@ -266,22 +267,11 @@ def _reduced_terms(terms: Dict[ExponentVector, int], modulus: int) -> Terms:
 
 
 @kept_table
-def _divisor_offsets(modulus: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The divisors d of modulus in ascending order, and the offset of each
-    d's table of residues mod d in one concatenated histogram (one more
-    offset at the end: the histogram's length)."""
-    small = [d for d in range(1, isqrt(modulus) + 1) if modulus % d == 0]
-    divisors = np.array(sorted(set(small + [modulus // d for d in small])), dtype=np.int64)
-    return divisors, np.concatenate(([0], np.cumsum(divisors)))
-
-
-@kept_table
-def _valuations(modulus: int) -> np.ndarray:
-    """val[r] = the number of divisors d > 1 of modulus that divide r: for a
-    prime power p^m, v_p(r) capped at m (val[0] = m)."""
-    val = np.zeros(modulus, dtype=np.int8)
-    for d in _divisor_offsets(modulus)[0][1:].tolist():
-        val[::d] += 1
+def _valuations(p: int, m: int) -> np.ndarray:
+    """val[r] = v_p(r) capped at m, for r = 0..p^m-1 (val[0] = m)."""
+    val = np.zeros(p ** m, dtype=np.int8)
+    for v in range(1, m + 1):
+        val[::p ** v] += 1
     return val
 
 
@@ -291,31 +281,26 @@ def _roots(modulus: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(modulus) / modulus)
 
 
-def _grid_residues(
-    polys: Sequence[Terms],
-    modulus: int,
-    domains: Sequence[Tuple[int, int]],
-    inner_start: int,
-    segments: int,
-    seg_size: int,
-    lo: int,
-    hi: int,
-) -> Iterator[Tuple[int, Iterator[np.ndarray]]]:
-    """Yield (task, residues of each polynomial mod modulus) for the tasks
-    lo..hi-1, in order; one task is one outer-coordinate assignment (times one
-    segment of the last axis when segmented), and each residue array spans
-    the task's inner block.  A task's residues are computed one polynomial at
-    a time as they are consumed, so a caller may stop early.
+def _grid_residues(polys: Sequence[Terms], modulus: int, domains: Sequence[Tuple[int, int]],
+                   lo: int, hi: int) -> Iterator[Tuple[Tuple[int, ...], Iterator[np.ndarray]]]:
+    """Yield (origin, residues of each polynomial mod modulus) for the tasks
+    lo..hi-1 of the grid's _split_axes layout, in lexicographic order.  One
+    task is one outer-coordinate assignment (times one segment of the last
+    axis when segmented), and origin is its first grid point; each residue
+    array spans the task's inner block, on the grid's last axes.  A task's
+    residues are computed one polynomial at a time as they are consumed, so
+    a caller may stop early.
 
     Terms are grouped by their outer exponent exps[:inner_start], and each
-    group becomes one residue array over the inner block, built once per
-    block plan; the outer-free terms (constants included) form one base
-    group.  A task then does one multiply-add per distinct outer monomial,
-    not one per term.
+    group becomes one residue array over the inner block, built again only
+    when the segment changes (every task only when outer axes stand beside a
+    segmented one, which takes 2^40 points); the outer-free terms (constants
+    included) form one base group.  A task then does one multiply-add per
+    distinct outer monomial, not one per term.
     """
     n = len(domains)
     sizes = [stop - start for start, stop in domains]
-    outer_sizes = sizes[:inner_start]
+    inner_start, segments, seg_size, _ = _split_axes(sizes)
     inner_axes = list(range(inner_start, n))
 
     def inner_domain(axis: int, seg: int) -> np.ndarray:
@@ -364,9 +349,6 @@ def _grid_residues(
     # modulus; accumulate raw products and reduce once if that stays < 2^63.
     safe_raw = [(len({exps[:inner_start] for _, exps in terms}) + 1) * (modulus - 1) ** 2 < 1 << 63
                 for terms in polys]
-    # Plans per segment of the last axis.  With no outer axes each segment is
-    # one task, so only the current segment's plans are kept.
-    plan_cache: Dict[int, list] = {}
 
     def residues(plan, raw: bool, point: List[int]) -> np.ndarray:
         shape, groups = plan
@@ -387,60 +369,57 @@ def _grid_residues(
         acc %= modulus
         return acc
 
-    for task in range(lo, hi):
-        outer_flat, seg = divmod(task, segments)
-        coords = []
-        rem = outer_flat
-        for size in reversed(outer_sizes):
-            rem, c = divmod(rem, size)
-            coords.append(c)
-        coords.reverse()
-        point = [domains[j][0] + coords[j] for j in range(inner_start)]
-        if seg not in plan_cache:
-            plans = build_plans(seg)
-            if not inner_start:
-                plan_cache.clear()
-            plan_cache[seg] = plans
-        yield task, map(residues, plan_cache[seg], safe_raw, repeat(point))
+    tasks = product(*(range(start, stop) for start, stop in domains[:inner_start]), range(segments))
+    plans, plans_seg = None, None  # one segment's plans, built again when the segment changes
+    for *point, seg in islice(tasks, lo, hi):
+        if seg != plans_seg:
+            plans, plans_seg = build_plans(seg), seg
+        origin = [*point, *(start for start, _ in domains[inner_start:])]
+        if segments > 1:
+            origin[-1] += seg * seg_size
+        yield tuple(origin), map(residues, plans, safe_raw, repeat(point))
 
 
-def _grid_worker(args) -> Tuple[np.ndarray, List[Tuple[int, complex]]]:
-    """Reduce a contiguous span of tasks of _grid_residues.
+def _grid_worker(polys: Sequence[Terms], p: int, m: int, domains: Sequence[Tuple[int, int]],
+                 hist: bool, span: Tuple[int, int]) -> Union[np.ndarray, List[complex]]:
+    """Reduce the contiguous span (lo, hi) of tasks of _grid_residues modulo
+    p^m: to its histogram in histogram mode, to each task's complex value,
+    in task order, in exp mode.
 
     The first polynomial is h, the rest are g_1..g_k.  With k = 0 the
     histogram is indexed by the residue of h.  With k >= 1 it is the
-    concatenation of one table per divisor d of the modulus, indexed by
-    h mod d at the points where gcd(g_1, ..., g_k, modulus) = d; in exp mode
-    only the points where every g_j vanishes are summed.
-
-    In histogram mode with k >= 1 the modulus is p^m (see _grid_sum), so its
-    divisors are 1, p, ..., p^m and the index of d is the least p-adic
-    valuation of the g_j(x), capped at m: one lookup per g_j in the table
-    val[r] = v_p(r), with val[0] = m.
+    concatenation of one table per divisor p^v of p^m, v = 0..m, indexed by
+    h mod p^v at the points where gcd(g_1, ..., g_k, p^m) = p^v, so v is the
+    least p-adic valuation of the g_j(x), capped at m: one lookup per g_j in
+    the table val[r] = v_p(r), val[0] = m.  In exp mode only the points
+    where every g_j vanishes are summed.
     """
-    (polys, modulus, domains, inner_start, segments, seg_size, lo, hi, mode) = args
-    if mode == "hist" and len(polys) > 1:
-        divisors, offsets = _divisor_offsets(modulus)
-        val = _valuations(modulus)
-    else:
-        offsets = [modulus]
-    counts = np.zeros(int(offsets[-1]), dtype=np.int64) if mode == "hist" else None
-    exp_parts: List[Tuple[int, complex]] = []
-    for task, (h, *gs) in _grid_residues(polys, modulus, domains, inner_start,
-                                          segments, seg_size, lo, hi):
-        if mode == "exp":
+    modulus = p ** m
+    tasks = _grid_residues(polys, modulus, domains, *span)
+    if not hist:
+        values = []
+        for _, (h, *gs) in tasks:
             if gs:
                 h = h[np.logical_and.reduce([g == 0 for g in gs])]
             phases = h * (2.0 * np.pi / modulus)
-            exp_parts.append((task, complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))))
-            continue
+            values.append(complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases))))
+        return values
+    length = modulus
+    if len(polys) > 1:
+        # p^v's table follows those of p^0, ..., p^(v-1), so it starts at (p^v - 1)/(p - 1)
+        divisors = p ** np.arange(m + 1, dtype=np.int64)
+        offsets = (divisors - 1) // (p - 1)
+        val = _valuations(p, m)
+        length += int(offsets[-1])
+    counts = np.zeros(length, dtype=np.int64)
+    for _, (h, *gs) in tasks:
         if gs:
             v = val[gs[0]]
             for g in gs[1:]:
                 v = np.minimum(v, val[g])
             h = offsets[v] + h % divisors[v]
         counts += np.bincount(np.ravel(h), minlength=len(counts))
-    return counts, exp_parts
+    return counts
 
 
 def _exp_sum_over_grid(
@@ -451,73 +430,64 @@ def _exp_sum_over_grid(
 ) -> complex:
     """Unnormalized sum of exp(2 pi i f(x)/modulus) over every point of the
     product grid: the oracle of every reduction in _block_sum."""
-    total = _grid_sum(_reduced_terms(f.terms, modulus), (), 1, modulus, domains, workers)
+    total = _grid_sum(_reduced_terms(f.terms, modulus), (), 1, modulus, 1, domains, workers)
     return _hist_value(total, modulus) if modulus <= _HIST_CAP else total
 
 
-def _grid_sum(
-    h: Terms,
-    gs: Sequence[Terms],
-    fiber: int,
-    modulus: int,
-    domains: Sequence[Tuple[int, int]],
-    workers: int,
-) -> Union[np.ndarray, complex]:
-    """Unnormalized sum of e((h(x) + z_1 g_1(x) + ... + z_k g_k(x))/modulus)
+def _grid_sum(h: Terms, gs: Sequence[Terms], fiber: int, p: int, m: int,
+              domains: Sequence[Tuple[int, int]], workers: int) -> Union[np.ndarray, complex]:
+    """Unnormalized sum of e((h(x) + z_1 g_1(x) + ... + z_k g_k(x))/p^m)
     over x in the product grid and z in a box of ``fiber`` points: its
-    residue histogram when the modulus is at most _HIST_CAP (histogram
-    mode), its complex value above (exp mode).
+    residue histogram when p^m is at most _HIST_CAP (histogram mode), its
+    complex value above (exp mode).
 
-    With k = 0 this is the plain grid sum, and fiber is 1.  With k >= 1 each
-    z_j runs over [0, modulus/q), where q divides modulus and every value of
-    every g_j mod modulus, so fiber = (modulus/q)^k.  At a point x,
-    z -> sum_j z_j g_j(x) is then a homomorphism onto d Z/modulus,
-    d = gcd(g_1(x), ..., g_k(x), modulus), that hits each element
-    fiber d / modulus times.  _block_sum takes q = 1 for summed-out
+    With k = 0 this is the plain grid sum, fiber is 1, and any modulus may
+    be passed as (modulus, 1).  With k >= 1 each z_j runs over [0, p^m/q),
+    where q divides p^m and every value of every g_j mod p^m, so
+    fiber = (p^m/q)^k.  At a point x, z -> sum_j z_j g_j(x) is then a
+    homomorphism onto d Z/p^m, d = gcd(g_1(x), ..., g_k(x), p^m), that hits
+    each element fiber d / p^m times.  _block_sum takes q = 1 for summed-out
     linear variables (histogram mode) and q = p^ceil(m/2) for the
     stationary-phase split (exp mode).
 
-    Histogram mode (the modulus must then be a prime power): the residue
-    histogram of the whole grid, counts[r] = sum_x (fiber d(x) / modulus)
-    [r = h(x) mod d(x)], is rebuilt from one table per divisor, so it equals
-    the plain grid's.  Exp mode: the z sum is fiber where every g_j(x) = 0 mod modulus
-    and 0 elsewhere, so only those points are summed, and the total is
-    multiplied by fiber.
+    Histogram mode: the residue histogram of the whole grid,
+    counts[r] = sum_x (fiber d(x) / p^m) [r = h(x) mod d(x)], is rebuilt
+    from one table per divisor d = p^v, so it equals the plain grid's.  Exp
+    mode: the z sum is fiber where every g_j(x) = 0 mod p^m and 0 elsewhere,
+    so only those points are summed, and the total is multiplied by fiber.
 
     The grid's tasks (_split_axes) are reduced by _grid_worker in contiguous
-    spans over up to ``workers`` processes.
+    spans over up to ``workers`` processes; pool.map keeps the spans in
+    order, so the per-task exp values are merged (Kahan) in task order.
     """
+    modulus = p ** m
     _require_int64_residues(modulus)
-    mode = "hist" if modulus <= _HIST_CAP else "exp"
-    if gs and mode == "hist":
-        divisors, offsets = _divisor_offsets(modulus)
-        if divisors[1] ** (len(divisors) - 1) != modulus:
-            raise ValueError(f"the z sum is histogrammed only modulo a prime power, not {modulus}")
-    inner_start, segments, seg_size, task_count = _split_axes([stop - start for start, stop in domains])
-    args = [((h, *gs), modulus, tuple(domains), inner_start, segments, seg_size, lo, hi, mode)
-            for lo, hi in _split_range(task_count, max(1, workers))]
-    if len(args) == 1:
-        results = [_grid_worker(args[0])]
+    hist = modulus <= _HIST_CAP
+    task_count = _split_axes([stop - start for start, stop in domains])[3]
+    spans = _split_range(task_count, max(1, workers))
+    work = partial(_grid_worker, (h, *gs), p, m, tuple(domains), hist)
+    if len(spans) == 1:
+        results = [work(spans[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
-            results = list(pool.map(_grid_worker, args))
-    if mode == "hist":
-        counts = results[0][0]
-        for extra, _ in results[1:]:
-            counts = counts + extra
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            results = list(pool.map(work, spans))
+    if hist:
+        counts = sum(results)
         if gs:
             table, counts = counts, np.zeros(modulus, dtype=np.int64)
-            for d, off in zip(divisors.tolist(), offsets.tolist()):
+            for v in range(m + 1):
+                d = p ** v
+                off = (d - 1) // (p - 1)
                 part = table[off:off + d]
                 if part.any():
                     view = counts.reshape(-1, d)
                     view += fiber * d // modulus * part
         return counts
-    parts = sorted((part for _, batch in results for part in batch), key=lambda t: t[0])
     s = 0j
     c = 0j
-    for _, x in parts:
-        s, c = _kahan_add(s, c, x)
+    for values in results:
+        for x in values:
+            s, c = _kahan_add(s, c, x)
     return s * fiber
 
 
@@ -611,7 +581,7 @@ def _toric_counts(block_terms: Dict[ExponentVector, int], p: int, workers: int) 
         counts[1:] = (key == pow(block_terms[support[0]], order, p)) * (fiber // order)
         return counts
     h = _laurent_terms([block_terms[a] for a in support], exps, p)
-    hist = _grid_sum(h, (), 1, p, [(1, p)] * r, workers)
+    hist = _grid_sum(h, (), 1, p, 1, [(1, p)] * r, workers)
     per_coset = np.zeros(p, dtype=np.int64)
     np.add.at(per_coset, key, hist[1:])
     counts[0] = hist[0] * fiber
@@ -676,7 +646,7 @@ def _block_sum(
             (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
         fiber, domains = modulus ** len(ys), [domain] * len(rest)
     return _grid_sum(_reduced_terms(h, modulus), [_reduced_terms(g, modulus) for g in gs],
-                     fiber, modulus, domains, workers)
+                     fiber, p, m, domains, workers)
 
 
 def _product(values: Sequence[complex], const: int, modulus: int) -> complex:
@@ -747,6 +717,11 @@ def _block_product(
     return out
 
 
+def _count_text(p: int, k: int) -> Union[int, str]:
+    """The grid count p^k, or the text "p^k" if p^k may pass _COUNT_BITS bits."""
+    return p ** k if k * p.bit_length() <= _COUNT_BITS else f"{p}^{k}"
+
+
 def _complete_sums(
     f: Polynomial, p: int, ms: Sequence[int], *, workers: int, work_budget: int,
 ) -> Dict[int, Union[SumValue, WorkBudgetExceeded]]:
@@ -765,10 +740,14 @@ def _complete_sums(
     _require_prime(p)
     if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
+    # p^(mn) > work_budget exactly when mn > k_max, without forming p^(mn)
+    k_max = 0  # the largest k with p^k <= work_budget, or 0 (and mn >= 1)
+    while p ** (k_max + 1) <= work_budget:
+        k_max += 1
     out: Dict[int, Union[SumValue, WorkBudgetExceeded]] = {
-        m: WorkBudgetExceeded(p ** (m * f.n), work_budget) for m in ms if p ** (m * f.n) > work_budget}
+        m: WorkBudgetExceeded(_count_text(p, m * f.n), work_budget) for m in ms if m * f.n > k_max}
     fold = [m for m in ms if m not in out and p ** (m * f.n) > 2 and p ** m <= _HIST_CAP]
-    support = {m: {e for e, c in f.terms.items() if c % p ** m} for m in ms}
+    support = {m: {e for e, c in f.terms.items() if c % p ** m} for m in ms if m not in out}
     top = [m for m in dict.fromkeys(fold) if support[m] == support[max(fold)]]
     groups = ([top] if top else []) + [[m] for m in dict.fromkeys(ms) if m not in out and m not in top]
     for group in groups:
@@ -914,26 +893,22 @@ def _common_zero(comps: Sequence[Terms], p: int, n: int) -> Optional[Tuple[int, 
     """The lexicographically first point of (F_p^x)^n at which every
     component (at least one) vanishes mod p, or None.
 
-    The components run through _grid_residues on the torus plan of
-    _split_axes, one task at a time in task order, which is lexicographic,
-    so the first task holding a common zero holds the first one.  Within a
-    task, a component is evaluated only while some point is still a zero.
+    The components run through _grid_residues on the torus, one task at a
+    time in task order, which is lexicographic, so the first task holding a
+    common zero holds the first one: its origin plus the zero's index in the
+    task's block.  Within a task, a component is evaluated only while some
+    point is still a zero.
     """
-    sizes = [p - 1] * n
-    inner_start, segments, seg_size, task_count = _split_axes(sizes)
-    for task, residues in _grid_residues(comps, p, [(1, p)] * n, inner_start,
-                                          segments, seg_size, 0, task_count):
+    domains = [(1, p)] * n
+    for origin, residues in _grid_residues(comps, p, domains, 0, _split_axes([p - 1] * n)[3]):
         mask = True
         for r in residues:
             mask = mask & (r == 0)
             if not mask.any():
                 break
         if mask.any():
-            outer, seg = divmod(task, segments)
-            coords = [*np.unravel_index(outer, sizes[:inner_start]),
-                      *np.unravel_index(int(np.argmax(mask)), mask.shape)]
-            coords[-1] += seg * seg_size
-            return tuple(int(c) + 1 for c in coords)
+            offset = (0,) * (n - mask.ndim) + np.unravel_index(int(np.argmax(mask)), mask.shape)
+            return tuple(o + int(i) for o, i in zip(origin, offset))
         del residues, r, mask  # free this task's arrays before the next plan is built
     return None
 

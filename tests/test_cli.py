@@ -485,6 +485,25 @@ def test_a_large_prime_reaches_the_budget_check_at_once(capsys):
     assert "exceed the work budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, stream, line", [
+    ("sum", "err", "error: estimated 3^200000000 evaluations exceed the work budget 200000000"),
+    ("verify-formula", "out", "m = 100000000: budget-exceeded"),
+    ("ratios", "out", "skipped: estimated 3^200000000 evaluations exceed the work budget 200000000"),
+])
+def test_a_power_far_over_the_budget_exits_2_at_once(capsys, command, stream, line):
+    # 3^(2 * 10^8) is never formed: the budget is compared by exponents
+    start = time.perf_counter()
+    assert main([command, "x*y", "-p", "3", "-m", "100000000"]) == 2
+    assert time.perf_counter() - start < 5
+    assert line in getattr(capsys.readouterr(), stream)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_workers_must_be_positive(capsys, count):
+    assert main(["sum", "x", "-p", "2", "-m", "1", "--workers", count]) == 2
+    assert f"argument --workers: '{count}' is not a positive worker count" in capsys.readouterr().err
+
+
 # Each of --eps, --budget, --workers and --csv is registered only where it is read.
 FLAG_USERS = {
     "--csv": {"verify-formula", "verify-nu", "ratios", "edecay"},

@@ -10,9 +10,11 @@ from __future__ import annotations
 import pickle
 import random
 from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicsums.errors import ConstantTermNonzero, PolyParseError, ZeroPolynomial
 from padicsums.poly import (
@@ -23,14 +25,15 @@ from padicsums.poly import (
     parse_polynomial,
     render,
 )
-from padicsums.sums import _grid_residues, _reduced_terms
+from padicsums import sums
+from padicsums.sums import _grid_residues, _reduced_terms, _split_axes
 from conftest import random_polynomial
 
 
 # -- independent oracles ----------------------------------------------------
 
-def oracle_eval(f: Polynomial, point) -> int:
-    return sum(c * prod(x ** e for x, e in zip(point, exp)) for exp, c in f.terms.items())
+def oracle_eval(terms: dict, point) -> int:
+    return sum(c * prod(x ** e for x, e in zip(point, exp)) for exp, c in terms.items())
 
 
 def oracle_diff(f: Polynomial, j: int) -> dict:
@@ -232,36 +235,75 @@ def test_gradient_commutes_with_restriction():
 
 # -- evaluation -------------------------------------------------------------
 
-def grid_values(f: Polynomial, modulus: int, domains, inner_start: int) -> np.ndarray:
-    """f mod modulus on the product grid, from _grid_residues with the
-    first inner_start axes outer: one task per outer point, in order."""
+def grid_values(f: Polynomial, modulus: int, domains) -> np.ndarray:
+    """f mod modulus on the product grid, from _grid_residues: each task's
+    block placed at its origin."""
     sizes = [stop - start for start, stop in domains]
-    tasks = prod(sizes[:inner_start])
-    blocks = [next(residues) for _, residues in _grid_residues(
-        [_reduced_terms(f.terms, modulus)], modulus, domains, inner_start, 1, sizes[-1], 0, tasks)]
-    return np.array(blocks).reshape(sizes)
+    out = np.zeros(sizes, dtype=np.int64)
+    for origin, residues in _grid_residues([_reduced_terms(f.terms, modulus)], modulus, domains,
+                                           0, _split_axes(sizes)[3]):
+        block = next(residues)
+        out[block_index(origin, domains, block.shape)] = block
+    return out
+
+
+def block_index(origin, domains, shape) -> tuple:
+    """The index of a task's block in the grid array: one coordinate per
+    outer axis, then a slice per axis of the block."""
+    outer = len(origin) - len(shape)
+    at = [o - start for o, (start, _) in zip(origin, domains)]
+    return (*at[:outer], *(slice(a, a + k) for a, k in zip(at[outer:], shape)))
 
 
 def test_grid_residues_examples():
     def at(text, point, modulus):
         f = parse_polynomial(text)
-        return grid_values(f, modulus, [(x, x + 1) for x in point], 0).item()
+        return grid_values(f, modulus, [(x, x + 1) for x in point]).item()
 
     assert at("x*y", (2, 3), 9) == 6
     assert at("x^2+y^3", (2, 2), 5) == 2
     assert at("x*y+z*u", (1, 1, 1, 1), 3) == 2
 
 
-def test_grid_residues_match_bigint_oracle():
-    rng = random.Random(123)
-    for modulus in (2, 3, 7, 9, 25, 1009) * 10:
-        f = random_polynomial(rng)
-        domains = [(a, a + rng.randint(1, 4)) for a in (rng.randrange(modulus) for _ in range(f.n))]
-        for inner_start in range(f.n + 1):
-            got = grid_values(f, modulus, domains, inner_start)
-            for idx in np.ndindex(got.shape):
-                point = [a + i for (a, _), i in zip(domains, idx)]
-                assert got[idx] == oracle_eval(f, point) % modulus
+TERMS = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), st.integers(-10 ** 6, 10 ** 6),
+                        min_size=1, max_size=6)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 3),
+    polys=st.lists(TERMS, min_size=1, max_size=2),
+    modulus=st.integers(2, 1009),
+    cap=st.sampled_from([1, 2, 3, 7, None]),
+    pieces=st.integers(1, 4),
+    data=st.data(),
+)
+def test_grid_residues_match_bigint_oracle(n, polys, modulus, cap, pieces, data):
+    """Walked in spans, as the worker processes walk it, the tasks of a grid
+    of 1-3 axes at any offsets, under any inner cap, come in lexicographic
+    order of their origins; their blocks, placed at the origins, cover the
+    grid exactly once; and every residue (constant terms and coefficients
+    up to 1e6 included) equals a big-integer evaluation."""
+    polys = [{e[:n]: c for e, c in terms.items()} for terms in polys]
+    domains = [(a, a + data.draw(st.integers(1, 9))) for a in data.draw(
+        st.lists(st.integers(0, 2 * modulus), min_size=n, max_size=n))]
+    sizes = [stop - start for start, stop in domains]
+    covered = np.zeros(sizes, dtype=np.int64)
+    origins = []
+    with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
+        spans = sums._split_range(_split_axes(sizes)[3], pieces)
+        for lo, hi in spans:
+            for origin, residues in _grid_residues(
+                    [_reduced_terms(t, modulus) for t in polys], modulus, domains, lo, hi):
+                origins.append(origin)
+                for terms, block in zip(polys, residues):
+                    where = block_index(origin, domains, block.shape)
+                    covered[where] += 1
+                    for offset in np.ndindex(block.shape):
+                        point = [o + i for o, i in zip(origin, (0,) * (n - block.ndim) + offset)]
+                        assert block[offset] == oracle_eval(terms, point) % modulus
+    assert (covered == len(polys)).all()
+    assert all(a < b for a, b in zip(origins, origins[1:]))
 
 
 def test_homogeneity():

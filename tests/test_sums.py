@@ -106,6 +106,21 @@ def test_budget_checked_before_work():
         torus_E(f, 101, work_budget=10 ** 6)
 
 
+def test_budget_is_compared_by_exponents():
+    # p^k within the budget is summed, one point more is refused, and a count
+    # too long to print is named by its power
+    x = parse_polynomial("x")
+    assert brute_force_S(x, 3, 5, work_budget=243).term_count == 243
+    for budget in (242, 0):
+        with pytest.raises(WorkBudgetExceeded) as exc:
+            brute_force_S(x, 3, 5, work_budget=budget)
+        assert exc.value.estimated == 243
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        brute_force_S(parse_polynomial("x*y"), 3, 10 ** 5)
+    assert exc.value.estimated == "3^200000"
+    assert str(exc.value) == "estimated 3^200000 evaluations exceed the work budget 200000000"
+
+
 def test_rejects_composite_modulus_base():
     with pytest.raises(ValueError):
         brute_force_S(parse_polynomial("x*y"), 6, 1)
@@ -584,9 +599,9 @@ def recorded_grid_calls():
     made inside the block, in call order."""
     grid_sum, calls = sums._grid_sum, []
 
-    def spy(h, gs, fiber, modulus, domains, workers):
+    def spy(h, gs, fiber, p, m, domains, workers):
         calls.append((tuple(stop - start for start, stop in domains), len(gs), fiber))
-        return grid_sum(h, gs, fiber, modulus, domains, workers)
+        return grid_sum(h, gs, fiber, p, m, domains, workers)
 
     with mock.patch.object(sums, "_grid_sum", spy):
         yield calls
@@ -699,9 +714,9 @@ def recorded_grids():
     """The axis sizes of every grid the kernel visits, in call order."""
     grid_sum, grids = sums._grid_sum, []
 
-    def spy(h, gs, fiber, modulus, domains, workers):
+    def spy(h, gs, fiber, p, m, domains, workers):
         grids.append(tuple(stop - start for start, stop in domains))
-        return grid_sum(h, gs, fiber, modulus, domains, workers)
+        return grid_sum(h, gs, fiber, p, m, domains, workers)
 
     with mock.patch.object(sums, "_grid_sum", spy):
         yield grids
@@ -906,14 +921,13 @@ def test_linear_coefficient_residues_at_3_19_are_exact(monkeypatch):
     assert (3 + 1) * (M - 1) ** 2 < 1 << 63 <= (30 + 1) * (M - 1) ** 2
     monkeypatch.setattr(sums, "_INNER_CAP", 40)
     domains = [(M - 25, M), (M - 40, M)]
-    plan = sums._split_axes([25, 40])
-    assert plan == (1, 1, 40, 25)
+    assert sums._split_axes([25, 40]) == (1, 1, 40, 25)
     h = {(k, 1 + k % 3): M - 1 - 7 * k for k in range(3)}
     g = {(k, 1 + k % 3): M - 1 - 7 * k for k in range(30)} | {(0, 3): M - 5}
     polys = [sums._reduced_terms(t, M) for t in (h, g)]
     tasks = 0
-    for task, arrays in sums._grid_residues(polys, M, domains, *plan[:3], 0, 25):
-        x = domains[0][0] + task
+    for (x, y0), arrays in sums._grid_residues(polys, M, domains, 0, 25):
+        assert x == domains[0][0] + tasks and y0 == domains[1][0]
         for terms, got in zip((h, g), arrays):
             want = [sum(c * x ** a * y ** b for (a, b), c in terms.items()) % M
                     for y in range(*domains[1])]

@@ -1,6 +1,6 @@
-"""The kept tables: the roots of unity of ``_hist_value``, the divisor
-offsets and the p-adic valuation table of the histogram kernel, and the
-lattice layer's composition shells.
+"""The kept tables: the roots of unity of ``_hist_value``, the p-adic
+valuation table of the histogram kernel, and the lattice layer's
+composition shells.
 
 Each is built once per key and kept read-only in one shared store, so it
 must equal a fresh build bit for bit, refuse writes, and the store must stay
@@ -11,8 +11,6 @@ the hypothesis profile.
 """
 
 from __future__ import annotations
-
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -37,26 +35,26 @@ def fresh(kind: str, key):
     if kind == "shells":
         n, T = key
         return np.array(list(compositions(n, T)), dtype=np.min_scalar_type(T)).reshape(-1, n).T
-    modulus = key
     if kind == "roots":
-        return np.exp(2j * np.pi * np.arange(modulus) / modulus)
-    small = [d for d in range(1, isqrt(modulus) + 1) if modulus % d == 0]
-    divisors = np.array(sorted(set(small + [modulus // d for d in small])), dtype=np.int64)
-    if kind == "divisors":
-        return divisors, np.concatenate(([0], np.cumsum(divisors)))
-    val = np.zeros(modulus, dtype=np.int8)
-    for d in divisors[1:].tolist():
-        val[::d] += 1
-    return val
+        return np.exp(2j * np.pi * np.arange(key) / key)
+    p, m = key
+    val = []
+    for r in range(p ** m):
+        v = 0
+        while v < m and r % p ** (v + 1) == 0:
+            v += 1
+        val.append(v)
+    return np.array(val, dtype=np.int8)
 
 
+#: (builder, the name it keeps its tables under) per kind of table
 BUILDERS = {
-    "roots": sums._roots,
-    "divisors": sums._divisor_offsets,
-    "valuations": sums._valuations,
-    "shells": lambda key: newton._shell(*key),
+    "roots": (sums._roots, "_roots"),
+    "valuations": (lambda key: sums._valuations(*key), "_valuations"),
+    "shells": (lambda key: newton._shell(*key), "_shell"),
 }
-MODULI = [2, 3, 4, 5, 8, 9, 25, 27, 49, 97, 101, 121, 125, 128, 243, 343, 1024]
+PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (97, 1),
+                (101, 1), (11, 2), (5, 3), (2, 7), (3, 5), (7, 3), (2, 10)]
 SHELLS = st.tuples(st.integers(1, 4), st.integers(0, 12))
 
 
@@ -78,7 +76,8 @@ def capped(mp, cap: int) -> store.TableStore:
 @given(
     calls=st.lists(
         st.one_of(
-            st.tuples(st.sampled_from(["roots", "divisors", "valuations"]), st.sampled_from(MODULI)),
+            st.tuples(st.just("roots"), st.sampled_from([p ** m for p, m in PRIME_POWERS])),
+            st.tuples(st.just("valuations"), st.sampled_from(PRIME_POWERS)),
             st.tuples(st.just("shells"), SHELLS),
         ),
         min_size=1, max_size=30,
@@ -89,7 +88,8 @@ def test_tables_are_fresh_builds_kept_read_only_within_the_cap(calls, cap):
     with pytest.MonkeyPatch.context() as mp:
         kept = capped(mp, cap)
         for kind, key in calls:
-            value = BUILDERS[kind](key)
+            build, name = BUILDERS[kind]
+            value = build(key)
             got, want = arrays(value), arrays(fresh(kind, key))
             assert len(got) == len(want)
             for a, b in zip(got, want):
@@ -98,7 +98,6 @@ def test_tables_are_fresh_builds_kept_read_only_within_the_cap(calls, cap):
                 with pytest.raises(ValueError):
                     a[...] = 0
             # the newest table is kept unless it alone exceeds the cap
-            name = "_shell" if kind == "shells" else BUILDERS[kind].__name__
             newest = next(reversed(kept.tables), None)
             assert (newest == (name, *arrays(key))) == (sum(a.nbytes for a in got) <= cap)
             assert kept.nbytes == held() <= cap
