@@ -64,16 +64,27 @@ def _nonempty(values: List[int], text: str) -> List[int]:
 
 
 def _parse_primes(text: str) -> List[int]:
-    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()], text)
+    try:
+        primes = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integer primes")
+    return _nonempty(primes, text)
 
 
 def _parse_powers(text: str) -> List[int]:
     lo, sep, hi = text.partition("..")
-    return _nonempty(list(range(int(lo), int(hi if sep else lo) + 1)), text)
+    try:
+        powers = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer power m or a range lo..hi")
+    return _nonempty(powers, text)
 
 
 def _parse_workers(text: str) -> int:
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0  # refused below, like a count under 1
     if count < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive worker count")
     return count

@@ -14,9 +14,10 @@ bounds the total omitted mass across every face and both sums at once, so
 |exact - assembled| <= (1-1/p)^n * tail * (1 + max|E|) plus the float budgets
 of the torus sums.  One private pipeline, ``_rhs``, builds the right-hand side
 for every requested m: one cone-sum pass, one torus sum per distinct face
-restriction with B != 0, one assembly per m.  It checks no hypothesis;
-``verify_formula`` calls it only after the mod-p nondegeneracy certificate
-passes.  The left-hand side is the complete sum
+restriction with B != 0 (in closed form where the face's monomial map is
+onto, ``sums._closed_torus_E``), one assembly per m.  It does not check
+nondegeneracy; ``verify_formula`` calls it only after the mod-p
+nondegeneracy certificate passes.  The left-hand side is the complete sum
 S_f(p^m) of every requested m from one residue histogram per block of f
 (``sums._complete_sums``), each value bit-identical to ``brute_force_S``.
 """
@@ -46,6 +47,8 @@ from .sums import (
     KERNEL_EPS,
     NondegReport,
     SumValue,
+    _budget_exponent,
+    _closed_torus_E,
     _complete_sums,
     check_nondegenerate_mod_p,
     torus_E,
@@ -184,13 +187,27 @@ def _cone_numerators(
 def _torus_values(
     faces: Sequence[Face], needed: Iterable[int], p: int, *, workers: int, work_budget: int
 ) -> Dict[int, SumValue]:
-    """E(p, f_tau) for each needed face id, one torus sum per distinct restriction."""
+    """E(p, f_tau) for each needed face id, one torus sum per distinct
+    restriction: its closed form (``sums._closed_torus_E``) where that
+    applies, else ``torus_E``.  The work budget is checked first either way,
+    so the same inputs raise the same errors.  A closed-form E carries only
+    its rounding bound, 2^-52 |float(E)|: Fraction to float is one correctly
+    rounded int/int division, and |E| >= (p-1)^-n >= 1/work_budget is a
+    normal float for any budget below 2^1022."""
     memo: Dict[Polynomial, SumValue] = {}
     out: Dict[int, SumValue] = {}
     for face_id in sorted(needed):
         restr = faces[face_id].restriction
         if restr not in memo:
-            memo[restr] = torus_E(restr, p, workers=workers, work_budget=work_budget)
+            total = (p - 1) ** restr.n
+            if total > work_budget:
+                raise WorkBudgetExceeded(total, work_budget)
+            exact = _closed_torus_E(restr, p)
+            if exact is None:
+                memo[restr] = torus_E(restr, p, workers=workers, work_budget=work_budget)
+            else:
+                value = float(exact)
+                memo[restr] = SumValue(complex(value), 2 ** -52 * abs(value), total)
         out[face_id] = memo[restr]
     return out
 
@@ -204,7 +221,11 @@ def _assemble(
     tail: Fraction,
 ) -> SumValue:
     """The right-hand side at one m from each face's (A, B) numerators over
-    ``scale`` = p^T.  b / scale is float(B) exactly: both are correctly rounded."""
+    ``scale`` = p^T; ``verify_formula`` assembles only the m whose complete
+    sum is within the work budget.  b / scale is float(B) exactly: both are
+    correctly rounded.  Each E term adds B times E's own budget: KERNEL_EPS
+    per torus point from ``torus_E``, only the rounding bound of a closed
+    form (``_torus_values``)."""
     factor = (1 - Fraction(1, p)) ** n
     eb_total = 0j
     e_budget = 0.0
@@ -262,6 +283,9 @@ def verify_formula(
     aborting: one in the cone or torus sums (a lattice table over its point
     cap, or a torus over the work budget) marks every row
     "budget-exceeded", a complete sum over the budget marks its own row.
+    The right side is assembled only for the m whose grid p^(mn) is within
+    the budget, by the rule of ``sums._complete_sums``; a row over it keeps
+    T and the tail.
     """
     ms = sorted(set(int(m) for m in m_range))
     if any(m < 1 for m in ms):
@@ -278,8 +302,10 @@ def verify_formula(
 
     if not nondeg.passed:
         return [report(m, "not-applicable") for m in ms]
+    k_max = _budget_exponent(p, work_budget)
     try:
-        rhs, T, tail = _rhs(P, faces, p, ms, eps, workers=workers, work_budget=work_budget)
+        rhs, T, tail = _rhs(P, faces, p, [m for m in ms if m * f.n <= k_max], eps,
+                            workers=workers, work_budget=work_budget)
     except (BudgetExceeded, WorkBudgetExceeded):
         return [report(m, "budget-exceeded") for m in ms]
 

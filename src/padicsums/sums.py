@@ -129,6 +129,19 @@ The conditions above are necessary for a critical point, not sufficient:
 the monomial map x -> (x^a_j)_j need not reach every t lambda / c when the
 torsion of Z^n / <a_j> meets p - 1.  So a certificate is sound but not
 complete: it may exclude a prime at which g passes.  The scan then decides.
+
+When that map is onto, a torus sum needs no grid (Denef and Sperber 2001;
+_closed_torus_E).  Let the r exponents a_j be linearly independent, so
+A = U D V with U, V unimodular and D = diag(d_1..d_r) above n - r zero rows,
+d = d_1 ... d_r (_smith_data).  phi: x -> (x^a_j)_j, (F_p^x)^n ->
+(F_p^x)^r, is a homomorphism: the bijections x -> x^U and y -> y^V around
+(y_i) -> (y_i^d_i)_{i <= r}.  In the cyclic F_p^x, y -> y^d_i has image of
+index gcd(d_i, p - 1), so phi's image has index prod_i gcd(d_i, p - 1), and
+phi hits each point of it |ker phi| times: equal fibers.  So when
+gcd(d, p - 1) = 1, phi is onto with fibers of (p-1)^(n-r) points, and
+E(p, g) = (p-1)^-r prod_j sum_{y != 0} e(c_j y / p) = (-1/(p-1))^r when p
+divides no c_j, each inner sum being -1.  Every other torus sum keeps the
+grid.
 """
 
 from __future__ import annotations
@@ -136,8 +149,9 @@ from __future__ import annotations
 import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, count, islice, product, repeat
 from math import gcd, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -549,6 +563,27 @@ def _toric_form(
     return r, tuple(e[:r] for e in images), images[0][r:]
 
 
+@lru_cache(maxsize=1 << 12)
+def _smith_data(support: Tuple[ExponentVector, ...]) -> Tuple[int, int, Optional[Tuple[int, ...]]]:
+    """(rank A, d, lambda) for sorted exponent vectors a_j, A the matrix with
+    columns a_j: d > 0 the product of A's nonzero Smith invariants, and
+    lambda the primitive integer relation (A lambda = 0) when A's kernel has
+    rank 1, else None.  A goes to its echelon rows R, then [R^T | I] to
+    [H | U], H triangular above zero rows; U is unimodular, so d, the gcd of
+    the rank-size minors of R^T, is |det H|, and with a kernel of rank 1
+    U's row below the rank is lambda.  No prime or coefficient enters.
+    """
+    width = len(support)
+    rows = [[a[i] for a in support] for i in range(len(support[0]))]
+    rank = _row_reduce(rows, width)
+    # [R^T | U]: row j holds column j of the echelon rows, then row j of U
+    cols = [[rows[i][j] for i in range(rank)] + [int(j == l) for l in range(width)]
+            for j in range(width)]
+    _row_reduce(cols, rank)
+    lam = tuple(cols[rank][rank:]) if width - rank == 1 else None
+    return rank, abs(prod(cols[i][i] for i in range(rank))), lam
+
+
 def _laurent_terms(coefs: Sequence[int], exps: Sequence[ExponentVector], p: int) -> Terms:
     """sum_j coefs[j] y^exps[j] as a function on (F_p^x)^r: exponents are
     reduced mod p - 1 (y^(p-1) = 1 there), equal monomials merged and terms
@@ -722,6 +757,12 @@ def _count_text(p: int, k: int) -> Union[int, str]:
     return p ** k if k * p.bit_length() <= _COUNT_BITS else f"{p}^{k}"
 
 
+def _budget_exponent(p: int, work_budget: int) -> int:
+    """The largest k with p^k <= work_budget, or 0: a grid p^(mn), mn >= 1,
+    is over the budget exactly when mn is above it, without forming p^(mn)."""
+    return next(k for k in count() if p ** (k + 1) > work_budget)
+
+
 def _complete_sums(
     f: Polynomial, p: int, ms: Sequence[int], *, workers: int, work_budget: int,
 ) -> Dict[int, Union[SumValue, WorkBudgetExceeded]]:
@@ -740,10 +781,7 @@ def _complete_sums(
     _require_prime(p)
     if any(m < 1 for m in ms):
         raise ValueError("m must be >= 1")
-    # p^(mn) > work_budget exactly when mn > k_max, without forming p^(mn)
-    k_max = 0  # the largest k with p^k <= work_budget, or 0 (and mn >= 1)
-    while p ** (k_max + 1) <= work_budget:
-        k_max += 1
+    k_max = _budget_exponent(p, work_budget)
     out: Dict[int, Union[SumValue, WorkBudgetExceeded]] = {
         m: WorkBudgetExceeded(_count_text(p, m * f.n), work_budget) for m in ms if m * f.n > k_max}
     fold = [m for m in ms if m not in out and p ** (m * f.n) > 2 and p ** m <= _HIST_CAP]
@@ -810,6 +848,18 @@ def torus_E(
     return SumValue(value, KERNEL_EPS * total, total)
 
 
+def _closed_torus_E(g: Polynomial, p: int) -> Optional[Fraction]:
+    """E(p, g) = (-1/(p-1))^r for g of r terms where the module docstring's
+    three hypotheses hold, all checked here; None where one fails."""
+    terms = sorted(g.terms.items())
+    if not terms or any(c % p == 0 for _, c in terms):
+        return None
+    rank, d, _ = _smith_data(tuple(a for a, _ in terms))
+    if rank < len(terms) or gcd(d, p - 1) != 1:
+        return None
+    return Fraction(-1, p - 1) ** len(terms)
+
+
 # ---------------------------------------------------------------------------
 # nondegeneracy mod p
 # ---------------------------------------------------------------------------
@@ -845,41 +895,24 @@ def _certificate(terms: Tuple[Tuple[ExponentVector, int], ...]) -> Optional[int]
     """A positive integer E such that g = sum_j c_j x^a_j, given by its
     sorted (a_j, c_j) pairs, has no critical point on (F_p^x)^n at any
     prime p not dividing E; None when the module docstring's rules give none.
-
-    A is the matrix with columns a_j, k = #terms - rank A, and d = the
-    product of A's nonzero Smith invariants, read off two integer row
-    reductions (no minors): A to its nonzero echelon rows R, then [R^T | I]
-    to [H | U] with H triangular above zero rows.  U is unimodular, so the
-    gcd of the rank-size minors of R^T, which is d, is |det H|, the product
-    of H's diagonal; and with k = 1, U's row below the rank is a primitive
-    integer lambda with R lambda = 0, hence A lambda = 0.  The certificate
-    depends on no prime, so it is memoized by the terms.
-    """
-    exps = [a for a, _ in terms]
+    It reads rank A, d and lambda from _smith_data, and, depending on no
+    prime, is memoized by the terms."""
     coefs = [c for _, c in terms]
-    width = len(terms)
-    rows = [[a[i] for a in exps] for i in range(len(exps[0]))]
-    rank = _row_reduce(rows, width)
-    if width - rank > 1:
+    rank, d, lam = _smith_data(tuple(a for a, _ in terms))
+    if len(terms) - rank > 1:
         return None
-    # [R^T | U]: row j holds column j of the echelon rows, then row j of U
-    cols = [[rows[i][j] for i in range(rank)] + [int(j == l) for l in range(width)]
-            for j in range(width)]
-    _row_reduce(cols, rank)
-    cert = prod(cols[i][i] for i in range(rank)) * prod(coefs)
-    if width - rank == 1:
-        lam = cols[rank][rank:]
-        if all(lam):
-            size = sum(abs(l) * max(abs(l).bit_length(), abs(c).bit_length())
-                       for l, c in zip(lam, coefs))
-            if sum(lam) or size > _DISCRIMINANT_BITS:
-                return None
-            pos = [(l, c) for l, c in zip(lam, coefs) if l > 0]
-            neg = [(-l, c) for l, c in zip(lam, coefs) if l < 0]
-            sign = -1 if sum(mu for mu, _ in neg) % 2 else 1
-            delta = (prod(l ** l for l, _ in pos) * prod(c ** mu for mu, c in neg)
-                     - sign * prod(mu ** mu for mu, _ in neg) * prod(c ** l for l, c in pos))
-            cert *= prod(lam) * delta
+    cert = d * prod(coefs)
+    if lam is not None and all(lam):
+        size = sum(abs(l) * max(abs(l).bit_length(), abs(c).bit_length())
+                   for l, c in zip(lam, coefs))
+        if sum(lam) or size > _DISCRIMINANT_BITS:
+            return None
+        pos = [(l, c) for l, c in zip(lam, coefs) if l > 0]
+        neg = [(-l, c) for l, c in zip(lam, coefs) if l < 0]
+        sign = -1 if sum(mu for mu, _ in neg) % 2 else 1
+        delta = (prod(l ** l for l, _ in pos) * prod(c ** mu for mu, c in neg)
+                 - sign * prod(mu ** mu for mu, _ in neg) * prod(c ** l for l, c in pos))
+        cert *= prod(lam) * delta
     return abs(cert) or None
 
 

@@ -10,7 +10,8 @@ The property test leaves its example count to the hypothesis profile.
 
 from __future__ import annotations
 
-from math import isqrt
+import random
+from math import isqrt, prod
 from typing import Optional, Set
 
 import pytest
@@ -18,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from padicsums import sums
 from padicsums.errors import ModulusTooLarge, WorkBudgetExceeded
-from padicsums.newton import build_polyhedron, enumerate_faces
+from padicsums.newton import _row_reduce, build_polyhedron, enumerate_faces
 from padicsums.poly import Polynomial, parse_polynomial
+
+from conftest import CORPUS_TEXTS, random_polynomial
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -168,3 +171,54 @@ def test_large_circuit_discriminant_is_not_formed(monkeypatch):
         assert certificate(f) is None
     finally:
         sums._certificate.cache_clear()
+
+
+def certificate_by_two_reductions(terms) -> Optional[int]:
+    """The certificate as it was computed before its Smith data were shared
+    with the closed-form torus sums: both row reductions inline."""
+    exps = [a for a, _ in terms]
+    coefs = [c for _, c in terms]
+    width = len(terms)
+    rows = [[a[i] for a in exps] for i in range(len(exps[0]))]
+    rank = _row_reduce(rows, width)
+    if width - rank > 1:
+        return None
+    cols = [[rows[i][j] for i in range(rank)] + [int(j == l) for l in range(width)]
+            for j in range(width)]
+    _row_reduce(cols, rank)
+    cert = prod(cols[i][i] for i in range(rank)) * prod(coefs)
+    if width - rank == 1:
+        lam = cols[rank][rank:]
+        if all(lam):
+            size = sum(abs(l) * max(abs(l).bit_length(), abs(c).bit_length())
+                       for l, c in zip(lam, coefs))
+            if sum(lam) or size > sums._DISCRIMINANT_BITS:
+                return None
+            pos = [(l, c) for l, c in zip(lam, coefs) if l > 0]
+            neg = [(-l, c) for l, c in zip(lam, coefs) if l < 0]
+            sign = -1 if sum(mu for mu, _ in neg) % 2 else 1
+            delta = (prod(l ** l for l, _ in pos) * prod(c ** mu for mu, c in neg)
+                     - sign * prod(mu ** mu for mu, _ in neg) * prod(c ** l for l, c in pos))
+            cert *= prod(lam) * delta
+    return abs(cert) or None
+
+
+def test_certificate_values_are_those_of_two_inline_reductions():
+    rng = random.Random(20)
+    cases = [tuple(sorted(face.restriction.terms.items()))
+                 for text in CORPUS_TEXTS + ["x^3+y^3+z^3+x*y*z", "x^2+2*x*y+y^2"]
+                 for face in enumerate_faces(build_polyhedron(parse_polynomial(text)))]
+    for _ in range(40):
+        f = random_polynomial(rng, max_terms=5, max_exp=3)
+        cases += [tuple(sorted(face.restriction.terms.items()))
+                      for face in enumerate_faces(build_polyhedron(f))]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        exps = {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))}
+        cases.append(tuple(sorted((a, rng.choice([-30, -9, -2, -1, 1, 2, 3, 7, 14])) for a in exps)))
+    kinds = set()
+    for terms in cases:
+        assert certificate(Polynomial(len(terms[0][0]), dict(terms))) == certificate_by_two_reductions(terms)
+        rank, _, lam = sums._smith_data(tuple(a for a, _ in terms))
+        kinds.add((len(terms) - rank, lam is not None and all(lam) and not sum(lam)))
+    assert {(0, False), (1, False), (1, True), (2, False)} <= kinds  # every rule is reached

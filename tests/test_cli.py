@@ -498,10 +498,26 @@ def test_a_power_far_over_the_budget_exits_2_at_once(capsys, command, stream, li
     assert line in getattr(capsys.readouterr(), stream)
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("count", ["0", "-3", "x"])
 def test_workers_must_be_positive(capsys, count):
     assert main(["sum", "x", "-p", "2", "-m", "1", "--workers", count]) == 2
     assert f"argument --workers: '{count}' is not a positive worker count" in capsys.readouterr().err
+
+
+# a malformed value is refused with the option's rule, not a parser function's name
+def test_a_prime_that_is_no_integer_exits_2(capsys):
+    assert main(["sum", "x", "-p", "3,x", "-m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --prime/-p/--primes: '3,x' is not a comma-separated list of integer primes" in err
+    assert "_parse" not in err
+
+
+@pytest.mark.parametrize("text", ["1..x", "x", "1..2..3"])
+def test_a_power_that_is_no_integer_or_range_exits_2(capsys, text):
+    assert main(["sum", "x", "-p", "3", "-m", text]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --power/-m/--powers: '{text}' is not an integer power m or a range lo..hi" in err
+    assert "_parse" not in err
 
 
 # Each of --eps, --budget, --workers and --csv is registered only where it is read.

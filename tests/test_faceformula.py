@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicsums import faceformula, newton
+from padicsums import faceformula, newton, sums
 from padicsums.errors import WorkBudgetExceeded
 from padicsums.faceformula import cone_sums_multi, truncation_level, verify_formula
 from padicsums.newton import (
@@ -183,6 +183,24 @@ def test_verify_budget_rows_do_not_abort():
         parse_polynomial("x*y+z*u"), 3, [1, 2, 3], work_budget=3 ** 8
     )
     assert [r.verdict for r in reports] == ["pass", "pass", "budget-exceeded"]
+
+
+def test_rows_over_the_budget_skip_the_assembly(monkeypatch):
+    real, assembled = faceformula._assemble, []
+
+    def spy(n, p, rows, scale, e_values, tail):
+        assembled.append(rows)
+        return real(n, p, rows, scale, e_values, tail)
+
+    monkeypatch.setattr(faceformula, "_assemble", spy)
+    # 3^(2m) <= 2e8 exactly for m <= 8
+    reports = verify_formula(parse_polynomial("x*y"), 3, range(1, 20001))
+    assert len(assembled) == 8
+    assert [r.verdict for r in reports[:8]] == ["pass"] * 8
+    over = reports[8:]
+    assert len(over) == 19992 and {r.verdict for r in over} == {"budget-exceeded"}
+    assert all(r.lhs is r.rhs is None for r in over)
+    assert {(r.truncation_T, r.tail) for r in reports} == {(reports[0].truncation_T, reports[0].tail)}
 
 
 def test_residual_shrinks_with_eps():
@@ -363,3 +381,43 @@ def test_integer_assembly_equals_fraction_assembly(f, p):
     e_values = faceformula._torus_values(P.faces, needed, p, workers=1, work_budget=10 ** 6)
     for m in ms:
         assert rhs[m] == fraction_assemble(P.n, p, per_m[m], e_values, tail)
+
+
+# -- closed-form torus sums ----------------------------------------------------------
+
+def test_torus_values_call_the_kernel_only_outside_the_closed_form(monkeypatch):
+    real, kernel = faceformula.torus_E, []
+
+    def spy(g, p, **kwargs):
+        kernel.append((g, p))
+        return real(g, p, **kwargs)
+
+    monkeypatch.setattr(faceformula, "torus_E", spy)
+    routes = set()
+    for text in ["x*y+z*u+x*z+2*y*u", "x^3+y^3+z^3", "x^2+y^3"]:
+        P = build_polyhedron(parse_polynomial(text))
+        for p in (2, 3, 5, 7):
+            kernel.clear()
+            needed = range(len(P.faces))
+            values = faceformula._torus_values(P.faces, needed, p, workers=1, work_budget=10 ** 6)
+            restrictions = dict.fromkeys(face.restriction for face in P.faces)
+            outside = [g for g in restrictions if sums._closed_torus_E(g, p) is None]
+            assert kernel == [(g, p) for g in outside]
+            for face in P.faces:
+                E = sums._closed_torus_E(face.restriction, p)
+                got = values[face.id]
+                assert got.term_count == (p - 1) ** P.n
+                routes.add(E is None)
+                if E is not None:
+                    assert got == SumValue(complex(float(E)), 2 ** -52 * abs(float(E)), (p - 1) ** P.n)
+                    exact = real(face.restriction, p)
+                    assert abs(exact.value - got.value) <= exact.abs_error_budget
+    assert routes == {True, False}
+
+
+def test_torus_values_check_the_work_budget_before_the_closed_form():
+    P = build_polyhedron(parse_polynomial("x*y"))
+    assert all(sums._closed_torus_E(face.restriction, 3) is not None for face in P.faces)
+    with pytest.raises(WorkBudgetExceeded):
+        faceformula._torus_values(P.faces, range(len(P.faces)), 3, workers=1, work_budget=3)
+    assert faceformula._torus_values(P.faces, [0], 3, workers=1, work_budget=4)[0].term_count == 4
