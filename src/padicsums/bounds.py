@@ -18,9 +18,10 @@ are single points, so they are listed only where some row fails, by
 classifying again the points with nu up to the largest nu of a failing row
 (``lattice_blocks`` at that nu), in lexicographic order: a sub-sequence of
 the full scan's order, so they come out in the order a scan of every point
-would give.  They are kept as parallel numpy columns with one map of
-right-hand sides per failing (face id, N), and ``NuCheckRecord``s are built
-from the columns only when a violation tuple is first read.
+would give.  They are kept as parallel numpy columns.  The map of
+right-hand sides per failing (face id, N) and the ``NuCheckRecord``s are
+built from the columns only when first read: the map when ``rhs`` is, the
+records when a violation tuple is.
 
 The diagonal-domination inequality needs no check of its own, because the
 polyhedron decides it exactly.  Lemma: let tau be a face of Gamma_f, with
@@ -91,7 +92,8 @@ class NuCheckFindings:
     """The failing points in scan order as parallel columns: k (F x n, int64),
     face_id and nu (int64), N (object when ``N_bound(P, T)`` reaches
     INT64_SAFE, else int64), main_ok and halfdim_ok (bool); and ``rhs``, each
-    failing (face id, N) mapped to its (rhs_main, rhs_halfdim)."""
+    failing (face id, N) mapped to its (rhs_main, rhs_halfdim), built from
+    the columns and the polyhedron when first read."""
 
     T: int
     points_checked: int
@@ -101,7 +103,18 @@ class NuCheckFindings:
     N: np.ndarray
     main_ok: np.ndarray
     halfdim_ok: np.ndarray
-    rhs: Dict[Tuple[int, int], Tuple[Fraction, Fraction]]
+    _polyhedron: NewtonPolyhedron = field(repr=False)
+
+    @cached_property
+    def rhs(self) -> Dict[Tuple[int, int], Tuple[Fraction, Fraction]]:
+        faces, sigma = self._polyhedron.faces, self._polyhedron.diagonal.sigma
+        return {
+            (face_id, N): (
+                sigma * (N + 1) - faces[face_id].sigma_tau,
+                sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2),
+            )
+            for face_id, N in set(zip(self.face_id.tolist(), self.N.tolist()))
+        }
 
     def failing(self, ok: np.ndarray) -> Iterator[tuple]:
         """(k as a list, face id, nu, N, main ok, halfdim ok) in Python values
@@ -158,24 +171,17 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
 
     main_ok, half_ok = verdicts(table.face_id, table.N, table.nu)
     failing = ~(main_ok & half_ok)
-    rhs = {
-        (face_id, N): (
-            sigma * (N + 1) - faces[face_id].sigma_tau,
-            sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2),
-        )
-        for face_id, N in set(zip(table.face_id[failing].tolist(), table.N[failing].tolist()))
-    }
     # per column, an empty piece of the column's dtype, then each block's failing rows
     N_dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
     pieces = [[np.empty((0, P.n), np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)],
               [np.empty(0, N_dtype)], [np.empty(0, bool)], [np.empty(0, bool)]]
-    if rhs:
+    if failing.any():
         for blk in lattice_blocks(P, int(table.nu[failing].max())):
             main_ok, half_ok = verdicts(blk.face_id, blk.N, blk.nu)
             bad = np.flatnonzero(~(main_ok & half_ok))
             for piece, col in zip(pieces, (blk.k, blk.face_id, blk.nu, blk.N, main_ok, half_ok)):
                 piece.append(col[bad])
-    return NuCheckFindings(T, int(table.count.sum()), *map(np.concatenate, pieces), rhs)
+    return NuCheckFindings(T, int(table.count.sum()), *map(np.concatenate, pieces), P)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ polyhedron is immutable by contract: its faces, its diagonal data, the
 sigma of each vertex set and its lattice table (how many lattice points with
 nu(k) <= T share each (face, N, nu), kept for the largest T requested) are
 derived once, on first use, and never change what it compares equal to.
-The compositions the lattice layer enumerates depend on n and T alone, so each
-is built once for every polyhedron and kept in the shared table store
-(``store.TABLES``).
+The lattice layer reads every k in N^n with |k| <= T from one composition
+shell (``_shell``), which depends on n and T alone: it is built once for every
+polyhedron and kept in the shared table store (``store.TABLES``) when it fits,
+and the lattice blocks are its column slices.
 ``build_polyhedron`` keeps each polyhedron for as long as the polynomial it
 was built from lives, so every call with an equal f, at any prime, shares
 one polyhedron and everything derived on it.
@@ -55,7 +56,9 @@ from .store import kept_table
 #: Largest ambient dimension n that ``build_polyhedron`` admits.
 DIMENSION_CAP = 8
 #: Most lattice points one ``lattice_blocks`` call may classify.  Below 2^31,
-#: so every nu <= T and every count of a ``LatticeTable`` fits int32.
+#: so every nu <= T and every count of a ``LatticeTable`` fits int32.  It also
+#: bounds the shell the blocks are sliced from (``_shell``), which holds at
+#: most 8 bytes a point (n bytes while T <= 255), so at most 40 MB.
 POINT_CAP = 5_000_000
 
 FaceKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertex ids, 0-based recession axes)
@@ -568,9 +571,10 @@ def enumerate_lattice_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoi
 
     The total count is C(T+n, n); BudgetExceeded fires before any point is
     produced if that exceeds POINT_CAP.  This is a flattening of
-    ``lattice_blocks``, which classifies LATTICE_BLOCK (2^12) points at a
-    time, in int64 while T * max|v|_1 stays below 2^62 and with Python
-    integers (dtype=object) otherwise, so no product k . v can wrap.
+    ``lattice_blocks``, which classifies LATTICE_BLOCK (2^12) columns of the
+    composition shell at a time, in int64 while T * max|v|_1 stays below 2^62
+    and with Python integers (dtype=object) otherwise, so no product k . v
+    can wrap.
     """
     blocks = lattice_blocks(P, T)
     return (
@@ -582,7 +586,8 @@ def enumerate_lattice_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoi
     )
 
 
-#: Rows per block of ``lattice_blocks``; bounds the per-block temporaries.
+#: Rows per block of ``lattice_blocks`` (the last block may hold fewer); bounds
+#: the per-block temporaries and the int64 copy of each slice of the shell.
 LATTICE_BLOCK = 1 << 12
 
 #: The lattice layer computes in int64 only when it has proven every value
@@ -621,8 +626,10 @@ def N_bound(P: NewtonPolyhedron, T: int) -> int:
 
 def lattice_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
     """The points of ``enumerate_lattice_points`` in the same order, as blocks
-    of at most LATTICE_BLOCK rows.
+    of LATTICE_BLOCK rows, the last one holding what is left.
 
+    Block i is the column slice [i * LATTICE_BLOCK, (i + 1) * LATTICE_BLOCK)
+    of the kept shell ``_shell(n, T)``, cast to int64, so k and nu are int64.
     Each block is classified at once: N is each point's minimum of k . v over
     the vertices, and the pattern (vertices attaining the minimum, zero
     coordinates of k) is looked up by one ``np.searchsorted`` in the sorted
@@ -641,32 +648,24 @@ def lattice_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
 @kept_table
 def _shell(n: int, T: int) -> np.ndarray:
     """Every k in N^n with |k| <= T, in lexicographic order, one column each.
+
     It depends on no polyhedron and no prime, so it is kept read-only in the
-    shared table store, in the least unsigned dtype that holds T (uint8 up
-    to T = 255: an eighth of int64) to keep the store small."""
-    K = np.arange(T + 1, dtype=np.int64).reshape(1, -1)
-    for _ in range(n - 1):
-        # row-major nonzero: for each new first entry v, the columns with |k| <= T - v
-        first, rest = np.nonzero(K.sum(axis=0) <= T - np.arange(T + 1)[:, None])
-        K = np.vstack((first, K[:, rest]))
-    return K.astype(np.min_scalar_type(T))
-
-
-def _composition_chunks(
-    n: int, T: int, prefix: Tuple[int, ...] = ()
-) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
-    """``prefix`` followed by every k in N^n with |k| <= T, in lexicographic
-    order, as (prefix, tails) chunks of at most LATTICE_BLOCK columns.  The
-    same tails recur below many prefixes, and for every polyhedron of
-    dimension n, so each is a kept ``_shell``."""
-    if comb(T + n, n) <= LATTICE_BLOCK:
-        yield prefix, _shell(n, T)
-    elif n == 1:
-        for lo in range(0, T + 1, LATTICE_BLOCK):
-            yield prefix, np.arange(lo, min(T + 1, lo + LATTICE_BLOCK), dtype=np.int64).reshape(1, -1)
-    else:
-        for v in range(T + 1):
-            yield from _composition_chunks(n - 1, T - v, prefix + (v,))
+    shared table store, in the least unsigned dtype that holds T (uint8 up to
+    T = 255: n bytes a point, an eighth of int64).  It is filled in place, one
+    first entry v at a time, from the kept shell of n - 1 entries and
+    |k| <= T - v, so every shell of a smaller size is built once and shared.
+    """
+    if n == 1:
+        return np.arange(T + 1, dtype=np.min_scalar_type(T)).reshape(1, -1)
+    K = np.empty((n, comb(T + n, n)), dtype=np.min_scalar_type(T))
+    lo = 0
+    for v in range(T + 1):
+        tails = _shell(n - 1, T - v)
+        hi = lo + tails.shape[1]
+        K[0, lo:hi] = v
+        K[1:, lo:hi] = tails
+        lo = hi
+    return K
 
 
 class _Patterns:
@@ -707,7 +706,9 @@ class _Patterns:
 
 
 def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
-    """The blocks of ``lattice_blocks``, which runs the checks first."""
+    """The blocks of ``lattice_blocks``, which runs the checks first: the
+    shell's column slices of LATTICE_BLOCK points, each cast to int64 and
+    classified by one ``_Patterns`` call and one sorted-key lookup."""
     n, nv = P.n, len(P.vertices)
     patterns = _Patterns(P, T)
     keyed = sorted((patterns.key(face.key), face.id) for face in P.faces)
@@ -723,51 +724,35 @@ def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
             raise KeyError((_bits(key, nv), _bits(key >> nv, n)))
         return LatticeBlock(K.T, np.add.reduce(K, axis=0), N, face_ids[at])
 
-    K = np.empty((n, LATTICE_BLOCK), dtype=np.int64)
-    cols = 0
-    for prefix, tails in _composition_chunks(n, T):
-        width = tails.shape[1]
-        if cols + width > LATTICE_BLOCK:
-            yield classify(K[:, :cols])
-            K = np.empty((n, LATTICE_BLOCK), dtype=np.int64)
-            cols = 0
-        for j, v in enumerate(prefix):
-            K[j, cols:cols + width] = v
-        K[len(prefix):, cols:cols + width] = tails
-        cols += width
-    yield classify(K[:, :cols])
+    K = _shell(n, T)
+    for lo in range(0, K.shape[1], LATTICE_BLOCK):
+        yield classify(K[:, lo:lo + LATTICE_BLOCK].astype(np.int64))
 
 
 def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) -> LatticeTable:
     """The ``LatticeTable`` of P at T, tallied from ``blocks`` (those of
-    ``lattice_blocks(P, T)``) as they stream past.
+    ``lattice_blocks(P, T)``).
 
     Each point gets the key (face id * (T+1) + nu) * (N_bound+1) + N, which
     orders the triples, decodes back to them and is below span =
-    faces * (T+1) * (N_bound+1).  The keys are tallied in batches: once the
-    points waiting number eight blocks, or as many as the tally has rows,
-    ``np.unique`` tallies them and they are merged into the tally, so what
-    is held stays within a small multiple of the larger of the two.  Keys
-    are int32 when span allows, since they sort faster, int64 while span is
-    proven below INT64_SAFE, and Python integers (dtype=object) otherwise,
+    faces * (T+1) * (N_bound+1).  Each block's keys are tallied by one
+    ``np.unique`` as the block passes, and the block tallies are merged once
+    at the end, so what is held is a tally per block, never a key per point.
+    Keys are int32 when span allows, since they sort faster, int64 while span
+    is proven below INT64_SAFE, and Python integers (dtype=object) otherwise,
     so no key or N can wrap.
     """
     bound = N_bound(P, T)
     span = len(P.faces) * (T + 1) * (bound + 1)
     wide = np.int64 if span <= INT64_SAFE else object
     key_dtype = np.int32 if span <= 1 << 31 else wide
-    keys, counts = np.empty(0, dtype=key_dtype), np.empty(0, dtype=np.int64)
-    pending: List[np.ndarray] = []
-    held = 0  # points in pending
+    tallies = []  # per block: its sorted distinct keys and their counts
     for blk in blocks:
         key = (blk.face_id.astype(wide, copy=False) * (T + 1) + blk.nu) * (bound + 1) + blk.N
-        pending.append(key.astype(key_dtype))
-        held += len(key)
-        if held >= max(len(keys), 8 * LATTICE_BLOCK):
-            keys, counts = _merge_tally(keys, counts, np.concatenate(pending))
-            pending, held = [], 0
-    if pending:
-        keys, counts = _merge_tally(keys, counts, np.concatenate(pending))
+        tallies.append(np.unique(key.astype(key_dtype), return_counts=True))
+    block_keys, block_counts = zip(*tallies)
+    keys, inverse = np.unique(np.concatenate(block_keys), return_inverse=True)
+    counts = np.bincount(inverse, weights=np.concatenate(block_counts))  # exact: below 2^53
     keys = keys.astype(wide)  # np.divmod refuses dtype=object
     face_nu, N = keys // (bound + 1), keys % (bound + 1)
     face_id, nu = face_nu // (T + 1), face_nu % (T + 1)
@@ -777,16 +762,3 @@ def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) 
         nu.astype(np.int32),
         counts.astype(np.int32),
     )
-
-
-def _merge_tally(
-    keys: np.ndarray, counts: np.ndarray, points: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The tally (sorted distinct keys, their counts) with the keys of
-    ``points`` added."""
-    new, tallied = np.unique(points, return_counts=True)
-    keys = np.concatenate((keys, new))
-    order = np.argsort(keys, kind="stable")  # timsort: two sorted runs
-    keys, counts = keys[order], np.concatenate((counts, tallied))[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[first], np.add.reduceat(counts, first)

@@ -1,14 +1,15 @@
 """One byte-capped store of read-only tables, each built once per key.
 
 The kernel's per-modulus tables (``sums``: roots of unity, p-adic
-valuations) and the lattice layer's prime-free compositions
-(``newton._shell``: every k in N^n with |k| <= T) are pure functions of a
-few integers, so a builder decorated with ``kept_table`` builds each once,
-makes it read-only and keeps it in ``TABLES``.  The store holds at most
-``cap`` bytes of arrays in all: past that, the least recently used tables
-are dropped, and a table that alone exceeds the cap is returned without
-being kept, so it cannot push out everything else or stay resident after
-its one use.
+valuations) and the lattice layer's prime-free composition shells
+(``newton._shell``: every k in N^n with |k| <= T, which the lattice blocks
+are sliced from, each filled from the kept shells of n - 1 entries) are pure
+functions of a few integers, so a builder decorated with ``kept_table``
+builds each once, makes it read-only and keeps it in ``TABLES``.  The store
+holds at most ``cap`` bytes of arrays in all: past that, the least recently
+used tables are dropped, and a table that alone exceeds the cap is returned
+without being kept, so it cannot push out everything else or stay resident
+after its one use.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ class TableStore:
 
 
 #: The one store of every ``kept_table`` builder.  4 MiB holds every table
-#: that the formula sweep over the acceptance corpus keeps (about 0.8 MB) or
-#: a T = 30 nu scan keeps (about 0.12 MB), while a roots table of a
-#: histogram near the 2^22 cap (64 MiB) is used and let go.
+#: that the formula sweep over the acceptance corpus keeps (about 1.8 MB, 1.2
+#: MB of it shells) or a T = 30 nu scan keeps (about 0.34 MB), while a roots
+#: table of a histogram near the 2^22 cap (64 MiB) or a shell near the
+#: lattice point cap (up to 40 MB) is used and let go.
 TABLES = TableStore(4 << 20)
 
 

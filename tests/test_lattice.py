@@ -170,8 +170,35 @@ def test_blocked_layer_matches_oracle(f, T, block, p, python_ints):
         assert cone_sums_multi(P, p, ms, eps) == cone_reference(P, p, ms, eps)
 
 
+def assert_blocks_slice_the_shell(f: Polynomial, T: int, block) -> None:
+    """At this block size (None: the default), the blocks' k stacked are the
+    kept shell's columns, every block but the last is full, and k and nu are
+    int64."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(newton, "LATTICE_BLOCK", block)
+        size = newton.LATTICE_BLOCK
+        blocks = list(lattice_blocks(newton._build(f), T))
+    assert np.array_equal(np.vstack([blk.k for blk in blocks]), newton._shell(f.n, T).T)
+    assert all(len(blk.k) == size for blk in blocks[:-1]) and 0 < len(blocks[-1].k) <= size
+    assert all(blk.k.dtype == blk.nu.dtype == np.int64 for blk in blocks)
+
+
+@settings(deadline=None)
+@given(f=polynomials(), T=st.integers(0, 12), block=st.sampled_from([1, 3, 97, None]))
+def test_blocks_are_full_column_slices_of_the_shell(f, T, block):
+    assert_blocks_slice_the_shell(f, T, block)
+
+
+@pytest.mark.parametrize("block", [1, 3, 97, None])
+def test_corpus_blocks_are_full_column_slices_of_the_shell(corpus, block):
+    for f in corpus:
+        for T in (0, 5, 17):
+            assert_blocks_slice_the_shell(f, T, block)
+
+
 def test_block_boundaries_on_corpus(corpus, monkeypatch):
-    # at 3 rows, tails of one, two and three entries are all reused
+    # at 3 and 97 rows the blocks cut the shell inside runs of one first entry
     for block in (97, 3):
         monkeypatch.setattr(newton, "LATTICE_BLOCK", block)
         findings = 0
@@ -299,6 +326,24 @@ def test_records_are_built_only_when_a_violation_tuple_is_read(monkeypatch, caps
     assert built == ["make"] * len(want.halfdim_violations)
     assert res.halfdim_violations is half  # built once, on first access
     assert_same_findings(res, want)
+
+
+@pytest.mark.parametrize("text, T", [("x*y+z*u", 8), ("x*y+z*u+x*z+2*y*u", 12), ("x^3+y^3+z^3", 12)])
+def test_rhs_is_built_when_first_read(text, T):
+    f = parse_polynomial(text)
+    res = check_nu_inequality(f, T)
+    assert res.main_violations == () and "rhs" not in vars(res)
+    # the reference: each failing row's two sides, in Fractions
+    P = build_polyhedron(f)
+    sigma, faces = P.diagonal.sigma, P.faces
+    want = {}
+    for face_id, N, nu, _ in rows(P.lattice_table(T)):
+        main = sigma * (N + 1) - faces[face_id].sigma_tau
+        half = sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2)
+        if nu < main or nu < half:
+            want[face_id, N] = (main, half)
+    assert res.rhs == want and (len(want) > 0) == (len(res.k) > 0)
+    assert "rhs" in vars(res) and res.rhs is vars(res)["rhs"]
 
 
 def spy_classified(monkeypatch) -> list:
