@@ -36,7 +36,7 @@ s = sum_j beta_j; if s > 0, then x = sum_j beta_j R_j / s lies in tau, and
 the hypothesis reads s * max_i x_i <= t*.  Adding a multiple of some e_a
 lowers no coordinate, so the minimum of max_i x_i over tau is its minimum
 over conv(V_tau), which is 1/sigma(f_tau)
-(``NewtonPolyhedron.vertex_sigma``); it is positive, since 0 is not in
+(``Face.sigma_tau``, kept by vertex set); it is positive, since 0 is not in
 Gamma_f.  Hence s <= t* sigma(f_tau) = sigma(f_tau)/sigma, with equality for
 one point R at that minimizer and beta = t* / max_i R_i.  Finally, tau lies
 in Gamma_f, so the minimum over conv(V_tau) is at least t*, which is

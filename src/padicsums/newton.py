@@ -26,6 +26,10 @@ polyhedron is immutable by contract: its faces, its diagonal data, the
 sigma of each vertex set and its lattice table (how many lattice points with
 nu(k) <= T share each (face, N, nu), kept for the largest T requested) are
 derived once, on first use, and never change what it compares equal to.
+The sigmas are kept in one memo by vertex ids (``_VertexSigmas``) that the
+faces share: it holds the vertices, not the polyhedron, so faces and the
+polyhedron that caches them form no reference cycle, and a polyhedron is
+freed as soon as its polynomial and its last outside reference are.
 The lattice layer reads every k in N^n with |k| <= T from one composition
 shell (``_shell``), which depends on n and T alone: it is built once for every
 polyhedron and kept in the shared table store (``store.TABLES``) when it fits,
@@ -169,8 +173,11 @@ class Face:
 
     ``witness_k`` is the sum of the active facet normals; re-evaluating the
     minimization at witness_k recovers exactly this face.  ``recession_axes``
-    are 0-based internally (serialization emits them 1-based).  ``polyhedron``
-    is the owner; it takes no part in equality, hashing or repr.
+    are 0-based internally (serialization emits them 1-based).
+    ``vertex_sigmas`` is the sigma memo that all faces of the polyhedron
+    share, not the polyhedron itself, so faces and the polyhedron that caches
+    them form no reference cycle; it takes no part in equality, hashing or
+    repr.
     """
 
     id: int
@@ -180,7 +187,7 @@ class Face:
     active_facet_ids: Tuple[int, ...]
     witness_k: ExponentVector
     restriction: Polynomial
-    polyhedron: "NewtonPolyhedron" = field(compare=False, repr=False)
+    vertex_sigmas: "_VertexSigmas" = field(compare=False, repr=False)
 
     @property
     def key(self) -> FaceKey:
@@ -189,8 +196,8 @@ class Face:
     @property
     def sigma_tau(self) -> Fraction:
         """sigma(f_tau), which depends only on the face's vertex set;
-        computed on first read and kept on the polyhedron."""
-        return self.polyhedron.vertex_sigma(self.vertex_ids)
+        computed on first read and kept in the shared memo."""
+        return self.vertex_sigmas[self.vertex_ids]
 
 
 class Diagonal(NamedTuple):
@@ -266,9 +273,9 @@ class NewtonPolyhedron:
         return self.faces[face_id]
 
     @cached_property
-    def _vertex_sigmas(self) -> Dict[Tuple[int, ...], Fraction]:
-        # the whole vertex set spans P itself, whose sigma is P's own
-        return {tuple(range(len(self.vertices))): self.diagonal.sigma}
+    def _vertex_sigmas(self) -> "_VertexSigmas":
+        """The sigma memo by vertex ids that the faces share."""
+        return _VertexSigmas(self.vertices, self.n, self.diagonal.sigma)
 
     @cached_property
     def _lattice_tables(self) -> Dict[int, "LatticeTable"]:
@@ -300,18 +307,25 @@ class NewtonPolyhedron:
         keep = table.nu <= T
         return LatticeTable(*(column[keep] for column in table))
 
-    def vertex_sigma(self, vertex_ids: Tuple[int, ...]) -> Fraction:
-        """sigma of conv(V) + R_+^n for the vertices V with these ids,
-        computed on first request and memoized by the id tuple.
 
-        This is sigma(f_tau) for every face tau with exactly these vertices:
-        Supp(f_tau) lies in tau, inside conv(V_tau) + R_+^n, and holds
-        V_tau, so Newton(f_tau) = conv(V_tau) + R_+^n.
-        """
-        memo = self._vertex_sigmas
-        if vertex_ids not in memo:
-            memo[vertex_ids] = 1 / _hull_t_star([self.vertices[i] for i in vertex_ids], self.n)
-        return memo[vertex_ids]
+class _VertexSigmas(dict):
+    """sigma of conv(V) + R_+^n by the ids of the vertices V of a polyhedron,
+    each computed on first request (``__missing__``).
+
+    This is sigma(f_tau) for every face tau with exactly these vertices:
+    Supp(f_tau) lies in tau, inside conv(V_tau) + R_+^n, and holds V_tau, so
+    Newton(f_tau) = conv(V_tau) + R_+^n.  The whole vertex set spans the
+    polyhedron itself, so it is seeded with the polyhedron's own sigma.  It
+    holds only the vertices and n, never the polyhedron.
+    """
+
+    def __init__(self, vertices: Tuple[ExponentVector, ...], n: int, sigma: Fraction):
+        super().__init__({tuple(range(len(vertices))): sigma})
+        self.vertices = vertices
+        self.n = n
+
+    def __missing__(self, vertex_ids: Tuple[int, ...]) -> Fraction:
+        return self.setdefault(vertex_ids, 1 / _hull_t_star([self.vertices[i] for i in vertex_ids], self.n))
 
 
 def _hull_t_star(points: Sequence[ExponentVector], n: int) -> Fraction:
@@ -531,7 +545,7 @@ def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
             points = [support[s] for s in _bits(smask, len(support))]
             restr = restrictions[smask] = face_restriction(P.source, points)
             assert restr is not None, "every face of the Newton polyhedron meets Supp(f)"
-        faces.append(Face(len(faces), vids, axes, dim, active_ids, tuple(witness), restr, P))
+        faces.append(Face(len(faces), vids, axes, dim, active_ids, tuple(witness), restr, P._vertex_sigmas))
     return tuple(faces)
 
 
@@ -544,7 +558,8 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
     face at once, and minimizing over P at every witness (``_Patterns``)
     must recover every face.  Only the dimension (``_face_dim``) is found
     face by face.  A face's sigma_tau = sigma(f_tau) is computed when first
-    read, once per distinct vertex set of P (``NewtonPolyhedron.vertex_sigma``).
+    read, once per distinct vertex set of P, and kept in one memo that all of
+    P's faces share (``_VertexSigmas``); the faces hold that memo, not P.
     """
     return list(P.faces)
 

@@ -9,6 +9,7 @@ not by the type itself: gradients legitimately produce constant terms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -18,6 +19,11 @@ ExponentVector = Tuple[int, ...]
 
 #: Single-letter variable names, aliases for x1..x6 in this order.
 NAMED_VARS = "xyzuvw"
+
+#: One token of polynomial text with the whitespace removed: an indexed
+#: variable, an integer, a named variable, an operator or, last, any other
+#: character.  ``\d`` is a Unicode decimal digit, the kind ``int`` reads.
+_TOKEN = re.compile(rf"x(\d+)|(\d+)|([{NAMED_VARS}])|([-+*^])|(.)")
 
 
 @dataclass(frozen=True)
@@ -77,34 +83,23 @@ class Polynomial:
 
 def _lex(text: str) -> List[Tuple[str, object, int]]:
     """Tokenize with all whitespace removed; positions index the original text."""
-    chars = [(c, i) for i, c in enumerate(text) if not c.isspace()]
+    at = [i for i, c in enumerate(text) if not c.isspace()]
     tokens: List[Tuple[str, object, int]] = []
-    i = 0
-    while i < len(chars):
-        c, pos = chars[i]
-        if c.isdigit():
-            j = i
-            while j < len(chars) and chars[j][0].isdigit():
-                j += 1
-            tokens.append(("int", int("".join(ch for ch, _ in chars[i:j])), pos))
-            i = j
-        elif c == "x" and i + 1 < len(chars) and chars[i + 1][0].isdigit():
-            j = i + 1
-            while j < len(chars) and chars[j][0].isdigit():
-                j += 1
-            idx = int("".join(ch for ch, _ in chars[i + 1 : j]))
-            if idx < 1:
+    for m in _TOKEN.finditer("".join(text[i] for i in at)):
+        index, digits, name, op, other = m.groups()
+        pos = at[m.start()]
+        if other is not None:
+            raise PolyParseError(f"unexpected character {other!r}", pos)
+        if index is not None:
+            if int(index) < 1:
                 raise PolyParseError("variable index must be >= 1", pos)
-            tokens.append(("var", idx, pos))
-            i = j
-        elif c in NAMED_VARS:
-            tokens.append(("var", NAMED_VARS.index(c) + 1, pos))
-            i += 1
-        elif c in "+-*^":
-            tokens.append(("op", c, pos))
-            i += 1
+            tokens.append(("var", int(index), pos))
+        elif digits is not None:
+            tokens.append(("int", int(digits), pos))
+        elif name is not None:
+            tokens.append(("var", NAMED_VARS.index(name) + 1, pos))
         else:
-            raise PolyParseError(f"unexpected character {c!r}", pos)
+            tokens.append(("op", op, pos))
     return tokens
 
 
@@ -118,6 +113,8 @@ def parse_polynomial(text: str, dimension_hint: Optional[int] = None) -> Polynom
         factor := var ('^' natural)?
         var    := 'x' natural | 'x'|'y'|'z'|'u'|'v'|'w'
 
+    ``integer`` and ``natural`` are runs of decimal digits; a superscript
+    digit (``x²``) is rejected as an unexpected character at its position.
     Named variables alias x1..x6; variables beyond the sixth must use the
     indexed form.  Like terms are combined and zero coefficients dropped.
     The dimension is ``dimension_hint`` when given, else the highest variable
@@ -129,65 +126,48 @@ def parse_polynomial(text: str, dimension_hint: Optional[int] = None) -> Polynom
     tokens = _lex(text)
     if not tokens:
         raise PolyParseError("empty polynomial text", 0)
-
-    pos = 0
-
-    def peek() -> Optional[Tuple[str, object, int]]:
-        return tokens[pos] if pos < len(tokens) else None
+    max_var = max((value for kind, value, _ in tokens if kind == "var"), default=0)
+    tokens.append(("end", None, len(text)))  # carries the position of a truncated text
 
     raw_terms: List[Tuple[int, Dict[int, int]]] = []
-    max_var = 0
-
-    def parse_term(outer_sign: int) -> None:
-        nonlocal pos, max_var
-        sign = outer_sign
-        tok = peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            sign *= -1 if tok[1] == "-" else 1
-            pos += 1
-            tok = peek()
-        coeff: Optional[int] = None
-        if tok and tok[0] == "int":
-            coeff = int(tok[1])  # type: ignore[arg-type]
-            pos += 1
+    sign = 1
+    i = 0
+    while True:
+        if tokens[i][1] in ("+", "-"):
+            sign *= -1 if tokens[i][1] == "-" else 1
+            i += 1
+        coeff = None
+        if tokens[i][0] == "int":
+            coeff = tokens[i][1]
+            i += 1
         factors: Dict[int, int] = {}
         while True:
-            tok = peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                pos += 1
-                tok = peek()
-                if not tok or tok[0] != "var":
-                    raise PolyParseError("expected a variable after '*'", tok[2] if tok else len(text))
-            if not tok or tok[0] != "var":
+            if tokens[i][1] == "*":
+                i += 1
+                if tokens[i][0] != "var":
+                    raise PolyParseError("expected a variable after '*'", tokens[i][2])
+            if tokens[i][0] != "var":
                 break
-            var_idx = int(tok[1])  # type: ignore[arg-type]
-            max_var = max(max_var, var_idx)
-            pos += 1
+            var_idx = tokens[i][1]
+            i += 1
             exp = 1
-            tok = peek()
-            if tok and tok[0] == "op" and tok[1] == "^":
-                pos += 1
-                tok = peek()
-                if not tok or tok[0] != "int":
-                    raise PolyParseError("expected an exponent after '^'", tok[2] if tok else len(text))
-                exp = int(tok[1])  # type: ignore[arg-type]
-                pos += 1
+            if tokens[i][1] == "^":
+                i += 1
+                if tokens[i][0] != "int":
+                    raise PolyParseError("expected an exponent after '^'", tokens[i][2])
+                exp = tokens[i][1]
+                i += 1
             factors[var_idx] = factors.get(var_idx, 0) + exp
         if coeff is None and not factors:
-            tok = peek()
-            raise PolyParseError("expected a coefficient or variable", tok[2] if tok else len(text))
+            raise PolyParseError("expected a coefficient or variable", tokens[i][2])
         raw_terms.append((sign * (1 if coeff is None else coeff), factors))
-
-    parse_term(1)
-    while True:
-        tok = peek()
-        if tok is None:
+        kind, value, pos = tokens[i]
+        if kind == "end":
             break
-        if tok[0] == "op" and tok[1] in "+-":
-            pos += 1
-            parse_term(-1 if tok[1] == "-" else 1)
-        else:
-            raise PolyParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+        if value not in ("+", "-"):
+            raise PolyParseError(f"expected '+' or '-', found {value!r}", pos)
+        sign = -1 if value == "-" else 1
+        i += 1
 
     if dimension_hint is not None:
         if dimension_hint < 1:

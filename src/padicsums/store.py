@@ -5,11 +5,11 @@ valuations) and the lattice layer's prime-free composition shells
 (``newton._shell``: every k in N^n with |k| <= T, which the lattice blocks
 are sliced from, each filled from the kept shells of n - 1 entries) are pure
 functions of a few integers, so a builder decorated with ``kept_table``
-builds each once, makes it read-only and keeps it in ``TABLES``.  The store
-holds at most ``cap`` bytes of arrays in all: past that, the least recently
-used tables are dropped, and a table that alone exceeds the cap is returned
-without being kept, so it cannot push out everything else or stay resident
-after its one use.
+builds each once, makes it read-only and keeps it in ``TABLES``.  Every
+table is one numpy array.  The store holds at most ``cap`` bytes of arrays
+in all: past that, the least recently used tables are dropped, and a table
+that alone exceeds the cap is returned without being kept, so it cannot push
+out everything else or stay resident after its one use.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import wraps
 from typing import Hashable
-
-
-def _arrays(value) -> tuple:
-    return value if isinstance(value, tuple) else (value,)
-
-
-def _nbytes(value) -> int:
-    return sum(a.nbytes for a in _arrays(value))
 
 
 class TableStore:
@@ -37,16 +29,14 @@ class TableStore:
         self.nbytes = 0
 
     def keep(self, key: Hashable, value):
-        """``value`` made read-only, and kept under ``key`` if it fits the
-        cap (dropping the least recently used tables to make room)."""
-        for a in _arrays(value):
-            a.flags.writeable = False
-        size = _nbytes(value)
-        if size <= self.cap:
+        """The array ``value`` made read-only, and kept under ``key`` if it
+        fits the cap (dropping the least recently used tables to make room)."""
+        value.flags.writeable = False
+        if value.nbytes <= self.cap:
             self.tables[key] = value
-            self.nbytes += size
+            self.nbytes += value.nbytes
             while self.nbytes > self.cap:  # stops at the new table, which fits
-                self.nbytes -= _nbytes(self.tables.popitem(last=False)[1])
+                self.nbytes -= self.tables.popitem(last=False)[1].nbytes
         return value
 
 
@@ -59,8 +49,8 @@ TABLES = TableStore(4 << 20)
 
 
 def kept_table(build):
-    """Decorator: ``build(*args)``, an array or a tuple of arrays, is kept in
-    ``TABLES`` under (its name, args)."""
+    """Decorator: ``build(*args)``, an array, is kept in ``TABLES`` under
+    (its name, args)."""
     name = build.__name__
 
     @wraps(build)

@@ -82,7 +82,7 @@ def test_nu_points_checked_count():
 # and points R_j of a face tau with sum beta_j R_j <= t* componentwise, has
 # the exact supremum sigma(f_tau)/sigma <= 1.  The linear program below
 # computes that supremum from the face's vertices and axes alone, without
-# the library's sigma(f_tau) (``vertex_sigma``).
+# the library's sigma(f_tau) (``Face.sigma_tau``).
 
 def test_sampler_hand_instance_hyperbolic_pair():
     # single point R = (1,1,0,0) on F0, beta = 1/2: hypothesis holds with

@@ -306,6 +306,26 @@ def test_polyhedron_dies_with_its_polynomial():
     assert ref() is None
 
 
+@pytest.mark.parametrize("text", ["7*x*y+5*z*u", "x^2*y+y^2*z+z^2*x+11*x*y*z"])
+def test_polyhedron_is_freed_without_the_cycle_collector(text):
+    """Faces share a sigma memo that holds the vertices, not the polyhedron,
+    so no reference cycle keeps a polyhedron and its lattice table resident
+    after its polynomial dies: reference counting alone frees it."""
+    gc.disable()
+    try:
+        f = parse_polynomial(text)
+        assert f not in newton._BUILT  # no live equal polynomial shares the polyhedron
+        P = build_polyhedron(f)
+        for face in P.faces:
+            face.sigma_tau
+        P.lattice_table(40)
+        ref = weakref.ref(P)
+        del P, f, face
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_polyhedron_holds_an_equal_copy_of_its_polynomial(corpus):
     for f in corpus:
         P = build_polyhedron(f)

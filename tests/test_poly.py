@@ -136,6 +136,89 @@ def test_parse_refuses_a_dimension_hint_below_one():
         parse_polynomial("x", dimension_hint=0)
 
 
+@pytest.mark.parametrize("text, position", [("x²", 1), ("x^²", 2), ("3²x", 1), ("x1²", 2)])
+def test_parse_rejects_a_superscript_digit_at_its_position(text, position):
+    # a superscript counts for str.isdigit but is no decimal digit, so int()
+    # cannot read it: it is an unexpected character, not an integer
+    with pytest.raises(PolyParseError, match="unexpected character '²'") as exc:
+        parse_polynomial(text)
+    assert exc.value.position == position
+
+
+def test_parse_reads_every_unicode_decimal_digit():
+    assert parse_polynomial("٣x^٢ + x٢") == parse_polynomial("3x^2 + x2")
+
+
+PARSE_ALPHABET = st.sampled_from(
+    list("xyzuvw+-*^") + list("0123456789") + list("٠١٢٣٩") + list("¹²³⁰①")
+    + list("abXY#$()[]/.,;=_!é") + [" ", "\t", "\n", "\xa0"])
+
+
+@settings(deadline=None)
+@given(text=st.text(PARSE_ALPHABET, max_size=24), hint=st.sampled_from([None, *range(1, 9)]))
+def test_parse_raises_only_its_own_errors(text, hint):
+    """Any text either parses or raises one of the parser's typed errors,
+    never a bare exception from inside it."""
+    try:
+        f = parse_polynomial(text, hint)
+    except (PolyParseError, ConstantTermNonzero, ZeroPolynomial):
+        return
+    assert not f.has_constant_term
+    if hint is not None:
+        assert f.n == hint
+
+
+@st.composite
+def written_polynomials(draw):
+    """(text, dimension hint, the Polynomial the text means or None when it
+    cancels to zero): 1-6 terms with nonzero coefficients and nonzero
+    exponent vectors in n <= 8 variables, each written in a drawn surface
+    syntax.  Exponent vectors may repeat, so terms may combine or cancel."""
+    n = draw(st.integers(1, 8))
+    vectors = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+    terms = draw(st.lists(st.tuples(st.integers(-5, 5).filter(bool), vectors), min_size=1, max_size=6))
+    hint = draw(st.sampled_from([None, n]))
+    pieces = []
+    for k, (coef, exp) in enumerate(terms):
+        if k == 0:
+            pieces.append("-" if coef < 0 else draw(st.sampled_from(["", "+"])))
+        else:
+            pieces.append(draw(st.sampled_from(
+                [" - ", "-", " + -", "+-"] if coef < 0 else [" + ", "+", " - -", "--"])))
+        factors = []
+        for j, e in enumerate(exp):
+            while e:  # a variable may be repeated inside one term
+                part = draw(st.integers(1, e))
+                e -= part
+                named = j < 6 and draw(st.booleans())
+                name = "xyzuvw"[j] if named else f"x{j + 1}"
+                factors.append(name if part == 1 and draw(st.booleans()) else f"{name}^{part}")
+        factors = draw(st.permutations(factors))
+        if abs(coef) != 1 or draw(st.booleans()):
+            factors.insert(0, str(abs(coef)))
+        pieces.append("".join(
+            factor if i == 0 else draw(st.sampled_from(["*", " * ", ""])) + factor
+            for i, factor in enumerate(factors)))
+    width = hint or max(j + 1 for _, exp in terms for j, e in enumerate(exp) if e)
+    combined = {}
+    for coef, exp in terms:
+        key = tuple(exp[:width])
+        combined[key] = combined.get(key, 0) + coef
+    combined = {e: c for e, c in combined.items() if c}
+    return "".join(pieces), hint, Polynomial(width, combined) if combined else None
+
+
+@settings(deadline=None)
+@given(case=written_polynomials())
+def test_parse_matches_the_generating_terms(case):
+    text, hint, expected = case
+    if expected is None:
+        with pytest.raises(ZeroPolynomial):
+            parse_polynomial(text, hint)
+    else:
+        assert parse_polynomial(text, hint) == expected
+
+
 def test_render_round_trip_random():
     rng = random.Random(20240811)
     for _ in range(60):
