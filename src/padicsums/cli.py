@@ -202,6 +202,12 @@ def _complex_dict(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
+def _complex_text(value: complex) -> str:
+    """a + bi or a - |b|i, each part to 15 significant digits."""
+    sign = "-" if value.imag < 0 else "+"
+    return f"{value.real:.15g} {sign} {abs(value.imag):.15g}i"
+
+
 def _face_dict(P: NewtonPolyhedron, face: Face, restriction: str) -> dict:
     return {
         "id": face.id,
@@ -337,7 +343,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
         "term_count": s.term_count,
     }
     human = [
-        f"S(p={p}, m={m}) = {s.value.real:.15g} + {s.value.imag:.15g}i   "
+        f"S(p={p}, m={m}) = {_complex_text(s.value)}   "
         f"(+/- {s.abs_error_budget:.3g}, {s.term_count} terms)"
     ]
     _emit(args, human, obj)
@@ -357,7 +363,7 @@ def cmd_esum(args: argparse.Namespace) -> int:
         "term_count": s.term_count,
     }
     human = [
-        f"E(p={p}, {render(target)}) = {s.value.real:.15g} + {s.value.imag:.15g}i   "
+        f"E(p={p}, {render(target)}) = {_complex_text(s.value)}   "
         f"(+/- {s.abs_error_budget:.3g})"
     ]
     _emit(args, human, obj)
@@ -388,9 +394,11 @@ def cmd_verify_formula(args: argparse.Namespace) -> int:
             if rep.lhs is None:
                 human.append(f"  m = {rep.m}: {rep.verdict}")
             else:
+                diff = abs(rep.lhs.value - rep.rhs.value)
+                relation = "<=" if diff <= rep.certified_tolerance else ">"
                 human.append(
                     f"  m = {rep.m}: {rep.verdict}   |lhs-rhs| = "
-                    f"{abs(rep.lhs.value - rep.rhs.value):.3e} <= tol {rep.certified_tolerance:.3e}"
+                    f"{diff:.3e} {relation} tol {rep.certified_tolerance:.3e}"
                 )
         csv_rows += [_flatten_formula_row(r) for r in rows]
         verdicts.update(rep.verdict for rep in reports)

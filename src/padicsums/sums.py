@@ -72,12 +72,13 @@ vectorized), with the terms grouped by their monomial in the outer axes so
 each outer point costs one multiply-add per distinct outer monomial; the
 residues are histogrammed, and the sum is assembled once as
 counts . roots-of-unity.  When the modulus is too large to histogram, blocks
-are reduced with complex exponentials and merged by compensated (Kahan)
-summation in fixed ascending block order, so results are reproducible for any
-worker count.  Every value carries a certified absolute error budget of
-KERNEL_EPS per point of the whole grid, which also covers the block product
-(see _block_product).  Moduli whose residue products could wrap int64 are
-refused with ModulusTooLarge before any work starts.
+are reduced with complex exponentials and merged by one correctly rounded sum
+(math.fsum) of their real parts and one of their imaginary parts, so results
+do not depend on the block order or the worker count.  Every value carries a
+certified absolute error budget of KERNEL_EPS per point of the whole grid,
+which also covers the block product (see _block_product).  Moduli whose
+residue products could wrap int64 are refused with ModulusTooLarge before any
+work starts.
 
 _grid_residues is the package's one evaluator of polynomials mod M: the sum
 kernels and the mod-p nondegeneracy scan both run on it.  The scan first
@@ -151,8 +152,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count, islice, product, repeat
-from math import gcd, prod
+from itertools import accumulate, count, islice, product
+from math import fsum, gcd, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -265,12 +266,6 @@ def _split_axes(sizes: Sequence[int]) -> Tuple[int, int, int, int]:
     return start, 1, sizes[-1], prod(sizes[:start])
 
 
-def _kahan_add(s: complex, c: complex, x: complex) -> Tuple[complex, complex]:
-    y = x - c
-    t = s + y
-    return t, (t - s) - y
-
-
 #: One polynomial for the kernel: (coefficient mod modulus, exponents) pairs
 #: in ascending exponent order; possibly empty (the zero polynomial).
 Terms = Tuple[Tuple[int, ExponentVector], ...]
@@ -306,107 +301,95 @@ def _grid_residues(polys: Sequence[Terms], modulus: int, domains: Sequence[Tuple
     a caller may stop early.
 
     Terms are grouped by their outer exponent exps[:inner_start], and each
-    group becomes one residue array over the inner block, built again only
-    when the segment changes (every task only when outer axes stand beside a
-    segmented one, which takes 2^40 points); the outer-free terms (constants
-    included) form one base group.  A task then does one multiply-add per
-    distinct outer monomial, not one per term.
+    group becomes one value over the inner block, built again only when the
+    segment changes (every task only when outer axes stand beside a
+    segmented one, which takes 2^40 points): a broadcast-shaped residue
+    array, or a Python int when the group is constant on the block (the
+    constant term's group among them).  A task then does one multiply-add
+    per distinct outer monomial, not one per term.
     """
-    n = len(domains)
-    sizes = [stop - start for start, stop in domains]
-    inner_start, segments, seg_size, _ = _split_axes(sizes)
-    inner_axes = list(range(inner_start, n))
-
-    def inner_domain(axis: int, seg: int) -> np.ndarray:
-        start, stop = domains[axis]
-        if segments > 1 and axis == n - 1:
-            start = start + seg * seg_size
-            stop = min(stop, start + seg_size)
-        return np.arange(start, stop, dtype=np.int64)
-
-    def build_plan(terms: Terms, seg: int, pow_cache: Dict[Tuple[int, int], np.ndarray]):
-        """(shape, [(outer exponent, (scalar, residues))]) for one inner block.
-        The group's value is scalar * residues; residues is a broadcast-shaped
-        array, or an int when the group is constant on the block.  A lone
-        term keeps its coefficient as the scalar, a merged group has scalar 1."""
-        shape = tuple(len(inner_domain(a, seg)) for a in inner_axes)
-        groups: Dict[ExponentVector, Tuple[int, object]] = {}
-        for coef, exps in terms:
-            mono = None
-            for pos, axis in enumerate(inner_axes):
-                e = exps[axis]
-                if not e:
-                    continue
-                key = (axis, e)
-                if key not in pow_cache:
-                    p = _pow_mod_array(inner_domain(axis, seg), e, modulus)
-                    pow_cache[key] = p.reshape(
-                        tuple(len(p) if q == pos else 1 for q in range(len(inner_axes)))
-                    )
-                pw = pow_cache[key]
-                mono = pw if mono is None else (mono * pw) % modulus
-            mono = 1 if mono is None else mono
-            outer = exps[:inner_start]
-            if outer in groups:
-                c, g = groups[outer]
-                groups[outer] = (1, ((c * g) % modulus + (coef * mono) % modulus) % modulus)
-            else:
-                groups[outer] = (coef, mono)
-        return shape, list(groups.items())
+    inner_start, segments, seg_size, _ = _split_axes([stop - start for start, stop in domains])
 
     def build_plans(seg: int):
-        pow_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        return [build_plan(terms, seg, pow_cache) for terms in polys]
+        """(shape, plans) for one segment's inner block: per polynomial, its
+        [(outer exponent, (scalar, values))] groups, the group's value being
+        scalar * values.  A lone term keeps its coefficient as the scalar, a
+        merged group has scalar 1."""
+        bounds = list(domains[inner_start:])
+        if segments > 1:
+            start = bounds[-1][0] + seg * seg_size
+            bounds[-1] = (start, min(bounds[-1][1], start + seg_size))
+        axes = [np.arange(start, stop, dtype=np.int64) for start, stop in bounds]
+        shape = tuple(map(len, axes))
+        powers: Dict[Tuple[int, int], np.ndarray] = {}
+        plans = []
+        for terms in polys:
+            groups: Dict[ExponentVector, Tuple[int, object]] = {}
+            for coef, exps in terms:
+                mono = 1  # an int until the first inner factor, which is taken as it is
+                for pos, e in enumerate(exps[inner_start:]):
+                    if e:
+                        if (pos, e) not in powers:
+                            powers[pos, e] = _pow_mod_array(axes[pos], e, modulus).reshape(
+                                [-1 if q == pos else 1 for q in range(len(axes))])
+                        pw = powers[pos, e]
+                        mono = pw if isinstance(mono, int) else mono * pw % modulus
+                outer = exps[:inner_start]
+                if outer in groups:
+                    c, g = groups[outer]
+                    groups[outer] = (1, (c * g % modulus + coef * mono % modulus) % modulus)
+                else:
+                    groups[outer] = (coef, mono)
+            plans.append(list(groups.items()))
+        return shape, plans
 
     # Overflow policy: a task adds one product of two residues, at most
-    # (modulus - 1)^2, per distinct outer monomial and then a constant below
-    # modulus; accumulate raw products and reduce once if that stays < 2^63.
-    safe_raw = [(len({exps[:inner_start] for _, exps in terms}) + 1) * (modulus - 1) ** 2 < 1 << 63
+    # (modulus - 1)^2, per distinct outer monomial (the constant term's
+    # among them); accumulate raw products and reduce once if that stays < 2^63.
+    safe_raw = [len({exps[:inner_start] for _, exps in terms}) * (modulus - 1) ** 2 < 1 << 63
                 for terms in polys]
 
-    def residues(plan, raw: bool, point: List[int]) -> np.ndarray:
-        shape, groups = plan
+    def residues(shape: Tuple[int, ...], point: List[int], groups, raw: bool) -> np.ndarray:
         acc = np.zeros(shape, dtype=np.int64)
-        const = 0
         for outer, (scalar, values) in groups:
             for j in range(inner_start):
                 if outer[j]:
-                    scalar = (scalar * pow(point[j], outer[j], modulus)) % modulus
-            if isinstance(values, int):
-                const = (const + scalar * values) % modulus
-            elif raw:
+                    scalar = scalar * pow(point[j], outer[j], modulus) % modulus
+            if raw:
                 acc += values if scalar == 1 else scalar * values
             else:
                 acc = (acc + scalar * values) % modulus
-        if const:
-            acc += const
         acc %= modulus
         return acc
 
     tasks = product(*(range(start, stop) for start, stop in domains[:inner_start]), range(segments))
-    plans, plans_seg = None, None  # one segment's plans, built again when the segment changes
+    plans_seg = None  # the segment whose plans are built; built again when it changes
     for *point, seg in islice(tasks, lo, hi):
         if seg != plans_seg:
-            plans, plans_seg = build_plans(seg), seg
+            (shape, plans), plans_seg = build_plans(seg), seg
         origin = [*point, *(start for start, _ in domains[inner_start:])]
         if segments > 1:
             origin[-1] += seg * seg_size
-        yield tuple(origin), map(residues, plans, safe_raw, repeat(point))
+        yield tuple(origin), map(partial(residues, shape, point), plans, safe_raw)
 
 
-def _grid_worker(polys: Sequence[Terms], p: int, m: int, domains: Sequence[Tuple[int, int]],
-                 hist: bool, span: Tuple[int, int]) -> Union[np.ndarray, List[complex]]:
+def _grid_worker(polys: Sequence[Terms], fiber: int, p: int, m: int,
+                 domains: Sequence[Tuple[int, int]], hist: bool,
+                 span: Tuple[int, int]) -> Union[np.ndarray, List[complex]]:
     """Reduce the contiguous span (lo, hi) of tasks of _grid_residues modulo
-    p^m: to its histogram in histogram mode, to each task's complex value,
-    in task order, in exp mode.
+    p^m: in histogram mode to the span's residue histogram mod p^m (see
+    _grid_sum), in exp mode to each task's complex value, in task order.
 
     The first polynomial is h, the rest are g_1..g_k.  With k = 0 the
-    histogram is indexed by the residue of h.  With k >= 1 it is the
-    concatenation of one table per divisor p^v of p^m, v = 0..m, indexed by
-    h mod p^v at the points where gcd(g_1, ..., g_k, p^m) = p^v, so v is the
-    least p-adic valuation of the g_j(x), capped at m: one lookup per g_j in
-    the table val[r] = v_p(r), val[0] = m.  In exp mode only the points
-    where every g_j vanishes are summed.
+    histogram is indexed by the residue of h.  With k >= 1 the span is first
+    tallied into one table per divisor p^v of p^m, v = 0..m, concatenated so
+    that p^v's table follows those of p^0..p^(v-1) and starts at
+    (p^v - 1)/(p - 1): it is indexed by h mod p^v at the points where
+    gcd(g_1, ..., g_k, p^m) = p^v, so v is the least p-adic valuation of the
+    g_j(x), capped at m (one lookup per g_j in the table val[r] = v_p(r),
+    val[0] = m).  The count at s of p^v's table then goes, times
+    fiber p^v / p^m, to every residue r = s mod p^v.  In exp mode only the
+    points where every g_j vanishes are summed.
     """
     modulus = p ** m
     tasks = _grid_residues(polys, modulus, domains, *span)
@@ -420,7 +403,6 @@ def _grid_worker(polys: Sequence[Terms], p: int, m: int, domains: Sequence[Tuple
         return values
     length = modulus
     if len(polys) > 1:
-        # p^v's table follows those of p^0, ..., p^(v-1), so it starts at (p^v - 1)/(p - 1)
         divisors = p ** np.arange(m + 1, dtype=np.int64)
         offsets = (divisors - 1) // (p - 1)
         val = _valuations(p, m)
@@ -433,6 +415,15 @@ def _grid_worker(polys: Sequence[Terms], p: int, m: int, domains: Sequence[Tuple
                 v = np.minimum(v, val[g])
             h = offsets[v] + h % divisors[v]
         counts += np.bincount(np.ravel(h), minlength=len(counts))
+    if len(polys) == 1:
+        return counts
+    tables, counts = counts, np.zeros(modulus, dtype=np.int64)
+    for v in range(m + 1):
+        d = p ** v
+        part = tables[offsets[v]:offsets[v] + d]
+        if part.any():
+            view = counts.reshape(-1, d)
+            view += fiber * d // modulus * part
     return counts
 
 
@@ -465,44 +456,33 @@ def _grid_sum(h: Terms, gs: Sequence[Terms], fiber: int, p: int, m: int,
     stationary-phase split (exp mode).
 
     Histogram mode: the residue histogram of the whole grid,
-    counts[r] = sum_x (fiber d(x) / p^m) [r = h(x) mod d(x)], is rebuilt
-    from one table per divisor d = p^v, so it equals the plain grid's.  Exp
-    mode: the z sum is fiber where every g_j(x) = 0 mod p^m and 0 elsewhere,
-    so only those points are summed, and the total is multiplied by fiber.
+    counts[r] = sum_x (fiber d(x) / p^m) [r = h(x) mod d(x)], so it equals
+    the plain grid's; each worker returns its span's, and they are added.
+    Exp mode: the z sum is fiber where every g_j(x) = 0 mod p^m and 0
+    elsewhere, so only those points are summed, and the total is multiplied
+    by fiber.
 
     The grid's tasks (_split_axes) are reduced by _grid_worker in contiguous
-    spans over up to ``workers`` processes; pool.map keeps the spans in
-    order, so the per-task exp values are merged (Kahan) in task order.
+    spans over up to ``workers`` processes.  The per-task exp values are
+    merged by one correctly rounded sum (math.fsum) of their real parts and
+    one of their imaginary parts, so the value does not depend on the order
+    of the tasks or on how they are spread over workers.
     """
     modulus = p ** m
     _require_int64_residues(modulus)
     hist = modulus <= _HIST_CAP
     task_count = _split_axes([stop - start for start, stop in domains])[3]
     spans = _split_range(task_count, max(1, workers))
-    work = partial(_grid_worker, (h, *gs), p, m, tuple(domains), hist)
+    work = partial(_grid_worker, (h, *gs), fiber, p, m, tuple(domains), hist)
     if len(spans) == 1:
         results = [work(spans[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             results = list(pool.map(work, spans))
     if hist:
-        counts = sum(results)
-        if gs:
-            table, counts = counts, np.zeros(modulus, dtype=np.int64)
-            for v in range(m + 1):
-                d = p ** v
-                off = (d - 1) // (p - 1)
-                part = table[off:off + d]
-                if part.any():
-                    view = counts.reshape(-1, d)
-                    view += fiber * d // modulus * part
-        return counts
-    s = 0j
-    c = 0j
-    for values in results:
-        for x in values:
-            s, c = _kahan_add(s, c, x)
-    return s * fiber
+        return sum(results)
+    values = [v for span_values in results for v in span_values]
+    return complex(fsum(v.real for v in values), fsum(v.imag for v in values)) * fiber
 
 
 def _hist_value(counts: np.ndarray, modulus: int) -> complex:
@@ -511,15 +491,10 @@ def _hist_value(counts: np.ndarray, modulus: int) -> complex:
 
 
 def _split_range(total: int, pieces: int) -> List[Tuple[int, int]]:
-    pieces = min(pieces, total) or 1
-    step, extra = divmod(total, pieces)
-    spans = []
-    lo = 0
-    for i in range(pieces):
-        hi = lo + step + (1 if i < extra else 0)
-        spans.append((lo, hi))
-        lo = hi
-    return spans
+    """total tasks as min(pieces, total) contiguous spans (one when either is
+    0) whose sizes differ by at most one."""
+    k = min(pieces, total) or 1
+    return [(total * i // k, total * (i + 1) // k) for i in range(k)]
 
 
 def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:

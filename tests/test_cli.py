@@ -160,6 +160,16 @@ def test_sum_at_5_11_counts_the_whole_grid(capsys):
     assert abs(complex(got["value"]["re"], got["value"]["im"]) - 5 ** -4) <= got["abs_error_budget"]
 
 
+def test_sum_and_esum_print_a_negative_imaginary_part_with_one_sign(capsys):
+    # S_{2x^2}(3) = (1 + 2 e(2/3))/3 = -i/sqrt(3), E(3, 2x^2) = e(2/3) = (-1 - i sqrt(3))/2
+    code, out = run(capsys, "sum", "2*x^2", "-p", "3", "-m", "1")
+    assert code == 0
+    assert " - 0.57735" in out and "+ -" not in out
+    code, out = run(capsys, "esum", "2*x^2", "-p", "3")
+    assert code == 0
+    assert out.startswith("E(p=3, 2*x^2) = -0.5 - 0.86602") and "+ -" not in out
+
+
 # -- verify-formula -----------------------------------------------------------------
 
 def test_verify_formula_pass_rows(capsys):
@@ -183,6 +193,25 @@ def test_verify_formula_json_row_schema(capsys):
     assert list(row) == ["p", "m", "lhs", "rhs", "tol", "verdict", "T", "tail"]
     assert list(row["lhs"]) == ["re", "im"]
     assert isinstance(row["tail"], str) and "/" in row["tail"]
+
+
+def test_verify_formula_prints_the_relation_that_holds(capsys, monkeypatch):
+    # a row whose rhs is moved past its tolerance fails, and its line says so
+    real = cli.faceformula.verify_formula
+
+    def moved(f, p, *args, **kwargs):
+        return [dataclasses.replace(
+            rep, verdict="fail",
+            rhs=dataclasses.replace(rep.rhs, value=rep.lhs.value + 2 * rep.certified_tolerance))
+            for rep in real(f, p, *args, **kwargs)]
+
+    code, out = run(capsys, "verify-formula", "x*y", "-p", "3", "-m", "1")
+    assert code == 0 and " <= tol " in out and " > tol " not in out
+    monkeypatch.setattr(cli.faceformula, "verify_formula", moved)
+    code, out = run(capsys, "verify-formula", "x*y", "-p", "3", "-m", "1")
+    assert code == 1
+    assert "m = 1: fail   |lhs-rhs| = " in out
+    assert " > tol " in out and "<=" not in out
 
 
 def test_verify_formula_not_applicable(capsys):

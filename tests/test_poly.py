@@ -356,7 +356,7 @@ TERMS = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), st.integers(-10 ** 
 @given(
     n=st.integers(1, 3),
     polys=st.lists(TERMS, min_size=1, max_size=2),
-    modulus=st.integers(2, 1009),
+    modulus=st.one_of(st.integers(2, 1009), st.sampled_from([3 ** 19, 11 ** 9])),
     cap=st.sampled_from([1, 2, 3, 7, None]),
     pieces=st.integers(1, 4),
     data=st.data(),
@@ -366,7 +366,10 @@ def test_grid_residues_match_bigint_oracle(n, polys, modulus, cap, pieces, data)
     of 1-3 axes at any offsets, under any inner cap, come in lexicographic
     order of their origins; their blocks, placed at the origins, cover the
     grid exactly once; and every residue (constant terms and coefficients
-    up to 1e6 included) equals a big-integer evaluation."""
+    up to 1e6 included) equals a big-integer evaluation.  The spans run
+    contiguously from task 0 to the last and differ in size by at most one.
+    At 3^19 a few outer monomials still add raw products; at 11^9 two or
+    more reduce each product."""
     polys = [{e[:n]: c for e, c in terms.items()} for terms in polys]
     domains = [(a, a + data.draw(st.integers(1, 9))) for a in data.draw(
         st.lists(st.integers(0, 2 * modulus), min_size=n, max_size=n))]
@@ -374,7 +377,11 @@ def test_grid_residues_match_bigint_oracle(n, polys, modulus, cap, pieces, data)
     covered = np.zeros(sizes, dtype=np.int64)
     origins = []
     with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
-        spans = sums._split_range(_split_axes(sizes)[3], pieces)
+        total = _split_axes(sizes)[3]
+        spans = sums._split_range(total, pieces)
+        assert len(spans) == min(pieces, total)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == total
+        assert max(hi - lo for lo, hi in spans) - min(hi - lo for lo, hi in spans) <= 1
         for lo, hi in spans:
             for origin, residues in _grid_residues(
                     [_reduced_terms(t, modulus) for t in polys], modulus, domains, lo, hi):

@@ -288,11 +288,11 @@ def test_parallel_matches_serial_histogram_path(task_plans):
 
 
 def test_parallel_matches_serial_exp_path(task_plans):
-    # modulus above the histogram cap exercises the compensated path;
-    # fixed block boundaries make any worker count bit-identical.  At 5^10
-    # the stationary-phase split leaves 5^5 points, one task; at the least
-    # prime above 2^22 (m = 1, no split) the plain grid runs as 5 segments
-    # of its one axis that four workers split
+    # modulus above the histogram cap exercises the exp path; fixed block
+    # boundaries and a correctly rounded merge make any worker count
+    # bit-identical.  At 5^10 the stationary-phase split leaves 5^5 points,
+    # one task; at the least prime above 2^22 (m = 1, no split) the plain
+    # grid runs as 5 segments of its one axis that four workers split
     f = parse_polynomial("x")
     serial = brute_force_S(f, 5, 10, workers=1)
     parallel = brute_force_S(f, 5, 10, workers=4)
