@@ -24,8 +24,9 @@ on the face's vertex set: one vertex or a segment is solved in closed form,
 and only three or more vertices need a polyhedron of their own.  A
 polyhedron is immutable by contract: its faces, its diagonal data, the
 sigma of each vertex set and its lattice table (how many lattice points with
-nu(k) <= T share each (face, N, nu), kept for the largest T requested) are
-derived once, on first use, and never change what it compares equal to.
+nu(k) <= T share each (face, N, nu), kept for the largest T requested, with
+each point's row in it) are derived once, on first use, and never change
+what it compares equal to.
 The sigmas are kept in one memo by vertex ids (``_VertexSigmas``) that the
 faces share: it holds the vertices, not the polyhedron, so faces and the
 polyhedron that caches them form no reference cycle, and a polyhedron is
@@ -278,8 +279,8 @@ class NewtonPolyhedron:
         return _VertexSigmas(self.vertices, self.n, self.diagonal.sigma)
 
     @cached_property
-    def _lattice_tables(self) -> Dict[int, "LatticeTable"]:
-        # at most one entry: T -> the table of the largest T requested so far
+    def _lattice_tables(self) -> Dict[int, Tuple["LatticeTable", np.ndarray]]:
+        # at most one entry: T -> the table and the rows of the largest T requested so far
         return {}
 
     def lattice_table(self, T: int) -> "LatticeTable":
@@ -287,25 +288,34 @@ class NewtonPolyhedron:
         and how many points share each (``LatticeTable``).
 
         None of it depends on a prime, so one table is kept, at the largest T
-        requested: a request at a smaller T filters it to nu <= T, and one at
-        a larger T tallies ``lattice_blocks(self, T)`` from nu = 0 and keeps
-        that table instead.  ``lattice_blocks``'s checks run on every
-        request, so ValueError and BudgetExceeded fire as if nothing were
-        kept, and a build that raises keeps nothing.
+        requested, with each point's row in it (``_kept_lattice``): a request
+        at a smaller T filters it to nu <= T, and one at a larger T tallies
+        ``lattice_blocks(self, T)`` from nu = 0 and keeps that table and its
+        rows instead.  ``lattice_blocks``'s checks run on every request, so
+        ValueError and BudgetExceeded fire as if nothing were kept, and a
+        build that raises keeps nothing.
         """
         blocks = lattice_blocks(self, T)  # a lazy generator: only the checks run here
         memo = self._lattice_tables
         kept = next(iter(memo), -1)
         if T > kept:
-            table = _count_lattice(self, T, blocks)
+            table, rows = _count_lattice(self, T, blocks)
             memo.clear()
-            memo[T] = table
+            memo[T] = table, rows
             return table
-        table = memo[kept]
+        table = memo[kept][0]
         if T == kept:
             return table
         keep = table.nu <= T
         return LatticeTable(*(column[keep] for column in table))
+
+    def _kept_lattice(self) -> Tuple[int, "LatticeTable", np.ndarray]:
+        """The kept T, its table and its rows: ``rows[j]`` is the table row of
+        the point in column j of ``_shell(n, T)``, so the points of any set
+        of rows are found in lexicographic order without classifying any.
+        Read after a ``lattice_table`` request, which keeps a table."""
+        (T, (table, rows)), = self._lattice_tables.items()
+        return T, table, rows
 
 
 class _VertexSigmas(dict):
@@ -626,7 +636,10 @@ class LatticeTable(NamedTuple):
     as parallel arrays, and ``count``, the number of points that have it,
     sorted by (face id, nu, N).  Face id, nu and count are int32: the count
     and T are at most C(T+n, n) <= POINT_CAP.  N has dtype object when
-    ``N_bound`` reaches INT64_SAFE and int64 otherwise."""
+    ``N_bound`` reaches INT64_SAFE and int64 otherwise.  The polyhedron keeps
+    the table of its largest T together with each point's row in it
+    (``NewtonPolyhedron._kept_lattice``), so the points behind any rows are
+    found without classifying a point again."""
 
     face_id: np.ndarray
     N: np.ndarray
@@ -744,30 +757,50 @@ def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
         yield classify(K[:, lo:lo + LATTICE_BLOCK].astype(np.int64))
 
 
-def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) -> LatticeTable:
+def _count_lattice(P: NewtonPolyhedron, T: int,
+                   blocks: Iterable[LatticeBlock]) -> Tuple[LatticeTable, np.ndarray]:
     """The ``LatticeTable`` of P at T, tallied from ``blocks`` (those of
-    ``lattice_blocks(P, T)``).
+    ``lattice_blocks(P, T)``), and its ``rows``: ``rows[j]`` is the table row
+    of the point in column j of ``_shell(n, T)``.
 
     Each point gets the key (face id * (T+1) + nu) * (N_bound+1) + N, which
     orders the triples, decodes back to them and is below span =
-    faces * (T+1) * (N_bound+1).  Each block's keys are tallied by one
-    ``np.unique`` as the block passes, and the block tallies are merged once
-    at the end, so what is held is a tally per block, never a key per point.
-    Keys are int32 when span allows, since they sort faster, int64 while span
-    is proven below INT64_SAFE, and Python integers (dtype=object) otherwise,
-    so no key or N can wrap.
+    faces * (T+1) * (N_bound+1).  Each block's keys are written into one
+    array of a key per point and tallied by one ``np.unique`` as the block
+    passes; the block tallies are merged once at the end, and then each
+    point's key is turned into its row, LATTICE_BLOCK keys at a time: by a
+    lookup array indexed by key when span is at most half the point count
+    (near the point cap, where it takes a fraction of the time), by
+    ``np.searchsorted`` in the table's keys otherwise.  ``rows`` has the
+    least unsigned dtype that holds the row count (uint16 below 65,536
+    rows), so no array of machine-word indices over every point is built.
+    Keys are int32 when span allows, since they sort faster, int64 while
+    span is proven below INT64_SAFE, and Python integers (dtype=object)
+    otherwise, so no key or N can wrap.
     """
     bound = N_bound(P, T)
     span = len(P.faces) * (T + 1) * (bound + 1)
     wide = np.int64 if span <= INT64_SAFE else object
     key_dtype = np.int32 if span <= 1 << 31 else wide
-    tallies = []  # per block: its sorted distinct keys and their counts
+    point_keys = np.empty(comb(T + P.n, P.n), key_dtype)
+    tallies, lo = [], 0  # per block: its sorted distinct keys and their counts
     for blk in blocks:
-        key = (blk.face_id.astype(wide, copy=False) * (T + 1) + blk.nu) * (bound + 1) + blk.N
-        tallies.append(np.unique(key.astype(key_dtype), return_counts=True))
-    block_keys, block_counts = zip(*tallies)
-    keys, inverse = np.unique(np.concatenate(block_keys), return_inverse=True)
+        key = point_keys[lo:lo + len(blk.nu)]
+        key[:] = (blk.face_id.astype(wide, copy=False) * (T + 1) + blk.nu) * (bound + 1) + blk.N
+        tallies.append(np.unique(key, return_counts=True))
+        lo += len(key)
+    distinct, block_counts = zip(*tallies)
+    keys, inverse = np.unique(np.concatenate(distinct), return_inverse=True)
     counts = np.bincount(inverse, weights=np.concatenate(block_counts))  # exact: below 2^53
+    rows = np.empty(len(point_keys), np.min_scalar_type(len(keys) - 1))
+    if 2 * span <= len(rows):  # a lookup by key, at most half an entry a point
+        lookup = np.empty(span, rows.dtype)
+        lookup[keys] = np.arange(len(keys))
+        find = lookup.__getitem__
+    else:
+        find = keys.searchsorted
+    for lo in range(0, len(rows), LATTICE_BLOCK):
+        rows[lo:lo + LATTICE_BLOCK] = find(point_keys[lo:lo + LATTICE_BLOCK])
     keys = keys.astype(wide)  # np.divmod refuses dtype=object
     face_nu, N = keys // (bound + 1), keys % (bound + 1)
     face_id, nu = face_nu // (T + 1), face_nu % (T + 1)
@@ -776,4 +809,4 @@ def _count_lattice(P: NewtonPolyhedron, T: int, blocks: Iterable[LatticeBlock]) 
         N.astype(np.int64 if bound < INT64_SAFE else object, copy=False),
         nu.astype(np.int32),
         counts.astype(np.int32),
-    )
+    ), rows

@@ -301,6 +301,22 @@ def test_nu_column_dtypes_and_shapes(text, T, safe, N_dtype, monkeypatch):
     assert_columns_match(res, nu_reference(f, T), build_polyhedron(f) if safe is None else P)
 
 
+def test_nu_columns_below_a_kept_T_take_the_dtypes_of_their_T(monkeypatch):
+    # the table kept at T = 12 has object N, while N_bound(P, 8) stays below
+    # INT64_SAFE, so the findings at T = 8 have int64 N
+    f = parse_polynomial("x*y+z*u")
+    P = newton._build(f)
+    for module in (newton, bounds):
+        monkeypatch.setattr(module, "INT64_SAFE", N_bound(P, 8) + 1)
+    monkeypatch.setattr(bounds, "build_polyhedron", lambda g: P)
+    P.lattice_table(12)
+    assert P._kept_lattice()[1].N.dtype == object
+    res, want = check_nu_inequality(f, 8), nu_reference(f, 8)
+    assert res.N.dtype == np.int64
+    assert_columns_match(res, want, P)
+    assert_same_findings(res, want)
+
+
 def test_records_are_built_only_when_a_violation_tuple_is_read(monkeypatch, capsys):
     f = parse_polynomial("x*y+z*u")
     want = nu_reference(f, 8)
@@ -347,13 +363,13 @@ def test_rhs_is_built_when_first_read(text, T):
 
 
 def spy_classified(monkeypatch) -> list:
-    """The nu of every point classified from now on, by the lattice table or
+    """The k of every point classified from now on, by the lattice table or
     by the nu check, in order."""
     real, seen = newton._classified_blocks, []
 
     def spy(*args):
         for blk in real(*args):
-            seen.extend(blk.nu.tolist())
+            seen.extend(map(tuple, blk.k.tolist()))
             yield blk
 
     monkeypatch.setattr(newton, "_classified_blocks", spy)
@@ -370,15 +386,77 @@ def test_a_clean_polynomial_at_a_kept_T_classifies_no_point(monkeypatch):
     assert seen == []
 
 
-def test_findings_classify_only_the_failing_nu_range(monkeypatch):
-    f = parse_polynomial("x*y+z*u")
-    want = nu_reference(f, 12)
+@pytest.mark.parametrize("text", ["x*y+z*u", "x*y+z*u+x*z+2*y*u"])
+def test_a_steady_nu_check_with_findings_classifies_no_point(text, monkeypatch):
+    # the findings are read from the kept rows, at the kept T and below it
+    f = parse_polynomial(text)
+    wants = {T: nu_reference(f, T) for T in (12, 7)}
+    assert all(want.halfdim_violations for want in wants.values())
     build_polyhedron(f).lattice_table(12)
     seen = spy_classified(monkeypatch)
+    for T in (12, 7, 12):
+        assert_same_findings(check_nu_inequality(f, T), wants[T])
+    assert seen == []
+
+
+@pytest.mark.parametrize("text", ["x*y+z*u", "x*y+z*u+x*z+2*y*u"])
+def test_a_cold_nu_check_classifies_each_point_once(text, monkeypatch):
+    f = parse_polynomial(text)
+    want = nu_reference(f, 12)
+    P = newton._build(f)  # fresh: nothing kept
+    P.faces  # the face lattice checks its witnesses, which are no lattice scan
+    monkeypatch.setattr(bounds, "build_polyhedron", lambda g: P)
+    seen = spy_classified(monkeypatch)
     assert_same_findings(check_nu_inequality(f, 12), want)
-    hi = max(rec.nu for rec in want.main_violations + want.halfdim_violations)
-    # the points classified again are those with 0 <= nu <= the largest failing nu
-    assert sorted(seen) == sorted(pt.nu for pt in oracle_points(build_polyhedron(f), 12) if pt.nu <= hi)
+    # every shell point once, in lexicographic order
+    assert len(seen) == comb(12 + f.n, f.n)
+    assert seen == [pt.k for pt in oracle_points(P, 12)]
+
+
+def assert_rows_are_the_points(P: NewtonPolyhedron) -> None:
+    """Each point of the kept shell falls in the kept table row that ``rows``
+    names, and ``rows`` has the least unsigned dtype of the row count."""
+    T, table, rows = P._kept_lattice()
+    assert rows.dtype == np.min_scalar_type(len(table.nu) - 1) and rows.shape == (comb(T + P.n, P.n),)
+    points = list(oracle_points(P, T))
+    assert newton._shell(P.n, T).T.tolist() == [list(pt.k) for pt in points]
+    got = zip(table.face_id[rows].tolist(), table.N[rows].tolist(), table.nu[rows].tolist())
+    assert list(got) == [(pt.face_id, pt.N, pt.nu) for pt in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=polynomials(),
+    Ts=st.lists(st.integers(0, 8), min_size=1, max_size=3).map(sorted),
+    python_ints=st.booleans(),
+)
+def test_kept_rows_are_each_points_row(f, Ts, python_ints):
+    with pytest.MonkeyPatch.context() as mp:
+        if python_ints:  # object N and wide keys
+            mp.setattr(newton, "INT64_SAFE", 1)
+        P = newton._build(f)  # uncached, so every table below is built here
+        for T in Ts:  # each larger T grows the kept table, from nu = 0
+            P.lattice_table(T)
+            assert_rows_are_the_points(P)
+        P.lattice_table(Ts[0])  # a read at a smaller T keeps the table and its rows
+        assert P._kept_lattice()[0] == Ts[-1]
+        assert_rows_are_the_points(P)
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_kept_rows_by_key_lookup(python_ints, monkeypatch):
+    # at T = 16, span = faces * (T+1) * (N_bound+1) is at most half the
+    # point count, so rows are read from a lookup array by key; at T = 12
+    # by np.searchsorted
+    if python_ints:
+        monkeypatch.setattr(newton, "INT64_SAFE", 1)
+    P = newton._build(parse_polynomial("x*y*z*u*v+x"))
+    Ts = (12, 16)
+    spans = {T: len(P.faces) * (T + 1) * (N_bound(P, T) + 1) for T in Ts}
+    assert [2 * spans[T] <= comb(T + P.n, P.n) for T in Ts] == [False, True]
+    for T in Ts:
+        P.lattice_table(T)
+        assert_rows_are_the_points(P)
 
 
 def test_nu_check_errors_fire_with_a_kept_table(monkeypatch):
@@ -424,6 +502,7 @@ def test_huge_exponents_take_exact_object_path(e):
     res, want = check_nu_inequality(f, T), nu_reference(f, T)
     assert_columns_match(res, want, P)  # N is object at 2^61, int64 at 2^40
     assert_same_findings(res, want)
+    assert_rows_are_the_points(P)  # keys of Python integers at 2^61
     ms, eps = [0, 1, 2], Fraction(1, 10)
     assert cone_sums_multi(P, 3, ms, eps) == cone_reference(P, 3, ms, eps)
 

@@ -348,6 +348,21 @@ def test_grid_residues_examples():
     assert at("x*y+z*u", (1, 1, 1, 1), 3) == 2
 
 
+@pytest.mark.parametrize("modulus, groups", [(11 ** 9, 2), (3 ** 19, 7)])
+def test_grid_residues_reduce_each_product_near_the_modulus(modulus, groups):
+    # -x^e*y for even e: at x = y = -1 every outer monomial's product is
+    # (modulus - 1)^2, and this many of them sum past 2^63, so the walk
+    # reduces each one before adding the next
+    f = Polynomial(2, {(2 * i, 1): -1 for i in range(groups)})
+    domains = [(modulus - 2, modulus + 1), (modulus - 3, modulus + 2)]
+    with mock.patch.object(sums, "_INNER_CAP", 1):  # x outer, y in segments
+        assert _split_axes([3, 5])[0] == 1
+        got = grid_values(f, modulus, domains)
+    for x, y in np.ndindex(got.shape):
+        point = (domains[0][0] + x, domains[1][0] + y)
+        assert got[x, y] == oracle_eval(f.terms, point) % modulus
+
+
 TERMS = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), st.integers(-10 ** 6, 10 ** 6),
                         min_size=1, max_size=6)
 
@@ -369,10 +384,17 @@ def test_grid_residues_match_bigint_oracle(n, polys, modulus, cap, pieces, data)
     up to 1e6 included) equals a big-integer evaluation.  The spans run
     contiguously from task 0 to the last and differ in size by at most one.
     At 3^19 a few outer monomials still add raw products; at 11^9 two or
-    more reduce each product."""
-    polys = [{e[:n]: c for e, c in terms.items()} for terms in polys]
+    more reduce each product.  At those two moduli, half the examples draw
+    every coefficient and grid start from -1..-3 mod the modulus, so odd
+    powers and products leave residues within a few units of it: two such
+    products at 11^9 overflow int64 unless each is reduced before the next
+    is added."""
+    near = modulus > 1009 and data.draw(st.booleans())
+    polys = [{e[:n]: data.draw(st.integers(-3, -1)) if near else c for e, c in terms.items()}
+             for terms in polys]
+    starts = st.integers(modulus - 3, modulus - 1) if near else st.integers(0, 2 * modulus)
     domains = [(a, a + data.draw(st.integers(1, 9))) for a in data.draw(
-        st.lists(st.integers(0, 2 * modulus), min_size=n, max_size=n))]
+        st.lists(starts, min_size=n, max_size=n))]
     sizes = [stop - start for start, stop in domains]
     covered = np.zeros(sizes, dtype=np.int64)
     origins = []
