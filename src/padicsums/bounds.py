@@ -14,15 +14,13 @@ sigma(f_tau) or (dim tau + 1)/2: each side is a function of (face id, N, nu)
 alone.  So a row of ``NewtonPolyhedron.lattice_table(T)`` (one distinct
 triple and its point count) has one verdict, and it is the verdict of each
 of its points; the points checked number the sum of the counts.  Findings
-are single points, and none is classified a second time to list them: next
-to its table the polyhedron keeps each point's row in it, for the points of
-the composition shell in lexicographic order
-(``NewtonPolyhedron._kept_lattice``), so the points of the failing rows are
-picked out by one index, in the order a scan of every point would give.
-They are kept as parallel numpy columns.  The map of right-hand sides per
-failing (face id, N) and the ``NuCheckRecord``s are built from the columns
-only when first read: the map when ``rhs`` is, the records when a violation
-tuple is.
+are single points, and none is classified a second time to list them: the
+polyhedron, which keeps each point's row next to its table, returns the
+points of the failing rows (``NewtonPolyhedron._row_points``), in the order
+a scan of every point would give.  They are kept as parallel numpy columns.
+The map of right-hand sides per failing (face id, N) and the
+``NuCheckRecord``s are built from the columns only when first read: the map
+when ``rhs`` is, the records when a violation tuple is.
 
 The diagonal-domination inequality needs no check of its own, because the
 polyhedron decides it exactly.  Lemma: let tau be a face of Gamma_f, with
@@ -60,7 +58,6 @@ from .newton import (
     INT64_SAFE,
     N_bound,
     NewtonPolyhedron,
-    _shell,
     build_polyhedron,
     enumerate_faces,
 )
@@ -138,12 +135,9 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     Both sides of both inequalities depend on k only through (face id, N,
     nu), so they are decided on the rows of ``P.lattice_table(T)``: a row's
     verdict is the verdict of each of its points (module docstring).  The
-    failing points are gathered, not classified again: the row of every
-    point of the kept table's shell is kept with it, in lexicographic order
-    (the scan's order), so the findings' columns are read at the points
-    whose row fails.  A table kept at a larger T is decided on its rows with
-    nu <= T, under this T's bounds; its rows above T hold no point of this
-    scan and pass.
+    failing points are not classified again: the polyhedron returns the k and
+    the row of each point of a failing row, in lexicographic order (the
+    scan's order), and the findings' other columns are read at those rows.
 
     Exact throughout: both inequalities are scaled by D, the lcm of 2 and the
     denominators of sigma and of every sigma(f_tau), and compared in integers
@@ -166,20 +160,12 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     dtype = np.int64 if bound < INT64_SAFE else object
     lhs = table.nu.astype(dtype) * D
     base = (table.N.astype(dtype) + 1) * sigma_D
-    # the verdicts of the kept table's rows: those above T hold no point of
-    # this scan, and pass
-    kept_T, kept, rows = P._kept_lattice()
-    keep = kept.nu <= T
-    main_ok, half_ok = np.ones((2, len(keep)), bool)
-    main_ok[keep] = lhs >= base - np.array(main_D, dtype=dtype)[table.face_id]
-    half_ok[keep] = lhs >= base - np.array(half_D, dtype=dtype)[table.face_id]
-    at = np.flatnonzero(~(main_ok & half_ok)[rows])  # the failing points' shell columns, in scan order
-    row = rows[at]
-    k = _shell(P.n, kept_T)[:, at].T if len(at) else np.empty((0, P.n))
-    N_dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
+    main_ok = lhs >= base - np.array(main_D, dtype=dtype)[table.face_id]
+    half_ok = lhs >= base - np.array(half_D, dtype=dtype)[table.face_id]
+    k, row = P._row_points(T, ~(main_ok & half_ok))
     return NuCheckFindings(
-        T, int(table.count.sum()), k.astype(np.int64), kept.face_id[row].astype(np.int64),
-        kept.nu[row].astype(np.int64), kept.N[row].astype(N_dtype), main_ok[row], half_ok[row], P,
+        T, int(table.count.sum()), k, table.face_id[row].astype(np.int64),
+        table.nu[row].astype(np.int64), table.N[row], main_ok[row], half_ok[row], P,
     )
 
 

@@ -25,8 +25,8 @@ and only three or more vertices need a polyhedron of their own.  A
 polyhedron is immutable by contract: its faces, its diagonal data, the
 sigma of each vertex set and its lattice table (how many lattice points with
 nu(k) <= T share each (face, N, nu), kept for the largest T requested, with
-each point's row in it) are derived once, on first use, and never change
-what it compares equal to.
+the shell of its points and each point's row in it) are derived once, on
+first use, and never change what it compares equal to.
 The sigmas are kept in one memo by vertex ids (``_VertexSigmas``) that the
 faces share: it holds the vertices, not the polyhedron, so faces and the
 polyhedron that caches them form no reference cycle, and a polyhedron is
@@ -34,7 +34,10 @@ freed as soon as its polynomial and its last outside reference are.
 The lattice layer reads every k in N^n with |k| <= T from one composition
 shell (``_shell``), which depends on n and T alone: it is built once for every
 polyhedron and kept in the shared table store (``store.TABLES``) when it fits,
-and the lattice blocks are its column slices.
+and the lattice blocks are its column slices.  A polyhedron keeps the shell
+its lattice table was tallied from next to the table, so the points of any
+rows are read back (``NewtonPolyhedron._row_points``) without building the
+shell again or classifying a point, whether the store kept it or not.
 ``build_polyhedron`` keeps each polyhedron for as long as the polynomial it
 was built from lives, so every call with an equal f, at any prime, shares
 one polyhedron and everything derived on it.
@@ -62,8 +65,9 @@ from .store import kept_table
 DIMENSION_CAP = 8
 #: Most lattice points one ``lattice_blocks`` call may classify.  Below 2^31,
 #: so every nu <= T and every count of a ``LatticeTable`` fits int32.  It also
-#: bounds the shell the blocks are sliced from (``_shell``), which holds at
-#: most 8 bytes a point (n bytes while T <= 255), so at most 40 MB.
+#: bounds the shell the blocks are sliced from (``_shell``, which a polyhedron
+#: keeps with its lattice table), which holds at most 8 bytes a point (n bytes
+#: while T <= 255), so at most 40 MB.
 POINT_CAP = 5_000_000
 
 FaceKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertex ids, 0-based recession axes)
@@ -279,8 +283,8 @@ class NewtonPolyhedron:
         return _VertexSigmas(self.vertices, self.n, self.diagonal.sigma)
 
     @cached_property
-    def _lattice_tables(self) -> Dict[int, Tuple["LatticeTable", np.ndarray]]:
-        # at most one entry: T -> the table and the rows of the largest T requested so far
+    def _lattice_tables(self) -> Dict[int, Tuple["LatticeTable", np.ndarray, np.ndarray]]:
+        # at most one entry: T -> the table, rows and shell of the largest T requested so far
         return {}
 
     def lattice_table(self, T: int) -> "LatticeTable":
@@ -288,34 +292,43 @@ class NewtonPolyhedron:
         and how many points share each (``LatticeTable``).
 
         None of it depends on a prime, so one table is kept, at the largest T
-        requested, with each point's row in it (``_kept_lattice``): a request
-        at a smaller T filters it to nu <= T, and one at a larger T tallies
-        ``lattice_blocks(self, T)`` from nu = 0 and keeps that table and its
-        rows instead.  ``lattice_blocks``'s checks run on every request, so
-        ValueError and BudgetExceeded fire as if nothing were kept, and a
-        build that raises keeps nothing.
+        requested, with the shell its blocks were sliced from (``_shell(n,
+        T)``, built once per build) and each shell point's row in it
+        (``_row_points`` reads them).  A request at a larger T lets that go
+        and tallies ``lattice_blocks(self, T)`` from nu = 0 (a build that
+        raises keeps nothing).  Every request returns the kept rows with
+        nu <= T, N cast by this T's own rule (``LatticeTable``), so a table's
+        columns do not depend on which T was asked first.
+        ``lattice_blocks``'s checks run on every request, so ValueError and
+        BudgetExceeded fire as if nothing were kept.
         """
-        blocks = lattice_blocks(self, T)  # a lazy generator: only the checks run here
+        _check_lattice(self, T)
         memo = self._lattice_tables
-        kept = next(iter(memo), -1)
-        if T > kept:
-            table, rows = _count_lattice(self, T, blocks)
-            memo.clear()
-            memo[T] = table, rows
-            return table
-        table = memo[kept][0]
+        if T > next(iter(memo), -1):
+            memo.clear()  # the smaller table is let go before the build
+            shell = _shell(self.n, T)  # built once, for the blocks and to be kept
+            memo[T] = (*_count_lattice(self, T, _classified_blocks(self, T, shell)), shell)
+        (kept, (table, _, _)), = memo.items()
         if T == kept:
             return table
         keep = table.nu <= T
-        return LatticeTable(*(column[keep] for column in table))
+        face_id, N, nu, count = (column[keep] for column in table)
+        return LatticeTable(face_id, N.astype(_N_dtype(self, T), copy=False), nu, count)
 
-    def _kept_lattice(self) -> Tuple[int, "LatticeTable", np.ndarray]:
-        """The kept T, its table and its rows: ``rows[j]`` is the table row of
-        the point in column j of ``_shell(n, T)``, so the points of any set
-        of rows are found in lexicographic order without classifying any.
-        Read after a ``lattice_table`` request, which keeps a table."""
-        (T, (table, rows)), = self._lattice_tables.items()
-        return T, table, rows
+    def _row_points(self, T: int, flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The points with nu(k) <= T on the rows of ``lattice_table(T)`` that
+        ``flags`` (a boolean per row) marks, read after that request, in
+        lexicographic order (the order a scan gives) and without classifying
+        any: each point's k (int64, one point per row) and its row in
+        ``lattice_table(T)``, in the dtype of the kept rows (the least
+        unsigned dtype that holds the kept table's row count)."""
+        (table, rows, shell), = self._lattice_tables.values()
+        keep = table.nu <= T
+        flagged = np.zeros(len(keep), bool)
+        flagged[keep] = flags
+        at = np.flatnonzero(flagged[rows])  # the flagged points' shell columns, in scan order
+        row = rows[at] - np.flatnonzero(~keep).searchsorted(rows[at])  # less the rows above T before it
+        return shell[:, at].T.astype(np.int64), row.astype(rows.dtype)
 
 
 class _VertexSigmas(dict):
@@ -636,10 +649,11 @@ class LatticeTable(NamedTuple):
     as parallel arrays, and ``count``, the number of points that have it,
     sorted by (face id, nu, N).  Face id, nu and count are int32: the count
     and T are at most C(T+n, n) <= POINT_CAP.  N has dtype object when
-    ``N_bound`` reaches INT64_SAFE and int64 otherwise.  The polyhedron keeps
-    the table of its largest T together with each point's row in it
-    (``NewtonPolyhedron._kept_lattice``), so the points behind any rows are
-    found without classifying a point again."""
+    ``N_bound(P, T)`` reaches INT64_SAFE and int64 otherwise, also when the
+    table is filtered from one kept at a larger T.  The polyhedron keeps the
+    table of its largest T together with its shell and each point's row in
+    it, so the points behind any rows are read back
+    (``NewtonPolyhedron._row_points``) without classifying a point again."""
 
     face_id: np.ndarray
     N: np.ndarray
@@ -652,12 +666,19 @@ def N_bound(P: NewtonPolyhedron, T: int) -> int:
     return T * max(sum(v) for v in P.vertices)
 
 
+def _N_dtype(P: NewtonPolyhedron, T: int) -> type:
+    """The dtype of N (and of the products k . v) at T: int64 when
+    ``N_bound(P, T)`` is below INT64_SAFE, Python integers otherwise."""
+    return np.int64 if N_bound(P, T) < INT64_SAFE else object
+
+
 def lattice_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
     """The points of ``enumerate_lattice_points`` in the same order, as blocks
     of LATTICE_BLOCK rows, the last one holding what is left.
 
-    Block i is the column slice [i * LATTICE_BLOCK, (i + 1) * LATTICE_BLOCK)
-    of the kept shell ``_shell(n, T)``, cast to int64, so k and nu are int64.
+    The checks (``_check_lattice``) run and the shell ``_shell(n, T)`` is
+    read at the call.  Block i is its column slice [i * LATTICE_BLOCK,
+    (i + 1) * LATTICE_BLOCK), cast to int64, so k and nu are int64.
     Each block is classified at once: N is each point's minimum of k . v over
     the vertices, and the pattern (vertices attaining the minimum, zero
     coordinates of k) is looked up by one ``np.searchsorted`` in the sorted
@@ -665,12 +686,18 @@ def lattice_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
     KeyError.  The products k . v are int64 when ``N_bound`` is below
     INT64_SAFE and Python integers otherwise.
     """
+    _check_lattice(P, T)
+    return _classified_blocks(P, T, _shell(P.n, T))
+
+
+def _check_lattice(P: NewtonPolyhedron, T: int) -> None:
+    """The checks of ``lattice_blocks`` and of every ``lattice_table``
+    request: T >= 0 and C(T+n, n) <= POINT_CAP."""
     if T < 0:
         raise ValueError("T must be >= 0")
     count = comb(T + P.n, P.n)
     if count > POINT_CAP:
         raise BudgetExceeded(f"{count} lattice points exceed cap {POINT_CAP}")
-    return _classified_blocks(P, T)
 
 
 @kept_table
@@ -712,7 +739,7 @@ class _Patterns:
 
     def __init__(self, P: NewtonPolyhedron, T: int):
         n, self.nv = P.n, len(P.vertices)
-        self.dtype = np.int64 if N_bound(P, T) < INT64_SAFE else object
+        self.dtype = _N_dtype(P, T)
         self.key_dtype = np.int64 if 1 << (self.nv + n) <= INT64_SAFE else object
         self.V = np.array(P.vertices, dtype=self.dtype)
         self.vertex_bits = np.array([1 << i for i in range(self.nv)], dtype=self.key_dtype)
@@ -733,35 +760,33 @@ class _Patterns:
         return N, self.pack(dots == N, K == 0)
 
 
-def _classified_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
-    """The blocks of ``lattice_blocks``, which runs the checks first: the
-    shell's column slices of LATTICE_BLOCK points, each cast to int64 and
-    classified by one ``_Patterns`` call and one sorted-key lookup."""
+def _classified_blocks(P: NewtonPolyhedron, T: int, K: np.ndarray) -> Iterator[LatticeBlock]:
+    """The blocks of ``lattice_blocks``, whose checks run first: the column
+    slices of LATTICE_BLOCK points of K, the shell ``_shell(n, T)``, each
+    cast to int64 and classified by one ``_Patterns`` call and one
+    sorted-key lookup."""
     n, nv = P.n, len(P.vertices)
     patterns = _Patterns(P, T)
     keyed = sorted((patterns.key(face.key), face.id) for face in P.faces)
     face_keys = np.array([key for key, _ in keyed], dtype=patterns.key_dtype)
     face_ids = np.array([face_id for _, face_id in keyed], dtype=np.int64)
-
-    def classify(K: np.ndarray) -> LatticeBlock:
-        N, keys = patterns(K)
+    for lo in range(0, K.shape[1], LATTICE_BLOCK):
+        block = K[:, lo:lo + LATTICE_BLOCK].astype(np.int64)
+        N, keys = patterns(block)
         at = np.minimum(np.searchsorted(face_keys, keys), len(face_keys) - 1)
         found = face_keys[at] == keys
         if not found.all():
             key = int(keys[np.argmin(found)])
             raise KeyError((_bits(key, nv), _bits(key >> nv, n)))
-        return LatticeBlock(K.T, np.add.reduce(K, axis=0), N, face_ids[at])
-
-    K = _shell(n, T)
-    for lo in range(0, K.shape[1], LATTICE_BLOCK):
-        yield classify(K[:, lo:lo + LATTICE_BLOCK].astype(np.int64))
+        yield LatticeBlock(block.T, np.add.reduce(block, axis=0), N, face_ids[at])
 
 
 def _count_lattice(P: NewtonPolyhedron, T: int,
                    blocks: Iterable[LatticeBlock]) -> Tuple[LatticeTable, np.ndarray]:
     """The ``LatticeTable`` of P at T, tallied from ``blocks`` (those of
-    ``lattice_blocks(P, T)``), and its ``rows``: ``rows[j]`` is the table row
-    of the point in column j of ``_shell(n, T)``.
+    ``lattice_blocks(P, T)``, the column slices of a shell ``_shell(n, T)``),
+    and its ``rows``: ``rows[j]`` is the table row of the point in column j
+    of that shell.
 
     Each point gets the key (face id * (T+1) + nu) * (N_bound+1) + N, which
     orders the triples, decodes back to them and is below span =
@@ -806,7 +831,7 @@ def _count_lattice(P: NewtonPolyhedron, T: int,
     face_id, nu = face_nu // (T + 1), face_nu % (T + 1)
     return LatticeTable(
         face_id.astype(np.int32),
-        N.astype(np.int64 if bound < INT64_SAFE else object, copy=False),
+        N.astype(_N_dtype(P, T), copy=False),
         nu.astype(np.int32),
         counts.astype(np.int32),
     ), rows

@@ -44,7 +44,8 @@ class TableStore:
 #: that the formula sweep over the acceptance corpus keeps (about 1.8 MB, 1.2
 #: MB of it shells) or a T = 30 nu scan keeps (about 0.34 MB), while a roots
 #: table of a histogram near the 2^22 cap (64 MiB) or a shell near the
-#: lattice point cap (up to 40 MB) is used and let go.
+#: lattice point cap (up to 40 MB) is used and let go; such a shell stays only
+#: with the polyhedron whose lattice table was tallied from it.
 TABLES = TableStore(4 << 20)
 
 

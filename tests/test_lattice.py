@@ -20,9 +20,9 @@ from typing import Dict, Iterator, NamedTuple, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from padicsums import bounds, cli, newton
+from padicsums import bounds, cli, newton, store
 from padicsums.errors import BudgetExceeded
 from padicsums.bounds import NuCheckFindings, NuCheckRecord, check_nu_inequality
 from padicsums.faceformula import ConeSumResult, cone_sums_multi, truncation_level
@@ -309,8 +309,7 @@ def test_nu_columns_below_a_kept_T_take_the_dtypes_of_their_T(monkeypatch):
     for module in (newton, bounds):
         monkeypatch.setattr(module, "INT64_SAFE", N_bound(P, 8) + 1)
     monkeypatch.setattr(bounds, "build_polyhedron", lambda g: P)
-    P.lattice_table(12)
-    assert P._kept_lattice()[1].N.dtype == object
+    assert P.lattice_table(12).N.dtype == object
     res, want = check_nu_inequality(f, 8), nu_reference(f, 8)
     assert res.N.dtype == np.int64
     assert_columns_match(res, want, P)
@@ -413,13 +412,19 @@ def test_a_cold_nu_check_classifies_each_point_once(text, monkeypatch):
     assert seen == [pt.k for pt in oracle_points(P, 12)]
 
 
-def assert_rows_are_the_points(P: NewtonPolyhedron) -> None:
-    """Each point of the kept shell falls in the kept table row that ``rows``
-    names, and ``rows`` has the least unsigned dtype of the row count."""
-    T, table, rows = P._kept_lattice()
-    assert rows.dtype == np.min_scalar_type(len(table.nu) - 1) and rows.shape == (comb(T + P.n, P.n),)
+def assert_rows_are_the_points(P: NewtonPolyhedron, T: int) -> None:
+    """With every row of ``lattice_table(T)`` flagged, ``_row_points`` gives
+    every point with nu(k) <= T in scan order, each with the table row of its
+    (face id, N, nu); k is int64 and ``rows`` has the least unsigned dtype of
+    the kept table's row count."""
+    table = P.lattice_table(T)
+    k, rows = P._row_points(T, np.ones(len(table.nu), bool))
+    count = comb(T + P.n, P.n)
+    (kept, _, _), = P._lattice_tables.values()
+    assert rows.dtype == np.min_scalar_type(len(kept.nu) - 1) and rows.shape == (count,)
+    assert k.dtype == np.int64 and k.shape == (count, P.n)
     points = list(oracle_points(P, T))
-    assert newton._shell(P.n, T).T.tolist() == [list(pt.k) for pt in points]
+    assert k.tolist() == [list(pt.k) for pt in points]
     got = zip(table.face_id[rows].tolist(), table.N[rows].tolist(), table.nu[rows].tolist())
     assert list(got) == [(pt.face_id, pt.N, pt.nu) for pt in points]
 
@@ -437,10 +442,10 @@ def test_kept_rows_are_each_points_row(f, Ts, python_ints):
         P = newton._build(f)  # uncached, so every table below is built here
         for T in Ts:  # each larger T grows the kept table, from nu = 0
             P.lattice_table(T)
-            assert_rows_are_the_points(P)
-        P.lattice_table(Ts[0])  # a read at a smaller T keeps the table and its rows
-        assert P._kept_lattice()[0] == Ts[-1]
-        assert_rows_are_the_points(P)
+            assert_rows_are_the_points(P, T)
+        for T in Ts:  # a read at a smaller T keeps the table and its rows
+            assert_rows_are_the_points(P, T)
+            assert list(P._lattice_tables) == [Ts[-1]]
 
 
 @pytest.mark.parametrize("python_ints", [False, True])
@@ -456,7 +461,54 @@ def test_kept_rows_by_key_lookup(python_ints, monkeypatch):
     assert [2 * spans[T] <= comb(T + P.n, P.n) for T in Ts] == [False, True]
     for T in Ts:
         P.lattice_table(T)
-        assert_rows_are_the_points(P)
+        assert_rows_are_the_points(P, T)
+
+
+HUGE = [Polynomial(2, {(e, 0): 1, (0, 1): 1}) for e in (2 ** 61, 2 ** 40)]
+
+
+@settings(deadline=None)
+@given(
+    f=polynomials(),
+    Ts=st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True).map(sorted),
+    safe=st.none() | st.integers(1, 200),
+)
+@example(f=HUGE[0], Ts=[1, 5], safe=None)  # N_bound is 2^61 at T = 1, past 2^62 at T = 5
+@example(f=HUGE[0], Ts=[1, 4], safe=None)
+@example(f=HUGE[1], Ts=[1, 4], safe=None)
+def test_a_table_below_a_kept_T_is_the_fresh_table(f, Ts, safe):
+    # column for column, dtypes included: N takes the dtype of its own T,
+    # whichever T was asked first (``safe`` moves INT64_SAFE between the Ts)
+    T1, T2 = Ts
+    with pytest.MonkeyPatch.context() as mp:
+        if safe is not None:
+            mp.setattr(newton, "INT64_SAFE", safe)
+        P = newton._build(f)
+        P.lattice_table(T2)
+        got, want = P.lattice_table(T1), newton._build(f).lattice_table(T1)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("text", ["x*y+z*u", "x*y+z*u+x*z+2*y*u"])
+def test_a_steady_nu_check_builds_no_shell(text, monkeypatch):
+    # with no shell kept in the table store, the findings at the kept T and
+    # below it are read from the shell the polyhedron keeps with its rows
+    monkeypatch.setattr(store, "TABLES", store.TableStore(0))
+    f = parse_polynomial(text)
+    P = newton._build(f)
+    monkeypatch.setattr(bounds, "build_polyhedron", lambda g: P)
+    first = check_nu_inequality(f, 12)
+    real, calls = newton._shell, []
+    monkeypatch.setattr(newton, "_shell", lambda *args: calls.append(args) or real(*args))
+    again, below = check_nu_inequality(f, 12), check_nu_inequality(f, 9)
+    assert calls == []
+    assert len(first.k) and len(below.k)
+    for column in ("k", "face_id", "nu", "N", "main_ok", "halfdim_ok"):
+        a, b = getattr(first, column), getattr(again, column)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert_columns_match(first, nu_reference(f, 12), P)
+    assert_columns_match(below, nu_reference(f, 9), P)
 
 
 def test_nu_check_errors_fire_with_a_kept_table(monkeypatch):
@@ -502,7 +554,7 @@ def test_huge_exponents_take_exact_object_path(e):
     res, want = check_nu_inequality(f, T), nu_reference(f, T)
     assert_columns_match(res, want, P)  # N is object at 2^61, int64 at 2^40
     assert_same_findings(res, want)
-    assert_rows_are_the_points(P)  # keys of Python integers at 2^61
+    assert_rows_are_the_points(P, T)  # keys of Python integers at 2^61
     ms, eps = [0, 1, 2], Fraction(1, 10)
     assert cone_sums_multi(P, 3, ms, eps) == cone_reference(P, 3, ms, eps)
 
