@@ -321,8 +321,11 @@ class NewtonPolyhedron:
         lexicographic order (the order a scan gives) and without classifying
         any: each point's k (int64, one point per row) and its row in
         ``lattice_table(T)``, in the dtype of the kept rows (the least
-        unsigned dtype that holds the kept table's row count)."""
+        unsigned dtype that holds the kept table's row count).  With no row
+        flagged both are empty at once, with no pass over the points."""
         (table, rows, shell), = self._lattice_tables.values()
+        if not flags.any():
+            return np.empty((0, self.n), np.int64), np.empty(0, rows.dtype)
         keep = table.nu <= T
         flagged = np.zeros(len(keep), bool)
         flagged[keep] = flags

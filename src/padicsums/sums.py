@@ -8,7 +8,8 @@ e(c/p^m)), so the work is the sum of the block grids, not their product.
 A complete sum (domain the complete residue system [0, M), M = p^m) shrinks
 each block's grid further by one of two exact reductions, both checked
 against their hypotheses first, and both need the block's whole grid M^n
-below 2^63.
+below 2^63.  A summed-out variable leaves each visited point standing for
+``fiber`` grid points.
 
 Linear variables are summed out when M is small enough to histogram.  If
 y_1..y_k each have exponent exactly 1 in every term that contains them and
@@ -21,17 +22,29 @@ histogram of the whole block grid is rebuilt from the M^(n-k) points x
 alone, and summed the same way, so the value is bit-identical to the plain
 grid's.
 
-The stationary-phase split (Igusa; Denef and Sperber) is taken when M is
-too large to histogram and m >= 2.  With q = p^ceil(m/2), write x = y + q z:
-q^2 = 0 mod M and Hasse derivatives have integer coefficients, so
-f(x) = f(y) + q z . grad f(y) mod M exactly, and the z sum is the same
-orthogonality sum with g_j = q df/dx_j and z_j over [0, M/q): it is
-(M/q)^n where every g_j(y) = 0 mod M and 0 elsewhere.  So only those of the
-q^n points y are summed, and the total is multiplied by (M/q)^n: 5^11 points
-of x^3 mod 5^11 become 5^6, with the same error budget.  Histogram mode
-does not split.
-
-In both, each visited point stands for ``fiber`` grid points.
+Igusa's stationary-phase tree (Igusa 1978; Denef and Sperber 2001;
+_critical_tree) is taken when M is too large to histogram and m >= 2.  Let
+g be an integer polynomial on n axes, S_g(p^k) its unnormalized sum over
+z mod p^k (S_g(p^0) = 1) and k >= 2.  Write z = b + p w, b in [0, p)^n,
+w mod p^(k-1).  Taylor's formula has integer (Hasse) coefficients, so with
+w = w' + p^(k-2) u, u in [0, p)^n,
+g(z) = g(b + p w') + p^(k-1) u . grad g(b + p w') mod p^k (2(k-1) >= k),
+and the u sum is p^n or 0 as grad g(b + p w') = grad g(b) mod p vanishes or
+not: only the critical b count.  At a critical b, g(b + p w) = g(b) +
+p^2 g_b(w) with g_b integral, and w mod p^(k-1) runs over p^n copies of the
+residues mod p^(k-2), so S_g(p^k) = p^n sum_{b critical} e(g(b)/p^k)
+S_{g_b}(p^(k-2)).  Applied to f and repeated, the classes A mod p^j left at
+depth j are those with grad f(A) = 0 mod p^j, with
+g_A(z) = (f(A + p^j z) - f(A))/p^(2j), whose gradient is
+grad f(A + p^j z)/p^j: a digit b extends A exactly when
+grad f(A + p^j b) = 0 mod p^(j+1), and
+S_f(p^m) = p^(nj) sum_A e(f(A)/p^m) S_{g_A}(p^(m-2j)).  The tree stops at
+depth j = floor(m/2): the sum is p^(nj) sum_A e(f(A)/p^m) when m is even,
+and p^(nj) sum_A sum_{z in [0, p)^n} e(f(A + p^j z)/p^m) when m is odd; an
+empty level makes it exactly 0.  Where p^n is 2 to 4, a step takes several
+levels at once.  The tree visits at most 3 p^(n ceil(m/2)) points: x^3 mod
+5^11 visits 310 instead of 5^11, and c x with p not dividing c visits p.
+Histogram mode keeps its grids.
 
 Every complete sum takes one path, _complete_sums; brute_force_S is its
 one-m case.  The histogrammed m of one (f, p) come from one histogram per
@@ -72,18 +85,19 @@ vectorized), with the terms grouped by their monomial in the outer axes so
 each outer point costs one multiply-add per distinct outer monomial; the
 residues are histogrammed, and the sum is assembled once as
 counts . roots-of-unity.  When the modulus is too large to histogram, blocks
-are reduced with complex exponentials and merged by one correctly rounded sum
-(math.fsum) of their real parts and one of their imaginary parts, so results
-do not depend on the block order or the worker count.  Every value carries a
-certified absolute error budget of KERNEL_EPS per point of the whole grid,
-which also covers the block product (see _block_product).  Moduli whose
-residue products could wrap int64 are refused with ModulusTooLarge before any
-work starts.
+(and the tree's passes) are reduced with complex exponentials and merged by
+one correctly rounded sum (math.fsum) of their real parts and one of their
+imaginary parts, so results do not depend on the block order or the worker
+count.  Every value carries a certified absolute error budget of KERNEL_EPS
+per point of the whole grid, which also covers the block product (see
+_block_product).  Moduli whose residue products could wrap int64 are refused
+with ModulusTooLarge before any work starts.
 
-_grid_residues is the package's one evaluator of polynomials mod M: the sum
-kernels and the mod-p nondegeneracy scan both run on it.  The scan first
-decides whether a face restriction g has a critical point on the torus at
-all, on (F_p^x)^r: under the substitution above the toric gradient
+_grid_residues is the package's one evaluator of polynomials mod M on
+product grids: the sum kernels and the mod-p nondegeneracy scan both run on
+it (the tree's levels are point lists, which _residues_at evaluates).  The
+scan first decides whether a face restriction g has a critical point on the
+torus at all, on (F_p^x)^r: under the substitution above the toric gradient
 (x_i dg/dx_i)_i is W^-1 times (y''^b theta_i h for i <= r, b_k y''^b h for
 k > r), theta_i = y'_i d/dy'_i, and W is invertible mod p, so g has one
 exactly when theta_i h(y') = 0 for i <= r and b_k h(y') = 0 for k > r at
@@ -151,7 +165,7 @@ import cmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, count, islice, product
 from math import fsum, gcd, prod
 from operator import mul
@@ -172,6 +186,8 @@ DEFAULT_WORK_BUDGET = 200_000_000
 
 _HIST_CAP = 1 << 22   # largest modulus we histogram (bincount array size)
 _INNER_CAP = 1 << 20  # target elements per vectorized block
+_TREE_PASS = 1 << 16  # target points per pass of the stationary-phase tree
+_TREE_DIGITS = 16     # most digits a tree step extends each class by, if over one level
 _COUNT_BITS = 1 << 12  # longest grid count a work-budget message prints in full
 
 
@@ -388,19 +404,12 @@ def _grid_worker(polys: Sequence[Terms], fiber: int, p: int, m: int,
     gcd(g_1, ..., g_k, p^m) = p^v, so v is the least p-adic valuation of the
     g_j(x), capped at m (one lookup per g_j in the table val[r] = v_p(r),
     val[0] = m).  The count at s of p^v's table then goes, times
-    fiber p^v / p^m, to every residue r = s mod p^v.  In exp mode only the
-    points where every g_j vanishes are summed.
+    fiber p^v / p^m, to every residue r = s mod p^v.  Exp mode has k = 0.
     """
     modulus = p ** m
     tasks = _grid_residues(polys, modulus, domains, *span)
     if not hist:
-        values = []
-        for _, (h, *gs) in tasks:
-            if gs:
-                h = h[np.logical_and.reduce([g == 0 for g in gs])]
-            phases = h * (2.0 * np.pi / modulus)
-            values.append(complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases))))
-        return values
+        return [_exp_value(h, modulus) for _, (h,) in tasks]
     length = modulus
     if len(polys) > 1:
         divisors = p ** np.arange(m + 1, dtype=np.int64)
@@ -447,20 +456,14 @@ def _grid_sum(h: Terms, gs: Sequence[Terms], fiber: int, p: int, m: int,
     complex value above (exp mode).
 
     With k = 0 this is the plain grid sum, fiber is 1, and any modulus may
-    be passed as (modulus, 1).  With k >= 1 each z_j runs over [0, p^m/q),
-    where q divides p^m and every value of every g_j mod p^m, so
-    fiber = (p^m/q)^k.  At a point x, z -> sum_j z_j g_j(x) is then a
-    homomorphism onto d Z/p^m, d = gcd(g_1(x), ..., g_k(x), p^m), that hits
-    each element fiber d / p^m times.  _block_sum takes q = 1 for summed-out
-    linear variables (histogram mode) and q = p^ceil(m/2) for the
-    stationary-phase split (exp mode).
-
-    Histogram mode: the residue histogram of the whole grid,
-    counts[r] = sum_x (fiber d(x) / p^m) [r = h(x) mod d(x)], so it equals
-    the plain grid's; each worker returns its span's, and they are added.
-    Exp mode: the z sum is fiber where every g_j(x) = 0 mod p^m and 0
-    elsewhere, so only those points are summed, and the total is multiplied
-    by fiber.
+    be passed as (modulus, 1); exp mode always has k = 0.  With k >= 1 (the
+    summed-out linear variables of _block_sum, in histogram mode) each z_j
+    runs over [0, p^m), so fiber = p^(mk).  At a point x,
+    z -> sum_j z_j g_j(x) is then a homomorphism onto d Z/p^m,
+    d = gcd(g_1(x), ..., g_k(x), p^m), that hits each element fiber d / p^m
+    times, so the residue histogram of the whole grid is
+    counts[r] = sum_x (fiber d(x) / p^m) [r = h(x) mod d(x)], the plain
+    grid's; each worker returns its span's, and they are added.
 
     The grid's tasks (_split_axes) are reduced by _grid_worker in contiguous
     spans over up to ``workers`` processes.  The per-task exp values are
@@ -481,13 +484,25 @@ def _grid_sum(h: Terms, gs: Sequence[Terms], fiber: int, p: int, m: int,
             results = list(pool.map(work, spans))
     if hist:
         return sum(results)
-    values = [v for span_values in results for v in span_values]
-    return complex(fsum(v.real for v in values), fsum(v.imag for v in values)) * fiber
+    return _fsum_complex([v for span_values in results for v in span_values])
 
 
 def _hist_value(counts: np.ndarray, modulus: int) -> complex:
     """sum_r counts[r] e(r/modulus): the one value path of histogram mode."""
     return complex(np.sum(counts * _roots(modulus)))
+
+
+def _exp_value(residues: np.ndarray, modulus: int) -> complex:
+    """sum_x e(residues[x]/modulus) in floats: the one value path of exp mode."""
+    phases = residues * (2.0 * np.pi / modulus)
+    return complex(np.sum(np.cos(phases)) + 1j * np.sum(np.sin(phases)))
+
+
+def _fsum_complex(values: Sequence[complex]) -> complex:
+    """The sum of values as one correctly rounded sum (math.fsum) of their
+    real parts and one of their imaginary parts, so it does not depend on
+    their order."""
+    return complex(fsum(v.real for v in values), fsum(v.imag for v in values))
 
 
 def _split_range(total: int, pieces: int) -> List[Tuple[int, int]]:
@@ -628,10 +643,11 @@ def _block_sum(
     below 2^63 (histogram counts are int64): on [0, modulus) with the
     modulus at most _HIST_CAP, the linear variables of _linear_axes are
     summed out; on [0, modulus) above _HIST_CAP with m >= 2, the
-    stationary-phase split, q = p^ceil(m/2), visits q^{n_b} points (budget:
-    see _block_product); on the torus [1, p) with m = 1 and p at most
-    _HIST_CAP, a block whose exponent differences have rank r < n_b visits
-    (p-1)^r points (_toric_counts).  Any other block keeps the plain grid.
+    stationary-phase tree (_critical_tree) visits at most 3 q^{n_b} points,
+    q = p^ceil(m/2), and no grid (budget: see _block_product); on the torus
+    [1, p) with m = 1 and p at most _HIST_CAP, a block whose exponent
+    differences have rank r < n_b visits (p-1)^r points (_toric_counts).
+    Any other block keeps the plain grid.
     """
     modulus = p ** m
     size = domain[1] - domain[0]
@@ -641,22 +657,92 @@ def _block_sum(
     if domain == (1, p) and m == 1 and hist and fits and _toric_form(tuple(sorted(block_terms)))[0] < n_b:
         return _toric_counts(block_terms, p, workers)
     if whole and m >= 2 and not hist:
-        q = p ** ((m + 1) // 2)
-        h = block_terms
-        gs = [{e: q * c for e, c in g.terms.items()} if g else {}
-              for g in gradient(Polynomial(n_b, block_terms))]
-        fiber, domains = (modulus // q) ** n_b, [(0, q)] * n_b
-    else:
-        ys = _linear_axes(list(block_terms), n_b) if whole and hist else []
-        rest = [i for i in range(n_b) if i not in ys]
-        h = {}
-        gs = [{} for _ in ys]
-        for exps, c in block_terms.items():
-            hit = [j for j, y in enumerate(ys) if exps[y]]
-            (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
-        fiber, domains = modulus ** len(ys), [domain] * len(rest)
+        return _critical_tree(block_terms, n_b, p, m)
+    ys = _linear_axes(list(block_terms), n_b) if whole and hist else []
+    rest = [i for i in range(n_b) if i not in ys]
+    h = {}
+    gs = [{} for _ in ys]
+    for exps, c in block_terms.items():
+        hit = [j for j, y in enumerate(ys) if exps[y]]
+        (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
     return _grid_sum(_reduced_terms(h, modulus), [_reduced_terms(g, modulus) for g in gs],
-                     fiber, p, m, domains, workers)
+                     modulus ** len(ys), p, m, [domain] * len(rest), workers)
+
+
+def _critical_tree(block_terms: Dict[ExponentVector, int], n: int, p: int, m: int) -> complex:
+    """Unnormalized sum of e(f(x)/p^m) over [0, p^m)^n for one block f,
+    m >= 2, by the stationary-phase tree of the module docstring, level by
+    level.
+
+    Depth j holds the K_j classes A mod p^j, as an n x K_j array, with
+    grad f(A) = 0 mod p^j (so every prefix of A is critical too).  A digit
+    b in [0, p)^n extends A exactly when grad f(A + p^j b) = 0 mod p^(j+1);
+    k levels at once, b in [0, p^k)^n, keep exactly the classes with
+    grad f(A + p^j b) = 0 mod p^(j+k), the classes of depth j + k.  A step
+    takes the most levels k with p^(nk) <= _TREE_DIGITS (at least one):
+    with digit sets of 2 to 4 points a level costs far more in numpy calls
+    than in points (x^5 mod 2^23: 11 levels one at a time were slower than
+    the split they replace).  Each step is evaluated in numpy passes over
+    all of its K_j p^(nk) points, as many classes to a pass as keep it within
+    _TREE_PASS points (or one class), and so are the leaves.  Passes of
+    n-row point arrays larger than that ran slower and held more memory on a
+    block whose every class is critical (2^20 x y mod 2^21: 0.63 s and 151
+    MiB at 2^20 points a pass, 0.36 s and 79 MiB at 2^16).
+
+    The tree stops at depth d = floor(m/2), and an empty level ends the sum
+    at 0.  It visits at most 3 q^n points, q = p^ceil(m/2): a step ending at
+    depth e visits K_j p^(nk) <= p^(ne) points, so the steps, ending at
+    distinct depths, visit at most 2 p^(nd) in all, and the leaves are the
+    K_d <= p^(nd) = q^n classes (m even) or their p^n K_d <= q^n lifts (m
+    odd, where 2 p^(nd) <= q^n).
+    """
+    modulus = p ** m
+    grad = [_reduced_terms(g.terms, modulus) for g in gradient(Polynomial(n, block_terms)) if g]
+
+    def passes(classes: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
+        """The points A + b of the classes A and offsets b, pass by pass."""
+        step = max(1, _TREE_PASS // offsets.shape[2])
+        for lo in range(0, classes.shape[1], step):
+            yield (classes[:, lo:lo + step, None] + offsets).reshape(n, -1)
+
+    k = next(k for k in count(1) if p ** (n * (k + 1)) > _TREE_DIGITS)
+    classes = np.zeros((n, 1), dtype=np.int64)  # depth 0: the one class mod p^0
+    depth, j = m // 2, 0
+    while j < depth:
+        k = min(k, depth - j)
+        digits = np.indices((p ** k,) * n, dtype=np.int64).reshape(n, 1, -1)
+        # the residues are nonnegative, so their bitwise or is 0 exactly where all are
+        kept = [points[:, reduce(np.bitwise_or, _residues_at(grad, points, p ** (j + k))) == 0]
+                for points in passes(classes, p ** j * digits)]
+        classes = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1)
+        if not classes.size:
+            return 0j
+        j += k
+    f = [_reduced_terms(block_terms, modulus)]
+    lifts = np.indices((p if m % 2 else 1,) * n, dtype=np.int64).reshape(n, 1, -1)  # z in [0, p)^n, or 0
+    return _fsum_complex([_exp_value(next(_residues_at(f, points, modulus)), modulus)
+                          for points in passes(classes, p ** depth * lifts)]) * p ** (n * depth)
+
+
+def _residues_at(polys: Sequence[Terms], points: np.ndarray, modulus: int) -> Iterator[np.ndarray]:
+    """Yield each polynomial mod modulus at points given as an array of n
+    axis rows: the tree's evaluator, for point sets that are not product
+    grids (_grid_residues walks those).  Every product is of two residues
+    below modulus <= p^m, and each sum of t of them is below t p^m, so both
+    stay below 2^63 under the _require_int64_residues check of
+    _block_product."""
+    powers: Dict[Tuple[int, int], np.ndarray] = {}
+    for terms in polys:
+        acc = np.zeros(points.shape[1:], dtype=np.int64)
+        for coef, exps in terms:
+            mono = coef
+            for axis, e in enumerate(exps):
+                if e:
+                    if (axis, e) not in powers:
+                        powers[axis, e] = _pow_mod_array(points[axis], e, modulus)
+                    mono = mono * powers[axis, e] % modulus
+            acc += mono
+        yield acc % modulus
 
 
 def _product(values: Sequence[complex], const: int, modulus: int) -> complex:
@@ -692,11 +778,16 @@ def _block_product(
 
     Error: a block sum over N^{n_i} points meets its budget KERNEL_EPS per
     point, so its normalized value is within KERNEL_EPS + u of the truth
-    (u = 2^-53).  An exp-mode split sums at most q^{n_i} points within that
-    per-point budget and multiplies by fiber (exact as a float:
-    fiber^2 <= N^{n_i} < 2^63) with one more rounding, so its normalized value is within
-    KERNEL_EPS + 2u.  e(c/modulus), with c taken in (-modulus/2, modulus/2]
-    so the phase is at most pi, is within 9u.  With k blocks, every factor of
+    (u = 2^-53).  The stationary-phase tree sums L leaf points within that
+    per-point budget and multiplies by p^{n_i j}, j = floor(m/2), with one
+    more rounding.  Each leaf stands for p^{n_i j} grid points, and
+    L p^{n_i j} <= p^{m n_i}: L <= p^{n_i j} when m is even and
+    L <= p^{n_i (j+1)} when it is odd.  So the unnormalized error is at most
+    KERNEL_EPS p^{m n_i} plus that rounding, and p^{n_i j} <= p^{m n_i / 2}
+    < 2^31.5 (the block grid is below 2^63) is exact as a float: its
+    normalized value is within KERNEL_EPS + 2u.  e(c/modulus), with c taken
+    in (-modulus/2, modulus/2] so the phase is at most pi, is within 9u.
+    With k blocks, every factor of
     modulus at most 1 + O(KERNEL_EPS) and at most k complex multiplications
     (each within sqrt(5) u; Brent, Percival and Zimmermann 2007), the
     product is within k (KERNEL_EPS + 2u) + k sqrt(5) u + 9u
@@ -788,8 +879,8 @@ def brute_force_S(
 
     A product of sums over the variable-disjoint blocks of f mod p^m, each
     shrunk by the exact reductions of the module docstring (summing out the
-    linear variables in histogram mode, the stationary-phase split in exp
-    mode; _block_sum).  ``term_count``, the work budget check and
+    linear variables in histogram mode, the stationary-phase tree above it
+    when m >= 2; _block_sum).  ``term_count``, the work budget check and
     ``abs_error_budget`` = KERNEL_EPS * term_count still count the whole
     grid p^{mn}.
     """

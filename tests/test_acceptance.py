@@ -151,7 +151,7 @@ def test_criterion_5_invariant_suites(corpus, task_plans):
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
     assert task_plans == [(2048, 1), (2048, 3)]  # tasks, then spans handed to the pool
     # x mod 5^10 is above the histogram cap and takes the stationary-phase
-    # split, 5^5 points in one task; at the least prime above 2^22 (m = 1)
+    # tree, which plans no grid task; at the least prime above 2^22 (m = 1)
     # the plain exp grid runs as 5 segments split across the pool
     task_plans.clear()
     g = parse_polynomial("x")
@@ -159,7 +159,7 @@ def test_criterion_5_invariant_suites(corpus, task_plans):
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
     serial, parallel = brute_force_S(g, 4194319, 1, workers=1), brute_force_S(g, 4194319, 1, workers=4)
     assert abs(serial.value - parallel.value) <= serial.abs_error_budget + parallel.abs_error_budget
-    assert task_plans == [(1, 1), (1, 1), (5, 1), (5, 4)]
+    assert task_plans == [(5, 1), (5, 4)]
     print("CRITERION 5: PASS  (mass identity exact x20, partition at T=12, "
           "sigma monotone, parallel == serial)")
 

@@ -148,8 +148,9 @@ def test_factored_sums_report_the_whole_grid(capsys):
 
 
 def test_sum_at_5_11_counts_the_whole_grid(capsys):
-    # x^3 mod 5^11 is above the histogram cap, so the split visits 5^6
-    # points instead of 5^11, and the report still counts the whole grid.
+    # x^3 mod 5^11 is above the histogram cap, so the stationary-phase tree
+    # visits 310 points instead of 5^11, and the report still counts the
+    # whole grid.
     # S_{x^3}(5^11) = 5^-4: cubing permutes the units mod 5^m, whose sum
     # vanishes, and x = 5y turns the rest into 5^2 S_{x^3}(5^(m-3)).
     code, out = run(capsys, "sum", "x^3", "-p", "5", "-m", "11", "--json")

@@ -416,7 +416,8 @@ def assert_rows_are_the_points(P: NewtonPolyhedron, T: int) -> None:
     """With every row of ``lattice_table(T)`` flagged, ``_row_points`` gives
     every point with nu(k) <= T in scan order, each with the table row of its
     (face id, N, nu); k is int64 and ``rows`` has the least unsigned dtype of
-    the kept table's row count."""
+    the kept table's row count.  With none flagged both are empty, in the
+    same dtypes."""
     table = P.lattice_table(T)
     k, rows = P._row_points(T, np.ones(len(table.nu), bool))
     count = comb(T + P.n, P.n)
@@ -427,6 +428,9 @@ def assert_rows_are_the_points(P: NewtonPolyhedron, T: int) -> None:
     assert k.tolist() == [list(pt.k) for pt in points]
     got = zip(table.face_id[rows].tolist(), table.N[rows].tolist(), table.nu[rows].tolist())
     assert list(got) == [(pt.face_id, pt.N, pt.nu) for pt in points]
+    # no row flagged: empty, in the shapes and dtypes of the flagged reads
+    k0, rows0 = P._row_points(T, np.zeros(len(table.nu), bool))
+    assert (k0.shape, k0.dtype, rows0.shape, rows0.dtype) == ((0, P.n), k.dtype, (0,), rows.dtype)
 
 
 @settings(max_examples=60, deadline=None)

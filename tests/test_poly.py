@@ -385,17 +385,21 @@ def test_grid_residues_match_bigint_oracle(n, polys, modulus, cap, pieces, data)
     contiguously from task 0 to the last and differ in size by at most one.
     At 3^19 a few outer monomials still add raw products; at 11^9 two or
     more reduce each product.  At those two moduli, half the examples draw
-    every coefficient and grid start from -1..-3 mod the modulus, so odd
-    powers and products leave residues within a few units of it: two such
-    products at 11^9 overflow int64 unless each is reduced before the next
-    is added."""
+    every coefficient from -1..-3 mod the modulus, the outer axes' starts
+    from 1..3 above a multiple of it and the inner axes' from 1..3 below:
+    a lone term's outer scalar is then within a few units of the modulus,
+    and so are its inner values of odd degree, so at 11^9 two such products
+    overflow int64 unless each is reduced before the next is added."""
     near = modulus > 1009 and data.draw(st.booleans())
     polys = [{e[:n]: data.draw(st.integers(-3, -1)) if near else c for e, c in terms.items()}
              for terms in polys]
-    starts = st.integers(modulus - 3, modulus - 1) if near else st.integers(0, 2 * modulus)
-    domains = [(a, a + data.draw(st.integers(1, 9))) for a in data.draw(
-        st.lists(starts, min_size=n, max_size=n))]
-    sizes = [stop - start for start, stop in domains]
+    sizes = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
+        inner = _split_axes(sizes)[0]
+    starts = [st.integers(modulus + 1, modulus + 3) if near and axis < inner else
+              st.integers(modulus - 3, modulus - 1) if near else st.integers(0, 2 * modulus)
+              for axis in range(n)]
+    domains = [(a, a + size) for a, size in zip(data.draw(st.tuples(*starts)), sizes)]
     covered = np.zeros(sizes, dtype=np.int64)
     origins = []
     with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):

@@ -290,13 +290,13 @@ def test_parallel_matches_serial_histogram_path(task_plans):
 def test_parallel_matches_serial_exp_path(task_plans):
     # modulus above the histogram cap exercises the exp path; fixed block
     # boundaries and a correctly rounded merge make any worker count
-    # bit-identical.  At 5^10 the stationary-phase split leaves 5^5 points,
-    # one task; at the least prime above 2^22 (m = 1, no split) the plain
-    # grid runs as 5 segments of its one axis that four workers split
+    # bit-identical.  At 5^10 the stationary-phase tree plans no grid task
+    # (no digit is critical); at the least prime above 2^22 (m = 1, no tree)
+    # the plain grid runs as 5 segments of its one axis that four workers split
     f = parse_polynomial("x")
     serial = brute_force_S(f, 5, 10, workers=1)
     parallel = brute_force_S(f, 5, 10, workers=4)
-    assert task_plans == [(1, 1), (1, 1)]
+    assert task_plans == []
     assert serial.value == parallel.value
     assert abs(serial.value) < serial.abs_error_budget
     task_plans.clear()
@@ -691,19 +691,18 @@ def test_summed_out_values_are_bit_identical_to_the_plain_grid(case, cap, worker
 def test_exp_path_keeps_the_plain_grid(case):
     # Above the histogram cap linear variables are not summed out, so at
     # m = 1 every grid is a plain one.  At m >= 2 above the cap every block
-    # takes the stationary-phase split instead.
+    # takes the stationary-phase tree instead, which sums no grid.
     f, p, m = case
     with recorded_grid_calls() as calls:
         with mock.patch.object(sums, "_HIST_CAP", 1):
             s = brute_force_S(f, p, m)
             plan = list(calls)
             want = plain_value(f, p, m)
-    assert plan
     if m == 1:
-        assert not any(gs for _, gs, _ in plan)
+        assert plan and not any(gs for _, gs, _ in plan)
         assert s.value == want
     else:
-        assert all(gs == len(sizes) for sizes, gs, _ in plan)
+        assert not plan
         assert abs(s.value - want) <= s.abs_error_budget
 
 
@@ -837,7 +836,47 @@ def test_toric_scan_matches_pure_python_scan(case):
     assert check_nondegenerate_mod_p(f, faces, p) == oracle_nondeg(f, faces, p)
 
 
-# -- the stationary-phase split ---------------------------------------------------
+# -- the stationary-phase tree ----------------------------------------------------
+
+@contextlib.contextmanager
+def recorded_tree_levels():
+    """The point count of every evaluation the stationary-phase tree makes,
+    in call order: one per pass, so one per level and then the leaves while
+    each fits one pass."""
+    residues_at, levels = sums._residues_at, []
+
+    def spy(polys, points, modulus):
+        levels.append(points[0].size)
+        return residues_at(polys, points, modulus)
+
+    with mock.patch.object(sums, "_residues_at", spy):
+        yield levels
+
+
+def oracle_tree_levels(f, p, m):
+    """The tree's evaluations from its definition: K_j classes A mod p^j
+    have grad f(A) = 0 mod p^j (which makes every prefix critical too); a
+    step from depth j takes k levels at once, k the most with p^(nk) <= 16
+    (at least one, and no further than depth d = floor(m/2)), and visits
+    p^(nk) K_j points while K_j > 0; then the K_d leaves, times p^n when m
+    is odd, are summed."""
+    grad = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in f.terms.items() if e[i]}
+            for i in range(f.n)]
+
+    def classes(j):
+        return sum(all(sum(c * prod_pow(a, e) for e, c in g.items()) % p ** j == 0 for g in grad)
+                   for a in product(range(p ** j), repeat=f.n))
+
+    most = max([1] + [k for k in range(1, 5) if p ** (f.n * k) <= 16])
+    d, j, K, levels = m // 2, 0, 1, []
+    while j < d:
+        k = min(most, d - j)
+        levels.append(p ** (f.n * k) * K)
+        j, K = j + k, classes(j + k)
+        if not K:
+            return levels
+    return levels + [p ** f.n * K if m % 2 else K]
+
 
 @st.composite
 def split_blocks(draw):
@@ -845,7 +884,7 @@ def split_blocks(draw):
     a grid small enough for the plain oracle.  A chain of terms that survive mod
     p^m gives every variable an exponent >= 2; exponents p make derivatives
     divisible by p, coefficients carry p-power factors (up to vanishing mod
-    p^m), and a constant term is optional, so q * df/dx_j may vanish mod p^m
+    p^m), and a constant term is optional, so df/dx_j may vanish mod p^m
     in some or all components."""
     p, m, n = draw(st.sampled_from([
         (2, 3, 2), (2, 4, 2), (2, 5, 2), (3, 2, 2), (3, 3, 2), (3, 4, 2), (5, 2, 2),
@@ -867,46 +906,69 @@ def split_blocks(draw):
     return Polynomial(n, terms), p, m
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=max(120, settings.default.max_examples), deadline=None)
 @given(split_blocks())
-def test_split_values_match_the_plain_grid(case):
-    # Histogram mode keeps the plain grid.  Above the cap the split visits
-    # y in [0, q)^n, q = p^ceil(m/2), each y standing for (p^m / q)^n
-    # points, and its value is within the whole grid's budget.
+def test_tree_values_match_the_plain_grid(case):
+    # Histogram mode keeps the plain grid.  Above the cap the tree visits
+    # the levels of its definition, at most 3 q^n points, q = p^ceil(m/2),
+    # makes no grid sum, and its value is within the whole grid's budget.
     f, p, m = case
     M, q = p ** m, p ** ((m + 1) // 2)
     with recorded_grid_calls() as calls:
         got = brute_force_S(f, p, m)
         assert calls == [((M,) * f.n, 0, 1)]
         calls.clear()
-        with mock.patch.object(sums, "_HIST_CAP", 1):
+        with mock.patch.object(sums, "_HIST_CAP", 1), recorded_tree_levels() as levels:
             got_exp = brute_force_S(f, p, m)
-    assert calls == [((q,) * f.n, f.n, (M // q) ** f.n)]
+    assert not calls
+    assert levels == oracle_tree_levels(f, p, m)
+    assert sum(levels) <= 3 * q ** f.n
+    # at most 16 points to a pass (or one class's p^n lifts), the same points in all
+    with mock.patch.object(sums, "_HIST_CAP", 1), mock.patch.object(sums, "_TREE_PASS", 16), \
+            recorded_tree_levels() as passes:
+        got_passes = brute_force_S(f, p, m)
+    assert sum(passes) == sum(levels) and max(passes, default=0) <= max(16, p ** f.n)
     want = plain_value(f, p, m)
     assert got.value == want
     assert got_exp.term_count == got.term_count == M ** f.n
     assert abs(got_exp.value - want) <= got_exp.abs_error_budget
+    assert abs(got_passes.value - want) <= got_passes.abs_error_budget
 
 
-def test_x3_at_5_11_visits_5_6_points(grid_calls):
-    # 5^11 is above the histogram cap; the split x = y + 5^6 z leaves y in
-    # [0, 5^6), each standing for 5^5 grid points.
-    got = brute_force_S(parse_polynomial("x^3"), 5, 11)
-    assert grid_calls == [((5 ** 6,), 1, 5 ** 5)]
+def test_x3_at_5_11_visits_310_points(grid_calls):
+    # 5^11 is above the histogram cap.  3x^2 = 0 mod 5^(j+1) holds for the
+    # 5^floor((j+1)/2) classes mod 5^(j+1) divisible by 5^ceil((j+1)/2), so
+    # levels j = 0..4 keep 1, 5, 5, 25, 25 classes out of 5 times those
+    # before, and the 25 leaves of depth 5 are summed over 5 digits each
+    # (m odd): 310 points, none through a grid, each standing for 5^5.
+    with recorded_tree_levels() as levels:
+        got = brute_force_S(parse_polynomial("x^3"), 5, 11)
+    assert levels == [5, 5, 25, 25, 125, 125]
+    assert not grid_calls
     assert got.term_count == 5 ** 11
     assert abs(got.value - 5 ** -4) <= got.abs_error_budget
 
 
-def test_connected_block_at_3_4_visits_3_8_points(grid_calls):
-    # No variable is linear; above the histogram cap the split x = y + 9z
-    # leaves y in [0, 9)^4, 3^8 points instead of 3^16, each standing for
-    # 9^4 grid points.
+def test_7x_at_5_11_visits_5_points(grid_calls):
+    # 7 != 0 mod 5: no digit is critical, so the first level is empty and
+    # the sum is exactly 0.
+    with recorded_tree_levels() as levels:
+        got = brute_force_S(parse_polynomial("7*x"), 5, 11)
+    assert levels == [5] and not grid_calls
+    assert got.value == 0
+
+
+def test_connected_block_at_3_4_visits_405_points(grid_calls):
+    # No variable is linear; above the histogram cap the tree scans the
+    # 3^4 digits, keeps the 3 critical points t(1, 1, 1, 1) mod 3, scans
+    # their 3 * 3^4 lifts, and sums the 81 critical classes mod 9: 405
+    # points instead of 3^16.
     f = parse_polynomial("x^2*y+y^2*z+z^2*u+u^2*x")
     want = _exp_sum_over_grid(f, 81, [(0, 81)] * 4, 1) / 3 ** 16
     grid_calls.clear()
-    with mock.patch.object(sums, "_HIST_CAP", 1):
+    with mock.patch.object(sums, "_HIST_CAP", 1), recorded_tree_levels() as levels:
         got = brute_force_S(f, 3, 4)
-    assert grid_calls == [((9,) * 4, 4, 9 ** 4)]
+    assert levels == [81, 243, 81] and not grid_calls
     assert got.term_count == 3 ** 16
     assert abs(got.value - want) <= got.abs_error_budget
 
