@@ -25,6 +25,12 @@ NAMED_VARS = "xyzuvw"
 #: character.  ``\d`` is a Unicode decimal digit, the kind ``int`` reads.
 _TOKEN = re.compile(rf"x(\d+)|(\d+)|([{NAMED_VARS}])|([-+*^])|(.)")
 
+#: Largest variable index the parser reads: every exponent vector is built at
+#: the largest index in the text, so a larger one is refused before any is.
+#: It is far above newton.DIMENSION_CAP = 8 and the n <= 27 of a complete sum
+#: at p = 2 within the default work budget.
+_INDEX_CAP = 1024
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -91,6 +97,10 @@ def _lex(text: str) -> List[Tuple[str, object, int]]:
         if other is not None:
             raise PolyParseError(f"unexpected character {other!r}", pos)
         if index is not None:
+            # digits counted before int(), which is slow on, or refuses, thousands of them
+            index = index.lstrip("0") or "0"
+            if len(index) > len(str(_INDEX_CAP)) or int(index) > _INDEX_CAP:
+                raise PolyParseError(f"variable index must be at most {_INDEX_CAP}", pos)
             if int(index) < 1:
                 raise PolyParseError("variable index must be >= 1", pos)
             tokens.append(("var", int(index), pos))
@@ -116,7 +126,9 @@ def parse_polynomial(text: str, dimension_hint: Optional[int] = None) -> Polynom
     ``integer`` and ``natural`` are runs of decimal digits; a superscript
     digit (``x²``) is rejected as an unexpected character at its position.
     Named variables alias x1..x6; variables beyond the sixth must use the
-    indexed form.  Like terms are combined and zero coefficients dropped.
+    indexed form, whose index is at most _INDEX_CAP (1024; a larger one is a
+    PolyParseError at its variable).  Like terms are combined and zero
+    coefficients dropped.
     The dimension is ``dimension_hint`` when given, else the highest variable
     index appearing anywhere in the text (including cancelled terms).
 

@@ -8,8 +8,8 @@ e(c/p^m)), so the work is the sum of the block grids, not their product.
 A complete sum (domain the complete residue system [0, M), M = p^m) shrinks
 each block's grid further by one of two exact reductions, both checked
 against their hypotheses first, and both need the block's whole grid M^n
-below 2^63.  A summed-out variable leaves each visited point standing for
-``fiber`` grid points.
+below 2^63.  k summed-out variables leave each visited point standing for
+M^k grid points, its fiber.
 
 Linear variables are summed out when M is small enough to histogram.  If
 y_1..y_k each have exponent exactly 1 in every term that contains them and
@@ -93,9 +93,11 @@ per point of the whole grid, which also covers the block product (see
 _block_product).  Moduli whose residue products could wrap int64 are refused
 with ModulusTooLarge before any work starts.
 
-_grid_residues is the package's one evaluator of polynomials mod M on
-product grids: the sum kernels and the mod-p nondegeneracy scan both run on
-it (the tree's levels are point lists, which _residues_at evaluates).  The
+_residues_at is the package's one evaluator of polynomials mod M, on
+per-axis arrays that broadcast together.  _grid_residues walks product
+grids with it, one call per inner block for every polynomial, and the
+sum kernels and the mod-p nondegeneracy scan both run on that walk; the
+stationary-phase tree evaluates the rows of its point lists with it.  The
 scan first decides whether a face restriction g has a critical point on the
 torus at all, on (F_p^x)^r: under the substitution above the toric gradient
 (x_i dg/dx_i)_i is W^-1 times (y''^b theta_i h for i <= r, b_k y''^b h for
@@ -316,66 +318,53 @@ def _grid_residues(polys: Sequence[Terms], modulus: int, domains: Sequence[Tuple
     residues are computed one polynomial at a time as they are consumed, so
     a caller may stop early.
 
-    Terms are grouped by their outer exponent exps[:inner_start], and each
-    group becomes one value over the inner block, built again only when the
-    segment changes (every task only when outer axes stand beside a
-    segmented one, which takes 2^40 points): a broadcast-shaped residue
-    array, or a Python int when the group is constant on the block (the
-    constant term's group among them).  A task then does one multiply-add
-    per distinct outer monomial, not one per term.
+    Terms are grouped by their outer exponent exps[:inner_start]; with its
+    coefficients, each group is a polynomial on the inner axes.  One
+    _residues_at call evaluates every polynomial's groups on the inner
+    block, sharing its power tables, again only when the segment changes
+    (every task only when outer axes stand beside a segmented one, which
+    takes 2^40 points): each group value is a residue array broadcast along
+    the inner axes its terms use, or a Python int when the group is constant
+    on the block (the constant term's group among them).  A task then does
+    one multiply-add per distinct outer monomial, not one per term, under
+    the overflow policy below.
     """
     inner_start, segments, seg_size, _ = _split_axes([stop - start for start, stop in domains])
+    groups: List[Dict[ExponentVector, List[Tuple[int, ExponentVector]]]] = [{} for _ in polys]
+    for terms, grouped in zip(polys, groups):
+        for coef, exps in terms:
+            grouped.setdefault(exps[:inner_start], []).append((coef, exps[inner_start:]))
 
     def build_plans(seg: int):
         """(shape, plans) for one segment's inner block: per polynomial, its
-        [(outer exponent, (scalar, values))] groups, the group's value being
-        scalar * values.  A lone term keeps its coefficient as the scalar, a
-        merged group has scalar 1."""
+        [(outer exponent, group values)]."""
         bounds = list(domains[inner_start:])
         if segments > 1:
             start = bounds[-1][0] + seg * seg_size
             bounds[-1] = (start, min(bounds[-1][1], start + seg_size))
-        axes = [np.arange(start, stop, dtype=np.int64) for start, stop in bounds]
-        shape = tuple(map(len, axes))
-        powers: Dict[Tuple[int, int], np.ndarray] = {}
-        plans = []
-        for terms in polys:
-            groups: Dict[ExponentVector, Tuple[int, object]] = {}
-            for coef, exps in terms:
-                mono = 1  # an int until the first inner factor, which is taken as it is
-                for pos, e in enumerate(exps[inner_start:]):
-                    if e:
-                        if (pos, e) not in powers:
-                            powers[pos, e] = _pow_mod_array(axes[pos], e, modulus).reshape(
-                                [-1 if q == pos else 1 for q in range(len(axes))])
-                        pw = powers[pos, e]
-                        mono = pw if isinstance(mono, int) else mono * pw % modulus
-                outer = exps[:inner_start]
-                if outer in groups:
-                    c, g = groups[outer]
-                    groups[outer] = (1, (c * g % modulus + coef * mono % modulus) % modulus)
-                else:
-                    groups[outer] = (coef, mono)
-            plans.append(list(groups.items()))
-        return shape, plans
+        # each axis's coordinates on an axis of their own, broadcasting to the block
+        axes = [np.arange(start, stop, dtype=np.int64).reshape((-1,) + (1,) * (len(bounds) - pos - 1))
+                for pos, (start, stop) in enumerate(bounds)]
+        shape = tuple(stop - start for start, stop in bounds)
+        values = _residues_at([group for grouped in groups for group in grouped.values()], axes, modulus)
+        return shape, [[(outer, next(values)) for outer in grouped] for grouped in groups]
 
     # Overflow policy: a task adds one product of two residues, at most
     # (modulus - 1)^2, per distinct outer monomial (the constant term's
     # among them); accumulate raw products and reduce once if that stays < 2^63.
-    safe_raw = [len({exps[:inner_start] for _, exps in terms}) * (modulus - 1) ** 2 < 1 << 63
-                for terms in polys]
+    safe_raw = [len(grouped) * (modulus - 1) ** 2 < 1 << 63 for grouped in groups]
 
-    def residues(shape: Tuple[int, ...], point: List[int], groups, raw: bool) -> np.ndarray:
+    def residues(shape: Tuple[int, ...], point: List[int], plan, raw: bool) -> np.ndarray:
         acc = np.zeros(shape, dtype=np.int64)
-        for outer, (scalar, values) in groups:
-            for j in range(inner_start):
-                if outer[j]:
-                    scalar = scalar * pow(point[j], outer[j], modulus) % modulus
+        for outer, values in plan:
+            # the outer monomial at the task's point; outer is () when every axis is inner
+            scalar = prod(pow(x, e, modulus) for x, e in zip(point, outer) if e) % modulus if outer else 1
             if raw:
                 acc += values if scalar == 1 else scalar * values
             else:
                 acc = (acc + scalar * values) % modulus
-        acc %= modulus
+        if raw and inner_start:  # with no outer axis a polynomial is one group, reduced already
+            acc %= modulus
         return acc
 
     tasks = product(*(range(start, stop) for start, stop in domains[:inner_start]), range(segments))
@@ -389,9 +378,43 @@ def _grid_residues(polys: Sequence[Terms], modulus: int, domains: Sequence[Tuple
         yield tuple(origin), map(partial(residues, shape, point), plans, safe_raw)
 
 
-def _grid_worker(polys: Sequence[Terms], fiber: int, p: int, m: int,
-                 domains: Sequence[Tuple[int, int]], hist: bool,
-                 span: Tuple[int, int]) -> Union[np.ndarray, List[complex]]:
+def _residues_at(polys: Sequence[Terms], axes: Sequence[np.ndarray],
+                 modulus: int) -> Iterator[Union[int, np.ndarray]]:
+    """Yield each polynomial mod modulus at the points of per-axis arrays
+    that broadcast together: the package's one evaluator of polynomials mod
+    M.  The stationary-phase tree passes the rows of its n x K point array,
+    _grid_residues its inner block's aranges, each on an axis of its own.
+    A polynomial's residues are broadcast only along the axes its terms use:
+    a constant (a lone constant term, or the zero polynomial, which gives 0)
+    is a Python int.  The powers of each axis are computed once per call.
+    Coefficients are reduced mod modulus first: the tree's are residues mod
+    p^m, evaluated mod p^(j+k) at its levels.
+
+    Overflow: every product is of two residues below modulus, and each sum
+    of t of them is below t * modulus; under the _require_int64_residues
+    check that every caller makes first (modulus (modulus - 1) < 2^63, so
+    modulus < 2^31.5), both stay below 2^63 for any t < 2^31.  A lone
+    term's residues are reduced as they are built, and not again.
+    """
+    powers: Dict[Tuple[int, int], np.ndarray] = {}
+    for terms in polys:
+        acc = 0
+        for coef, exps in terms:
+            value = coef % modulus
+            mono = None
+            for axis, e in enumerate(exps):
+                if e:
+                    if (axis, e) not in powers:
+                        powers[axis, e] = _pow_mod_array(axes[axis], e, modulus)
+                    mono = powers[axis, e] if mono is None else mono * powers[axis, e] % modulus
+            if mono is not None:
+                value = mono if value == 1 else value * mono % modulus
+            acc = value if len(terms) == 1 else acc + value
+        yield acc if len(terms) == 1 else acc % modulus
+
+
+def _grid_worker(polys: Sequence[Terms], p: int, m: int, domains: Sequence[Tuple[int, int]],
+                 hist: bool, span: Tuple[int, int]) -> Union[np.ndarray, List[complex]]:
     """Reduce the contiguous span (lo, hi) of tasks of _grid_residues modulo
     p^m: in histogram mode to the span's residue histogram mod p^m (see
     _grid_sum), in exp mode to each task's complex value, in task order.
@@ -404,7 +427,8 @@ def _grid_worker(polys: Sequence[Terms], fiber: int, p: int, m: int,
     gcd(g_1, ..., g_k, p^m) = p^v, so v is the least p-adic valuation of the
     g_j(x), capped at m (one lookup per g_j in the table val[r] = v_p(r),
     val[0] = m).  The count at s of p^v's table then goes, times
-    fiber p^v / p^m, to every residue r = s mod p^v.  Exp mode has k = 0.
+    p^(m(k-1)) p^v (the fiber p^(mk) of the summed-out variables, over
+    p^m), to every residue r = s mod p^v.  Exp mode has k = 0.
     """
     modulus = p ** m
     tasks = _grid_residues(polys, modulus, domains, *span)
@@ -432,7 +456,7 @@ def _grid_worker(polys: Sequence[Terms], fiber: int, p: int, m: int,
         part = tables[offsets[v]:offsets[v] + d]
         if part.any():
             view = counts.reshape(-1, d)
-            view += fiber * d // modulus * part
+            view += modulus ** (len(polys) - 2) * d * part
     return counts
 
 
@@ -444,25 +468,24 @@ def _exp_sum_over_grid(
 ) -> complex:
     """Unnormalized sum of exp(2 pi i f(x)/modulus) over every point of the
     product grid: the oracle of every reduction in _block_sum."""
-    total = _grid_sum(_reduced_terms(f.terms, modulus), (), 1, modulus, 1, domains, workers)
+    total = _grid_sum(_reduced_terms(f.terms, modulus), (), modulus, 1, domains, workers)
     return _hist_value(total, modulus) if modulus <= _HIST_CAP else total
 
 
-def _grid_sum(h: Terms, gs: Sequence[Terms], fiber: int, p: int, m: int,
-              domains: Sequence[Tuple[int, int]], workers: int) -> Union[np.ndarray, complex]:
+def _grid_sum(h: Terms, gs: Sequence[Terms], p: int, m: int, domains: Sequence[Tuple[int, int]],
+              workers: int) -> Union[np.ndarray, complex]:
     """Unnormalized sum of e((h(x) + z_1 g_1(x) + ... + z_k g_k(x))/p^m)
-    over x in the product grid and z in a box of ``fiber`` points: its
-    residue histogram when p^m is at most _HIST_CAP (histogram mode), its
-    complex value above (exp mode).
+    over x in the product grid and z in [0, p^m)^k: its residue histogram
+    when p^m is at most _HIST_CAP (histogram mode), its complex value above
+    (exp mode).
 
-    With k = 0 this is the plain grid sum, fiber is 1, and any modulus may
-    be passed as (modulus, 1); exp mode always has k = 0.  With k >= 1 (the
-    summed-out linear variables of _block_sum, in histogram mode) each z_j
-    runs over [0, p^m), so fiber = p^(mk).  At a point x,
-    z -> sum_j z_j g_j(x) is then a homomorphism onto d Z/p^m,
-    d = gcd(g_1(x), ..., g_k(x), p^m), that hits each element fiber d / p^m
-    times, so the residue histogram of the whole grid is
-    counts[r] = sum_x (fiber d(x) / p^m) [r = h(x) mod d(x)], the plain
+    With k = 0 this is the plain grid sum, and any modulus may be passed as
+    (modulus, 1); exp mode always has k = 0.  With k >= 1 (the summed-out
+    linear variables of _block_sum, in histogram mode) each x stands for
+    the fiber of p^(mk) points z.  At a point x, z -> sum_j z_j g_j(x) is a
+    homomorphism onto d Z/p^m, d = gcd(g_1(x), ..., g_k(x), p^m), that hits
+    each element p^(mk) d / p^m times, so the residue histogram of the whole
+    grid is counts[r] = sum_x p^(m(k-1)) d(x) [r = h(x) mod d(x)], the plain
     grid's; each worker returns its span's, and they are added.
 
     The grid's tasks (_split_axes) are reduced by _grid_worker in contiguous
@@ -476,7 +499,7 @@ def _grid_sum(h: Terms, gs: Sequence[Terms], fiber: int, p: int, m: int,
     hist = modulus <= _HIST_CAP
     task_count = _split_axes([stop - start for start, stop in domains])[3]
     spans = _split_range(task_count, max(1, workers))
-    work = partial(_grid_worker, (h, *gs), fiber, p, m, tuple(domains), hist)
+    work = partial(_grid_worker, (h, *gs), p, m, tuple(domains), hist)
     if len(spans) == 1:
         results = [work(spans[0])]
     else:
@@ -606,7 +629,7 @@ def _toric_counts(block_terms: Dict[ExponentVector, int], p: int, workers: int) 
         counts[1:] = (key == pow(block_terms[support[0]], order, p)) * (fiber // order)
         return counts
     h = _laurent_terms([block_terms[a] for a in support], exps, p)
-    hist = _grid_sum(h, (), 1, p, 1, [(1, p)] * r, workers)
+    hist = _grid_sum(h, (), p, 1, [(1, p)] * r, workers)
     per_coset = np.zeros(p, dtype=np.int64)
     np.add.at(per_coset, key, hist[1:])
     counts[0] = hist[0] * fiber
@@ -666,7 +689,7 @@ def _block_sum(
         hit = [j for j, y in enumerate(ys) if exps[y]]
         (gs[hit[0]] if hit else h)[tuple(exps[i] for i in rest)] = c
     return _grid_sum(_reduced_terms(h, modulus), [_reduced_terms(g, modulus) for g in gs],
-                     modulus ** len(ys), p, m, [domain] * len(rest), workers)
+                     p, m, [domain] * len(rest), workers)
 
 
 def _critical_tree(block_terms: Dict[ExponentVector, int], n: int, p: int, m: int) -> complex:
@@ -711,8 +734,10 @@ def _critical_tree(block_terms: Dict[ExponentVector, int], n: int, p: int, m: in
     while j < depth:
         k = min(k, depth - j)
         digits = np.indices((p ** k,) * n, dtype=np.int64).reshape(n, 1, -1)
-        # the residues are nonnegative, so their bitwise or is 0 exactly where all are
-        kept = [points[:, reduce(np.bitwise_or, _residues_at(grad, points, p ** (j + k))) == 0]
+        # the residues are nonnegative, so their bitwise or is 0 exactly where all are; it
+        # starts from the pass's zero row, as a constant gradient (5*x) gives one scalar
+        kept = [points[:, reduce(np.bitwise_or, _residues_at(grad, points, p ** (j + k)),
+                                 np.zeros(points.shape[1:], dtype=np.int64)) == 0]
                 for points in passes(classes, p ** j * digits)]
         classes = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1)
         if not classes.size:
@@ -722,27 +747,6 @@ def _critical_tree(block_terms: Dict[ExponentVector, int], n: int, p: int, m: in
     lifts = np.indices((p if m % 2 else 1,) * n, dtype=np.int64).reshape(n, 1, -1)  # z in [0, p)^n, or 0
     return _fsum_complex([_exp_value(next(_residues_at(f, points, modulus)), modulus)
                           for points in passes(classes, p ** depth * lifts)]) * p ** (n * depth)
-
-
-def _residues_at(polys: Sequence[Terms], points: np.ndarray, modulus: int) -> Iterator[np.ndarray]:
-    """Yield each polynomial mod modulus at points given as an array of n
-    axis rows: the tree's evaluator, for point sets that are not product
-    grids (_grid_residues walks those).  Every product is of two residues
-    below modulus <= p^m, and each sum of t of them is below t p^m, so both
-    stay below 2^63 under the _require_int64_residues check of
-    _block_product."""
-    powers: Dict[Tuple[int, int], np.ndarray] = {}
-    for terms in polys:
-        acc = np.zeros(points.shape[1:], dtype=np.int64)
-        for coef, exps in terms:
-            mono = coef
-            for axis, e in enumerate(exps):
-                if e:
-                    if (axis, e) not in powers:
-                        powers[axis, e] = _pow_mod_array(points[axis], e, modulus)
-                    mono = mono * powers[axis, e] % modulus
-            acc += mono
-        yield acc % modulus
 
 
 def _product(values: Sequence[complex], const: int, modulus: int) -> complex:

@@ -459,6 +459,14 @@ def test_parse_error_exits_2(capsys):
     assert code == 2
 
 
+def test_a_huge_variable_index_exits_2_at_once(capsys):
+    # the parser refuses the index before it builds a million-long exponent vector
+    start = time.perf_counter()
+    assert main(["analyze", "x1000000+y"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "variable index must be at most 1024 (at position 0)" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["analyze", "x*y", "--bogus"]) == 2
 

@@ -132,10 +132,10 @@ def complete_grids():
     the _grid_sum calls whose axes all start at 0, so no torus sum."""
     grid_sum, moduli = sums._grid_sum, []
 
-    def spy(h, gs, fiber, p, m, domains, workers):
+    def spy(h, gs, p, m, domains, workers):
         if all(start == 0 for start, _ in domains):
             moduli.append(p ** m)
-        return grid_sum(h, gs, fiber, p, m, domains, workers)
+        return grid_sum(h, gs, p, m, domains, workers)
 
     with mock.patch.object(sums, "_grid_sum", spy):
         yield moduli

@@ -1,14 +1,17 @@
 """Parser, gradient, restriction and modular-evaluation tests.
 
 Expected values come from independent oracles written here: big-integer
-direct evaluation for the kernel's modular evaluator ``sums._grid_residues``
-and a from-scratch term-shift differentiator for gradients.
+direct evaluation for the kernel's modular evaluator ``sums._residues_at``
+and its grid walk ``sums._grid_residues``, and a from-scratch term-shift
+differentiator for gradients.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+import time
+from itertools import product
 from math import prod
 from unittest import mock
 
@@ -143,6 +146,29 @@ def test_parse_rejects_a_superscript_digit_at_its_position(text, position):
     with pytest.raises(PolyParseError, match="unexpected character '²'") as exc:
         parse_polynomial(text)
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x12345678901234567890", 0),
+    ("y + x1025", 4),
+    ("x" + "9" * 5000, 0),  # past int()'s digit limit: the same error, not a ValueError
+    ("x" + "0" * 5000 + "2000", 0),
+])
+def test_parse_refuses_a_variable_index_above_the_cap_at_once(text, position):
+    # every exponent vector is as long as the largest index, so the index is
+    # refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match="variable index must be at most 1024") as exc:
+        parse_polynomial(text)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.position == position
+
+
+def test_parse_reads_an_index_at_the_cap():
+    f = parse_polynomial("x1024 + y")
+    assert f.n == 1024
+    assert f.terms == {(0,) * 1023 + (1,): 1, (0, 1) + (0,) * 1022: 1}
+    assert parse_polynomial("x" + "0" * 5000 + "2") == parse_polynomial("x2")
 
 
 def test_parse_reads_every_unicode_decimal_digit():
@@ -420,6 +446,69 @@ def test_grid_residues_match_bigint_oracle(n, polys, modulus, cap, pieces, data)
                         assert block[offset] == oracle_eval(terms, point) % modulus
     assert (covered == len(polys)).all()
     assert all(a < b for a, b in zip(origins, origins[1:]))
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 3),
+    modulus=st.one_of(st.integers(2, 1009), st.sampled_from([3 ** 19, 11 ** 9])),
+    cap=st.sampled_from([1, 7, None]),
+    pieces=st.integers(1, 4),
+    data=st.data(),
+)
+def test_residues_at_on_a_point_list_matches_the_walk_and_the_oracle(n, modulus, cap, pieces, data):
+    """_residues_at, given every point of a product grid as a point list (n
+    axis rows, as the stationary-phase tree gives its points), equals the
+    _grid_residues blocks walked in spans and a big-integer evaluation at
+    every point.  The polynomials mix unit coefficients (1, and 1 + modulus
+    before reduction) with others of either sign, may carry a constant term
+    (or be one) and a group constant on the inner block (a term on the outer
+    axes only), and the last is the zero polynomial, which gives the int 0,
+    not None.  On the grid's own axes each result is broadcast only along
+    the axes its terms use."""
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
+        inner = _split_axes(sizes)[0]
+    coef = st.one_of(st.sampled_from([1, 1 + modulus]), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(any)
+    polys = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        terms = data.draw(st.dictionaries(exps, coef, max_size=4))
+        if data.draw(st.booleans()):
+            terms[(0,) * n] = data.draw(coef)
+        if inner and data.draw(st.booleans()):  # constant on the inner block
+            outer = tuple(data.draw(st.integers(1, 3)) if axis < inner else 0 for axis in range(n))
+            terms[outer] = data.draw(coef)
+        polys.append(terms)
+    polys.append({})  # the zero polynomial
+    starts = data.draw(st.tuples(*[st.integers(0, 2 * modulus)] * n))
+    domains = [(a, a + size) for a, size in zip(starts, sizes)]
+    points = np.array(list(product(*(range(a, b) for a, b in domains))), dtype=np.int64).T
+    at = list(sums._residues_at([[(c, e) for e, c in sorted(t.items())] for t in polys], points, modulus))
+    assert isinstance(at[-1], int) and at[-1] == 0
+    at = [np.broadcast_to(r, points.shape[1:]).reshape(sizes) for r in at]
+    for terms, got in zip(polys, at):
+        for index in np.ndindex(*sizes):
+            point = [a + i for (a, _), i in zip(domains, index)]
+            assert got[index] == oracle_eval(terms, point) % modulus
+    # on the grid's own axes, each on an axis of its own, a polynomial is
+    # broadcast only along the axes its terms use
+    axes = [np.arange(a, b, dtype=np.int64).reshape((-1,) + (1,) * (n - 1 - axis))
+            for axis, (a, b) in enumerate(domains)]
+    for terms, want, got in zip(polys, at, sums._residues_at([_reduced_terms(t, modulus) for t in polys],
+                                                             axes, modulus)):
+        shape = (1,) * (n - np.ndim(got)) + np.shape(got)
+        assert shape == tuple(size if any(e[axis] for e in terms) else 1 for axis, size in enumerate(sizes))
+        assert (np.broadcast_to(got, sizes) == want).all()
+    walked = [np.full(sizes, -1, dtype=np.int64) for _ in polys]
+    with mock.patch.object(sums, "_INNER_CAP", cap or sums._INNER_CAP):
+        for lo, hi in sums._split_range(_split_axes(sizes)[3], pieces):
+            for origin, residues in _grid_residues(
+                    [_reduced_terms(t, modulus) for t in polys], modulus, domains, lo, hi):
+                for out, block in zip(walked, residues):
+                    out[block_index(origin, domains, block.shape)] = block
+    for got, want in zip(walked, at):
+        assert (got == want).all()
 
 
 def test_homogeneity():

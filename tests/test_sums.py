@@ -596,12 +596,13 @@ def plain_value(f, p, m):
 @contextlib.contextmanager
 def recorded_grid_calls():
     """(axis sizes, number of polynomials g_j, fiber) of every grid sum
-    made inside the block, in call order."""
+    made inside the block, in call order: the fiber of k summed-out
+    variables is p^(mk), the points z each grid point stands for."""
     grid_sum, calls = sums._grid_sum, []
 
-    def spy(h, gs, fiber, p, m, domains, workers):
-        calls.append((tuple(stop - start for start, stop in domains), len(gs), fiber))
-        return grid_sum(h, gs, fiber, p, m, domains, workers)
+    def spy(h, gs, p, m, domains, workers):
+        calls.append((tuple(stop - start for start, stop in domains), len(gs), p ** (m * len(gs))))
+        return grid_sum(h, gs, p, m, domains, workers)
 
     with mock.patch.object(sums, "_grid_sum", spy):
         yield calls
@@ -713,9 +714,9 @@ def recorded_grids():
     """The axis sizes of every grid the kernel visits, in call order."""
     grid_sum, grids = sums._grid_sum, []
 
-    def spy(h, gs, fiber, p, m, domains, workers):
+    def spy(h, gs, p, m, domains, workers):
         grids.append(tuple(stop - start for start, stop in domains))
-        return grid_sum(h, gs, fiber, p, m, domains, workers)
+        return grid_sum(h, gs, p, m, domains, workers)
 
     with mock.patch.object(sums, "_grid_sum", spy):
         yield grids
@@ -842,7 +843,8 @@ def test_toric_scan_matches_pure_python_scan(case):
 def recorded_tree_levels():
     """The point count of every evaluation the stationary-phase tree makes,
     in call order: one per pass, so one per level and then the leaves while
-    each fits one pass."""
+    each fits one pass.  Grid walks evaluate through _residues_at too, so a
+    test that reads these counts checks that no grid is summed."""
     residues_at, levels = sums._residues_at, []
 
     def spy(polys, points, modulus):
@@ -956,6 +958,51 @@ def test_7x_at_5_11_visits_5_points(grid_calls):
         got = brute_force_S(parse_polynomial("7*x"), 5, 11)
     assert levels == [5] and not grid_calls
     assert got.value == 0
+
+
+@pytest.mark.parametrize("text, levels", [("5*x", [5, 25]), ("25*x", [5, 25, 125])])
+def test_linear_blocks_at_5_11_end_at_their_first_empty_level(grid_calls, text, levels):
+    # The gradient 5^v is a constant, one scalar for a whole pass, divisible
+    # by p^v but not p^(v+1): every class survives the first v levels, no
+    # class level v + 1, and the sum is exactly 0.
+    f = parse_polynomial(text)
+    with recorded_tree_levels() as got:
+        value = brute_force_S(f, 5, 11).value
+    assert got == levels == oracle_tree_levels(f, 5, 11)
+    assert not grid_calls
+    assert value == 0
+
+
+@st.composite
+def linear_blocks(draw):
+    """(f, p, m): f = sum_i c_i x_i on n <= 2 axes with m >= 2 and a grid
+    small enough for the plain oracle, each c_i a unit times p^v, v < m.
+    Each axis is a block whose gradient is the constant c_i, so the tree
+    keeps every class for v levels (or up to its depth floor(m/2))."""
+    p, m, n = draw(st.sampled_from([
+        (2, 3, 1), (2, 5, 1), (2, 4, 2), (3, 3, 1), (3, 4, 2), (5, 3, 1), (5, 3, 2), (7, 2, 2),
+    ]))
+    unit = st.integers(-12, 12).filter(lambda c: c % p)
+    terms = {tuple(int(i == j) for j in range(n)): draw(unit) * p ** draw(st.integers(0, m - 1))
+             for i in range(n)}
+    return Polynomial(n, terms), p, m
+
+
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
+@given(linear_blocks())
+@example((parse_polynomial("5*x+10*y"), 5, 3))
+@example((parse_polynomial("4*x"), 2, 5))
+def test_linear_blocks_above_the_cap_match_the_plain_grid(case):
+    # Above a lowered histogram cap each one-axis block takes the tree, at
+    # the levels of its definition, and no grid.
+    f, p, m = case
+    want = plain_value(f, p, m)
+    with recorded_grid_calls() as calls, mock.patch.object(sums, "_HIST_CAP", 1), \
+            recorded_tree_levels() as levels:
+        got = brute_force_S(f, p, m)
+    assert not calls
+    assert levels == [k for c in f.terms.values() for k in oracle_tree_levels(Polynomial(1, {(1,): c}), p, m)]
+    assert abs(got.value - want) <= got.abs_error_budget
 
 
 def test_connected_block_at_3_4_visits_405_points(grid_calls):
