@@ -90,8 +90,10 @@ class NuCheckFindings:
     """The failing points in scan order as parallel columns: k (F x n, int64),
     face_id and nu (int64), N (object when ``N_bound(P, T)`` reaches
     INT64_SAFE, else int64), main_ok and halfdim_ok (bool); and ``rhs``, each
-    failing (face id, N) mapped to its (rhs_main, rhs_halfdim), built from
-    the columns and the polyhedron when first read."""
+    failing (face id, N) mapped to its (rhs_main, rhs_halfdim), built when
+    first read from the columns and the scaled integers the check compared:
+    D, sigma D and, by face id, sigma(f_tau) D and (dim tau + 1) D / 2.  It
+    keeps no polyhedron, so live findings do not pin P and its lattice."""
 
     T: int
     points_checked: int
@@ -101,16 +103,13 @@ class NuCheckFindings:
     N: np.ndarray
     main_ok: np.ndarray
     halfdim_ok: np.ndarray
-    _polyhedron: NewtonPolyhedron = field(repr=False)
+    _scaled: Tuple[int, int, List[int], List[int]] = field(repr=False)
 
     @cached_property
     def rhs(self) -> Dict[Tuple[int, int], Tuple[Fraction, Fraction]]:
-        faces, sigma = self._polyhedron.faces, self._polyhedron.diagonal.sigma
+        D, sigma_D, main_D, half_D = self._scaled
         return {
-            (face_id, N): (
-                sigma * (N + 1) - faces[face_id].sigma_tau,
-                sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2),
-            )
+            (face_id, N): tuple(Fraction(sigma_D * (N + 1) - c[face_id], D) for c in (main_D, half_D))
             for face_id, N in set(zip(self.face_id.tolist(), self.N.tolist()))
         }
 
@@ -165,7 +164,8 @@ def check_nu_inequality(f: Polynomial, T: int) -> NuCheckFindings:
     k, row = P._row_points(T, ~(main_ok & half_ok))
     return NuCheckFindings(
         T, int(table.count.sum()), k, table.face_id[row].astype(np.int64),
-        table.nu[row].astype(np.int64), table.N[row], main_ok[row], half_ok[row], P,
+        table.nu[row].astype(np.int64), table.N[row], main_ok[row], half_ok[row],
+        (D, sigma_D, main_D, half_D),
     )
 
 

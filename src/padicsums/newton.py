@@ -17,16 +17,18 @@ bitmasks and zero-axis bitmasks under intersection, and each face's active
 facets and witness come, for all faces at once, from products of boolean
 incidence matrices, checked by the same pattern keys (tight vertices, zero
 axes) the lattice layer classifies with; faces on the same support points
-share one restriction f_tau.  The one integer elimination, ``_row_reduce``
-(which ``sums`` shares), gives face dimensions.  The Newton polyhedron of a
-face restriction f_tau is conv(V_tau) + R_+^n, so sigma(f_tau) depends only
-on the face's vertex set: one vertex or a segment is solved in closed form,
-and only three or more vertices need a polyhedron of their own.  A
-polyhedron is immutable by contract: its faces, its diagonal data, the
-sigma of each vertex set and its lattice table (how many lattice points with
-nu(k) <= T share each (face, N, nu), kept for the largest T requested, with
-the shell of its points and each point's row in it) are derived once, on
-first use, and never change what it compares equal to.
+share one restriction f_tau, f's terms at the bits of their support mask.
+The one integer elimination, ``_row_reduce`` (which ``sums`` shares), gives
+face dimensions.  The Newton polyhedron of a face restriction f_tau is
+conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the face's vertex set:
+one vertex or a segment is solved in closed form, and three or more by the
+diagonal's own rule over the facets of one more double description pass
+(``_hull_t_star``), so nothing derived from a polyhedron builds another
+one.  A polyhedron is immutable by contract: its faces, its diagonal data,
+the sigma of each vertex set and its lattice table (how many lattice points
+with nu(k) <= T share each (face, N, nu), kept for the largest T requested,
+with the shell of its points and each point's row in it) are derived once,
+on first use, and never change what it compares equal to.
 The sigmas are kept in one memo by vertex ids (``_VertexSigmas``) that the
 faces share: it holds the vertices, not the polyhedron, so faces and the
 polyhedron that caches them form no reference cycle, and a polyhedron is
@@ -58,7 +60,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tu
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionTooLarge
-from .poly import ExponentVector, Polynomial, face_restriction
+from .poly import ExponentVector, Polynomial
 from .store import kept_table
 
 #: Largest ambient dimension n that ``build_polyhedron`` admits.
@@ -179,6 +181,10 @@ class Face:
     ``witness_k`` is the sum of the active facet normals; re-evaluating the
     minimization at witness_k recovers exactly this face.  ``recession_axes``
     are 0-based internally (serialization emits them 1-based).
+    ``restriction`` is f_tau, f's terms at the support points on the face,
+    one polynomial for all faces on the same support points.  ``sigma_tau``
+    depends only on the vertex set and is solved from the vertices alone
+    (``_hull_t_star``), never from a polyhedron of f_tau.
     ``vertex_sigmas`` is the sigma memo that all faces of the polyhedron
     share, not the polyhedron itself, so faces and the polyhedron that caches
     them form no reference cycle; it takes no part in equality, hashing or
@@ -359,16 +365,16 @@ def _hull_t_star(points: Sequence[ExponentVector], n: int) -> Fraction:
     meets conv(points) + R_+^n.
 
     One point: its largest entry.  Two points: the segment's minimum, in
-    closed form (``_segment_t_star``).  Three or more: the diagonal of the
-    polyhedron of the polynomial with exactly these points as support, in
-    P's dimension.  That build reads only facets, never faces, so it does
-    not recurse.
+    closed form (``_segment_t_star``).  Three or more: the largest
+    offset/|normal|_1 over the positive-offset facets of conv(points) + R_+^n
+    in P's dimension (``_t_star``, the rule ``_diagonal`` applies to P), read
+    from one ``_extreme_rays`` pass (``_facets``); no polyhedron is built.
     """
     if len(points) == 1:
         return Fraction(max(points[0]))
     if len(points) == 2:
         return _segment_t_star(*points)
-    return build_polyhedron(Polynomial(n, dict.fromkeys(points, 1))).diagonal.t_star
+    return _t_star(_facets(points, n))
 
 
 def _segment_t_star(a: ExponentVector, b: ExponentVector) -> Fraction:
@@ -411,9 +417,10 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     The polyhedron depends on f alone, so it is built once and shared: while
     f lives, every call with a polynomial equal to f returns the same object,
     with its faces, restrictions, face sigmas and lattice table as far as
-    they have been derived.  It is immutable by contract; ``source`` is an
-    equal copy of f.  Requires f nonconstant with f(0) = 0 and
-    n <= DIMENSION_CAP.
+    they have been derived.  None of these builds a polyhedron of its own:
+    restrictions are read from ``source``'s terms and face sigmas from the
+    vertices.  It is immutable by contract; ``source`` is an equal copy of f.
+    Requires f nonconstant with f(0) = 0 and n <= DIMENSION_CAP.
     """
     P = _BUILT.get(f)
     if P is None:
@@ -442,12 +449,7 @@ def _build(f: Polynomial) -> NewtonPolyhedron:
     if f.has_constant_term:
         raise ValueError("f(0) must be 0 for Newton polyhedron analysis")
     support = f.support
-    rows = [tuple(int(i == j) for i in range(f.n)) + (0,) for j in range(f.n)]
-    rows += [v + (1,) for v in support]
-    facets = sorted(
-        (Facet(ray[:-1], -ray[-1]) for ray in _extreme_rays(rows) if any(ray[:-1])),
-        key=lambda F: F.normal,
-    )  # a ray with k = 0 is the homogenization facet t >= 0
+    facets = sorted(_facets(support, f.n), key=lambda F: F.normal)
 
     masks = []
     tight = [0] * len(support)  # bit j of tight[s]: support point s lies on facet j
@@ -472,6 +474,20 @@ def _build(f: Polynomial) -> NewtonPolyhedron:
         source=copy.copy(f),
         support_masks=tuple(masks),
     )
+
+
+def _facets(points: Sequence[ExponentVector], n: int) -> List[Facet]:
+    """The facets of conv(points) + R_+^n, unsorted: the extreme rays of the
+    homogenization cone of the unit rows and the lifted points, less the
+    ray with normal 0, the homogenization facet t >= 0."""
+    rows = [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
+    rows += [v + (1,) for v in points]
+    return [Facet(ray[:-1], -ray[-1]) for ray in _extreme_rays(rows) if any(ray[:-1])]
+
+
+def _t_star(facets: Iterable[Facet]) -> Fraction:
+    """The exact maximum of offset/nu(normal) over the positive-offset facets."""
+    return max(Fraction(F.offset, sum(F.normal)) for F in facets if F.offset > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +583,9 @@ def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
     for (dim, (vids, axes), i), active_ids, witness in zip(ranked, _members(active), witnesses.tolist()):
         smask = found[i][0]
         restr = restrictions.get(smask)
-        if restr is None:
-            points = [support[s] for s in _bits(smask, len(support))]
-            restr = restrictions[smask] = face_restriction(P.source, points)
-            assert restr is not None, "every face of the Newton polyhedron meets Supp(f)"
+        if restr is None:  # f's terms at the mask's bits; every face holds a support point
+            on_face = [support[s] for s in _bits(smask, len(support))]
+            restr = restrictions[smask] = Polynomial(P.n, {v: P.source.terms[v] for v in on_face})
         faces.append(Face(len(faces), vids, axes, dim, active_ids, tuple(witness), restr, P._vertex_sigmas))
     return tuple(faces)
 
@@ -594,7 +609,7 @@ def _diagonal(P: NewtonPolyhedron) -> Diagonal:
     """t* is the exact maximum of offset/nu(normal) over positive-offset
     facets; the diagonal point (t*, ..., t*) lies on exactly the facets
     active at F0, and the sum of their normals classifies to F0's key."""
-    t_star = max(Fraction(F.offset, sum(F.normal)) for F in P.facets if F.offset > 0)
+    t_star = _t_star(P.facets)
     active = [j for j, F in enumerate(P.facets) if t_star * sum(F.normal) == F.offset]
     witness = tuple(sum(P.facets[j].normal[i] for j in active) for i in range(P.n))
     _, _, key = P.classify(witness)

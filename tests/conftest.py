@@ -3,7 +3,8 @@ source and spies that count kernel tasks and polyhedron builds.  Hypothesis
 runs derandomized, so every run tries the same examples.  The profile is
 named by the HYPOTHESIS_PROFILE environment variable: "deterministic" (the
 default) or "ci", which tries five times as many examples in the property
-tests that leave the count to the profile."""
+tests that leave the count to the profile.  CI runs the tests marked
+``more_examples`` again under "ci"."""
 
 from __future__ import annotations
 

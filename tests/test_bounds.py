@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from padicsums import bounds
+from padicsums import bounds, newton
 from padicsums.bounds import (
     bound_ratio_table,
     check_nu_inequality,
@@ -74,6 +76,33 @@ def test_nu_inequality_product_equality_case():
 def test_nu_points_checked_count():
     res = check_nu_inequality(parse_polynomial("x*y"), 6)
     assert res.points_checked == 28  # C(8, 2)
+
+
+def test_findings_do_not_pin_the_polyhedron(monkeypatch):
+    """Findings keep the scaled integers their right-hand sides come from, not
+    the polyhedron, so reference counting alone frees P and its lattice
+    table once f dies, and ``rhs`` and the records still read as before."""
+    # a fresh memo, so the corpus's live x*y+z*u does not share the polyhedron
+    monkeypatch.setattr(newton, "_BUILT", weakref.WeakKeyDictionary())
+    gc.disable()
+    try:
+        f = parse_polynomial("x*y+z*u")
+        res, seen = check_nu_inequality(f, 40), check_nu_inequality(f, 40)
+        P = build_polyhedron(f)
+        faces, sigma = P.faces, P.diagonal.sigma
+        rhs = {  # the right-hand sides as the polyhedron's faces give them
+            (face_id, N): (sigma * (N + 1) - faces[face_id].sigma_tau,
+                           sigma * (N + 1) - Fraction(faces[face_id].dim + 1, 2))
+            for face_id, N in zip(res.face_id.tolist(), res.N.tolist())
+        }
+        records = seen.halfdim_violations
+        assert records and seen.rhs == rhs
+        ref = weakref.ref(P)
+        del f, P, faces
+        assert ref() is None
+        assert res.rhs == rhs and res.halfdim_violations == records
+    finally:
+        gc.enable()
 
 
 # -- diagonal domination ------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The polyhedron build against the rank-based procedures it replaced, and
-face sigmas by vertex set against fresh builds of each face restriction.
+"""The polyhedron build against the rank-based procedures it replaced, face
+sigmas by vertex set against fresh builds of each face restriction, and
+``_hull_t_star`` against the diagonal of a polyhedron built on its points,
+the path it replaced.
 
 ``oracle_extreme_rays`` is the earlier double description pass: base rows
 picked by one rank per candidate, the initial rays read from the inverse of
@@ -21,7 +23,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padicsums import newton
+from padicsums import newton, poly
 from padicsums.newton import (
     _extreme_rays,
     _segment_t_star,
@@ -239,26 +241,58 @@ def test_face_sigmas_match_fresh_builds_of_their_restrictions(f):
         assert face.sigma_tau == build_polyhedron(face.restriction).diagonal.sigma
 
 
-def _sigma_builds(P):
-    """Vertex sets whose sigma needs a build: at least 3 vertices, and not
-    P's own, whose sigma P's diagonal already holds."""
+def _hull_vertex_sets(P):
+    """Vertex sets whose sigma takes a double description pass: at least 3
+    vertices, and not P's own, whose sigma P's diagonal already holds."""
     whole = tuple(range(len(P.vertices)))
     return {face.vertex_ids for face in P.faces if len(face.vertex_ids) >= 3} - {whole}
 
 
-def test_sigmas_build_once_per_vertex_set_of_three_or_more(corpus, builds):
+def test_face_pass_builds_nothing_and_solves_each_vertex_set_once(corpus, monkeypatch):
+    """While the face lattice is derived and every face sigma read, no call
+    reaches a polyhedron build or ``face_restriction``, and the double
+    description pass runs once per vertex set of ``_hull_vertex_sets``: the
+    memo the faces share still shares."""
     rng = random.Random(55)
     polys = list(corpus) + [random_polynomial(rng, n=rng.randint(2, 5), max_terms=8, max_exp=4) for _ in range(20)]
-    for f in polys:
-        P = newton._build(f)  # uncached, so no face sigma has been read
-        builds.clear()
+    built = [newton._build(f) for f in polys]  # uncached, so no face sigma has been read
+    forbidden, passes, real = [], [], newton._extreme_rays
+    for module, name in ((newton, "_build"), (newton, "build_polyhedron"), (poly, "face_restriction")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: forbidden.append(name))
+    monkeypatch.setattr(newton, "face_restriction", lambda *args: forbidden.append("import"), raising=False)
+
+    def spy(rows):
+        n = len(rows[0]) - 1
+        passes.append(tuple(row[:n] for row in rows[n:]))  # the lifted points, unlifted
+        return real(rows)
+
+    monkeypatch.setattr(newton, "_extreme_rays", spy)
+    for P in built:
+        passes.clear()
         sigmas = [face.sigma_tau for face in P.faces]
-        wanted = _sigma_builds(P)
-        assert len(builds) == len(wanted)
-        assert {Q.source.support for Q in builds} == {
-            tuple(P.vertices[i] for i in ids) for ids in wanted
-        }
-        assert [face.sigma_tau for face in P.faces] == sigmas and len(builds) == len(wanted)
+        wanted = sorted(tuple(P.vertices[i] for i in ids) for ids in _hull_vertex_sets(P))
+        assert forbidden == [] and sorted(passes) == wanted
+        assert [face.sigma_tau for face in P.faces] == sigmas and sorted(passes) == wanted  # memo hits
+
+
+@st.composite
+def point_sets(draw):
+    """(n, points): 1 to 8 distinct nonzero points with entries 0..6 in n <= 8."""
+    n = draw(st.integers(1, 8))
+    points = st.tuples(*[st.integers(0, 6)] * n).filter(any)
+    return n, draw(st.lists(points, min_size=1, max_size=8, unique=True))
+
+
+@pytest.mark.more_examples
+@settings(deadline=None)
+@given(case=point_sets())
+@example(case=(3, [(2 ** 40, 1, 0), (0, 2 ** 40 + 3, 5), (7, 11, 2 ** 40 - 1), (2 ** 39, 2 ** 39, 2 ** 39)]))
+@example(case=(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]))  # x+y+z >= 2 is the one positive offset
+def test_hull_t_star_is_the_diagonal_of_the_polyhedron_of_its_points(case):
+    # the path the face sigmas took before: a polyhedron of their own
+    n, points = case
+    oracle = newton._build(Polynomial(n, dict.fromkeys(points, 1))).diagonal.t_star
+    assert newton._hull_t_star(points, n) == oracle
 
 
 def test_two_vertex_polyhedron_reads_every_sigma_without_a_build(builds):

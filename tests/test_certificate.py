@@ -24,6 +24,8 @@ from padicsums.poly import Polynomial, parse_polynomial
 
 from conftest import CORPUS_TEXTS, random_polynomial
 
+pytestmark = pytest.mark.more_examples  # every test here reruns with the ci profile
+
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 

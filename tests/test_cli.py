@@ -403,12 +403,14 @@ def emitted(obj) -> str:
     return out.getvalue()
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(json_trees())
 def test_json_writer_matches_indent_2(obj):
     assert emitted(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(json_trees(), st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
 def test_json_writer_refuses_non_finite_floats_like_indent_2(obj, bad, as_key):

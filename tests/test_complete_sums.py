@@ -30,6 +30,8 @@ from padicsums.sums import _exp_sum_over_grid, brute_force_S
 
 from conftest import CORPUS_TEXTS
 
+pytestmark = pytest.mark.more_examples  # every test here reruns with the ci profile
+
 PRIMES = (2, 3, 5, 7, 11, 13)
 ORACLE_POINTS = 200_000
 

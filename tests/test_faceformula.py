@@ -295,7 +295,7 @@ def _assert_sigmas_fresh_after_rhs(f, p, builds):
     for compute in (lambda: verify_formula(f, p, [1], eps), lambda: rhs_at(f, p, 1, eps)):
         builds.clear()
         compute()
-        assert len(builds) == 1  # the call reads no face sigma
+        assert len(builds) == 1  # no sigma builds a polyhedron
         for face in builds[0].faces:  # the oracle is built afresh, sharing no memo
             assert face.sigma_tau == newton._build(face.restriction).diagonal.sigma
 

@@ -184,6 +184,7 @@ def assert_blocks_slice_the_shell(f: Polynomial, T: int, block) -> None:
     assert all(blk.k.dtype == blk.nu.dtype == np.int64 for blk in blocks)
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(f=polynomials(), T=st.integers(0, 12), block=st.sampled_from([1, 3, 97, None]))
 def test_blocks_are_full_column_slices_of_the_shell(f, T, block):
@@ -260,6 +261,7 @@ def assert_columns_match(res: NuCheckFindings, want: NuReference, P: NewtonPolyh
     assert res.rhs == {(rec.face_id, rec.N): (rec.rhs_main, rec.rhs_halfdim) for rec in failing}
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(
     f=polynomials(),
@@ -433,6 +435,7 @@ def assert_rows_are_the_points(P: NewtonPolyhedron, T: int) -> None:
     assert (k0.shape, k0.dtype, rows0.shape, rows0.dtype) == ((0, P.n), k.dtype, (0,), rows.dtype)
 
 
+@pytest.mark.more_examples
 @settings(max_examples=60, deadline=None)
 @given(
     f=polynomials(),
@@ -471,6 +474,7 @@ def test_kept_rows_by_key_lookup(python_ints, monkeypatch):
 HUGE = [Polynomial(2, {(e, 0): 1, (0, 1): 1}) for e in (2 ** 61, 2 ** 40)]
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(
     f=polynomials(),

@@ -180,6 +180,7 @@ PARSE_ALPHABET = st.sampled_from(
     + list("abXY#$()[]/.,;=_!é") + [" ", "\t", "\n", "\xa0"])
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(text=st.text(PARSE_ALPHABET, max_size=24), hint=st.sampled_from([None, *range(1, 9)]))
 def test_parse_raises_only_its_own_errors(text, hint):
@@ -234,6 +235,7 @@ def written_polynomials(draw):
     return "".join(pieces), hint, Polynomial(width, combined) if combined else None
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(case=written_polynomials())
 def test_parse_matches_the_generating_terms(case):
@@ -393,6 +395,7 @@ TERMS = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), st.integers(-10 ** 
                         min_size=1, max_size=6)
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(
     n=st.integers(1, 3),
@@ -448,6 +451,7 @@ def test_grid_residues_match_bigint_oracle(n, polys, modulus, cap, pieces, data)
     assert all(a < b for a, b in zip(origins, origins[1:]))
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(
     n=st.integers(1, 3),

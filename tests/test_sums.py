@@ -151,6 +151,7 @@ def is_prime_by_trial_division(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
+@pytest.mark.more_examples
 @settings(deadline=None)
 @given(st.integers(-2, 10 ** 5))
 @example(43 * 43)  # the first composite the 13 trial divisors miss
@@ -908,6 +909,7 @@ def split_blocks(draw):
     return Polynomial(n, terms), p, m
 
 
+@pytest.mark.more_examples
 @settings(max_examples=max(120, settings.default.max_examples), deadline=None)
 @given(split_blocks())
 def test_tree_values_match_the_plain_grid(case):
@@ -988,6 +990,7 @@ def linear_blocks(draw):
     return Polynomial(n, terms), p, m
 
 
+@pytest.mark.more_examples
 @settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(linear_blocks())
 @example((parse_polynomial("5*x+10*y"), 5, 3))

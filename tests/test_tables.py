@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from padicsums import newton, store, sums
 from padicsums.poly import parse_polynomial
 
+pytestmark = pytest.mark.more_examples  # every test here reruns with the ci profile
+
 
 def compositions(n: int, T: int):
     """Every k in N^n with |k| <= T, in lexicographic order."""
