@@ -13,22 +13,23 @@ all lattice points with nu(k) <= T; the single truncation certificate
 bounds the total omitted mass across every face and both sums at once, so
 |exact - assembled| <= (1-1/p)^n * tail * (1 + max|E|) plus the float budgets
 of the torus sums.  One private pipeline, ``_rhs``, builds the right-hand side
-for every requested m: one cone-sum pass, one torus sum per distinct face
+for every requested m: one cone-sum pass (its integer fold in int64 chunks
+under a checked bound, ``_fold``), one torus sum per distinct face
 restriction with B != 0 (in closed form where the face's monomial map is
-onto, ``sums._closed_torus_E``), one assembly per m.  It does not check
+onto, ``sums._closed_torus_E``), one assembly of every m.  It does not check
 nondegeneracy; ``verify_formula`` calls it only after the mod-p
 nondegeneracy certificate passes.  The left-hand side is the complete sum
-S_f(p^m) of every requested m from one residue histogram per block of f
-(``sums._complete_sums``), each value bit-identical to ``brute_force_S``.
+S_f(p^m) of every requested m from one residue histogram per distinct block
+of f (``sums._complete_sums``), each value bit-identical to
+``brute_force_S``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb
-from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -146,10 +147,12 @@ def _cone_numerators(
     j >= 1 holds cuts[j-1] <= N < cuts[j] (the last one is unbounded above)
     and bucket 0 holds N below every cut.  One ``np.bincount`` bins the rows'
     counts into int64 counts of shape (face, bucket, nu), so memory grows
-    with len(ms), not with max(ms).  Then W[face][bucket] = sum_nu count * p^(T - nu) is
-    formed once in Python integers: A(m) is the suffix sum of a face's W
-    from m's bucket on, and B(m) the single entry of m - 1's bucket, which
-    holds N = m - 1 alone.
+    with len(ms), not with max(ms).  Then W[face][bucket] =
+    sum_nu count * p^(T - nu) is formed once for every row by int64 matrix
+    products over chunks of the nu axis, under a bound checked first, and
+    the chunks are combined in Python integers (``_fold``): A(m) is the
+    suffix sum of a face's W from m's bucket on, and B(m) the single entry
+    of m - 1's bucket, which holds N = m - 1 alone.
     """
     for m in ms:
         if m < 0:
@@ -168,8 +171,7 @@ def _cone_numerators(
     # POINT_CAP < 2^53 of them, so every partial sum is an exact integer
     counts = np.bincount(index, weights=table.count,
                          minlength=len(faces) * width * (T + 1)).astype(np.int64)
-    weights = [p ** (T - nu) for nu in range(T + 1)]
-    flat = [sum(map(mul, row, weights)) for row in counts.reshape(-1, T + 1).tolist()]
+    flat = _fold(counts.reshape(-1, T + 1), p)
     W = [flat[i:i + width] for i in range(0, len(flat), width)]
     suffix = [list(accumulate(reversed(row)))[::-1] + [0] for row in W]  # sums of W[f][j:]
     bucket_of = {c: j + 1 for j, c in enumerate(cuts)}
@@ -178,6 +180,31 @@ def _cone_numerators(
         a_at, b_at = bucket_of.get(m, width), bucket_of.get(m - 1)
         out[m] = [(a[a_at], 0 if b_at is None else w[b_at]) for a, w in zip(suffix, W)]
     return out, T, tail
+
+
+def _fold(counts: np.ndarray, p: int) -> List[int]:
+    """sum_nu counts[r, nu] p^(T - nu) for every row r of an int64 matrix of
+    T + 1 columns, exactly.
+
+    The columns are taken in chunks of s, s <= T + 1 the largest length
+    with total p^(s-1) < 2^63, total = counts.sum(): a row's chunk sum
+    sum_nu counts[r, nu] p^(hi-1-nu) over nu in [lo, hi) is at most
+    total p^(s-1) < 2^63, so every partial sum of its int64 matrix product
+    is exact; s is chosen by that bound before any product, and the weights
+    are built as int64, which refuses any weight at or above 2^63.  The
+    chunk values are then combined in Python integers, most significant
+    first."""
+    T = counts.shape[1] - 1
+    total = int(counts.sum())
+    s = next(s for s in count(1) if s > T or total * p ** s >= 1 << 63)
+    flat: List[int] = []
+    for lo in range(0, T + 1, s):
+        hi = min(lo + s, T + 1)
+        weights = np.array([p ** (hi - 1 - nu) for nu in range(lo, hi)], dtype=np.int64)
+        chunk = (counts[:, lo:hi] @ weights).tolist()
+        shift = p ** (hi - lo)
+        flat = [w * shift + c for w, c in zip(flat, chunk)] if flat else chunk
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +242,39 @@ def _torus_values(
 def _assemble(
     n: int,
     p: int,
-    rows: Sequence[Tuple[int, int]],
+    per_m: Dict[int, List[Tuple[int, int]]],
     scale: int,
     e_values: Dict[int, SumValue],
     tail: Fraction,
-) -> SumValue:
-    """The right-hand side at one m from each face's (A, B) numerators over
-    ``scale`` = p^T; ``verify_formula`` assembles only the m whose complete
-    sum is within the work budget.  b / scale is float(B) exactly: both are
-    correctly rounded.  Each E term adds B times E's own budget: KERNEL_EPS
-    per torus point from ``torus_E``, only the rounding bound of a closed
-    form (``_torus_values``)."""
-    factor = (1 - Fraction(1, p)) ** n
-    eb_total = 0j
-    e_budget = 0.0
-    term_count = len(rows)
-    for face_id, (_, b) in enumerate(rows):
-        if b:
-            ev = e_values[face_id]
-            eb_total += b / scale * ev.value
-            e_budget += b / scale * ev.abs_error_budget
-            term_count += ev.term_count
-    ffac = float(factor)
-    value = float(factor * Fraction(sum(a for a, _ in rows), scale)) + ffac * eb_total
+) -> Dict[int, SumValue]:
+    """The right-hand side at every m of ``per_m`` from each face's (A, B)
+    numerators over ``scale`` = p^T; ``verify_formula`` assembles only the m
+    whose complete sum is within the work budget.  The factor (1-1/p)^n, its
+    float and the truncation term are formed once for all m, and the faces
+    are summed in id order at each m.  An int / int quotient is correctly
+    rounded, like Fraction to float: b / scale is float(B), and the A term
+    is float((1-1/p)^n A).  Each E term adds B times E's own budget:
+    KERNEL_EPS per torus point from ``torus_E``, only the rounding bound of
+    a closed form (``_torus_values``).  The budget is the sum of three
+    terms: truncation, E budgets and rounding."""
+    qn, pn = (p - 1) ** n, p ** n
+    ffac = qn / pn
     # |E| <= 1, so 2 bounds (1 + max|E|) over every omitted fiber point.
-    budget = float(factor * tail) * 2.0 + ffac * e_budget + KERNEL_EPS * len(rows)
-    return SumValue(value, budget, term_count)
+    truncation = qn * tail.numerator / (pn * tail.denominator) * 2.0
+    out: Dict[int, SumValue] = {}
+    for m, rows in per_m.items():
+        eb_total = 0j
+        e_budget = 0.0
+        term_count = len(rows)
+        for face_id, (_, b) in enumerate(rows):
+            if b:
+                ev = e_values[face_id]
+                eb_total += b / scale * ev.value
+                e_budget += b / scale * ev.abs_error_budget
+                term_count += ev.term_count
+        value = qn * sum(a for a, _ in rows) / (pn * scale) + ffac * eb_total
+        out[m] = SumValue(value, truncation + ffac * e_budget + KERNEL_EPS * len(rows), term_count)
+    return out
 
 
 def _rhs(
@@ -249,12 +283,12 @@ def _rhs(
 ) -> Tuple[Dict[int, SumValue], int, Fraction]:
     """The assembled right-hand side for every m in ms, with the shared
     truncation level T and tail: one cone-sum pass, then one torus sum per
-    distinct restriction of a face whose B is nonzero at some m."""
+    distinct restriction of a face whose B is nonzero at some m, then one
+    assembly."""
     per_m, T, tail = _cone_numerators(P, p, ms, eps)
     needed = {face_id for rows in per_m.values() for face_id, (_, b) in enumerate(rows) if b}
     e_values = _torus_values(faces, needed, p, workers=workers, work_budget=work_budget)
-    scale = p ** T
-    return {m: _assemble(P.n, p, per_m[m], scale, e_values, tail) for m in ms}, T, tail
+    return _assemble(P.n, p, per_m, p ** T, e_values, tail), T, tail
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +307,16 @@ def verify_formula(
     """Compare the complete sum S_f(p^m) against the assembled right-hand
     side for each m.
 
-    The complete sums of every m come from one residue histogram per block
-    of f, built at the largest m within the budget and folded to the smaller
-    ones (``sums._complete_sums``); each equals ``brute_force_S(f, p, m)``
-    bit for bit.  When any face fails the mod-p nondegeneracy certificate the
-    identity is not asserted and neither side is computed: every row is
-    "not-applicable".  A work-budget overrun in the nondegeneracy scan
-    raises WorkBudgetExceeded.  Later overruns are recorded without
-    aborting: one in the cone or torus sums (a lattice table over its point
-    cap, or a torus over the work budget) marks every row
-    "budget-exceeded", a complete sum over the budget marks its own row.
+    The complete sums of every m come from one residue histogram per
+    distinct block of f, built at the largest m within the budget and folded
+    to the smaller ones (``sums._complete_sums``); each equals
+    ``brute_force_S(f, p, m)`` bit for bit.  When any face fails the mod-p
+    nondegeneracy certificate the identity is not asserted and neither side
+    is computed: every row is "not-applicable".  A work-budget overrun in
+    the nondegeneracy scan raises WorkBudgetExceeded.  Later overruns are
+    recorded without aborting: one in the cone or torus sums (a lattice
+    table over its point cap, or a torus over the work budget) marks every
+    row "budget-exceeded", a complete sum over the budget marks its own row.
     The right side is assembled only for the m whose grid p^(mn) is within
     the budget, by the rule of ``sums._complete_sums``; a row over it keeps
     T and the tail.

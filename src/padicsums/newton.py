@@ -300,12 +300,13 @@ class NewtonPolyhedron:
         None of it depends on a prime, so one table is kept, at the largest T
         requested, with the shell its blocks were sliced from (``_shell(n,
         T)``, built once per build) and each shell point's row in it
-        (``_row_points`` reads them).  A request at a larger T lets that go
-        and tallies ``lattice_blocks(self, T)`` from nu = 0 (a build that
-        raises keeps nothing).  Every request returns the kept rows with
-        nu <= T, N cast by this T's own rule (``LatticeTable``), so a table's
-        columns do not depend on which T was asked first.
-        ``lattice_blocks``'s checks run on every request, so ValueError and
+        (``_row_points`` reads them).  A request at a larger T lets that go,
+        builds the new T's shell and tallies ``_classified_blocks`` over it
+        from nu = 0, the shell kept with the table (a build that raises
+        keeps nothing).  Every request returns the kept rows with nu <= T, N
+        cast by this T's own rule (``LatticeTable``), so a table's columns
+        do not depend on which T was asked first.  The checks of
+        ``_check_lattice`` run on every request, so ValueError and
         BudgetExceeded fire as if nothing were kept.
         """
         _check_lattice(self, T)

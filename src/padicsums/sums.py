@@ -3,7 +3,8 @@
 S and E are computed as products over variable-disjoint blocks: when no
 term links two sets of variables, the normalized sum is the product of the
 blocks' sums (a variable in no term contributes 1, the constant term
-e(c/p^m)), so the work is the sum of the block grids, not their product.
+e(c/p^m)), so the work is the sum of the block grids, not their product,
+and blocks with the same terms on their own axes are summed once.
 
 A complete sum (domain the complete residue system [0, M), M = p^m) shrinks
 each block's grid further by one of two exact reductions, both checked
@@ -48,8 +49,8 @@ Histogram mode keeps its grids.
 
 Every complete sum takes one path, _complete_sums; brute_force_S is its
 one-m case.  The histogrammed m of one (f, p) come from one histogram per
-block, built at the largest m, t (_block_product; Igusa 1978; Denef and
-Sperber 2001).  For m <= t, each x mod p^m has p^(n_b (t - m)) lifts mod p^t
+distinct block, built at the largest m, t (_block_product; Igusa 1978; Denef
+and Sperber 2001).  For m <= t, each x mod p^m has p^(n_b (t - m)) lifts mod p^t
 on a block of n_b axes, all with f(lift) = f(x) mod p^m, so hist_m[r] =
 p^(-n_b (t - m)) sum_{r' = r mod p^m} hist_t[r']: a column sum and an exact
 integer division, and a histogram rebuilt over summed-out variables is the
@@ -774,9 +775,13 @@ def _block_product(
     the factor 1, and each block of variables linked by shared terms one sum
     over its own n_i axes (_block_sum, which shrinks the grid further by
     exact reductions), so the work is at most sum_i N^{n_i} points with
-    N = |domain| instead of N^n.  Each block is summed once, at t, and
-    folded to each m below t (see the module docstring), so those m must be
-    histogrammed, on [0, p^t), with t's support.  A histogrammed block's
+    N = |domain| instead of N^n.  Each distinct block is summed once, at t,
+    and folded to each m below t (see the module docstring), so those m must
+    be histogrammed, on [0, p^t), with t's support.  Blocks with equal n_i
+    and equal reduced terms (x*y and z*u, or x^3, y^3 and z^3) have one sum,
+    one fold and one value per m, which _product takes once per block: the
+    sum is exact in histogram mode and, in exp mode and the tree, depends
+    only on the residues of the terms.  A histogrammed block's
     value is its histogram summed by _hist_value, the plain grid's one value
     path, so it is bit-identical to the plain grid's.
 
@@ -807,18 +812,21 @@ def _block_product(
     if size ** f.n <= 2:
         return {t: _exp_sum_over_grid(f, p ** t, [domain] * f.n, workers) / size ** f.n}
     const, blocks = _blocks(f, p ** t)
-    totals = [(n_b, _block_sum(terms, n_b, p, t, domain, workers)) for n_b, terms in blocks]
+    # equal blocks (equal n_b, the length of every exponent, and equal reduced terms) are one key
+    keys = [frozenset(terms.items()) for _, terms in blocks]
+    totals = {key: (n_b, _block_sum(terms, n_b, p, t, domain, workers))
+              for key, (n_b, terms) in dict(zip(keys, blocks)).items()}
     out = {}
     for m in ms:
         modulus, lifts = p ** m, p ** (t - m)
-        values = []
-        for n_b, total in totals:
+        values = {}
+        for key, (n_b, total) in totals.items():
             if p ** t <= _HIST_CAP:
                 if m < t:
                     total = total.reshape(-1, modulus).sum(0) // lifts ** n_b
                 total = _hist_value(total, modulus)
-            values.append(total / (size // lifts) ** n_b)
-        out[m] = _product(values, const % modulus, modulus)
+            values[key] = total / (size // lifts) ** n_b
+        out[m] = _product([values[key] for key in keys], const % modulus, modulus)
     return out
 
 
@@ -842,9 +850,10 @@ def _complete_sums(
     The top m is the largest m in ms whose grid is within the work budget,
     histogrammed and of more than two points.  Every such m whose support
     (terms not vanishing mod p^m) is the top m's shares one _block_product
-    call, which sums each block once at the top m and folds it to the others
-    (see the module docstring); every other m within the budget (exp mode, a
-    grid of at most two points, a changed support) is a one-m call.
+    call, which sums each distinct block once at the top m and folds it to
+    the others (see the module docstring); every other m within the budget
+    (exp mode, a grid of at most two points, a changed support) is a one-m
+    call.
     ``term_count`` and ``abs_error_budget`` = KERNEL_EPS * term_count count
     the whole grid p^(mn); the error stays under it (see _block_product).
     """

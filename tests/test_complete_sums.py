@@ -1,4 +1,4 @@
-"""Every complete sum of one (f, p) from one histogram per block
+"""Every complete sum of one (f, p) from one histogram per distinct block
 (``sums._complete_sums``).
 
 Each value must equal a direct ``brute_force_S`` call bit for bit (``==`` on
@@ -8,9 +8,9 @@ case of the same path, so each value of at most ORACLE_POINTS grid points
 is also checked against an independent oracle: the plain grid
 (``_exp_sum_over_grid`` on [0, p^m)^n), with no reduction, no block product
 and no fold, within twice the value's error budget.  ``verify_formula`` and
-``bound_ratio_table`` must build each block's complete-sum grid once per
-(f, p), not once per m.  The property test leaves its example count to the
-hypothesis profile.
+``bound_ratio_table`` must build each distinct block's complete-sum grid
+once per (f, p), not once per m or per copy of an equal block.  The
+property test leaves its example count to the hypothesis profile.
 """
 
 from __future__ import annotations
@@ -129,28 +129,56 @@ def test_random_sums_are_the_direct_ones(case):
 # -- one grid per block --------------------------------------------------------
 
 @contextlib.contextmanager
-def complete_grids():
-    """The modulus of every complete-sum grid the kernel sums, in call order:
-    the _grid_sum calls whose axes all start at 0, so no torus sum."""
-    grid_sum, moduli = sums._grid_sum, []
+def grids():
+    """(modulus, first axis start) of every grid _grid_sum walks, in call
+    order: a complete-sum grid starts at 0, a torus grid at 1."""
+    grid_sum, seen = sums._grid_sum, []
 
     def spy(h, gs, p, m, domains, workers):
-        if all(start == 0 for start, _ in domains):
-            moduli.append(p ** m)
+        seen.append((p ** m, domains[0][0]))
         return grid_sum(h, gs, p, m, domains, workers)
 
     with mock.patch.object(sums, "_grid_sum", spy):
-        yield moduli
+        yield seen
 
 
-@pytest.mark.parametrize("text, blocks", [("x*y+z*u", 2), ("x^2+y^3", 2), ("x*y+z*u+x*z+2*y*u", 1)])
+# x*y and z*u are equal blocks on their own axes, so one grid stands for both
+@pytest.mark.parametrize("text, blocks", [("x*y+z*u", 1), ("x^2+y^3", 2), ("x*y+z*u+x*z+2*y*u", 1)])
 def test_each_block_grid_is_built_once_per_f_and_p(text, blocks):
     f = parse_polynomial(text)
-    with complete_grids() as moduli:
+    with grids() as seen:
         reports = verify_formula(f, 5, [1, 2])
     assert [r.verdict for r in reports] == ["pass"] * 2
-    assert moduli == [5 ** 2] * blocks
-    with complete_grids() as moduli:
+    assert [modulus for modulus, start in seen if start == 0] == [5 ** 2] * blocks
+    with grids() as seen:
         table = bound_ratio_table(f, [3, 5], [1, 2])
     assert len(table.rows) == 4 and not table.errors
-    assert moduli == [3 ** 2] * blocks + [5 ** 2] * blocks
+    assert [modulus for modulus, start in seen if start == 0] == [3 ** 2] * blocks + [5 ** 2] * blocks
+
+
+@pytest.mark.parametrize("text, p, ms, block", [
+    ("x^3+y^3+z^3", 5, [1, 2], "x^3"),
+    ("x*y+z*u", 3, [1, 2, 3], "x*y"),
+    ("x^2+y^2+z^2", 7, [1, 2], "x^2"),
+])
+def test_equal_blocks_are_summed_once_and_valued_as_separate_blocks(text, p, ms, block):
+    # the blocks of f are one block g on their own axes: one grid at the
+    # largest m, and each value is the product of g's value once per block
+    f, g = parse_polynomial(text), parse_polynomial(block)
+    copies = f.n // g.n
+    with grids() as seen:
+        got = sums._complete_sums(f, p, ms, workers=1, work_budget=sums.DEFAULT_WORK_BUDGET)
+    assert seen == [(p ** max(ms), 0)]
+    for m in ms:
+        value = brute_force_S(g, p, m).value
+        assert got[m].value == sums._product([value] * copies, 0, p ** m)
+
+
+@pytest.mark.parametrize("text, p, block", [("x+x^2+y+y^2", 7, "x+x^2"), ("x+2*x^3+y+2*y^3+z+2*z^3", 11, "x+2*x^3")])
+def test_equal_torus_blocks_are_summed_once_and_valued_as_separate_blocks(text, p, block):
+    # x + x^2 has full rank on its axis, so its torus sum walks the plain grid
+    f, g = parse_polynomial(text), parse_polynomial(block)
+    with grids() as seen:
+        got = sums.torus_E(f, p)
+    assert seen == [(p, 1)]
+    assert got.value == sums._product([sums.torus_E(g, p).value] * (f.n // g.n), 0, p)

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from math import comb
+from operator import mul
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicsums import faceformula, newton, sums
 from padicsums.errors import WorkBudgetExceeded
@@ -24,7 +27,7 @@ from padicsums.newton import (
 )
 from padicsums.poly import Polynomial, parse_polynomial
 from padicsums.sums import DEFAULT_WORK_BUDGET, KERNEL_EPS, SumValue, brute_force_S
-from conftest import random_polynomial, spy_builds
+from conftest import CORPUS_TEXTS, random_polynomial, spy_builds
 
 EPS = Fraction(1, 10 ** 8)
 
@@ -119,6 +122,105 @@ def test_A_nonincreasing_in_m_and_B_support():
                 assert per_m[m][face.id].B_partial == 0
 
 
+# -- the int64 fold against the big-integer fold ----------------------------------
+
+def bigint_cone_numerators(P, p, ms, eps):
+    """``faceformula._cone_numerators`` with W[face][bucket] formed as one
+    Python-integer dot product of T + 1 terms per (face, bucket) row: the
+    fold the chunked int64 products replaced, kept as their oracle."""
+    T, tail = truncation_level(p, P.n, eps)
+    faces = enumerate_faces(P)
+    table = P.lattice_table(T)
+    bound = newton.N_bound(P, T)
+    cuts = sorted({c for m in ms for c in (m - 1, m) if c <= bound})
+    width = len(cuts) + 1
+    bucket = np.searchsorted(np.array(cuts, dtype=table.N.dtype), table.N, side="right")
+    index = (table.face_id.astype(np.int64) * width + bucket) * (T + 1) + table.nu
+    counts = np.bincount(index, weights=table.count,
+                         minlength=len(faces) * width * (T + 1)).astype(np.int64)
+    weights = [p ** (T - nu) for nu in range(T + 1)]
+    flat = [sum(map(mul, row, weights)) for row in counts.reshape(-1, T + 1).tolist()]
+    W = [flat[i:i + width] for i in range(0, len(flat), width)]
+    suffix = [list(accumulate(reversed(row)))[::-1] + [0] for row in W]
+    bucket_of = {c: j + 1 for j, c in enumerate(cuts)}
+    out = {}
+    for m in ms:
+        a_at, b_at = bucket_of.get(m, width), bucket_of.get(m - 1)
+        out[m] = [(a[a_at], 0 if b_at is None else w[b_at]) for a, w in zip(suffix, W)]
+    return out, T, tail
+
+
+FOLD_PRIMES = [2, 3, 5, 13, 101]
+FOLD_POINTS = 60_000  # the largest lattice a drawn case may fold
+
+
+@st.composite
+def fold_cases(draw):
+    """(f, p, eps, ms): a corpus member or a seeded random polynomial whose
+    lattice to the truncation level of eps at p has at most FOLD_POINTS points."""
+    p = draw(st.sampled_from(FOLD_PRIMES))
+    eps = Fraction(1, 10 ** draw(st.sampled_from([2, 5, 8, 14, 20, 30])))
+    fits = [n for n in range(1, 5) if comb(truncation_level(p, n, eps)[0] + n, n) <= FOLD_POINTS]
+    corpus = [g for g in map(parse_polynomial, CORPUS_TEXTS) if g.n in fits]
+    if corpus and draw(st.booleans()):
+        f = draw(st.sampled_from(corpus))
+    else:
+        rng = random.Random(draw(st.integers(0, 10 ** 6)))
+        f = random_polynomial(rng, n=draw(st.sampled_from(fits)), max_terms=5, max_exp=4)
+    ms = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True))
+    return f, p, eps, ms
+
+
+@pytest.mark.more_examples
+@settings(max_examples=40, deadline=None)
+@given(fold_cases())
+# one nu chunk (the sweep's eps), two and three chunks
+@example((parse_polynomial("x*y+z*u"), 2, Fraction(1, 10 ** 8), [1, 2, 3, 6]))
+@example((parse_polynomial("x*y"), 101, Fraction(1, 10 ** 30), [1, 2, 3]))
+@example((parse_polynomial("x*y+z*u"), 5, Fraction(1, 10 ** 14), [1, 2, 3, 6]))
+@example((parse_polynomial("x*y+z*u"), 13, Fraction(1, 10 ** 30), [0, 1, 5]))
+@example((parse_polynomial("x^2+y^3"), 3, Fraction(1, 10 ** 30), [1, 2, 3, 6]))
+@example((parse_polynomial("x^3+y^3+z^3"), 5, Fraction(1, 10 ** 30), [1, 2]))
+def test_cone_numerators_equal_the_bigint_fold(case):
+    # eps down to 1e-30 takes several nu chunks: x*y at 101 and 1e-30 folds
+    # 136 points to T = 15 in chunks of 9 and 7 columns
+    f, p, eps, ms = case
+    P = build_polyhedron(f)
+    assert faceformula._cone_numerators(P, p, ms, eps) == bigint_cone_numerators(P, p, ms, eps)
+
+
+def chunked_fold(counts, p):
+    """``faceformula._fold(counts, p)`` and the widths of the column chunks
+    it multiplied, in order."""
+    widths = []
+
+    class Columns(np.ndarray):
+        def __getitem__(self, key):
+            widths.append(key[1].stop - key[1].start)
+            return np.asarray(self)[key]
+
+    return faceformula._fold(counts.view(Columns), p), widths
+
+
+@pytest.mark.parametrize("p, s", [(2, 10), (3, 7), (101, 2)])
+def test_fold_chunk_is_the_widest_the_bound_allows(p, s):
+    # total p^(s-1) < 2^63 <= total p^s: chunks of s columns fit, and a
+    # point at the head of a chunk of s + 1 would weigh p^s, so total p^s
+    # would wrap int64; chunks of s - 1 would take a fourth product
+    total = -(-(1 << 63) // p ** s)
+    assert total * p ** (s - 1) < 1 << 63 <= total * p ** s
+    T = 3 * s - 1  # three chunks of s columns
+    counts = np.zeros((3, T + 1), dtype=np.int64)
+    counts[0, 0] = total
+    assert chunked_fold(counts, p) == ([total * p ** T, 0, 0], [s, s, s])
+    counts[0, 0], counts[1, s] = 0, total  # the head of the second chunk
+    assert chunked_fold(counts, p) == ([0, total * p ** (T - s), 0], [s, s, s])
+    spread = [nu + 1 for nu in range(T + 1)]  # every column, in all three chunks
+    counts[1, s], counts[2] = total - sum(spread), spread  # the same total, so the same s
+    want = [0, (total - sum(spread)) * p ** (T - s), sum(c * p ** (T - nu) for nu, c in enumerate(spread))]
+    assert chunked_fold(counts, p) == (want, [s, s, s])
+
+
 # -- right-hand side ----------------------------------------------------------
 
 def rhs_at(f, p, m, eps) -> SumValue:
@@ -188,14 +290,14 @@ def test_verify_budget_rows_do_not_abort():
 def test_rows_over_the_budget_skip_the_assembly(monkeypatch):
     real, assembled = faceformula._assemble, []
 
-    def spy(n, p, rows, scale, e_values, tail):
-        assembled.append(rows)
-        return real(n, p, rows, scale, e_values, tail)
+    def spy(n, p, per_m, scale, e_values, tail):
+        assembled.append(list(per_m))
+        return real(n, p, per_m, scale, e_values, tail)
 
     monkeypatch.setattr(faceformula, "_assemble", spy)
-    # 3^(2m) <= 2e8 exactly for m <= 8
+    # 3^(2m) <= 2e8 exactly for m <= 8; one assembly holds all of them
     reports = verify_formula(parse_polynomial("x*y"), 3, range(1, 20001))
-    assert len(assembled) == 8
+    assert assembled == [list(range(1, 9))]
     assert [r.verdict for r in reports[:8]] == ["pass"] * 8
     over = reports[8:]
     assert len(over) == 19992 and {r.verdict for r in over} == {"budget-exceeded"}

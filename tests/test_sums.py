@@ -995,16 +995,20 @@ def linear_blocks(draw):
 @given(linear_blocks())
 @example((parse_polynomial("5*x+10*y"), 5, 3))
 @example((parse_polynomial("4*x"), 2, 5))
+@example((parse_polynomial("5*x+5*y"), 5, 3))  # equal blocks
+@example((parse_polynomial("-x+7*y"), 2, 3))  # equal mod 2^3
 def test_linear_blocks_above_the_cap_match_the_plain_grid(case):
-    # Above a lowered histogram cap each one-axis block takes the tree, at
-    # the levels of its definition, and no grid.
+    # Above a lowered histogram cap each distinct one-axis block (its
+    # coefficient mod p^m) takes the tree once, at the levels of its
+    # definition, and no grid.
     f, p, m = case
     want = plain_value(f, p, m)
     with recorded_grid_calls() as calls, mock.patch.object(sums, "_HIST_CAP", 1), \
             recorded_tree_levels() as levels:
         got = brute_force_S(f, p, m)
     assert not calls
-    assert levels == [k for c in f.terms.values() for k in oracle_tree_levels(Polynomial(1, {(1,): c}), p, m)]
+    distinct = dict.fromkeys(c % p ** m for c in f.terms.values())
+    assert levels == [k for c in distinct for k in oracle_tree_levels(Polynomial(1, {(1,): c}), p, m)]
     assert abs(got.value - want) <= got.abs_error_budget
 
 
