@@ -142,18 +142,22 @@ def grids():
         yield seen
 
 
-# x*y and z*u are equal blocks on their own axes, so one grid stands for both
-@pytest.mark.parametrize("text, blocks", [("x*y+z*u", 1), ("x^2+y^3", 2), ("x*y+z*u+x*z+2*y*u", 1)])
+# blocks counts the variable-disjoint blocks of f; x*y and z*u are equal
+# blocks on their own axes, so one grid stands for both
+@pytest.mark.parametrize("text, blocks", [("x*y+z*u", 2), ("x^2+y^3", 2), ("x*y+z*u+x*z+2*y*u", 1)])
 def test_each_block_grid_is_built_once_per_f_and_p(text, blocks):
     f = parse_polynomial(text)
+    parts = [terms for _, terms in sums._blocks(f, 5 ** 2)[1]]
+    assert len(parts) == blocks
+    distinct = len({frozenset(terms.items()) for terms in parts})
     with grids() as seen:
         reports = verify_formula(f, 5, [1, 2])
     assert [r.verdict for r in reports] == ["pass"] * 2
-    assert [modulus for modulus, start in seen if start == 0] == [5 ** 2] * blocks
+    assert [modulus for modulus, start in seen if start == 0] == [5 ** 2] * distinct
     with grids() as seen:
         table = bound_ratio_table(f, [3, 5], [1, 2])
     assert len(table.rows) == 4 and not table.errors
-    assert [modulus for modulus, start in seen if start == 0] == [3 ** 2] * blocks + [5 ** 2] * blocks
+    assert [modulus for modulus, start in seen if start == 0] == [3 ** 2] * distinct + [5 ** 2] * distinct
 
 
 @pytest.mark.parametrize("text, p, ms, block", [
