@@ -65,11 +65,12 @@ from .store import kept_table
 
 #: Largest ambient dimension n that ``build_polyhedron`` admits.
 DIMENSION_CAP = 8
-#: Most lattice points one ``lattice_blocks`` call may classify.  Below 2^31,
-#: so every nu <= T and every count of a ``LatticeTable`` fits int32.  It also
-#: bounds the shell the blocks are sliced from (``_shell``, which a polyhedron
-#: keeps with its lattice table), which holds at most 8 bytes a point (n bytes
-#: while T <= 255), so at most 40 MB.
+#: Most lattice points one lattice table or ``enumerate_lattice_points`` call
+#: may classify.  Below 2^31, so every nu <= T and every count of a
+#: ``LatticeTable`` fits int32.  It also bounds the shell the blocks are
+#: sliced from (``_shell``, which a polyhedron keeps with its lattice table),
+#: which holds at most 8 bytes a point (n bytes while T <= 255), so at most
+#: 40 MB.
 POINT_CAP = 5_000_000
 
 FaceKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (vertex ids, 0-based recession axes)
@@ -626,14 +627,15 @@ def enumerate_lattice_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoi
     """Every k in N^n with nu(k) <= T, exactly once, tagged (nu, N, face id),
     in lexicographic order of k.
 
-    The total count is C(T+n, n); BudgetExceeded fires before any point is
-    produced if that exceeds POINT_CAP.  This is a flattening of
-    ``lattice_blocks``, which classifies LATTICE_BLOCK (2^12) columns of the
-    composition shell at a time, in int64 while T * max|v|_1 stays below 2^62
-    and with Python integers (dtype=object) otherwise, so no product k . v
-    can wrap.
+    The total count is C(T+n, n); the checks (``_check_lattice``) run at the
+    call, so BudgetExceeded fires before any point is produced if that
+    exceeds POINT_CAP.  This is a flattening of ``_classified_blocks`` over
+    the shell ``_shell(n, T)``, which classifies LATTICE_BLOCK (2^12) columns
+    of it at a time, in int64 while T * max|v|_1 stays below 2^62 and with
+    Python integers (dtype=object) otherwise, so no product k . v can wrap.
     """
-    blocks = lattice_blocks(P, T)
+    _check_lattice(P, T)
+    blocks = _classified_blocks(P, T, _shell(P.n, T))
     return (
         LatticePoint(tuple(k), nu, N, face_id)
         for blk in blocks
@@ -643,8 +645,9 @@ def enumerate_lattice_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoi
     )
 
 
-#: Rows per block of ``lattice_blocks`` (the last block may hold fewer); bounds
-#: the per-block temporaries and the int64 copy of each slice of the shell.
+#: Rows per block of ``_classified_blocks`` (the last block may hold fewer);
+#: bounds the per-block temporaries and the int64 copy of each slice of the
+#: shell.
 LATTICE_BLOCK = 1 << 12
 
 #: The lattice layer computes in int64 only when it has proven every value
@@ -691,27 +694,9 @@ def _N_dtype(P: NewtonPolyhedron, T: int) -> type:
     return np.int64 if N_bound(P, T) < INT64_SAFE else object
 
 
-def lattice_blocks(P: NewtonPolyhedron, T: int) -> Iterator[LatticeBlock]:
-    """The points of ``enumerate_lattice_points`` in the same order, as blocks
-    of LATTICE_BLOCK rows, the last one holding what is left.
-
-    The checks (``_check_lattice``) run and the shell ``_shell(n, T)`` is
-    read at the call.  Block i is its column slice [i * LATTICE_BLOCK,
-    (i + 1) * LATTICE_BLOCK), cast to int64, so k and nu are int64.
-    Each block is classified at once: N is each point's minimum of k . v over
-    the vertices, and the pattern (vertices attaining the minimum, zero
-    coordinates of k) is looked up by one ``np.searchsorted`` in the sorted
-    pattern keys of the faces.  A pattern that matches no face raises
-    KeyError.  The products k . v are int64 when ``N_bound`` is below
-    INT64_SAFE and Python integers otherwise.
-    """
-    _check_lattice(P, T)
-    return _classified_blocks(P, T, _shell(P.n, T))
-
-
 def _check_lattice(P: NewtonPolyhedron, T: int) -> None:
-    """The checks of ``lattice_blocks`` and of every ``lattice_table``
-    request: T >= 0 and C(T+n, n) <= POINT_CAP."""
+    """The checks of ``enumerate_lattice_points`` and of every
+    ``lattice_table`` request: T >= 0 and C(T+n, n) <= POINT_CAP."""
     if T < 0:
         raise ValueError("T must be >= 0")
     count = comb(T + P.n, P.n)
@@ -780,10 +765,19 @@ class _Patterns:
 
 
 def _classified_blocks(P: NewtonPolyhedron, T: int, K: np.ndarray) -> Iterator[LatticeBlock]:
-    """The blocks of ``lattice_blocks``, whose checks run first: the column
-    slices of LATTICE_BLOCK points of K, the shell ``_shell(n, T)``, each
-    cast to int64 and classified by one ``_Patterns`` call and one
-    sorted-key lookup."""
+    """The points of ``enumerate_lattice_points`` in the same order, as
+    blocks of LATTICE_BLOCK rows, the last one holding what is left; the
+    checks (``_check_lattice``) run first, at the caller.
+
+    Block i is the column slice [i * LATTICE_BLOCK, (i + 1) * LATTICE_BLOCK)
+    of K, the shell ``_shell(n, T)``, cast to int64, so k and nu are int64.
+    Each block is classified by one ``_Patterns`` call: N is each point's
+    minimum of k . v over the vertices, and the pattern (vertices attaining
+    the minimum, zero coordinates of k) is looked up by one
+    ``np.searchsorted`` in the sorted pattern keys of the faces.  A pattern
+    that matches no face raises KeyError.  The products k . v are int64 when
+    ``N_bound`` is below INT64_SAFE and Python integers otherwise.
+    """
     n, nv = P.n, len(P.vertices)
     patterns = _Patterns(P, T)
     keyed = sorted((patterns.key(face.key), face.id) for face in P.faces)
@@ -803,7 +797,7 @@ def _classified_blocks(P: NewtonPolyhedron, T: int, K: np.ndarray) -> Iterator[L
 def _count_lattice(P: NewtonPolyhedron, T: int,
                    blocks: Iterable[LatticeBlock]) -> Tuple[LatticeTable, np.ndarray]:
     """The ``LatticeTable`` of P at T, tallied from ``blocks`` (those of
-    ``lattice_blocks(P, T)``, the column slices of a shell ``_shell(n, T)``),
+    ``_classified_blocks`` over a shell ``_shell(n, T)``, its column slices),
     and its ``rows``: ``rows[j]`` is the table row of the point in column j
     of that shell.
 

@@ -65,13 +65,17 @@ rank of its support (Denef and Hoornaert 2001).  Let a_0 < a_1 < ... be the
 exponents of g, with coefficients c_j, and let the a_j - a_0 have rank
 r < n.  An integer row reduction (Cohen, "A Course in Computational
 Algebraic Number Theory", 2.4) gives a unimodular W with W (a_j - a_0) in
-Z^r x 0, so W a_j = (e_j, b) with one tail b for every j.  The substitution
+Z^r x 0, so W a_j = (e_j, b) with one tail b for every j, and one more
+column of it takes b to (beta, 0, ..., 0), beta = gcd(b) (_support_lattice,
+the one record of a support's lattice data, which the nondegeneracy scan,
+the certificates and the closed form below read too).  The substitution
 x_i = prod_k y_k^W_ki gives x^a = y^(W a), and it is a bijection of
-(F_p^x)^n, since F_p^x is cyclic and det W = +-1.  So g(x) = y''^b h(y'),
-where h = sum_j c_j y'^e_j is a Laurent polynomial in the first r
-coordinates, evaluated with its exponents mod p - 1.  For each y', y'' -> y''^b is a
-homomorphism onto the subgroup H of F_p^x of index gcd(b, p - 1) (H = {1}
-when b = 0), so h(y') = s != 0 hits every element of the coset s H exactly
+(F_p^x)^n, since F_p^x is cyclic and det W = +-1.  So
+g(x) = y_(r+1)^beta h(y'), where h = sum_j c_j y'^e_j is a Laurent
+polynomial in the first r coordinates y', evaluated with its exponents mod
+p - 1.  For each y', y_(r+1) -> y_(r+1)^beta is a homomorphism onto the
+subgroup H of F_p^x of index gcd(beta, p - 1) (H = {1} when beta = 0), so
+h(y') = s != 0 hits every element of the coset s H exactly
 (p-1)^(n-r)/|H| times, and s = 0 stays at 0.  The residue histogram of the
 whole torus is thus rebuilt exactly from the (p-1)^r points y' (from none
 when r = 0, a single term), and summed like the plain grid's, so the value
@@ -101,13 +105,13 @@ sum kernels and the mod-p nondegeneracy scan both run on that walk; the
 stationary-phase tree evaluates the rows of its point lists with it.  The
 scan first decides whether a face restriction g has a critical point on the
 torus at all, on (F_p^x)^r: under the substitution above the toric gradient
-(x_i dg/dx_i)_i is W^-1 times (y''^b theta_i h for i <= r, b_k y''^b h for
-k > r), theta_i = y'_i d/dy'_i, and W is invertible mod p, so g has one
-exactly when theta_i h(y') = 0 for i <= r and b_k h(y') = 0 for k > r at
-some y'.  theta_i h multiplies each c_j by the integer e_j,i mod p.  Only
-when it has one is the whole torus (F_p^x)^n walked in its task order,
-which is lexicographic, up to the first task holding a critical point: the
-witness.
+(x_i dg/dx_i)_i is W^-1 times (y_(r+1)^beta theta_i h for i <= r,
+beta y_(r+1)^beta h for i = r + 1, 0 beyond), theta_i = y'_i d/dy'_i, and W
+is invertible mod p, so g has one exactly when theta_i h(y') = 0 for i <= r
+and beta h(y') = 0 at some y'.  theta_i h multiplies each c_j by the
+integer e_j,i mod p.  Only when it has one is the whole torus (F_p^x)^n
+walked in its task order, which is lexicographic, up to the first task
+holding a critical point: the witness.
 
 Before any scan, a face restriction may be cleared by a prime-free
 certificate (_certificate; Gelfand, Kapranov and Zelevinsky, "Discriminants,
@@ -116,7 +120,8 @@ Sperber 2001): an integer E such that g has no critical point on
 (F_p^x)^n at any p not dividing E.  Let g = sum_j c_j x^a_j have r terms,
 A the n x r matrix with columns a_j, k = r - rank A, and d the product of
 A's nonzero Smith invariants, the gcd of its rank-size minors, so that A
-has the same rank mod p exactly when p does not divide d.  A critical point
+has the same rank mod p exactly when p does not divide d (rank A, d and the
+lambda below are read from _support_lattice).  A critical point
 x gives A y = 0 mod p with y_j = c_j x^a_j, and every y_j != 0 when p does
 not divide prod_j c_j.
 - k = 0: A has full column rank mod p, so y = 0, which is impossible.
@@ -151,7 +156,7 @@ complete: it may exclude a prime at which g passes.  The scan then decides.
 When that map is onto, a torus sum needs no grid (Denef and Sperber 2001;
 _closed_torus_E).  Let the r exponents a_j be linearly independent, so
 A = U D V with U, V unimodular and D = diag(d_1..d_r) above n - r zero rows,
-d = d_1 ... d_r (_smith_data).  phi: x -> (x^a_j)_j, (F_p^x)^n ->
+d = d_1 ... d_r (_support_lattice).  phi: x -> (x^a_j)_j, (F_p^x)^n ->
 (F_p^x)^r, is a homomorphism: the bijections x -> x^U and y -> y^V around
 (y_i) -> (y_i^d_i)_{i <= r}.  In the cyclic F_p^x, y -> y^d_i has image of
 index gcd(d_i, p - 1), so phi's image has index prod_i gcd(d_i, p - 1), and
@@ -171,7 +176,6 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, count, islice, product
 from math import fsum, gcd, prod
-from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -553,49 +557,46 @@ def _linear_axes(exponents: Sequence[ExponentVector], n: int) -> List[int]:
 
 
 @lru_cache(maxsize=1 << 12)
-def _toric_form(
+def _support_lattice(
     support: Tuple[ExponentVector, ...],
-) -> Tuple[int, Tuple[ExponentVector, ...], ExponentVector]:
-    """(r, (e_j), b) for sorted exponent vectors a_0 < a_1 < ...: r is the
-    rank of the a_j - a_0, and a unimodular W brings every W a_j to
-    (e_j, b), with e_j in Z^r and one tail b for all j.
+) -> Tuple[int, Tuple[ExponentVector, ...], int, int, int, Optional[Tuple[int, ...]]]:
+    """(r, (e_j), beta, rank A, d, lambda) for sorted exponent vectors
+    a_0 < a_1 < ..., A the matrix with columns a_j: every p-free lattice
+    datum of a support that the torus sums, the scan, the certificates and
+    the closed form read, memoized by the support.
 
-    W comes from an integer row reduction of the columns a_j - a_0 (Euclid
-    on the rows below the pivot, so every step is unimodular).  The form
-    does not depend on p, so it is memoized by the support; it holds no
-    per-p data.
+    r is the rank of the a_j - a_0, and a unimodular W brings every W a_j to
+    (e_j, b), with e_j in Z^r and one tail b for all j; beta = gcd(b), and
+    W can be taken with b = (beta, 0, ..., 0).  d > 0 is the product of A's
+    nonzero Smith invariants, and lambda the primitive integer relation
+    (A lambda = 0) when A's kernel has rank 1, else None.
+
+    Two integer row reductions (Euclid on the rows below the pivot, so every
+    step is unimodular) give it all.  The first brings [D | a_0], D with
+    columns a_j - a_0, to [W D | W a_0] over D's columns, which gives r and
+    W a_j = W (a_j - a_0) + W a_0; then over one column more, which takes
+    the tail to (+-beta, 0, ..., 0) and leaves the echelon rows R of
+    M = [D | a_0] = A C, rank A = r + [beta != 0] of them.  C is
+    unimodular: column j of it is e_(j+1) - e_0 for a difference and e_0
+    for a_0.  The second brings [R^T | I] to [H | U], H triangular above
+    zero rows and U unimodular, so d, the gcd of the rank-size minors of
+    R^T (and of A), is |det H|, and with a kernel of rank 1 the row u of U
+    below the rank has M u = 0, so lambda = C u, in the a_j basis.
     """
-    n = len(support[0])
-    a0 = support[0]
-    width = len(support) - 1
-    # [D | W]: row i holds coordinate i of every a_j - a_0, then row i of W
-    rows = [[a[i] - a0[i] for a in support[1:]] + [int(i == j) for j in range(n)]
-            for i in range(n)]
-    r = _row_reduce(rows, width)
-    W = [row[width:] for row in rows]
-    images = [tuple(sum(map(mul, w, a)) for w in W) for a in support]
-    return r, tuple(e[:r] for e in images), images[0][r:]
-
-
-@lru_cache(maxsize=1 << 12)
-def _smith_data(support: Tuple[ExponentVector, ...]) -> Tuple[int, int, Optional[Tuple[int, ...]]]:
-    """(rank A, d, lambda) for sorted exponent vectors a_j, A the matrix with
-    columns a_j: d > 0 the product of A's nonzero Smith invariants, and
-    lambda the primitive integer relation (A lambda = 0) when A's kernel has
-    rank 1, else None.  A goes to its echelon rows R, then [R^T | I] to
-    [H | U], H triangular above zero rows; U is unimodular, so d, the gcd of
-    the rank-size minors of R^T, is |det H|, and with a kernel of rank 1
-    U's row below the rank is lambda.  No prime or coefficient enters.
-    """
-    width = len(support)
-    rows = [[a[i] for a in support] for i in range(len(support[0]))]
-    rank = _row_reduce(rows, width)
-    # [R^T | U]: row j holds column j of the echelon rows, then row j of U
-    cols = [[rows[i][j] for i in range(rank)] + [int(j == l) for l in range(width)]
-            for j in range(width)]
+    n, k, a0 = len(support[0]), len(support) - 1, support[0]
+    # [D | a_0]: row i holds coordinate i of every a_j - a_0, then of a_0
+    rows = [[a[i] - a0[i] for a in support[1:]] + [a0[i]] for i in range(n)]
+    r = _row_reduce(rows, k)
+    exps = tuple(tuple(row[k] + (row[j - 1] if j else 0) for row in rows[:r]) for j in range(k + 1))
+    rank = _row_reduce(rows, k + 1)
+    beta = abs(rows[r][k]) if rank > r else 0
+    # [R^T | I]: row j holds column j of the echelon rows, then row j of I
+    cols = [[rows[i][j] for i in range(rank)] + [int(j == l) for l in range(k + 1)]
+            for j in range(k + 1)]
     _row_reduce(cols, rank)
-    lam = tuple(cols[rank][rank:]) if width - rank == 1 else None
-    return rank, abs(prod(cols[i][i] for i in range(rank))), lam
+    u = cols[rank][rank:] if rank == k else None
+    lam = None if u is None else (u[k] - sum(u[:k]), *u[:k])
+    return r, exps, beta, rank, abs(prod(cols[i][i] for i in range(rank))), lam
 
 
 def _laurent_terms(coefs: Sequence[int], exps: Sequence[ExponentVector], p: int) -> Terms:
@@ -612,18 +613,19 @@ def _laurent_terms(coefs: Sequence[int], exps: Sequence[ExponentVector], p: int)
 def _toric_counts(block_terms: Dict[ExponentVector, int], p: int, workers: int) -> np.ndarray:
     """The residue histogram mod p of a block g on the torus (F_p^x)^{n_b},
     from (p-1)^r points, r the rank of its support's differences (see
-    _toric_form); its coefficients are nonzero mod p.
+    _support_lattice); its coefficients are nonzero mod p.
 
-    Under the substitution of the module docstring g = y''^b h(y'), so the
-    residue histogram of g on the whole torus is that of h on (F_p^x)^r,
-    with 0 scaled by fiber = (p-1)^(n_b-r) and every s != 0 spread evenly
-    over its coset s H, H = {t : t^|H| = 1}, |H| = (p-1)/gcd(b, p-1).  A
-    single term (r = 0) has h constant, and visits no grid.
+    Under the substitution of the module docstring g = y_(r+1)^beta h(y'),
+    so the residue histogram of g on the whole torus is that of h on
+    (F_p^x)^r, with 0 scaled by fiber = (p-1)^(n_b-r) and every s != 0
+    spread evenly over its coset s H, H = {t : t^|H| = 1},
+    |H| = (p-1)/gcd(beta, p-1).  A single term (r = 0) has h constant, and
+    visits no grid.
     """
     support = tuple(sorted(block_terms))
-    r, exps, b = _toric_form(support)
+    r, exps, beta = _support_lattice(support)[:3]
     fiber = (p - 1) ** (len(support[0]) - r)
-    order = (p - 1) // gcd(p - 1, *b)  # |H|, a divisor of fiber (1 when r = n_b)
+    order = (p - 1) // gcd(p - 1, beta)  # |H|, a divisor of fiber (1 when r = n_b)
     key = _pow_mod_array(np.arange(1, p, dtype=np.int64), order, p)  # the same on each coset
     counts = np.zeros(p, dtype=np.int64)
     if not r:  # g = c x^a, c != 0 mod p: the whole torus lands on c H
@@ -678,7 +680,8 @@ def _block_sum(
     fits = size ** n_b < 1 << 63
     whole = domain == (0, modulus) and fits
     hist = modulus <= _HIST_CAP
-    if domain == (1, p) and m == 1 and hist and fits and _toric_form(tuple(sorted(block_terms)))[0] < n_b:
+    if (domain == (1, p) and m == 1 and hist and fits
+            and _support_lattice(tuple(sorted(block_terms)))[0] < n_b):
         return _toric_counts(block_terms, p, workers)
     if whole and m >= 2 and not hist:
         return _critical_tree(block_terms, n_b, p, m)
@@ -933,7 +936,7 @@ def _closed_torus_E(g: Polynomial, p: int) -> Optional[Fraction]:
     terms = sorted(g.terms.items())
     if not terms or any(c % p == 0 for _, c in terms):
         return None
-    rank, d, _ = _smith_data(tuple(a for a, _ in terms))
+    rank, d, _ = _support_lattice(tuple(a for a, _ in terms))[3:]
     if rank < len(terms) or gcd(d, p - 1) != 1:
         return None
     return Fraction(-1, p - 1) ** len(terms)
@@ -974,10 +977,10 @@ def _certificate(terms: Tuple[Tuple[ExponentVector, int], ...]) -> Optional[int]
     """A positive integer E such that g = sum_j c_j x^a_j, given by its
     sorted (a_j, c_j) pairs, has no critical point on (F_p^x)^n at any
     prime p not dividing E; None when the module docstring's rules give none.
-    It reads rank A, d and lambda from _smith_data, and, depending on no
-    prime, is memoized by the terms."""
+    It reads rank A, d and lambda from _support_lattice, and, depending on
+    no prime, is memoized by the terms."""
     coefs = [c for _, c in terms]
-    rank, d, lam = _smith_data(tuple(a for a, _ in terms))
+    rank, d, lam = _support_lattice(tuple(a for a, _ in terms))[3:]
     if len(terms) - rank > 1:
         return None
     cert = d * prod(coefs)
@@ -1038,12 +1041,12 @@ def _may_be_degenerate(f_tau: Polynomial, p: int) -> bool:
     if not terms:
         return True
     support = tuple(sorted(terms))
-    r, exps, b = _toric_form(support)
+    r, exps, beta = _support_lattice(support)[:3]
     if r == f_tau.n:
         return True
     coefs = [terms[a] for a in support]
     comps = [_laurent_terms([c * e[i] for c, e in zip(coefs, exps)], exps, p) for i in range(r)]
-    if any(x % p for x in b):
+    if beta % p:
         comps.append(_laurent_terms(coefs, exps, p))
     comps = [c for c in comps if c]
     if not comps:

@@ -5,17 +5,21 @@ restriction has no critical point on the torus at any prime p not dividing
 E, or None.  The property test checks that soundness against the scan
 (``_first_critical_point``) at every prime up to 31; the explicit cases pin
 the excluded primes of the corpus and the cases that get no certificate.
-The property test leaves its example count to the hypothesis profile.
+``sums._support_lattice``, the one record of a support's lattice data that
+the certificates, the closed form, the torus sums and the scan read, is
+checked against the two eliminations it replaced, kept here as oracles.
+The property tests leave their example count to the hypothesis profile.
 """
 
 from __future__ import annotations
 
 import random
-from math import isqrt, prod
-from typing import Optional, Set
+from math import gcd, isqrt, prod
+from operator import mul
+from typing import Optional, Set, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicsums import sums
 from padicsums.errors import ModulusTooLarge, WorkBudgetExceeded
@@ -221,6 +225,71 @@ def test_certificate_values_are_those_of_two_inline_reductions():
     kinds = set()
     for terms in cases:
         assert certificate(Polynomial(len(terms[0][0]), dict(terms))) == certificate_by_two_reductions(terms)
-        rank, _, lam = sums._smith_data(tuple(a for a, _ in terms))
+        rank, _, lam = sums._support_lattice(tuple(a for a, _ in terms))[3:]
         kinds.add((len(terms) - rank, lam is not None and all(lam) and not sum(lam)))
     assert {(0, False), (1, False), (1, True), (2, False)} <= kinds  # every rule is reached
+
+
+# -- the one lattice record of a support ------------------------------------------
+
+def toric_form(support) -> Tuple[int, tuple, tuple]:
+    """(r, (e_j), b) as the torus sums read them before the record: r the
+    rank of the a_j - a_0, and W from one row reduction of [D | I] with
+    every W a_j = (e_j, b)."""
+    n = len(support[0])
+    a0 = support[0]
+    width = len(support) - 1
+    rows = [[a[i] - a0[i] for a in support[1:]] + [int(i == j) for j in range(n)]
+            for i in range(n)]
+    r = _row_reduce(rows, width)
+    W = [row[width:] for row in rows]
+    images = [tuple(sum(map(mul, w, a)) for w in W) for a in support]
+    return r, tuple(e[:r] for e in images), images[0][r:]
+
+
+def smith_data(support) -> Tuple[int, int, Optional[tuple]]:
+    """(rank A, d, lambda) as the certificates read them before the record:
+    A to its echelon rows R, then [R^T | I] to [H | U]."""
+    width = len(support)
+    rows = [[a[i] for a in support] for i in range(len(support[0]))]
+    rank = _row_reduce(rows, width)
+    cols = [[rows[i][j] for i in range(rank)] + [int(j == l) for l in range(width)]
+            for j in range(width)]
+    _row_reduce(cols, rank)
+    lam = tuple(cols[rank][rank:]) if width - rank == 1 else None
+    return rank, abs(prod(cols[i][i] for i in range(rank))), lam
+
+
+def assert_record_matches_the_oracles(support) -> None:
+    r, exps, beta, rank, d, lam = sums._support_lattice(support)
+    r_old, exps_old, b = toric_form(support)
+    rank_old, d_old, lam_old = smith_data(support)
+    assert (r, exps) == (r_old, exps_old)
+    assert beta == gcd(*b)
+    assert (rank, d) == (rank_old, d_old)
+    # the primitive relation is unique up to sign
+    assert lam in (lam_old, lam_old and tuple(-l for l in lam_old))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.sets(st.tuples(*[st.integers(0, 9)] * n), min_size=1, max_size=6)))
+@example({(3, 1)})                      # one term: r = 0, beta = gcd(a_0) = 1
+@example({(0, 0), (2, 2)})              # beta = 0: A has the rank of its differences
+@example({(2, 0), (0, 2)})              # beta = 2, lambda = None
+@example({(1, 0), (0, 1), (1, 1)})      # r = n, lambda = (1, 1, -1) up to sign
+@example({(2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 4)})  # a kernel of rank 1 and a tail
+def test_support_lattice_matches_the_eliminations_it_replaced(exps):
+    assert_record_matches_the_oracles(tuple(sorted(exps)))
+
+
+def test_support_lattice_matches_them_on_every_corpus_face(corpus):
+    kinds = set()
+    for f in corpus + [parse_polynomial("x^3+y^3+z^3+x*y*z"), parse_polynomial("x^2+2*x*y+y^2")]:
+        for face in enumerate_faces(build_polyhedron(f)):
+            support = tuple(sorted(face.restriction.terms))
+            assert_record_matches_the_oracles(support)
+            r, _, _, rank, _, lam = sums._support_lattice(support)
+            kinds.add((rank - r, lam is not None))
+    # a face restriction lies in a hyperplane <w, a> = N != 0, so its tail is
+    # never 0 and rank A = r + 1; the random supports above reach beta = 0
+    assert kinds == {(1, False), (1, True)}

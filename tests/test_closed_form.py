@@ -112,13 +112,25 @@ def test_closed_form_falls_back(text, p, why):
 
 
 def test_closed_form_shares_the_smith_data_of_the_certificate():
+    # one lattice record per support (sums._support_lattice): the certificate
+    # misses it once, and everything else on the same support reads it
     g = parse_polynomial("x^3+y^3")
-    sums._smith_data.cache_clear()
+    sums._support_lattice.cache_clear()
     sums._certificate.cache_clear()
     assert sums._certificate(tuple(sorted(g.terms.items()))) == 9
     assert _closed_torus_E(g, 5) == Fraction(1, 16)
-    info = sums._smith_data.cache_info()
+    info = sums._support_lattice.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # on a connected restriction the torus sum reads it twice (the block's
+    # rank, then its toric counts) and the scan once
+    g = parse_polynomial("x^2*y+x*y^2")
+    sums._support_lattice.cache_clear()
+    assert sums._certificate(tuple(sorted(g.terms.items()))) == 3
+    assert _closed_torus_E(g, 3) == Fraction(1, 4)
+    assert abs(torus_E(g, 3).value - 0.25) <= 4 * KERNEL_EPS
+    assert sums._first_critical_point(g, 3) == (1, 1)
+    info = sums._support_lattice.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 # -- E from a face's weighted homogeneity (ROADMAP item 24, its tests-only step) --

@@ -35,13 +35,20 @@ from padicsums.newton import (
     build_polyhedron,
     enumerate_faces,
     enumerate_lattice_points,
-    lattice_blocks,
 )
 from padicsums.poly import Polynomial, parse_polynomial
 
 
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def classified_blocks(P: NewtonPolyhedron, T: int) -> list:
+    """The classified blocks of the points with nu <= T, as
+    ``enumerate_lattice_points`` reads them: the checks, then
+    ``_classified_blocks`` over the shell."""
+    newton._check_lattice(P, T)
+    return list(newton._classified_blocks(P, T, newton._shell(P.n, T)))
 
 
 def oracle_points(P: NewtonPolyhedron, T: int) -> Iterator[LatticePoint]:
@@ -156,7 +163,7 @@ def test_blocked_layer_matches_oracle(f, T, block, p, python_ints):
         P = newton._build(f)  # uncached: no lattice table kept from an earlier example
         want = list(oracle_points(P, T))
         assert list(enumerate_lattice_points(P, T)) == want
-        blocks = list(lattice_blocks(P, T))
+        blocks = classified_blocks(P, T)
         assert all(len(blk.k) <= block for blk in blocks)
         assert sum(len(blk.k) for blk in blocks) == len(want)
         assert_same_findings(check_nu_inequality(f, T), nu_reference(f, T))
@@ -178,7 +185,7 @@ def assert_blocks_slice_the_shell(f: Polynomial, T: int, block) -> None:
         if block is not None:
             mp.setattr(newton, "LATTICE_BLOCK", block)
         size = newton.LATTICE_BLOCK
-        blocks = list(lattice_blocks(newton._build(f), T))
+        blocks = classified_blocks(newton._build(f), T)
     assert np.array_equal(np.vstack([blk.k for blk in blocks]), newton._shell(f.n, T).T)
     assert all(len(blk.k) == size for blk in blocks[:-1]) and 0 < len(blocks[-1].k) <= size
     assert all(blk.k.dtype == blk.nu.dtype == np.int64 for blk in blocks)
@@ -557,7 +564,7 @@ def test_huge_exponents_take_exact_object_path(e):
     T = 4
     P = build_polyhedron(f)
     lattice_dtype = object if T * e >= INT64_SAFE else "int64"
-    assert all(blk.N.dtype == lattice_dtype for blk in lattice_blocks(P, T))
+    assert all(blk.N.dtype == lattice_dtype for blk in classified_blocks(P, T))
     assert list(enumerate_lattice_points(P, T)) == list(oracle_points(P, T))
     res, want = check_nu_inequality(f, T), nu_reference(f, T)
     assert_columns_match(res, want, P)  # N is object at 2^61, int64 at 2^40
@@ -666,7 +673,7 @@ def test_pattern_of_no_face_raises_key_error(python_ints, monkeypatch):
         P = newton._build(f)  # uncached: the shared polyhedron of f stays intact
         P.__dict__["faces"] = tuple(face for face in whole if face != dropped)
         with pytest.raises(KeyError) as err:
-            list(lattice_blocks(P, T))
+            classified_blocks(P, T)
         assert err.value.args[0] == dropped.key
         # the lattice table looks every point up too, and a table kept from
         # a smaller T, below the first point on the dropped face, does not hide it

@@ -139,11 +139,11 @@ def test_hist_value_reads_the_kept_roots(monkeypatch):
 def test_polyhedra_of_one_dimension_share_the_kept_shells(monkeypatch):
     kept = capped(monkeypatch, 1 << 20)
     first = newton._build(parse_polynomial("x*y+z^2"))
-    points = [blk.k.tolist() for blk in newton.lattice_blocks(first, 30)]
+    points = [blk.k.tolist() for blk in newton._classified_blocks(first, 30, newton._shell(3, 30))]
     shells = dict(kept.tables)
     assert shells and all(key[0] == "_shell" for key in shells)
     # a second polyhedron of dimension 3 builds no shell of its own
     newton._build(parse_polynomial("x^2+y*z")).lattice_table(30)
     assert set(kept.tables) == set(shells)
     assert all(kept.tables[key] is value for key, value in shells.items())
-    assert [blk.k.tolist() for blk in newton.lattice_blocks(first, 30)] == points
+    assert [blk.k.tolist() for blk in newton._classified_blocks(first, 30, newton._shell(3, 30))] == points
