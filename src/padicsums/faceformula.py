@@ -319,8 +319,11 @@ def verify_formula(
     row "budget-exceeded", a complete sum over the budget marks its own row.
     The right side is assembled only for the m whose grid p^(mn) is within
     the budget, by the rule of ``sums._complete_sums``; a row over it keeps
-    T and the tail.
+    T and the tail.  eps must be positive, also where no row needs a
+    truncation level (ValueError before any check runs).
     """
+    if Fraction(eps) <= 0:
+        raise ValueError("eps must be positive")
     ms = sorted(set(int(m) for m in m_range))
     if any(m < 1 for m in ms):
         raise ValueError("m values must be >= 1")

@@ -20,19 +20,16 @@ axes) the lattice layer classifies with; faces on the same support points
 share one restriction f_tau, f's terms at the bits of their support mask.
 The one integer elimination, ``_row_reduce`` (which ``sums`` shares), gives
 face dimensions.  The Newton polyhedron of a face restriction f_tau is
-conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the face's vertex set:
-one vertex or a segment is solved in closed form, and three or more by the
+conv(V_tau) + R_+^n, so sigma(f_tau) depends only on the face's vertex set,
+and the face pass solves it once per distinct vertex set, from the vertices
+alone: one vertex or a segment in closed form, and three or more by the
 diagonal's own rule over the facets of one more double description pass
 (``_hull_t_star``), so nothing derived from a polyhedron builds another
-one.  A polyhedron is immutable by contract: its faces, its diagonal data,
-the sigma of each vertex set and its lattice table (how many lattice points
+one.  A polyhedron is immutable by contract: its faces (each with its
+sigma), its diagonal data and its lattice table (how many lattice points
 with nu(k) <= T share each (face, N, nu), kept for the largest T requested,
 with the shell of its points and each point's row in it) are derived once,
 on first use, and never change what it compares equal to.
-The sigmas are kept in one memo by vertex ids (``_VertexSigmas``) that the
-faces share: it holds the vertices, not the polyhedron, so faces and the
-polyhedron that caches them form no reference cycle, and a polyhedron is
-freed as soon as its polynomial and its last outside reference are.
 The lattice layer reads every k in N^n with |k| <= T from one composition
 shell (``_shell``), which depends on n and T alone: it is built once for every
 polyhedron and kept in the shared table store (``store.TABLES``) when it fits,
@@ -184,12 +181,9 @@ class Face:
     are 0-based internally (serialization emits them 1-based).
     ``restriction`` is f_tau, f's terms at the support points on the face,
     one polynomial for all faces on the same support points.  ``sigma_tau``
-    depends only on the vertex set and is solved from the vertices alone
+    is sigma(f_tau), which depends only on the vertex set: the face pass
+    solves it once per distinct vertex set, from the vertices alone
     (``_hull_t_star``), never from a polyhedron of f_tau.
-    ``vertex_sigmas`` is the sigma memo that all faces of the polyhedron
-    share, not the polyhedron itself, so faces and the polyhedron that caches
-    them form no reference cycle; it takes no part in equality, hashing or
-    repr.
     """
 
     id: int
@@ -199,17 +193,11 @@ class Face:
     active_facet_ids: Tuple[int, ...]
     witness_k: ExponentVector
     restriction: Polynomial
-    vertex_sigmas: "_VertexSigmas" = field(compare=False, repr=False)
+    sigma_tau: Fraction
 
     @property
     def key(self) -> FaceKey:
         return (self.vertex_ids, self.recession_axes)
-
-    @property
-    def sigma_tau(self) -> Fraction:
-        """sigma(f_tau), which depends only on the face's vertex set;
-        computed on first read and kept in the shared memo."""
-        return self.vertex_sigmas[self.vertex_ids]
 
 
 class Diagonal(NamedTuple):
@@ -285,11 +273,6 @@ class NewtonPolyhedron:
         return self.faces[face_id]
 
     @cached_property
-    def _vertex_sigmas(self) -> "_VertexSigmas":
-        """The sigma memo by vertex ids that the faces share."""
-        return _VertexSigmas(self.vertices, self.n, self.diagonal.sigma)
-
-    @cached_property
     def _lattice_tables(self) -> Dict[int, Tuple["LatticeTable", np.ndarray, np.ndarray]]:
         # at most one entry: T -> the table, rows and shell of the largest T requested so far
         return {}
@@ -342,29 +325,11 @@ class NewtonPolyhedron:
         return shell[:, at].T.astype(np.int64), row.astype(rows.dtype)
 
 
-class _VertexSigmas(dict):
-    """sigma of conv(V) + R_+^n by the ids of the vertices V of a polyhedron,
-    each computed on first request (``__missing__``).
-
-    This is sigma(f_tau) for every face tau with exactly these vertices:
-    Supp(f_tau) lies in tau, inside conv(V_tau) + R_+^n, and holds V_tau, so
-    Newton(f_tau) = conv(V_tau) + R_+^n.  The whole vertex set spans the
-    polyhedron itself, so it is seeded with the polyhedron's own sigma.  It
-    holds only the vertices and n, never the polyhedron.
-    """
-
-    def __init__(self, vertices: Tuple[ExponentVector, ...], n: int, sigma: Fraction):
-        super().__init__({tuple(range(len(vertices))): sigma})
-        self.vertices = vertices
-        self.n = n
-
-    def __missing__(self, vertex_ids: Tuple[int, ...]) -> Fraction:
-        return self.setdefault(vertex_ids, 1 / _hull_t_star([self.vertices[i] for i in vertex_ids], self.n))
-
-
 def _hull_t_star(points: Sequence[ExponentVector], n: int) -> Fraction:
     """t* = min over x in conv(points) of max_j x_j, where the diagonal first
-    meets conv(points) + R_+^n.
+    meets conv(points) + R_+^n; for the vertices V_tau of a face tau it is
+    1 / sigma(f_tau), since Supp(f_tau) lies in tau, inside conv(V_tau) +
+    R_+^n, and holds V_tau, so Newton(f_tau) = conv(V_tau) + R_+^n.
 
     One point: its largest entry.  Two points: the segment's minimum, in
     closed form (``_segment_t_star``).  Three or more: the largest
@@ -418,10 +383,11 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
 
     The polyhedron depends on f alone, so it is built once and shared: while
     f lives, every call with a polynomial equal to f returns the same object,
-    with its faces, restrictions, face sigmas and lattice table as far as
-    they have been derived.  None of these builds a polyhedron of its own:
-    restrictions are read from ``source``'s terms and face sigmas from the
-    vertices.  It is immutable by contract; ``source`` is an equal copy of f.
+    with its faces (each with its restriction and sigma) and lattice table as
+    far as they have been derived.  None of these builds a polyhedron of its
+    own: the face pass reads restrictions from ``source``'s terms and solves
+    face sigmas from the vertices.  It is immutable by contract; ``source``
+    is an equal copy of f.
     Requires f nonconstant with f(0) = 0 and n <= DIMENSION_CAP.
     """
     P = _BUILT.get(f)
@@ -581,6 +547,7 @@ def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
         "witness does not recover its face"
     )
     restrictions = {}  # support mask -> f_tau, one per distinct support mask
+    sigmas = {tuple(range(len(P.vertices))): P.diagonal.sigma}  # vertex ids -> sigma(f_tau)
     faces = []
     for (dim, (vids, axes), i), active_ids, witness in zip(ranked, _members(active), witnesses.tolist()):
         smask = found[i][0]
@@ -588,7 +555,9 @@ def _face_lattice(P: NewtonPolyhedron) -> Tuple[Face, ...]:
         if restr is None:  # f's terms at the mask's bits; every face holds a support point
             on_face = [support[s] for s in _bits(smask, len(support))]
             restr = restrictions[smask] = Polynomial(P.n, {v: P.source.terms[v] for v in on_face})
-        faces.append(Face(len(faces), vids, axes, dim, active_ids, tuple(witness), restr, P._vertex_sigmas))
+        if vids not in sigmas:
+            sigmas[vids] = 1 / _hull_t_star([P.vertices[v] for v in vids], P.n)
+        faces.append(Face(len(faces), vids, axes, dim, active_ids, tuple(witness), restr, sigmas[vids]))
     return tuple(faces)
 
 
@@ -600,9 +569,9 @@ def enumerate_faces(P: NewtonPolyhedron) -> List[Face]:
     and witnesses from products of boolean incidence matrices, for every
     face at once, and minimizing over P at every witness (``_Patterns``)
     must recover every face.  Only the dimension (``_face_dim``) is found
-    face by face.  A face's sigma_tau = sigma(f_tau) is computed when first
-    read, once per distinct vertex set of P, and kept in one memo that all of
-    P's faces share (``_VertexSigmas``); the faces hold that memo, not P.
+    face by face.  A face's sigma_tau = sigma(f_tau) is solved in the same
+    pass, once per distinct vertex set of P (``_hull_t_star``), P's own
+    vertex set taking P's sigma.
     """
     return list(P.faces)
 

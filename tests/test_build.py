@@ -249,10 +249,11 @@ def _hull_vertex_sets(P):
 
 
 def test_face_pass_builds_nothing_and_solves_each_vertex_set_once(corpus, monkeypatch):
-    """While the face lattice is derived and every face sigma read, no call
-    reaches a polyhedron build or ``face_restriction``, and the double
-    description pass runs once per vertex set of ``_hull_vertex_sets``: the
-    memo the faces share still shares."""
+    """While ``P.faces`` derives the face lattice, with every face's sigma,
+    no call reaches a polyhedron build or ``face_restriction``, and the
+    double description pass runs once per vertex set of
+    ``_hull_vertex_sets``; reading the faces and their sigmas again runs no
+    pass at all."""
     rng = random.Random(55)
     polys = list(corpus) + [random_polynomial(rng, n=rng.randint(2, 5), max_terms=8, max_exp=4) for _ in range(20)]
     built = [newton._build(f) for f in polys]  # uncached, so no face sigma has been read
@@ -272,7 +273,7 @@ def test_face_pass_builds_nothing_and_solves_each_vertex_set_once(corpus, monkey
         sigmas = [face.sigma_tau for face in P.faces]
         wanted = sorted(tuple(P.vertices[i] for i in ids) for ids in _hull_vertex_sets(P))
         assert forbidden == [] and sorted(passes) == wanted
-        assert [face.sigma_tau for face in P.faces] == sigmas and sorted(passes) == wanted  # memo hits
+        assert [face.sigma_tau for face in P.faces] == sigmas and sorted(passes) == wanted  # kept faces
 
 
 @st.composite
@@ -312,19 +313,12 @@ def test_faces_of_two_builds_form_one_set(corpus):
         assert len(set(first.faces) | set(second.faces)) == len(first.faces)
 
 
-def test_vertex_sigma_memo_lives_on_the_polyhedron():
+def test_equal_polynomials_share_one_polyhedron():
     text = "x^2*y+y^2*z+z^2*x+x*y*z"
     f = parse_polynomial(text)
     first = build_polyhedron(f)
     assert build_polyhedron(f) is first
     assert build_polyhedron(parse_polynomial(text)) is first  # equal f, same P
-    for face in first.faces:
-        face.sigma_tau
-    assert set(first.__dict__["_vertex_sigmas"]) == {face.vertex_ids for face in first.faces}
-    del f, first
-    gc.collect()
-    fresh = build_polyhedron(parse_polynomial(text))
-    assert "_vertex_sigmas" not in fresh.__dict__
 
 
 def test_polyhedron_dies_with_its_polynomial():
@@ -342,9 +336,9 @@ def test_polyhedron_dies_with_its_polynomial():
 
 @pytest.mark.parametrize("text", ["7*x*y+5*z*u", "x^2*y+y^2*z+z^2*x+11*x*y*z"])
 def test_polyhedron_is_freed_without_the_cycle_collector(text):
-    """Faces share a sigma memo that holds the vertices, not the polyhedron,
-    so no reference cycle keeps a polyhedron and its lattice table resident
-    after its polynomial dies: reference counting alone frees it."""
+    """Faces are plain data that do not hold the polyhedron, so no reference
+    cycle keeps a polyhedron and its lattice table resident after its
+    polynomial dies: reference counting alone frees it."""
     gc.disable()
     try:
         f = parse_polynomial(text)

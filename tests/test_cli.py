@@ -504,6 +504,14 @@ def test_bad_eps_exits_2(capsys, eps):
     assert f"bad eps '{eps}': not a finite decimal number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["2", "5"])  # x^2+y^3 is degenerate at 2 and nondegenerate at 5
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_nonpositive_eps_exits_2_at_every_prime(capsys, eps, p):
+    assert main(["verify-formula", "x^2+y^3", "-p", p, "-m", "1", "--eps", eps]) == 2
+    err = capsys.readouterr().err
+    assert "eps must be positive" in err and "Traceback" not in err
+
+
 def test_sigma_bound_hypothesis_exits_2(capsys):
     assert main(["sigma-bound", "x^2+y^3", "--d", "0"]) == 2
 

@@ -270,6 +270,16 @@ def test_verify_not_applicable_at_degenerate_prime():
     assert not reports[0].nondeg.passed
 
 
+@pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 3), "0"])
+def test_verify_rejects_nonpositive_eps_before_the_nondegeneracy_scan(eps, monkeypatch):
+    scans = []
+    monkeypatch.setattr(faceformula, "check_nondegenerate_mod_p", lambda *args, **kwargs: scans.append(args))
+    for p in (2, 5):  # x^2+y^3 is degenerate at 2 and nondegenerate at 5
+        with pytest.raises(ValueError, match="eps must be positive"):
+            verify_formula(parse_polynomial("x^2+y^3"), p, [1], eps=eps)
+    assert scans == []
+
+
 def test_verify_curve_at_good_prime():
     reports = verify_formula(parse_polynomial("x^2+y^3"), 7, [1, 2, 3])
     assert [r.verdict for r in reports] == ["pass"] * 3
